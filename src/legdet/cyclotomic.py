@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .arith import OddPrime, legendre
-from .errors import DiscrepancyError, PrecisionError
+from .errors import DiscrepancyError
+from .exactlinalg import IntMatrix, _bareiss, det
+from .quadint import QuadElem
 
 _EPS = 2.0 ** -50
 
@@ -116,22 +116,6 @@ class CycElem:
             vec[(p - i) % p] += c
         return CycElem.from_exponents(self.prime, vec)
 
-    def inv(self) -> "CycElem":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the p-th cyclotomic polynomial (irreducible over Q)."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse in Q(zeta_p)")
-        p = self.prime.p
-        f = _trim([Fraction(c) for c in self.coeffs])
-        phi = [Fraction(1)] * p
-        g, s = _poly_half_xgcd(f, phi)
-        if len(g) != 1 or g[0] == 0:
-            raise ArithmeticError("cyclotomic polynomial split unexpectedly")
-        scale = 1 / g[0]
-        inv_coeffs = [c * scale for c in s]
-        inv_coeffs += [Fraction(0)] * (p - 1 - len(inv_coeffs))
-        return CycElem(self.prime, inv_coeffs)
-
     def embed(self) -> "ComplexApprox":
         return embed(self)
 
@@ -151,47 +135,6 @@ class CycElem:
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-def _trim(cs: list) -> list:
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _poly_divmod(a: list, b: list):
-    # ascending Fraction coefficients, b trimmed and nonzero
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] * inv_lead
-        if c == 0:
-            continue
-        q[k] = c
-        for j, bj in enumerate(b):
-            r[k + j] -= c * bj
-    return _trim(q), _trim(r)
-
-
-def _poly_half_xgcd(f: list, g: list):
-    """Return (gcd, s) with s*f = gcd modulo g, over Q[x]."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while r1 != [0] and r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r if r else [Fraction(0)]
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi == 0:
-                continue
-            for j, sj in enumerate(s1):
-                prod[i + j] += qi * sj
-        width = max(len(s0), len(prod))
-        nxt = [(s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
-               for i in range(width)]
-        s0, s1 = s1, _trim(nxt)
-    return r0, s0
 
 
 @dataclass(frozen=True)
@@ -338,29 +281,6 @@ def sun_product_two_norm_sq(p: OddPrime) -> ComplexApprox:
     return ComplexApprox(m, 0.0, m * (p.n * p.n + 2) * 8 * _EPS)
 
 
-def _fraction_det(rows: list) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    acc = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        acc *= pivot
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            factor = a[i][k] / pivot
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return sign * acc
-
-
 def cauchy_det(u: list, v: list) -> Fraction:
     """det [ 1/(1 + u_i v_j) ] by exact elimination and by the closed form
 
@@ -377,7 +297,15 @@ def cauchy_det(u: list, v: list) -> Fraction:
         for vj in v:
             if 1 + ui * vj == 0:
                 raise ValueError("node pair with 1 + u*v = 0")
-    direct = _fraction_det([[1 / (1 + ui * vj) for vj in v] for ui in u])
+    # clear each row's denominators, eliminate over Z, divide back out
+    rows = []
+    scale = 1
+    for ui in u:
+        row = [1 / (1 + ui * vj) for vj in v]
+        mult = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (mult // x.denominator) for x in row])
+        scale *= mult
+    direct = Fraction(det(IntMatrix(rows)), scale)
     num = Fraction(1)
     for i in range(m):
         for j in range(i + 1, m):
@@ -449,33 +377,6 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
     return True
 
 
-def cyc_det(p: OddPrime, rows) -> CycElem:
-    """Determinant over Q(zeta_p) by ordinary Gaussian elimination,
-    pivoting with exact cyclotomic inverses."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    acc = CycElem.one(p)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-        if piv is None:
-            return CycElem.zero(p)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        acc = acc * pivot
-        inv_p = pivot.inv()
-        for i in range(k + 1, n):
-            if a[i][k].is_zero():
-                continue
-            factor = a[i][k] * inv_p
-            a[i][k] = CycElem.zero(p)
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - factor * a[k][j]
-    return acc if sign == 1 else -acc
-
-
 def exact_product_one(p: OddPrime) -> CycElem:
     """Exact product over k=1..n of (1 - zeta^(k^2))."""
     acc = CycElem.one(p)
@@ -493,62 +394,81 @@ def exact_product_two(p: OddPrime) -> CycElem:
     return acc
 
 
+def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
+    """det of the structured matrix as (c, d), meaning c + d*tau with
+    tau = gauss_sum, tau^2 = p* = (-1)^((p-1)/2) * p.
+
+    Row 0 is all -1; for rows i >= 1 the entry is p on the diagonal and
+    ((i-j)/p) * tau off it.  Every entry is checked against that Z[tau]
+    form exactly, then the determinant is taken over Z[tau], inside the
+    integers of Q(sqrt(p*)), by fraction-free elimination."""
+    p = parts.prime
+    pstar = (-1) ** p.n * p.p
+    tau = gauss_sum(p)
+    forms = {(c, d): CycElem.const(p, c) + tau.scale(d)
+             for c, d in ((-1, 0), (p.p, 0), (0, 1), (0, -1))}
+    rows = []
+    for i, row in enumerate(parts.matrix):
+        out = []
+        for j, entry in enumerate(row):
+            if i == 0:
+                c, d = -1, 0
+            elif i == j:
+                c, d = p.p, 0
+            else:
+                c, d = 0, legendre(i - j, p)
+            if entry != forms[c, d]:
+                raise DiscrepancyError(
+                    f"entry ({i},{j}) is not {c} + {d}*tau at p={p.p}"
+                )
+            out.append(QuadElem(pstar, 2 * c, 2 * d))
+        rows.append(out)
+    value = _bareiss(rows, QuadElem(pstar, 2, 0))
+    if value.a % 2 or value.b % 2:
+        raise DiscrepancyError(f"determinant left Z[tau] at p={p.p}")
+    return value.a // 2, value.b // 2
+
+
+def ztau_to_cyc(p: OddPrime, c: int, d: int) -> CycElem:
+    """c + d*tau on the power basis of Q(zeta_p)."""
+    return CycElem.const(p, c) + gauss_sum(p).scale(d)
+
+
 @dataclass(frozen=True)
 class MtildeCheck:
-    """Outcome of comparing the structured determinant to its closed form."""
+    """The structured determinant c + d*tau, proved equal to its closed form."""
 
     p: int
-    exact_checked: bool
-    det_numeric: complex
-    closed_numeric: complex
-    rel_err: float
+    c: int
+    d: int
+
+    def __str__(self) -> str:
+        if self.d == 0:
+            return str(self.c)
+        tau = f"{abs(self.d)}*tau"
+        if self.c == 0:
+            return tau if self.d > 0 else f"-{tau}"
+        return f"{self.c} {'+' if self.d > 0 else '-'} {tau}"
 
 
-_MTILDE_EXACT_CAP = 19
-_MTILDE_NUMERIC_CAP = 31
+_MTILDE_CAP = 31
 
 
-def mtilde_det_check(p: OddPrime, tolerance: float = 1e-6) -> MtildeCheck:
+def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     """Check det of the structured matrix against
-    -(-2)^n * conj(prod(1 - zeta^(k^2))) * |prod(zeta^(k^2) - zeta^(j^2))|^2:
-    exactly over Q(zeta_p) for p <= 19, numerically for p <= 31.
+    -(-2)^n * conj(prod(1 - zeta^(k^2))) * |prod(zeta^(k^2) - zeta^(j^2))|^2
+    by exact equality in Q(zeta_p), for 5 <= p <= 31.
 
     The closed form needs sum_{k<=n} k^2 = p(p^2-1)/24 to vanish mod p,
     which holds for every prime p >= 5 but not for p = 3."""
+    p = parts.prime
     if p.p < 5:
         raise ValueError("closed form requires p >= 5")
-    if p.p > _MTILDE_NUMERIC_CAP:
-        raise ValueError(f"capped at p <= {_MTILDE_NUMERIC_CAP}")
-    parts = build_mtilde(p)
-    n = p.n
-    lead = -((-2) ** n)
-
-    exact_checked = False
-    if p.p <= _MTILDE_EXACT_CAP:
-        det_exact = cyc_det(p, parts.matrix)
-        p2 = exact_product_two(p)
-        closed_exact = (
-            exact_product_one(p).conj() * p2 * p2.conj()
-        ).scale(lead)
-        if det_exact != closed_exact:
-            raise DiscrepancyError(f"exact determinant mismatch at p={p.p}")
-        exact_checked = True
-
-    num = np.array(
-        [[e.embed().z for e in row] for row in parts.matrix], dtype=complex
-    )
-    det_num = complex(np.linalg.det(num))
-    prod1 = 1 + 0j
-    for k in range(1, n + 1):
-        prod1 *= 1 - _root_pow(p.p, k * k)
-    prod2 = 1 + 0j
-    for k in range(2, n + 1):
-        for j in range(1, k):
-            prod2 *= _root_pow(p.p, k * k) - _root_pow(p.p, j * j)
-    closed_num = lead * prod1.conjugate() * (abs(prod2) ** 2)
-    rel = abs(det_num - closed_num) / max(abs(closed_num), 1e-30)
-    if rel > tolerance:
-        raise PrecisionError(
-            f"numeric determinant off by relative {rel:.3e} at p={p.p}"
-        )
-    return MtildeCheck(p.p, exact_checked, det_num, closed_num, rel)
+    if p.p > _MTILDE_CAP:
+        raise ValueError(f"capped at p <= {_MTILDE_CAP}")
+    c, d = mtilde_det(parts)
+    p2 = exact_product_two(p)
+    closed = (exact_product_one(p).conj() * p2 * p2.conj()).scale(-((-2) ** p.n))
+    if ztau_to_cyc(p, c, d) != closed:
+        raise DiscrepancyError(f"exact determinant mismatch at p={p.p}")
+    return MtildeCheck(p.p, c, d)

@@ -125,48 +125,53 @@ def poly_pow(a: IntPolynomial, k: int) -> IntPolynomial:
     return acc
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _bareiss(a: list, one):
+    """Determinant of the square list-of-rows a by fraction-free (Bareiss)
+    elimination, overwriting a.
 
-    Every interior division is exact; a nonzero remainder would mean a
-    broken invariant and trips an assertion.  A zero column with no pivot
-    available means the matrix is singular.
+    Exact over any integral domain whose elements support *, -, truthiness
+    and a divmod whose remainder is falsy exactly when the division is
+    exact; one is the domain's unit.  Every interior division is exact in
+    theory, so a nonzero remainder means a broken invariant and raises
+    DiscrepancyError.  A zero column with no pivot available means the
+    matrix is singular, and that column's zero is returned.
     """
-    n = m.dim
-    if n == 1:
-        return m.rows[0][0]
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
+    n = len(a)
+    negate = False
+    prev = one
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if a[i][k] != 0:
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
-                    sign = -sign
+                    negate = not negate
                     break
             else:
-                return 0
+                return a[k][k]
         pivot = a[k][k]
         row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
             aik = row_i[k]
             for j in range(k + 1, n):
-                num = pivot * row_i[j] - aik * row_k[j]
-                q, r = divmod(num, prev)
-                assert r == 0, "fraction-free step did not divide exactly"
+                q, r = divmod(pivot * row_i[j] - aik * row_k[j], prev)
+                if r:
+                    raise DiscrepancyError("fraction-free step did not divide exactly")
                 row_i[j] = q
-            row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return -a[n - 1][n - 1] if negate else a[n - 1][n - 1]
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    return _bareiss([list(r) for r in m.rows], 1)
 
 
 def charpoly(m: IntMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(tI - M), Faddeev-LeVerrier.
 
     Works entirely over the integers: the division by the step index k
-    is exact (Newton's identities) and is asserted to be so.
+    is exact (Newton's identities); an inexact one raises DiscrepancyError.
     """
     n = m.dim
     coeffs = [0] * (n + 1)
@@ -177,8 +182,10 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
             mk = am + IntMatrix.identity(n).scale(coeffs[n - k + 1])
         am = m @ mk
         tr = am.trace()
-        assert tr % k == 0, "Faddeev-LeVerrier trace division not exact"
-        coeffs[n - k] = -(tr // k)
+        q, r = divmod(tr, k)
+        if r:
+            raise DiscrepancyError("Faddeev-LeVerrier trace division not exact")
+        coeffs[n - k] = -q
     return IntPolynomial(tuple(coeffs))
 
 

@@ -1,8 +1,4 @@
-"""Real quadratic fields Q(sqrt(p)): units, class numbers, unit powers.
-
-Elements are written (a + b*sqrt(d))/2 with the integrality convention of
-the maximal order: a = b (mod 2) when d = 1 (mod 4), both even otherwise.
-"""
+"""Real quadratic fields Q(sqrt(p)): units, class numbers, unit powers."""
 from __future__ import annotations
 
 import math
@@ -13,56 +9,7 @@ from math import isqrt
 from .arith import OddPrime, legendre
 from .cyclotomic import sun_product_one
 from .errors import DiscrepancyError, PrecisionError
-
-
-@dataclass(frozen=True)
-class QuadElem:
-    """The number (a + b*sqrt(d))/2 in the ring of integers of Q(sqrt(d))."""
-
-    d: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.d <= 1 or isqrt(self.d) ** 2 == self.d:
-            raise ValueError("d must be a non-square integer > 1")
-        if self.d % 4 == 1:
-            if (self.a - self.b) % 2 != 0:
-                raise ValueError("need a = b (mod 2) when d = 1 (mod 4)")
-        elif self.a % 2 != 0 or self.b % 2 != 0:
-            raise ValueError("need a, b both even when d != 1 (mod 4)")
-
-    def _check(self, other: "QuadElem") -> None:
-        if self.d != other.d:
-            raise ValueError("mixed quadratic fields")
-
-    def __mul__(self, other: "QuadElem") -> "QuadElem":
-        self._check(other)
-        na, ra = divmod(self.a * other.a + self.b * other.b * self.d, 2)
-        nb, rb = divmod(self.a * other.b + self.b * other.a, 2)
-        assert ra == 0 and rb == 0, "product left the order"
-        return QuadElem(self.d, na, nb)
-
-    def __add__(self, other: "QuadElem") -> "QuadElem":
-        self._check(other)
-        return QuadElem(self.d, self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "QuadElem":
-        return QuadElem(self.d, -self.a, -self.b)
-
-    def conj(self) -> "QuadElem":
-        return QuadElem(self.d, self.a, -self.b)
-
-    def norm(self) -> int:
-        num, r = divmod(self.a * self.a - self.d * self.b * self.b, 4)
-        assert r == 0, "norm must be integral on the maximal order"
-        return num
-
-    def to_float(self) -> float:
-        return (self.a + self.b * math.sqrt(self.d)) / 2
-
-    def __str__(self) -> str:
-        return f"({self.a} + {self.b}*sqrt({self.d}))/2"
+from .quadint import QuadElem
 
 
 def quad_pow(x: QuadElem, k: int) -> QuadElem:

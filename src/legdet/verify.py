@@ -19,35 +19,25 @@ from fractions import Fraction
 
 from .arith import OddPrime, legendre, primes_in_range
 from .cyclotomic import (
+    _MTILDE_CAP,
     CycElem,
     build_mtilde,
     cauchy_det,
-    cyc_det,
     frakp_residue,
     gauss_sum,
+    mtilde_det,
     mtilde_det_check,
     mtilde_structure_check,
     quadratic_gauss_identity,
     sun_product_one,
     sun_product_two,
+    ztau_to_cyc,
 )
 from .errors import LegdetError
 from .exactlinalg import IntPolynomial, charpoly, det, poly_mul, poly_pow
 from .matrices import build_cp, build_ep, build_mp
 from .quadfield import chapman_ap, class_number_imag, class_number_real, fundamental_unit
 from .vsemirnov import decomposition_residual
-
-TARGETS = (
-    "sun",
-    "chapman",
-    "carlitz",
-    "unit",
-    "lemma32",
-    "gauss",
-    "cauchy",
-    "decomposition",
-    "mtilde",
-)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -260,12 +250,9 @@ def verify_decomposition(p: OddPrime, tolerance: float = 1e-6) -> VerificationRe
     )
 
 
-_MTILDE_CAP = 31
-
-
 def verify_mtilde(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     """Structure identity plus determinant closed form for the shifted
-    matrix; exact equality below the exact cap, numeric above it."""
+    matrix, both by exact equality."""
     if p.p > _MTILDE_CAP:
         return VerificationRecord(
             p.p, "mtilde", SKIPPED, "", "",
@@ -274,7 +261,7 @@ def verify_mtilde(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     parts = build_mtilde(p)
     mtilde_structure_check(parts)
     if p.p == 3:
-        observed = cyc_det(p, parts.matrix)
+        observed = ztau_to_cyc(p, *mtilde_det(parts))
         return VerificationRecord(
             p.p, "mtilde", SKIPPED, "", "",
             {
@@ -283,16 +270,9 @@ def verify_mtilde(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
                 "observed_det": str(observed),
             },
         )
-    chk = mtilde_det_check(p, tolerance)
-    aux = {
-        "structure": "ok",
-        "exact": "equal" if chk.exact_checked else "skipped (p > 19)",
-        "rel_err": f"{chk.rel_err:.3e}",
-    }
-    return VerificationRecord(
-        p.p, "mtilde", PASS,
-        _fmt_complex(chk.det_numeric), _fmt_complex(chk.closed_numeric), aux
-    )
+    chk = mtilde_det_check(parts)
+    aux = {"structure": "ok", "exact": "equal"}
+    return VerificationRecord(p.p, "mtilde", PASS, str(chk), str(chk), aux)
 
 
 _VERIFIERS = {
@@ -306,6 +286,7 @@ _VERIFIERS = {
     "decomposition": verify_decomposition,
     "mtilde": verify_mtilde,
 }
+TARGETS = tuple(_VERIFIERS)
 
 
 def _run_one(target: str, p_int: int, tolerance: float) -> VerificationRecord:
@@ -313,9 +294,10 @@ def _run_one(target: str, p_int: int, tolerance: float) -> VerificationRecord:
     try:
         return _VERIFIERS[target](p, tolerance)
     except LegdetError as exc:
-        return VerificationRecord(
-            p_int, target, FAIL, "", "", {"error": str(exc)}
-        )
+        aux = {"error": str(exc)}
+    except Exception as exc:  # one bad prime becomes a FAIL, never a lost sweep
+        aux = {"error": str(exc), "exception": type(exc).__name__}
+    return VerificationRecord(p_int, target, FAIL, "", "", aux)
 
 
 def _run_one_packed(args) -> VerificationRecord:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import OddPrime, legendre
+from .errors import DiscrepancyError
 from .matrices import build_ep
 
 _CAP = 61  # double-precision conditioning cap for the diagnostic
@@ -54,7 +55,8 @@ def build_uvd(p: OddPrime, alt_diag: bool = False) -> Decomposition:
         for j in range(dim):
             num = sym[i] * z[(-j - 2 * i) % pp] + sym[(-j) % pp] * z[(-2 * j - i) % pp]
             den = z[(-i - j) % pp] + sym[i] * sym[(-j) % pp]
-            assert abs(den) > 1e-9, f"vanishing denominator at ({i},{j}), p={pp}"
+            if abs(den) <= 1e-9:
+                raise DiscrepancyError(f"vanishing denominator at ({i},{j}), p={pp}")
             u[i, j] = num / den
 
     v = np.array([[z[(2 * i * j) % pp] for j in range(dim)] for i in range(dim)])

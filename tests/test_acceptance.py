@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from legdet.arith import OddPrime, primes_in_range
-from legdet.cyclotomic import cauchy_det, mtilde_det_check
+from legdet.cyclotomic import build_mtilde, cauchy_det, mtilde_det_check
 from legdet.exactlinalg import (
     IntMatrix,
     IntPolynomial,
@@ -108,16 +108,15 @@ def test_criterion_08_shifted_matrix_determinant():
         by_p[p].status == PASS for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
     )
     ok = ok and all(
-        by_p[p].aux["exact"] == "equal" for p in (5, 7, 11, 13, 17, 19)
+        by_p[p].aux["exact"] == "equal" for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
     )
-    ok = ok and all(
-        by_p[p].aux["exact"] == "skipped (p > 19)" for p in (23, 29, 31)
-    )
-    chk5 = mtilde_det_check(OddPrime(5))
-    chk13 = mtilde_det_check(OddPrime(13))
-    ok = ok and chk5.exact_checked and abs(chk5.det_numeric - (-20)) < 1e-6
-    ok = ok and chk13.exact_checked and abs(chk13.det_numeric - (-140608)) < 1e-3
-    _report(8, "shifted matrix: structure p <= 31, exact det p <= 19, numeric p <= 31", ok)
+    ok = ok and by_p[5].computed == "-20"
+    ok = ok and by_p[3].aux["observed_det"] == "-2 + 2*z"
+    chk5 = mtilde_det_check(build_mtilde(OddPrime(5)))
+    chk13 = mtilde_det_check(build_mtilde(OddPrime(13)))
+    ok = ok and (chk5.c, chk5.d) == (-20, 0)
+    ok = ok and (chk13.c, chk13.d) == (-140608, 0)
+    _report(8, "shifted matrix: structure and exact det p <= 31", ok)
 
 
 def test_criterion_09_random_property_suites():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,20 +11,24 @@ from legdet.cyclotomic import (
     CycElem,
     build_mtilde,
     cauchy_det,
-    cyc_det,
     embed,
     exact_product_one,
     exact_product_two,
     frakp_residue,
     gauss_sum,
     gauss_sum_scaled,
+    mtilde_det,
     mtilde_det_check,
     mtilde_structure_check,
     quadratic_gauss_identity,
     sun_product_one,
     sun_product_two,
     sun_product_two_norm_sq,
+    ztau_to_cyc,
 )
+from legdet.errors import DiscrepancyError
+from legdet.exactlinalg import _bareiss
+from legdet.quadfield import QuadElem
 
 
 def random_elem(rng, q, lo=-4, hi=4):
@@ -66,24 +71,6 @@ def test_all_roots_product_is_p():
         for k in range(1, q.p):
             acc = acc * (CycElem.one(q) - CycElem.zeta_pow(q, k))
         assert acc == CycElem.const(q, q.p)
-
-
-def test_inverse_roundtrip():
-    rng = random.Random(41)
-    for q in (OddPrime(5), OddPrime(7), OddPrime(11)):
-        for _ in range(25):
-            x = random_elem(rng, q)
-            if x.is_zero():
-                continue
-            assert x * x.inv() == CycElem.one(q)
-    x = CycElem(OddPrime(7), [Fraction(1, 3), 0, Fraction(-2, 5), 0, 1, 0])
-    assert x * x.inv() == CycElem.one(OddPrime(7))
-    assert CycElem.zeta_pow(OddPrime(7), 3).inv() == CycElem.zeta_pow(OddPrime(7), 4)
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        CycElem.zero(OddPrime(5)).inv()
 
 
 def test_conj_properties():
@@ -269,59 +256,103 @@ def cofactor_det(p, rows):
     return acc
 
 
-def test_cyc_det_against_cofactor_expansion():
+def ztau_bareiss(q, coords):
+    """Bareiss over Z[tau] on a matrix of (c, d) pairs, mapped to Q(zeta_q)."""
+    pstar = (-1) ** q.n * q.p
+    rows = [[QuadElem(pstar, 2 * c, 2 * d) for c, d in row] for row in coords]
+    value = _bareiss(rows, QuadElem(pstar, 2, 0))
+    assert value.a % 2 == 0 and value.b % 2 == 0
+    return ztau_to_cyc(q, value.a // 2, value.b // 2)
+
+
+def ztau_cofactor(q, coords):
+    return cofactor_det(q, [[ztau_to_cyc(q, c, d) for c, d in row] for row in coords])
+
+
+def test_bareiss_ztau_against_cofactor_expansion():
     rng = random.Random(61)
+    for p in (3, 5, 7, 13):
+        q = OddPrime(p)
+        for _ in range(30):
+            dim = rng.randint(1, 4)
+            # zero-heavy entries, so zero pivots and singular matrices occur
+            coords = [
+                [(rng.choice((0, 0, rng.randint(-3, 3))), rng.choice((0, rng.randint(-3, 3))))
+                 for _ in range(dim)]
+                for _ in range(dim)
+            ]
+            assert ztau_bareiss(q, coords) == ztau_cofactor(q, coords), (p, coords)
+
+
+def test_bareiss_ztau_zero_pivots_and_singular():
     q = OddPrime(7)
-    for _ in range(30):
-        dim = rng.randint(1, 3)
-        rows = [[random_elem(rng, q, -2, 2) for _ in range(dim)] for _ in range(dim)]
-        assert cyc_det(q, rows) == cofactor_det(q, rows)
-
-
-def test_cyc_det_singular():
-    q = OddPrime(5)
-    row = [CycElem.one(q), CycElem.zeta_pow(q, 2)]
-    assert cyc_det(q, [row, row]).is_zero()
+    cases = [
+        [[(0, 0), (1, 1)], [(2, -1), (0, 3)]],  # zero leading pivot
+        # rows 0 and 1 agree on the first two columns: zero second pivot
+        [[(1, 1), (2, 0), (0, 1)], [(1, 1), (2, 0), (3, 0)], [(0, 2), (1, 0), (1, -1)]],
+        [[(0, 0), (0, 0), (1, 0)], [(0, 0), (0, 1), (2, 0)], [(1, 0), (0, 0), (0, 0)]],
+    ]
+    for coords in cases:
+        got = ztau_bareiss(q, coords)
+        assert not got.is_zero()
+        assert got == ztau_cofactor(q, coords)
+    repeated = [[(1, 0), (0, 1)], [(1, 0), (0, 1)]]
+    zero_column = [[(0, 0), (1, 2)], [(0, 0), (3, 1)]]
+    for coords in (repeated, zero_column):
+        assert ztau_bareiss(q, coords).is_zero()
+    # row 1 is (1 + tau) times row 0, with tau^2 = 5
+    q5 = OddPrime(5)
+    proportional = [[(1, 1), (2, 0)], [(6, 2), (2, 2)]]
+    assert ztau_bareiss(q5, proportional).is_zero()
 
 
 def test_mtilde_det_exact_small():
-    check5 = mtilde_det_check(OddPrime(5))
-    assert check5.exact_checked
-    assert abs(check5.det_numeric - (-20)) < 1e-6
-    assert check5.rel_err < 1e-9
+    check5 = mtilde_det_check(build_mtilde(OddPrime(5)))
+    assert (check5.c, check5.d) == (-20, 0)
+    assert str(check5) == "-20"
 
-    check7 = mtilde_det_check(OddPrime(7))
-    assert check7.exact_checked
-    assert abs(check7.det_numeric.real) < 1e-6
-    assert abs(check7.det_numeric.imag - 56 * 7 ** 0.5) < 1e-6
+    check7 = mtilde_det_check(build_mtilde(OddPrime(7)))
+    assert (check7.c, check7.d) == (0, 56)
+    assert str(check7) == "56*tau"
 
 
 def test_mtilde_det_p13_value():
-    check = mtilde_det_check(OddPrime(13))
-    assert check.exact_checked
-    assert abs(check.det_numeric - (-140608)) < 1e-4
+    check = mtilde_det_check(build_mtilde(OddPrime(13)))
+    assert (check.c, check.d) == (-140608, 0)
 
 
-def test_mtilde_det_numeric_only_above_exact_cap():
-    check = mtilde_det_check(OddPrime(23))
-    assert not check.exact_checked
-    assert check.rel_err < 1e-6
+def test_mtilde_det_exact_above_old_cap():
+    # p = 23 was decided by a float determinant before the Z[tau] route
+    check = mtilde_det_check(build_mtilde(OddPrime(23)))
+    assert (check.c, check.d) == (0, -13181630464)
 
 
 def test_mtilde_det_domain():
     with pytest.raises(ValueError):
-        mtilde_det_check(OddPrime(3))
+        mtilde_det_check(build_mtilde(OddPrime(3)))
     with pytest.raises(ValueError):
-        mtilde_det_check(OddPrime(37))
+        mtilde_det_check(build_mtilde(OddPrime(37)))
+
+
+def test_mtilde_det_rejects_entry_off_ztau():
+    q = OddPrime(7)
+    parts = build_mtilde(q)
+    rows = [list(r) for r in parts.matrix]
+    rows[2][1] = rows[2][1] + CycElem.zeta_pow(q, 1)
+    bad = dataclasses.replace(parts, matrix=tuple(tuple(r) for r in rows))
+    with pytest.raises(DiscrepancyError):
+        mtilde_det(bad)
 
 
 def test_mtilde_p3_observed_determinant():
     # The closed form needs p >= 5; at p = 3 the structured matrix still
     # has a perfectly well-defined determinant, frozen here by hand:
-    # det [[-1, -1], [1 + 2*zeta, 3]] = -3 + 1 + 2*zeta = -2 + 2*zeta.
+    # det [[-1, -1], [1 + 2*zeta, 3]] = -3 + 1 + 2*zeta = -2 + 2*zeta,
+    # which is -3 + tau with tau = 1 + 2*zeta.
     q = OddPrime(3)
     parts = build_mtilde(q)
-    d = cyc_det(q, parts.matrix)
+    assert mtilde_det(parts) == (-3, 1)
+    d = ztau_to_cyc(q, *mtilde_det(parts))
     assert d == CycElem(q, (-2, 2))
     a, b = parts.matrix[0], parts.matrix[1]
     assert d == a[0] * b[1] - a[1] * b[0]

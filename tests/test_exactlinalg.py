@@ -4,9 +4,11 @@ import random
 import pytest
 
 from legdet.arith import OddPrime
+from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import (
     IntMatrix,
     IntPolynomial,
+    _bareiss,
     adjugate,
     charpoly,
     det,
@@ -45,6 +47,27 @@ def test_det_matches_permanent_expansion():
         dim = rng.randint(1, 5)
         m = random_matrix(rng, dim)
         assert det(m) == perm_det(m.rows)
+
+
+def test_det_zero_pivots_and_singular():
+    rng = random.Random(67)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        # zero-heavy entries, so zero pivots and singular matrices occur
+        rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(dim)]
+                for _ in range(dim)]
+        assert det(IntMatrix(rows)) == perm_det(rows)
+    # zero leading pivot; zero second pivot (rows 0, 1 agree on two columns)
+    for rows in ([[0, 2], [3, 1]], [[1, 2, 3], [1, 2, 5], [4, 1, 1]]):
+        assert det(IntMatrix(rows)) == perm_det(rows) != 0
+    for rows in ([[1, 2, 3], [2, 4, 6], [1, 1, 1]], [[0, 1], [0, 5]]):
+        assert det(IntMatrix(rows)) == 0
+
+
+def test_bareiss_inexact_division_raises():
+    # a false unit makes the first division inexact: -1 is not a multiple of 2
+    with pytest.raises(DiscrepancyError):
+        _bareiss([[1, 2], [3, 5]], 2)
 
 
 def test_det_frozen_values():

@@ -93,6 +93,30 @@ def test_quad_elem_validation():
         QuadElem(5, 2, 0) * QuadElem(13, 2, 0)
 
 
+def test_quad_elem_negative_d_and_exact_division():
+    # Z[tau] for p = 7 sits in the integers of Q(sqrt(-7)), tau^2 = -7
+    tau = QuadElem(-7, 0, 2)
+    assert tau * tau == QuadElem(-7, -14, 0)
+    assert tau.norm() == 7
+    assert tau and not (tau - tau)
+    half = QuadElem(-7, 1, 1)  # (1 + sqrt(-7))/2, integral since -7 = 1 (mod 4)
+    for x, y in ((half, tau), (tau, half), (QuadElem(-7, 6, 4), QuadElem(-7, 2, 0))):
+        q, r = divmod(x * y, y)
+        assert q == x and not r
+    # 1 / tau is not integral: the remainder is nonzero and q*y + r == x
+    one = QuadElem(-7, 2, 0)
+    q, r = divmod(one, tau)
+    assert r and q * tau + r == one
+    two = QuadElem(5, 4, 0)
+    for x in (QuadElem(5, 1, 1), QuadElem(5, 2, 0)):  # x/2 is not in the order
+        q, r = divmod(x, two)
+        assert r and q * two + r == x
+    with pytest.raises(ValueError):
+        QuadElem(0, 2, 0)
+    with pytest.raises(ValueError):
+        QuadElem(-7, 1, 2)
+
+
 def test_quad_pow():
     eps5 = QuadElem(5, 1, 1)
     cube = quad_pow(eps5, 3)

@@ -8,6 +8,7 @@ from legdet.verify import (
     PASS,
     SKIPPED,
     TARGETS,
+    _VERIFIERS,
     run_sweep,
     verify_carlitz,
     verify_cauchy,
@@ -24,6 +25,7 @@ from legdet.verify import (
 def test_targets_registry():
     assert len(TARGETS) == 9
     assert len(set(TARGETS)) == 9
+    assert TARGETS == tuple(_VERIFIERS)
 
 
 def test_verify_sun_records():
@@ -124,9 +126,12 @@ def test_verify_mtilde_records():
     assert r5.status == PASS
     assert r5.computed == "-20"
     assert r5.aux["exact"] == "equal"
+    r7 = verify_mtilde(OddPrime(7))
+    assert (r7.status, r7.computed, r7.predicted) == (PASS, "56*tau", "56*tau")
     r23 = verify_mtilde(OddPrime(23))
     assert r23.status == PASS
-    assert r23.aux["exact"] == "skipped (p > 19)"
+    assert r23.aux["exact"] == "equal"
+    assert r23.computed == "-13181630464*tau"
     assert verify_mtilde(OddPrime(37)).status == SKIPPED
 
 
@@ -142,6 +147,24 @@ def test_run_sweep_counts():
 
     carlitz = run_sweep("carlitz", 3, 31)
     assert (carlitz.passed, carlitz.failed, carlitz.skipped) == (10, 0, 0)
+
+
+def test_one_bad_prime_never_sinks_a_sweep(monkeypatch):
+    real = _VERIFIERS["unit"]
+
+    def flaky(p, tolerance=1e-6):
+        if p.p == 11:
+            raise ZeroDivisionError("boom")
+        return real(p, tolerance)
+
+    monkeypatch.setitem(_VERIFIERS, "unit", flaky)
+    report = run_sweep("unit", 3, 20)
+    by_p = {r.p: r for r in report.records}
+    assert [r.p for r in report.records] == [3, 5, 7, 11, 13, 17, 19]
+    assert by_p[11].status == FAIL
+    assert by_p[11].aux == {"error": "boom", "exception": "ZeroDivisionError"}
+    assert all(r.status == PASS for p, r in by_p.items() if p != 11)
+    assert report.exit_code == 1
 
 
 def test_run_sweep_rejects_bad_input():
