@@ -2,16 +2,12 @@
 
 from .arith import OddPrime, is_prime, legendre, primes_in_range
 from .cyclotomic import (
-    ComplexApprox,
     CycElem,
     cauchy_det,
-    embed,
     frakp_residue,
     gauss_sum,
     gauss_sum_scaled,
     quadratic_gauss_identity,
-    sun_product_one,
-    sun_product_two,
 )
 from .errors import DiscrepancyError, LegdetError, PrecisionError
 from .exactlinalg import (
@@ -39,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassNumberReport",
-    "ComplexApprox",
     "CycElem",
     "DiscrepancyError",
     "IntMatrix",
@@ -62,7 +57,6 @@ __all__ = [
     "class_number_real",
     "decomposition_residual",
     "det",
-    "embed",
     "frakp_residue",
     "fundamental_unit",
     "gauss_sum",
@@ -74,6 +68,4 @@ __all__ = [
     "quadratic_gauss_identity",
     "rank_one_update_det",
     "run_sweep",
-    "sun_product_one",
-    "sun_product_two",
 ]

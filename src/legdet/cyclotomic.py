@@ -1,4 +1,4 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_p) and its numeric embedding.
+"""Exact arithmetic in the cyclotomic field Q(zeta_p).
 
 Elements are stored on the power basis 1, zeta, ..., zeta^(p-2); the single
 relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) keeps every element in
@@ -6,7 +6,6 @@ canonical form.  Exponents are always reduced mod p first since zeta^p = 1.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,9 +13,7 @@ from fractions import Fraction
 from .arith import OddPrime, legendre
 from .errors import DiscrepancyError
 from .exactlinalg import IntMatrix, _bareiss, det
-from .quadint import QuadElem
-
-_EPS = 2.0 ** -50
+from .quadfield import QuadElem, fundamental_unit, quad_pow
 
 
 def _norm_coeff(c):
@@ -116,9 +113,6 @@ class CycElem:
             vec[(p - i) % p] += c
         return CycElem.from_exponents(self.prime, vec)
 
-    def embed(self) -> "ComplexApprox":
-        return embed(self)
-
     def __str__(self) -> str:
         if all(c == 0 for c in self.coeffs[1:]):
             return str(self.coeffs[0])
@@ -135,75 +129,6 @@ class CycElem:
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-@dataclass(frozen=True)
-class ComplexApprox:
-    """Double-precision complex value with a coarse tracked error budget."""
-
-    re: float
-    im: float
-    err_budget: float = 0.0
-
-    @classmethod
-    def from_complex(cls, z: complex, err_budget: float = 0.0) -> "ComplexApprox":
-        return cls(z.real, z.imag, err_budget)
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.z)
-
-    def __add__(self, other: "ComplexApprox") -> "ComplexApprox":
-        w = self.z + other.z
-        eb = self.err_budget + other.err_budget + abs(w) * _EPS
-        return ComplexApprox(w.real, w.imag, eb)
-
-    def __sub__(self, other: "ComplexApprox") -> "ComplexApprox":
-        w = self.z - other.z
-        eb = self.err_budget + other.err_budget + abs(w) * _EPS
-        return ComplexApprox(w.real, w.imag, eb)
-
-    def __mul__(self, other: "ComplexApprox") -> "ComplexApprox":
-        w = self.z * other.z
-        eb = (
-            self.magnitude * other.err_budget
-            + other.magnitude * self.err_budget
-            + self.err_budget * other.err_budget
-            + 4.0 * abs(w) * _EPS
-        )
-        return ComplexApprox(w.real, w.imag, eb)
-
-    def conj(self) -> "ComplexApprox":
-        return ComplexApprox(self.re, -self.im, self.err_budget)
-
-    def close_to(self, other: "ComplexApprox", rel: float = 1e-6,
-                 floor: float = 1e-9) -> bool:
-        diff = abs(self.z - other.z)
-        tol = max(rel * max(self.magnitude, other.magnitude), floor,
-                  self.err_budget + other.err_budget)
-        return diff <= tol
-
-
-def embed(x: CycElem) -> ComplexApprox:
-    """Numeric image of x under zeta -> exp(2*pi*i/p)."""
-    p = x.prime.p
-    z = 0j
-    total = 0.0
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        fc = float(c)
-        total += abs(fc)
-        z += fc * cmath.exp(2j * math.pi * i / p)
-    return ComplexApprox(z.real, z.imag, total * (p + 8) * _EPS)
-
-
-def _root_pow(p: int, e: int) -> complex:
-    return cmath.exp(2j * math.pi * (e % p) / p)
 
 
 def gauss_sum(p: OddPrime) -> CycElem:
@@ -249,36 +174,6 @@ def quadratic_gauss_identity(p: OddPrime, a: int) -> bool:
     if lhs != rhs:
         raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={a}")
     return True
-
-
-def sun_product_one(p: OddPrime) -> ComplexApprox:
-    """Numeric product over k=1..n of (1 - zeta^(k^2))."""
-    z = 1 + 0j
-    for k in range(1, p.n + 1):
-        z *= 1 - _root_pow(p.p, k * k)
-    return ComplexApprox(z.real, z.imag, abs(z) * (p.n + 2) * 8 * _EPS)
-
-
-def sun_product_two(p: OddPrime) -> ComplexApprox:
-    """Numeric product over pairs j < k of (zeta^(j^2) - zeta^(k^2))^2."""
-    roots = [_root_pow(p.p, k * k) for k in range(p.n + 1)]
-    z = 1 + 0j
-    for k in range(2, p.n + 1):
-        for j in range(1, k):
-            z *= (roots[j] - roots[k]) ** 2
-    return ComplexApprox(z.real, z.imag, abs(z) * (p.n * p.n + 2) * 8 * _EPS)
-
-
-def sun_product_two_norm_sq(p: OddPrime) -> ComplexApprox:
-    """Squared modulus of the product over pairs j < k of
-    (zeta^(k^2) - zeta^(j^2)); real and nonnegative."""
-    roots = [_root_pow(p.p, k * k) for k in range(p.n + 1)]
-    z = 1 + 0j
-    for k in range(2, p.n + 1):
-        for j in range(1, k):
-            z *= roots[k] - roots[j]
-    m = abs(z) ** 2
-    return ComplexApprox(m, 0.0, m * (p.n * p.n + 2) * 8 * _EPS)
 
 
 def cauchy_det(u: list, v: list) -> Fraction:
@@ -377,21 +272,27 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
     return True
 
 
+def _times_difference(vec: list, a: int, b: int) -> list:
+    """vec * (zeta^a - zeta^b) on length-p exponent vectors, 0 <= a, b < p:
+    one shift-subtract, out[i] = vec[i - a] - vec[i - b]."""
+    return [vec[i - a] - vec[i - b] for i in range(len(vec))]
+
+
 def exact_product_one(p: OddPrime) -> CycElem:
     """Exact product over k=1..n of (1 - zeta^(k^2))."""
-    acc = CycElem.one(p)
+    vec = [1] + [0] * (p.p - 1)
     for k in range(1, p.n + 1):
-        acc = acc * (CycElem.one(p) - CycElem.zeta_pow(p, k * k))
-    return acc
+        vec = _times_difference(vec, 0, k * k % p.p)
+    return CycElem.from_exponents(p, vec)
 
 
 def exact_product_two(p: OddPrime) -> CycElem:
     """Exact product over pairs j < k of (zeta^(k^2) - zeta^(j^2))."""
-    acc = CycElem.one(p)
+    vec = [1] + [0] * (p.p - 1)
     for k in range(2, p.n + 1):
         for j in range(1, k):
-            acc = acc * (CycElem.zeta_pow(p, k * k) - CycElem.zeta_pow(p, j * j))
-    return acc
+            vec = _times_difference(vec, k * k % p.p, j * j % p.p)
+    return CycElem.from_exponents(p, vec)
 
 
 def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
@@ -472,3 +373,66 @@ def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     if ztau_to_cyc(p, c, d) != closed:
         raise DiscrepancyError(f"exact determinant mismatch at p={p.p}")
     return MtildeCheck(p.p, c, d)
+
+
+def _closed_form(sign: int, base: int, k: int, tau: bool, eps_exp: int = 0) -> str:
+    """sign * base^k * tau * eps^eps_exp as text, unit factors left out."""
+    factors = []
+    if k:
+        factors.append(str(base) if k == 1 else f"{base}^{k}")
+    if tau:
+        factors.append("tau")
+    if eps_exp:
+        factors.append("eps" if eps_exp == 1 else f"eps^{eps_exp}")
+    text = "*".join(factors) or "1"
+    return "-" + text if sign < 0 else text
+
+
+def lemma32_check(p: OddPrime, h: int) -> tuple[str, str]:
+    """Check P1 = prod_{k=1..n} (1 - zeta^(k^2)) and
+    P2^2 = prod_{j<k} (zeta^(j^2) - zeta^(k^2))^2 against their closed
+    forms by exact equality in Q(zeta_p); return the two closed forms.
+
+    For p = 3 (mod 4), h is the class number of Q(sqrt(-p)) and
+
+        P1 = (-1)^((h+1)/2) * tau,   P2^2 = (-p)^((p-3)/4).
+
+    For p = 1 (mod 4), h is the class number of Q(sqrt(p)) and eps its
+    fundamental unit.  There tau = sqrt(p), so
+    2*eps^h = A + B*tau for eps^h = (A + B*sqrt(p))/2, and both identities
+    are checked with the unit multiplied out, never inverted:
+
+        P1 * 2eps^h = 2*tau,
+        2 * P2^2 = (-1)^((p-1)/4) * p^((p-5)/4) * tau * 2eps^h."""
+    if p.p < 5:
+        raise ValueError("closed forms require p >= 5")
+    tau = gauss_sum(p)
+    one = exact_product_one(p)
+    two = exact_product_two(p)
+    two_sq = two * two
+    if p.p % 4 == 3:
+        sign = (-1) ** ((h + 1) // 2)
+        k = (p.p - 3) // 4
+        ok_one = one == tau.scale(sign)
+        ok_two = two_sq == CycElem.const(p, (-p.p) ** k)
+        form_one = _closed_form(sign, p.p, 0, True)
+        form_two = _closed_form((-1) ** k, p.p, k, False)
+    else:
+        power = quad_pow(fundamental_unit(p), h)
+        twice = ztau_to_cyc(p, power.a, power.b)
+        sign = (-1) ** ((p.p - 1) // 4)
+        k = (p.p - 5) // 4
+        ok_one = one * twice == tau.scale(2)
+        ok_two = two_sq.scale(2) == (tau * twice).scale(sign * p.p ** k)
+        form_one = _closed_form(1, p.p, 0, True, -h)
+        form_two = _closed_form(sign, p.p, k, True, h)
+    if not ok_one:
+        raise DiscrepancyError(
+            f"first identity failed at p={p.p}: prod(1 - zeta^(k^2)) != {form_one}"
+        )
+    if not ok_two:
+        raise DiscrepancyError(
+            f"second identity failed at p={p.p}: "
+            f"prod_(j<k) (zeta^(j^2) - zeta^(k^2))^2 != {form_two}"
+        )
+    return form_one, form_two

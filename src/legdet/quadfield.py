@@ -1,15 +1,92 @@
-"""Real quadratic fields Q(sqrt(p)): units, class numbers, unit powers."""
+"""Quadratic fields: integers of Q(sqrt(d)), units and class numbers of
+Q(sqrt(+-p)), unit powers.
+
+Elements are written (a + b*sqrt(d))/2 with the integrality convention of
+the maximal order: a = b (mod 2) when d = 1 (mod 4), both even otherwise.
+"""
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .arith import OddPrime, legendre
-from .cyclotomic import sun_product_one
 from .errors import DiscrepancyError, PrecisionError
-from .quadint import QuadElem
+
+
+def _in_order(d: int, a: int, b: int) -> bool:
+    if d % 4 == 1:
+        return (a - b) % 2 == 0
+    return a % 2 == 0 and b % 2 == 0
+
+
+@dataclass(frozen=True)
+class QuadElem:
+    """The number (a + b*sqrt(d))/2 in the ring of integers of Q(sqrt(d))."""
+
+    d: int
+    a: int
+    b: int
+
+    def __post_init__(self) -> None:
+        if self.d == 0 or (self.d > 0 and isqrt(self.d) ** 2 == self.d):
+            raise ValueError("d must be a non-square integer")
+        if not _in_order(self.d, self.a, self.b):
+            raise ValueError(
+                "need a = b (mod 2) when d = 1 (mod 4), a and b even otherwise"
+            )
+
+    def _check(self, other: "QuadElem") -> None:
+        if self.d != other.d:
+            raise ValueError("mixed quadratic fields")
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __mul__(self, other: "QuadElem") -> "QuadElem":
+        self._check(other)
+        na, ra = divmod(self.a * other.a + self.b * other.b * self.d, 2)
+        nb, rb = divmod(self.a * other.b + self.b * other.a, 2)
+        if ra or rb:
+            raise DiscrepancyError("product left the order")
+        return QuadElem(self.d, na, nb)
+
+    def __add__(self, other: "QuadElem") -> "QuadElem":
+        self._check(other)
+        return QuadElem(self.d, self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other: "QuadElem") -> "QuadElem":
+        self._check(other)
+        return QuadElem(self.d, self.a - other.a, self.b - other.b)
+
+    def __neg__(self) -> "QuadElem":
+        return QuadElem(self.d, -self.a, -self.b)
+
+    def __divmod__(self, other: "QuadElem") -> tuple["QuadElem", "QuadElem"]:
+        """(q, r) with self = q*other + r, where r is zero exactly when other
+        divides self in the order: q = self*conj(other)/norm(other) then.
+        Otherwise q = 0 and r = self."""
+        t = self * other.conj()
+        n = other.norm()
+        qa, ra = divmod(t.a, n)
+        qb, rb = divmod(t.b, n)
+        if ra or rb or not _in_order(self.d, qa, qb):
+            return QuadElem(self.d, 0, 0), self
+        return QuadElem(self.d, qa, qb), QuadElem(self.d, 0, 0)
+
+    def conj(self) -> "QuadElem":
+        return QuadElem(self.d, self.a, -self.b)
+
+    def norm(self) -> int:
+        num, r = divmod(self.a * self.a - self.d * self.b * self.b, 4)
+        if r:
+            raise DiscrepancyError("norm must be integral on the maximal order")
+        return num
+
+    def __str__(self) -> str:
+        return f"({self.a} + {self.b}*sqrt({self.d}))/2"
 
 
 def quad_pow(x: QuadElem, k: int) -> QuadElem:
@@ -154,6 +231,15 @@ def _round_to_count(estimate: float, what: str) -> int:
     return nearest
 
 
+def _numeric_product_one(p: int) -> complex:
+    """prod over k=1..n of (1 - zeta^(k^2)) at zeta = exp(2*pi*i/p), in
+    double precision."""
+    z = 1 + 0j
+    for k in range(1, (p + 1) // 2):
+        z *= 1 - cmath.exp(2j * math.pi * (k * k % p) / p)
+    return z
+
+
 def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberReport:
     """Class number of Q(sqrt(p)) for p = 1 (mod 4), by the analytic formula
 
@@ -173,13 +259,13 @@ def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberR
     )
     analytic = _round_to_count(-s / (2 * log_eps), "analytic class number")
 
-    prod = sun_product_one(p)
-    if abs(prod.im) > 1e-6 * max(abs(prod.re), 1.0):
+    prod = _numeric_product_one(p.p)
+    if abs(prod.imag) > 1e-6 * max(abs(prod.real), 1.0):
         raise PrecisionError(f"cyclotomic product not real at p={p.p}")
-    if prod.re <= 0:
+    if prod.real <= 0:
         raise PrecisionError(f"cyclotomic product not positive at p={p.p}")
     from_product = _round_to_count(
-        math.log(math.sqrt(p.p) / prod.re) / log_eps, "product class number"
+        math.log(math.sqrt(p.p) / prod.real) / log_eps, "product class number"
     )
 
     if analytic != from_product:

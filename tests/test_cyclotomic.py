@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,32 +9,34 @@ import pytest
 
 from legdet.arith import OddPrime, legendre, primes_in_range
 from legdet.cyclotomic import (
-    ComplexApprox,
     CycElem,
     build_mtilde,
     cauchy_det,
-    embed,
     exact_product_one,
     exact_product_two,
     frakp_residue,
     gauss_sum,
     gauss_sum_scaled,
+    lemma32_check,
     mtilde_det,
     mtilde_det_check,
     mtilde_structure_check,
     quadratic_gauss_identity,
-    sun_product_one,
-    sun_product_two,
-    sun_product_two_norm_sq,
     ztau_to_cyc,
 )
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import _bareiss
-from legdet.quadfield import QuadElem
+from legdet.quadfield import QuadElem, _numeric_product_one
 
 
 def random_elem(rng, q, lo=-4, hi=4):
     return CycElem(q, [rng.randint(lo, hi) for _ in range(q.p - 1)])
+
+
+def complex_image(x):
+    """x under zeta -> exp(2*pi*i/p), in double precision."""
+    p = x.prime.p
+    return sum(c * cmath.exp(2j * math.pi * i / p) for i, c in enumerate(x.coeffs))
 
 
 def test_power_basis_relations():
@@ -85,8 +89,7 @@ def test_conj_properties():
     z = CycElem.zeta_pow(q, 4)
     assert z.conj() == CycElem.zeta_pow(q, 7)
     w = random_elem(rng, q)
-    num = embed(w)
-    assert embed(w.conj()).close_to(num.conj(), rel=1e-12)
+    assert abs(complex_image(w.conj()) - complex_image(w).conjugate()) < 1e-12
 
 
 def test_gauss_sum_square_exact():
@@ -131,48 +134,63 @@ def test_quadratic_gauss_identity_all_residues():
 
 
 def test_embed_frozen():
-    q5 = OddPrime(5)
-    assert embed(CycElem.one(q5)).close_to(ComplexApprox(1.0, 0.0), rel=1e-12)
-    g5 = embed(gauss_sum(q5))
-    assert abs(g5.re - 5 ** 0.5) < 1e-9 and abs(g5.im) < 1e-9
-    g7 = embed(gauss_sum(OddPrime(7)))
-    assert abs(g7.im - 7 ** 0.5) < 1e-9 and abs(g7.re) < 1e-9
-
-
-def test_embed_is_multiplicative_within_budget():
-    rng = random.Random(53)
-    for _ in range(200):
-        q = OddPrime(rng.choice([5, 7, 11, 13]))
-        x = random_elem(rng, q)
-        y = random_elem(rng, q)
-        assert embed(x * y).close_to(embed(x) * embed(y), rel=1e-9)
-
-
-def test_complex_approx_budget_grows():
-    a = ComplexApprox(1.0, 0.0, 1e-12)
-    b = ComplexApprox(2.0, 1.0, 1e-12)
-    assert (a + b).err_budget >= 2e-12
-    assert (a * b).err_budget >= 3e-12
-    assert a.conj().err_budget == a.err_budget
-    assert not a.close_to(b)
+    # Gauss's sign: tau maps to +sqrt(p) or +i*sqrt(p), which is what the
+    # closed forms printed as "tau" rely on
+    assert complex_image(CycElem.one(OddPrime(5))) == 1
+    g5 = complex_image(gauss_sum(OddPrime(5)))
+    assert abs(g5.real - 5 ** 0.5) < 1e-9 and abs(g5.imag) < 1e-9
+    g7 = complex_image(gauss_sum(OddPrime(7)))
+    assert abs(g7.imag - 7 ** 0.5) < 1e-9 and abs(g7.real) < 1e-9
 
 
 def test_sun_product_values():
-    one5 = sun_product_one(OddPrime(5))
-    assert abs(one5.re - 1.3819660112501051) < 1e-9 and abs(one5.im) < 1e-9
-    two5 = sun_product_two(OddPrime(5))
-    assert abs(two5.re - (-3.618033988749895)) < 1e-9 and abs(two5.im) < 1e-9
-    one7 = sun_product_one(OddPrime(7))
-    assert abs(one7.im - (-7 ** 0.5)) < 1e-9 and abs(one7.re) < 1e-9
-    norm5 = sun_product_two_norm_sq(OddPrime(5))
-    assert norm5.im == 0.0 and abs(norm5.re - 3.618033988749895) < 1e-9
+    # the numeric product behind class_number_real's second route
+    one5 = _numeric_product_one(5)
+    assert abs(one5.real - 1.3819660112501051) < 1e-9 and abs(one5.imag) < 1e-9
+    one7 = _numeric_product_one(7)
+    assert abs(one7.imag - (-7 ** 0.5)) < 1e-9 and abs(one7.real) < 1e-9
 
 
 def test_sun_product_matches_exact_embedding():
     for q in primes_in_range(5, 23):
-        assert sun_product_one(q).close_to(embed(exact_product_one(q)), rel=1e-9)
-        p2 = exact_product_two(q)
-        assert sun_product_two(q).close_to(embed(p2 * p2), rel=1e-7)
+        exact = complex_image(exact_product_one(q))
+        numeric = _numeric_product_one(q.p)
+        assert abs(numeric - exact) <= 1e-9 * abs(exact), q.p
+
+
+def generic_product(q, pairs):
+    acc = CycElem.one(q)
+    for a, b in pairs:
+        acc = acc * (CycElem.zeta_pow(q, a) - CycElem.zeta_pow(q, b))
+    return acc
+
+
+def test_shift_subtract_products_match_generic_multiplication():
+    for q in primes_in_range(3, 31):
+        ks = range(1, q.n + 1)
+        one = generic_product(q, [(0, k * k) for k in ks])
+        two = generic_product(q, [(k * k, j * j) for k in ks for j in range(1, k)])
+        assert exact_product_one(q) == one, q.p
+        assert exact_product_two(q) == two, q.p
+
+
+def test_lemma32_check_closed_forms():
+    assert lemma32_check(OddPrime(5), 1) == ("tau*eps^-1", "-tau*eps")
+    assert lemma32_check(OddPrime(7), 1) == ("-tau", "-7")
+    assert lemma32_check(OddPrime(11), 1) == ("-tau", "11^2")
+    assert lemma32_check(OddPrime(13), 1) == ("tau*eps^-1", "-13^2*tau*eps")
+    # h(-23) = 3 flips the sign of the first product
+    assert lemma32_check(OddPrime(23), 3) == ("tau", "-23^5")
+
+
+def test_lemma32_check_rejects_wrong_class_number():
+    # h enters the first closed form only; a wrong h must be caught exactly
+    with pytest.raises(DiscrepancyError, match="first identity"):
+        lemma32_check(OddPrime(7), 3)
+    with pytest.raises(DiscrepancyError, match="first identity"):
+        lemma32_check(OddPrime(5), 2)
+    with pytest.raises(ValueError):
+        lemma32_check(OddPrime(3), 1)
 
 
 def cauchy_perm_det(u, v):

@@ -1,4 +1,8 @@
-"""Broken invariants must raise, never assert: `python -O` strips asserts."""
+"""Source invariants of the package.
+
+Broken invariants must raise, never assert: `python -O` strips asserts.
+Q(zeta_p) arithmetic is exact: no floats in the cyclotomic module.
+"""
 import ast
 from pathlib import Path
 
@@ -13,4 +17,20 @@ def test_package_source_has_no_assert():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_cyclotomic_module_has_no_floats():
+    path = next(p for p in SOURCES if p.name == "cyclotomic.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            names = []
+        found += [f"import {n}:{node.lineno}" for n in names if n == "cmath"]
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"float literal {node.value!r}:{node.lineno}")
     assert found == []

@@ -48,7 +48,8 @@ def test_fundamental_unit_matches_brute_force():
         u = fundamental_unit(q)
         assert (u.a, u.b) == brute_unit(q.p), q.p
         assert u.norm() in (1, -1)
-        assert u.to_float() > 1
+        # a unit is > 1 exactly when both of its coordinates are positive
+        assert u.a > 0 and u.b > 0
 
 
 def test_fundamental_unit_frozen():

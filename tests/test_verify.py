@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from legdet import cyclotomic
 from legdet.arith import OddPrime
+from legdet.cyclotomic import CycElem
 from legdet.verify import (
     FAIL,
     PASS,
@@ -79,7 +81,10 @@ def test_verify_lemma32_records():
     r3 = verify_lemma32(OddPrime(3))
     assert r3.status == SKIPPED
     r67 = verify_lemma32(OddPrime(67))
-    assert r67.status == SKIPPED
+    assert r67.status == PASS
+    r211 = verify_lemma32(OddPrime(211))
+    assert r211.status == SKIPPED
+    assert r211.aux == {"reason": "exact products capped at p <= 199"}
     r5 = verify_lemma32(OddPrime(5))
     assert r5.status == PASS
     assert r5.aux["h_real"] == "1"
@@ -87,6 +92,29 @@ def test_verify_lemma32_records():
     r7 = verify_lemma32(OddPrime(7))
     assert r7.status == PASS
     assert r7.aux["h_imag"] == "1"
+
+
+def test_verify_lemma32_exact_records():
+    r5 = verify_lemma32(OddPrime(5))
+    assert (r5.status, r5.computed, r5.predicted) == (PASS, "tau*eps^-1", "tau*eps^-1")
+    assert r5.aux == {
+        "h_real": "1",
+        "eps": "(1 + 1*sqrt(5))/2",
+        "product_two": "-tau*eps",
+        "closed_two": "-tau*eps",
+    }
+    r7 = verify_lemma32(OddPrime(7))
+    assert (r7.status, r7.computed, r7.predicted) == (PASS, "-tau", "-tau")
+    assert r7.aux == {"h_imag": "1", "product_two": "-7", "closed_two": "-7"}
+
+
+def test_lemma32_mismatch_is_a_fail_record(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "exact_product_two", lambda p: CycElem.one(p))
+    report = run_sweep("lemma32", 5, 7)
+    assert [r.status for r in report.records] == [FAIL, FAIL]
+    for r in report.records:
+        assert "second identity" in r.aux["error"]
+        assert "exception" not in r.aux
 
 
 def test_verify_gauss_records():

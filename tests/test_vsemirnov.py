@@ -4,13 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from legdet.arith import OddPrime, legendre, primes_in_range
-from legdet.cyclotomic import embed, gauss_sum
-from legdet.vsemirnov import (
-    build_uvd,
-    decomposition_residual,
-    scaled_gauss_sum_numeric,
-)
+from legdet.arith import OddPrime, primes_in_range
+from legdet.vsemirnov import build_uvd, decomposition_residual
 
 
 def test_u_corner_is_zero():
@@ -42,13 +37,6 @@ def test_lambda_magnitude_is_sqrt_p():
     for q in primes_in_range(3, 61):
         dec = build_uvd(q)
         assert abs(abs(dec.lam) - math.sqrt(q.p)) < 1e-9
-
-
-def test_scaled_gauss_sum_matches_exact():
-    for q in primes_in_range(3, 31):
-        direct = scaled_gauss_sum_numeric(q)
-        exact = embed(gauss_sum(q)).z * legendre(2, q)
-        assert abs(direct - exact) < 1e-9
 
 
 def test_diag_inverts_root_differences():
