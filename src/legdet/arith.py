@@ -64,6 +64,21 @@ def legendre(a: int, p: OddPrime) -> int:
     return _jacobi(a % p.p, p.p)
 
 
+def legendre_table(p: OddPrime) -> list[int]:
+    """The quadratic character as a list chi with chi[a] = (a/p), 0 <= a < p.
+
+    Built from the squares k^2 mod p, k = 1..n, which are exactly the n
+    nonzero residues.  Python's negative indexing wraps mod p, so
+    chi[-k] = (-k/p) for 0 < k < p.  Sweeps over a residue range read this
+    table; `legendre` serves single symbols.
+    """
+    chi = [-1] * p.p
+    chi[0] = 0
+    for k in range(1, p.n + 1):
+        chi[k * k % p.p] = 1
+    return chi
+
+
 def _jacobi(a: int, n: int) -> int:
     # requires 0 <= a < n, n odd; for prime n this is the Legendre symbol
     if a == 0:

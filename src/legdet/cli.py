@@ -12,7 +12,12 @@ from .arith import OddPrime, legendre
 from .errors import LegdetError
 from .exactlinalg import charpoly, det
 from .matrices import build_cp, build_ep, build_mp
-from .quadfield import chapman_ap, class_number_imag, class_number_real, fundamental_unit
+from .quadfield import (
+    _chapman_power,
+    class_number_imag,
+    class_number_real,
+    fundamental_unit,
+)
 from .verify import TARGETS, run_sweep
 
 _BUILDERS = {"cp": build_cp, "ep": build_ep, "mp": build_mp}
@@ -108,10 +113,7 @@ def _cmd_fundamental_unit(args) -> int:
 
 def _cmd_chapman(args) -> int:
     p = OddPrime(args.p)
-    a_p, b_p = chapman_ap(p)
-    eps = fundamental_unit(p)
-    h = class_number_real(p, unit=eps).h
-    exponent = (2 - legendre(2, p)) * h
+    eps, h, exponent, (a_p, b_p) = _chapman_power(p)
     print(f"p={p.p} h={h} exponent={exponent} eps={eps} a_p={a_p} b_p={b_p}")
     return 0
 

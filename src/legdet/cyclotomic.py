@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import OddPrime, legendre
+from .arith import OddPrime, legendre_table
 from .errors import DiscrepancyError
 from .exactlinalg import IntMatrix, _bareiss, det
 from .quadfield import QuadElem, fundamental_unit, quad_pow
@@ -133,17 +133,15 @@ class CycElem:
 
 def gauss_sum(p: OddPrime) -> CycElem:
     """Quadratic Gauss sum: sum over k of (k/p) * zeta^k, exact."""
-    vec = [0] * p.p
-    for k in range(1, p.p):
-        vec[k] = legendre(k, p)
-    return CycElem.from_exponents(p, vec)
+    return CycElem.from_exponents(p, legendre_table(p))
 
 
 def gauss_sum_scaled(p: OddPrime, a: int) -> CycElem:
     """Twisted sum over k of (k/p) * zeta^(a*k), exact."""
+    chi = legendre_table(p)
     vec = [0] * p.p
     for k in range(1, p.p):
-        vec[(a * k) % p.p] += legendre(k, p)
+        vec[(a * k) % p.p] += chi[k]
     return CycElem.from_exponents(p, vec)
 
 
@@ -170,7 +168,8 @@ def quadratic_gauss_identity(p: OddPrime, a: int) -> bool:
         if lhs != CycElem.const(p, p.p) or frakp_residue(lhs) != 0:
             raise DiscrepancyError(f"degenerate square sum wrong at p={p.p}")
         return True
-    rhs = gauss_sum(p).scale(legendre(a, p))
+    chi = legendre_table(p)
+    rhs = CycElem.from_exponents(p, chi).scale(chi[a % p.p])
     if lhs != rhs:
         raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={a}")
     return True
@@ -306,6 +305,7 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
     p = parts.prime
     pstar = (-1) ** p.n * p.p
     tau = gauss_sum(p)
+    chi = legendre_table(p)
     forms = {(c, d): CycElem.const(p, c) + tau.scale(d)
              for c, d in ((-1, 0), (p.p, 0), (0, 1), (0, -1))}
     rows = []
@@ -317,7 +317,7 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
             elif i == j:
                 c, d = p.p, 0
             else:
-                c, d = 0, legendre(i - j, p)
+                c, d = 0, chi[i - j]
             if entry != forms[c, d]:
                 raise DiscrepancyError(
                     f"entry ({i},{j}) is not {c} + {d}*tau at p={p.p}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import OddPrime, legendre
+from .arith import OddPrime, legendre, legendre_table
 from .errors import DiscrepancyError, PrecisionError
 
 
@@ -201,8 +201,8 @@ def class_number_imag(p: OddPrime) -> ClassNumberReport:
     if p.p % 4 != 3 or p.p == 3:
         raise ValueError("requires p = 3 (mod 4), p > 3")
     forms = _reduced_form_count(p.p)
-    s = sum(legendre(k, p) for k in range(1, (p.p + 1) // 2))
-    q, r = divmod(s, 2 - legendre(2, p))
+    chi = legendre_table(p)
+    q, r = divmod(sum(chi[1:p.n + 1]), 2 - chi[2])
     if r != 0 or q < 1:
         raise DiscrepancyError(f"character sum for p={p.p} is not a class number")
     if q != forms:
@@ -240,10 +240,22 @@ def _numeric_product_one(p: int) -> complex:
     return z
 
 
+def _log_sin_sum(p: OddPrime) -> float:
+    """sum_{a=1..p-1} (a/p) log sin(pi a / p) for p = 1 (mod 4).
+
+    The terms at a and p - a are equal, since (-1/p) = 1 and
+    sin(pi (p - a) / p) = sin(pi a / p), so only a = 1..n are summed."""
+    chi = legendre_table(p)
+    half = sum(
+        chi[a] * math.log(math.sin(math.pi * a / p.p)) for a in range(1, p.n + 1)
+    )
+    return 2 * half
+
+
 def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberReport:
     """Class number of Q(sqrt(p)) for p = 1 (mod 4), by the analytic formula
 
-        h = -(sum_a (a/p) log sin(pi a / p)) / (2 log eps)
+        h = -(sum_{a=1..p-1} (a/p) log sin(pi a / p)) / (2 log eps)
 
     and, as an independent route, by inverting the numeric cyclotomic
     product prod(1 - zeta^(k^2)) = sqrt(p) * eps^(-h).  The analytic value
@@ -253,11 +265,9 @@ def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberR
     eps = unit or fundamental_unit(p)
     log_eps = _log_value(eps)
 
-    s = sum(
-        legendre(a, p) * math.log(math.sin(math.pi * a / p.p))
-        for a in range(1, p.p)
+    analytic = _round_to_count(
+        -_log_sin_sum(p) / (2 * log_eps), "analytic class number"
     )
-    analytic = _round_to_count(-s / (2 * log_eps), "analytic class number")
 
     prod = _numeric_product_one(p.p)
     if abs(prod.imag) > 1e-6 * max(abs(prod.real), 1.0):
@@ -277,14 +287,20 @@ def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberR
                              {"analytic": analytic, "cyclotomic_product": from_product})
 
 
-def chapman_ap(p: OddPrime) -> tuple[Fraction, Fraction]:
-    """Coefficients (a_p, b_p) with eps_p^((2 - (2/p)) h_p) = a_p + b_p sqrt(p),
-    for p = 1 (mod 4).  Returned as exact rationals (halves of the stored
-    numerator pair); integrality of a_p is reported, not assumed."""
+def _chapman_power(p: OddPrime) -> tuple[QuadElem, int, int, tuple[Fraction, Fraction]]:
+    """(eps, h, e, (a_p, b_p)) with e = (2 - (2/p)) * h and
+    eps^e = a_p + b_p sqrt(p), for p = 1 (mod 4)."""
     if p.p % 4 != 1:
         raise ValueError("requires p = 1 (mod 4)")
     eps = fundamental_unit(p)
     h = class_number_real(p, unit=eps).h
     exponent = (2 - legendre(2, p)) * h
     power = quad_pow(eps, exponent)
-    return Fraction(power.a, 2), Fraction(power.b, 2)
+    return eps, h, exponent, (Fraction(power.a, 2), Fraction(power.b, 2))
+
+
+def chapman_ap(p: OddPrime) -> tuple[Fraction, Fraction]:
+    """Coefficients (a_p, b_p) with eps_p^((2 - (2/p)) h_p) = a_p + b_p sqrt(p),
+    for p = 1 (mod 4).  Returned as exact rationals (halves of the stored
+    numerator pair); integrality of a_p is reported, not assumed."""
+    return _chapman_power(p)[3]

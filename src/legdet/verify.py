@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import OddPrime, legendre, primes_in_range
+from .arith import OddPrime, primes_in_range
 from .cyclotomic import (
     _MTILDE_CAP,
     CycElem,
@@ -254,6 +254,8 @@ _VERIFIERS = {
     "mtilde": verify_mtilde,
 }
 TARGETS = tuple(_VERIFIERS)
+# the one target whose verdict reads the tolerance; the others are exact
+_TOLERANCE_TARGET = "decomposition"
 
 
 def _run_one(target: str, p_int: int, tolerance: float) -> VerificationRecord:
@@ -330,10 +332,10 @@ class SweepReport:
         return buf.getvalue()
 
     def to_text(self) -> str:
-        lines = [
-            f"target={self.target} from={self.lo} to={self.hi} "
-            f"tolerance={self.tolerance:g}"
-        ]
+        header = f"target={self.target} from={self.lo} to={self.hi}"
+        if self.target == _TOLERANCE_TARGET:
+            header += f" tolerance={self.tolerance:g}"
+        lines = [header]
         width_c = max([len("computed")] + [len(r.computed) for r in self.records])
         width_p = max([len("predicted")] + [len(r.predicted) for r in self.records])
         lines.append(

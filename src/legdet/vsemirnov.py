@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import OddPrime, legendre
+from .arith import OddPrime, legendre_table
 from .errors import DiscrepancyError
 from .matrices import build_ep
 
@@ -48,7 +48,7 @@ def build_uvd(p: OddPrime, alt_diag: bool = False) -> Decomposition:
     pp = p.p
     dim = p.n + 1
     z = _roots(pp)
-    sym = [legendre(i, p) for i in range(pp)]
+    sym = legendre_table(p)
 
     u = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):

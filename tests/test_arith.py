@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from legdet.arith import OddPrime, is_prime, legendre, primes_in_range
+from legdet.arith import OddPrime, is_prime, legendre, legendre_table, primes_in_range
 
 
 def sieve(limit):
@@ -84,6 +84,17 @@ def test_legendre_supplement_laws():
 def test_legendre_sums_to_zero():
     for q in primes_in_range(3, 1000):
         assert sum(legendre(a, q) for a in range(q.p)) == 0
+
+
+def test_legendre_table_matches_jacobi():
+    for q in primes_in_range(3, 1999):
+        chi = legendre_table(q)
+        assert len(chi) == q.p
+        assert chi == [legendre(a, q) for a in range(q.p)], q.p
+        # the builders index chi[j - i]; negative indices wrap mod p
+        assert [chi[-k] for k in range(1, q.p)] == [
+            legendre(-k, q) for k in range(1, q.p)
+        ], q.p
 
 
 def test_primes_in_range_frozen():

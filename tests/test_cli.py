@@ -79,9 +79,10 @@ def test_fundamental_unit(capsys):
 
 
 def test_chapman(capsys):
-    code, out, err = run(capsys, ["chapman", "--p", "13"])
-    assert code == 0
-    assert "a_p=18" in out and "b_p=5" in out and "exponent=3" in out
+    assert run(capsys, ["chapman", "--p", "5"]) == (
+        0, "p=5 h=1 exponent=3 eps=(1 + 1*sqrt(5))/2 a_p=2 b_p=1\n", "")
+    assert run(capsys, ["chapman", "--p", "13"]) == (
+        0, "p=13 h=1 exponent=3 eps=(3 + 1*sqrt(13))/2 a_p=18 b_p=5\n", "")
 
 
 def test_chapman_wrong_residue_class(capsys):

@@ -2,6 +2,7 @@
 
 Broken invariants must raise, never assert: `python -O` strips asserts.
 Q(zeta_p) arithmetic is exact: no floats in the cyclotomic module.
+Sweeps over residues read `legendre_table`: no Jacobi call in a loop.
 """
 import ast
 from pathlib import Path
@@ -33,4 +34,31 @@ def test_cyclotomic_module_has_no_floats():
         found += [f"import {n}:{node.lineno}" for n in names if n == "cmath"]
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"float literal {node.value!r}:{node.lineno}")
+    assert found == []
+
+
+def _calls_legendre(node) -> bool:
+    return any(
+        isinstance(sub, ast.Call)
+        and (getattr(sub.func, "id", None) == "legendre"
+             or getattr(sub.func, "attr", None) == "legendre")
+        for sub in ast.walk(node)
+    )
+
+
+def test_no_legendre_call_in_a_loop():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                repeated = node.body
+            elif isinstance(node, ast.While):
+                repeated = [node.test, *node.body]
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp)):
+                repeated = [node]
+            else:
+                continue
+            if any(_calls_legendre(part) for part in repeated):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

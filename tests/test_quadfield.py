@@ -1,11 +1,15 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from legdet.arith import OddPrime, primes_in_range
+from legdet.arith import OddPrime, legendre, primes_in_range
 from legdet.quadfield import (
     QuadElem,
+    _log_sin_sum,
     chapman_ap,
     class_number_imag,
     class_number_real,
@@ -171,6 +175,35 @@ def test_class_number_methods_agree_over_ranges():
     for q in primes_in_range(5, 229):
         if q.p % 4 == 1:
             class_number_real(q)
+
+
+def test_log_sin_sum_parity_fold_matches_full_sum():
+    # the folded sum over a = 1..n against the full Jacobi-driven sum
+    for q in primes_in_range(5, 2000):
+        if q.p % 4 != 1:
+            continue
+        full = sum(
+            legendre(a, q) * math.log(math.sin(math.pi * a / q.p))
+            for a in range(1, q.p)
+        )
+        assert _log_sin_sum(q) == pytest.approx(full, rel=1e-9), q.p
+
+
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)
+
+
+def test_class_numbers_near_ten_thousand():
+    for p in (10007, 10039, 12263, 12479):
+        assert class_number_imag(OddPrime(p)).h == EXPECTED["imag"][str(p)], p
+    # h of Q(sqrt(p)), on which both routes agree; a_p and b_p depend on h,
+    # and their digests are the benchmark's expected values
+    for p, h in ((10009, 1), (10069, 3), (10273, 9), (10313, 7), (10613, 5)):
+        assert class_number_real(OddPrime(p)).h == h, p
+        a, b = chapman_ap(OddPrime(p))
+        digest = hashlib.sha256(f"{a}|{b}".encode()).hexdigest()[:16]
+        assert digest == EXPECTED["chapman"][str(p)], p
 
 
 def test_chapman_ap_frozen():

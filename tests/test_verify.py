@@ -239,6 +239,14 @@ def test_report_csv_and_text():
     assert text.rstrip().splitlines()[-1].startswith("pass=7 fail=0 skipped=0")
 
 
+def test_text_header_shows_tolerance_only_for_decomposition():
+    # only decomposition reads the tolerance; the header stays one line
+    text = run_sweep("unit", 3, 7, tolerance=0.5).to_text()
+    assert text.splitlines()[0] == "target=unit from=3 to=7"
+    text = run_sweep("decomposition", 3, 7, tolerance=0.5).to_text()
+    assert text.splitlines()[0] == "target=decomposition from=3 to=7 tolerance=0.5"
+
+
 def test_failed_sweep_exit_code():
     report = run_sweep("decomposition", 5, 11, tolerance=0.0)
     assert report.failed == len(report.records) == 3
