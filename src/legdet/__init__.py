@@ -17,8 +17,9 @@ from .exactlinalg import (
     charpoly,
     det,
     rank_one_update_det,
+    toeplitz_det,
 )
-from .matrices import build_cp, build_ep, build_mp
+from .matrices import build_cp, build_ep, build_mp, det_cp, det_ep, det_mp
 from .quadfield import (
     ClassNumberReport,
     QuadElem,
@@ -57,6 +58,9 @@ __all__ = [
     "class_number_real",
     "decomposition_residual",
     "det",
+    "det_cp",
+    "det_ep",
+    "det_mp",
     "frakp_residue",
     "fundamental_unit",
     "gauss_sum",
@@ -68,4 +72,5 @@ __all__ = [
     "quadratic_gauss_identity",
     "rank_one_update_det",
     "run_sweep",
+    "toeplitz_det",
 ]

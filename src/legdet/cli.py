@@ -10,8 +10,8 @@ import sys
 
 from .arith import OddPrime, legendre
 from .errors import LegdetError
-from .exactlinalg import charpoly, det
-from .matrices import build_cp, build_ep, build_mp
+from .exactlinalg import charpoly
+from .matrices import build_cp, build_ep, build_mp, det_cp, det_ep, det_mp
 from .quadfield import (
     _chapman_power,
     class_number_imag,
@@ -21,6 +21,7 @@ from .quadfield import (
 from .verify import TARGETS, run_sweep
 
 _BUILDERS = {"cp": build_cp, "ep": build_ep, "mp": build_mp}
+_DETS = {"cp": det_cp, "ep": det_ep, "mp": det_mp}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +87,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    print(det(_BUILDERS[args.kind](OddPrime(args.p))))
+    print(_DETS[args.kind](OddPrime(args.p)))
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Builders for the three Legendre-symbol matrices under study."""
+"""Builders for the three Legendre-symbol matrices under study, and their
+determinants by the Toeplitz route."""
 from __future__ import annotations
 
 from .arith import OddPrime, legendre_table
-from .exactlinalg import IntMatrix
+from .exactlinalg import IntMatrix, toeplitz_det
 
 
 def build_cp(p: OddPrime) -> IntMatrix:
@@ -26,3 +27,23 @@ def build_mp(p: OddPrime) -> IntMatrix:
     rows = [[1] * (p.n + 1)]
     rows.extend([chi[i - j] for j in rng] for i in range(1, p.n + 1))
     return IntMatrix(rows)
+
+
+def det_cp(p: OddPrime) -> int:
+    """det of build_cp(p): Toeplitz with t(k) = (-k/p), dimension p-1."""
+    chi = legendre_table(p)
+    return toeplitz_det(lambda k: chi[-k], p.p - 1)
+
+
+def det_ep(p: OddPrime) -> int:
+    """det of build_ep(p): Toeplitz with t(k) = (-k/p), dimension n+1."""
+    chi = legendre_table(p)
+    return toeplitz_det(lambda k: chi[-k], p.n + 1)
+
+
+def det_mp(p: OddPrime) -> int:
+    """det of build_mp(p).  Subtracting column j+1 from column j, j < n,
+    turns row 0 into e_n; expanding along it leaves (-1)^n times the n x n
+    Toeplitz determinant with t(k) = ((k+1)/p) - (k/p)."""
+    chi = legendre_table(p)
+    return (-1) ** p.n * toeplitz_det(lambda k: chi[k + 1] - chi[k], p.n)

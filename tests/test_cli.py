@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from legdet.arith import OddPrime
 from legdet.cli import main
+from legdet.exactlinalg import _bareiss
+from legdet.matrices import build_cp, build_mp
 
 
 def run(capsys, argv):
@@ -47,6 +50,16 @@ def test_det(capsys):
     assert run(capsys, ["det", "--kind", "ep", "--p", "7"])[1] == "1\n"
     assert run(capsys, ["det", "--kind", "cp", "--p", "5"])[1] == "5\n"
     assert run(capsys, ["det", "--kind", "cp", "--p", "7"])[1] == "49\n"
+
+
+def test_det_takes_the_toeplitz_route(capsys):
+    # the README example
+    assert run(capsys, ["det", "--kind", "ep", "--p", "13"]) == (0, "-18\n", "")
+    for kind, build, p in (("mp", build_mp, 5), ("cp", build_cp, 7)):
+        expected = _bareiss([list(r) for r in build(OddPrime(p)).rows], 1)
+        assert run(capsys, ["det", "--kind", kind, "--p", str(p)])[1] == f"{expected}\n"
+    # dimension 301, far past where Bareiss is practical in a test
+    assert run(capsys, ["det", "--kind", "ep", "--p", "601"])[1] == "-139468303679532\n"
 
 
 def test_charpoly(capsys):

@@ -2,21 +2,26 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from legdet.arith import OddPrime
+from legdet.arith import OddPrime, primes_in_range
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import (
     IntMatrix,
     IntPolynomial,
     _bareiss,
+    _exact_div,
+    _prem_div,
     adjugate,
     charpoly,
     det,
     poly_mul,
     poly_pow,
     rank_one_update_det,
+    toeplitz_det,
 )
-from legdet.matrices import build_cp, build_mp
+from legdet.matrices import build_cp, build_ep, build_mp, det_cp, det_ep, det_mp
 
 
 def perm_det(rows):
@@ -205,3 +210,61 @@ def test_poly_mul_and_pow():
         b = IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))))
         x = rng.randint(-3, 3)
         assert poly_mul(a, b)(x) == a(x) * b(x)
+
+
+def _toeplitz_bareiss(values, m):
+    """Reference: Bareiss on the dense m x m matrix [t(i - j)], where
+    values lists t(-(m-1)), ..., t(m-1)."""
+    return _bareiss([[values[i - j + m - 1] for j in range(m)] for i in range(m)], 1)
+
+
+@st.composite
+def toeplitz_inputs(draw):
+    m = draw(st.integers(1, 14))
+    # zero-heavy small entries, so the PRS meets degree gaps of every size
+    entry = st.sampled_from((-2, -1, 0, 0, 0, 1, 1, 3))
+    return draw(st.lists(entry, min_size=2 * m - 1, max_size=2 * m - 1)), m
+
+
+@settings(max_examples=500, deadline=None)
+@given(toeplitz_inputs())
+def test_toeplitz_det_matches_bareiss(args):
+    values, m = args
+    assert toeplitz_det(lambda k: values[k + m - 1], m) == _toeplitz_bareiss(values, m)
+
+
+def test_toeplitz_det_even_final_gap_sign():
+    # the PRS ends on a degree gap of 2 here; dropping the (-1)^(gap-1)
+    # factor of the final step flips the sign
+    values = [1, 0, -1, 0, 0, -1, 0, 1, -1]  # t(-4), ..., t(4)
+    assert toeplitz_det(lambda k: values[k + 4], 5) == -1
+    assert _toeplitz_bareiss(values, 5) == -1
+
+
+def test_toeplitz_det_singular_and_triangular():
+    # rows 0 and 2 of [t(i - j)] agree: t(0) = t(2), t(-1) = t(1), t(-2) = t(0)
+    values = [1, 2, 1, 2, 1]
+    assert toeplitz_det(lambda k: values[k + 2], 3) == 0 == _toeplitz_bareiss(values, 3)
+    assert toeplitz_det(lambda k: 0, 4) == 0
+    # upper triangular (t(k) = 0 for k > 0): product of the diagonal
+    assert toeplitz_det(lambda k: 0 if k > 0 else k - 3, 4) == 81
+    # strictly upper triangular: zero diagonal
+    assert toeplitz_det(lambda k: 0 if k >= 0 else 1, 4) == 0
+    with pytest.raises(ValueError):
+        toeplitz_det(lambda k: 1, 0)
+
+
+def test_toeplitz_inexact_division_raises():
+    # prem(X^2, X + 1) = 1, which a false beta of 2 cannot divide
+    with pytest.raises(DiscrepancyError):
+        _prem_div([1, 0, 0], [1, 1], 2)
+    with pytest.raises(DiscrepancyError):
+        _exact_div(3, 2)
+
+
+def test_symbol_matrix_dets_match_bareiss():
+    for q in primes_in_range(3, 131):
+        assert det_ep(q) == det(build_ep(q)), q.p
+        assert det_mp(q) == det(build_mp(q)), q.p
+        if q.p <= 61:
+            assert det_cp(q) == det(build_cp(q)), q.p

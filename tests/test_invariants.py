@@ -3,6 +3,7 @@
 Broken invariants must raise, never assert: `python -O` strips asserts.
 Q(zeta_p) arithmetic is exact: no floats in the cyclotomic module.
 Sweeps over residues read `legendre_table`: no Jacobi call in a loop.
+Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`.
 """
 import ast
 from pathlib import Path
@@ -61,4 +62,16 @@ def test_no_legendre_call_in_a_loop():
                 continue
             if any(_calls_legendre(part) for part in repeated):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_verify_makes_no_dense_det_call():
+    path = next(p for p in SOURCES if p.name == "verify.py")
+    found = [
+        f"verify.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "det"
+             or getattr(node.func, "attr", None) == "det")
+    ]
     assert found == []

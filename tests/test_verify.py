@@ -5,6 +5,7 @@ import pytest
 from legdet import cyclotomic
 from legdet.arith import OddPrime
 from legdet.cyclotomic import CycElem
+from legdet.matrices import det_mp
 from legdet.verify import (
     FAIL,
     PASS,
@@ -175,6 +176,15 @@ def test_run_sweep_counts():
 
     carlitz = run_sweep("carlitz", 3, 31)
     assert (carlitz.passed, carlitz.failed, carlitz.skipped) == (10, 0, 0)
+
+
+def test_toeplitz_route_reaches_past_the_old_frontier():
+    # dimension 301..307; Bareiss took 8.5-8.8 s per determinant at p = 601
+    for target in ("sun", "chapman"):
+        report = run_sweep(target, 601, 613)
+        assert [r.p for r in report.records] == [601, 607, 613]
+        assert (report.passed, report.failed, report.skipped) == (3, 0, 0)
+    assert det_mp(OddPrime(613)) == -1
 
 
 def test_one_bad_prime_never_sinks_a_sweep(monkeypatch):
