@@ -9,10 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .arith import OddPrime, legendre_table
 from .errors import DiscrepancyError
-from .exactlinalg import IntMatrix, _bareiss, det
+from .exactlinalg import IntMatrix, det, toeplitz_det
 from .quadfield import QuadElem, fundamental_unit, quad_pow
 
 
@@ -153,17 +154,22 @@ def frakp_residue(x: CycElem) -> int:
     return sum(x.coeffs) % x.prime.p
 
 
+def _square_sum(p: OddPrime, a: int) -> CycElem:
+    """1 + 2*sum_{k=1..n} zeta^(a k^2), exact."""
+    vec = [0] * p.p
+    vec[0] = 1
+    for k in range(1, p.n + 1):
+        vec[(a * k * k) % p.p] += 2
+    return CycElem.from_exponents(p, vec)
+
+
 def quadratic_gauss_identity(p: OddPrime, a: int) -> bool:
     """Exact check of 1 + 2*sum_{k=1..n} zeta^(a k^2) = (a/p) * gauss_sum(p).
 
     For a divisible by p the left side degenerates to the constant p,
     whose (1 - zeta)-residue is 0; both facts are checked instead.
     """
-    vec = [0] * p.p
-    vec[0] = 1
-    for k in range(1, p.n + 1):
-        vec[(a * k * k) % p.p] += 2
-    lhs = CycElem.from_exponents(p, vec)
+    lhs = _square_sum(p, a)
     if a % p.p == 0:
         if lhs != CycElem.const(p, p.p) or frakp_residue(lhs) != 0:
             raise DiscrepancyError(f"degenerate square sum wrong at p={p.p}")
@@ -218,57 +224,63 @@ def cauchy_det(u: list, v: list) -> Fraction:
 
 @dataclass(frozen=True)
 class MtildeParts:
-    """The structured matrix together with its rank-one-update witnesses."""
+    """The structured matrix by its distinct entries, with the witnesses of
+    its rank-one-update structure: row 0 is all top, entry (i, j) of a row
+    i >= 1 is classes[(i - j) % p], nu is all ones, and the monomial A and
+    B have entry (i, j) zeta^a_exp[i][j] and zeta^b_exp[i][j], except that
+    row 0 of A is zero and is stored empty."""
 
     prime: OddPrime
-    matrix: tuple
+    top: CycElem
+    classes: tuple
     nu: tuple
-    a_mat: tuple
-    b_mat: tuple
+    a_exp: tuple
+    b_exp: tuple
 
 
 def build_mtilde(p: OddPrime) -> MtildeParts:
-    """Matrix with row 0 all -1 and, for rows i >= 1,
-    entry(i, j) = -1 + 2 * sum_{k=0..n} zeta^((i-j) k^2); plus the
-    witnesses nu (all ones), A = [zeta^(i j^2)] with row 0 zeroed,
-    and B = [zeta^(-i j^2)]."""
-    dim = p.n + 1
-    rows = [tuple(CycElem.const(p, -1) for _ in range(dim))]
-    for i in range(1, dim):
-        row = []
-        for j in range(dim):
-            vec = [0] * p.p
-            vec[0] -= 1
-            for k in range(dim):
-                vec[((i - j) * k * k) % p.p] += 2
-            row.append(CycElem.from_exponents(p, vec))
-        rows.append(tuple(row))
-    nu = tuple(CycElem.one(p) for _ in range(dim))
-    a_rows = [tuple(CycElem.zero(p) for _ in range(dim))]
-    for i in range(1, dim):
-        a_rows.append(tuple(CycElem.zeta_pow(p, i * j * j) for j in range(dim)))
-    b_rows = [
-        tuple(CycElem.zeta_pow(p, -i * j * j) for j in range(dim)) for i in range(dim)
-    ]
-    return MtildeParts(p, tuple(rows), nu, tuple(a_rows), tuple(b_rows))
+    """Row 0 all -1, class d entry -1 + 2 * sum_{k=0..n} zeta^(d k^2), and
+    witnesses A = [zeta^(i j^2)] with row 0 zeroed, B = [zeta^(-i j^2)]."""
+    rng = range(p.n + 1)
+    a_exp = ((),) + tuple(tuple(i * j * j % p.p for j in rng) for i in rng[1:])
+    b_exp = tuple(tuple(-i * j * j % p.p for j in rng) for i in rng)
+    classes = tuple(_square_sum(p, d) for d in range(p.p))
+    return MtildeParts(p, CycElem.const(p, -1), classes, (1,) * len(rng), a_exp, b_exp)
 
 
 def mtilde_structure_check(parts: MtildeParts) -> bool:
-    """Exact entrywise check that the matrix equals -nu nu^T + 2 A B^T."""
+    """Exact entrywise check that the matrix equals -nu nu^T + 2 A B^T.
+
+    A and B are monomial, so entry (i, j) of the right side is
+    -nu_i nu_j + 2 * sum_k zeta^(a_exp[i][k] + b_exp[j][k]), an exponent
+    count taken by integer arithmetic mod p.  Two counts are the same
+    element of Q(zeta_p) exactly when they differ by a constant, so only
+    the first count of each class (row 0 being one class) becomes a
+    CycElem, compared with that class's entry."""
     p = parts.prime
     dim = p.n + 1
-    two = CycElem.const(p, 2)
+    first = {}
     for i in range(dim):
         for j in range(dim):
-            acc = CycElem.zero(p)
-            for k in range(dim):
-                acc = acc + parts.a_mat[i][k] * parts.b_mat[j][k]
-            want = two * acc - parts.nu[i] * parts.nu[j]
-            if parts.matrix[i][j] != want:
+            vec = [0] * p.p
+            vec[0] = -parts.nu[i] * parts.nu[j]
+            for e in map(add, parts.a_exp[i], parts.b_exp[j]):
+                vec[e % p.p] += 2
+            key = (i - j) % p.p if i else None
+            if key in first:
+                same = len(set(map(sub, vec, first[key]))) == 1
+            else:
+                first[key] = vec
+                entry = parts.classes[key] if i else parts.top
+                same = CycElem.from_exponents(p, vec) == entry
+            if not same:
                 raise DiscrepancyError(
                     f"structure identity failed at p={p.p}, entry ({i},{j})"
                 )
     return True
+
+
+_EXACT_PRODUCT_CAP = 199  # largest p whose products lemma32 and mtilde check
 
 
 def _times_difference(vec: list, a: int, b: int) -> list:
@@ -298,36 +310,27 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
     """det of the structured matrix as (c, d), meaning c + d*tau with
     tau = gauss_sum, tau^2 = p* = (-1)^((p-1)/2) * p.
 
-    Row 0 is all -1; for rows i >= 1 the entry is p on the diagonal and
-    ((i-j)/p) * tau off it.  Every entry is checked against that Z[tau]
-    form exactly, then the determinant is taken over Z[tau], inside the
-    integers of Q(sqrt(p*)), by fraction-free elimination."""
+    Row 0 must be all -1 and class d's entry the square sum that
+    quadratic_gauss_identity proves equal to f(d): f(0) = p, f(d) =
+    (d/p)*tau.  Subtracting column j+1 from column j, j < n, turns row 0
+    into -e_n, leaving (-1)^(n+1) times the n x n Toeplitz determinant of
+    t(k) = f(k+1) - f(k), taken over Z[tau] inside the integers of
+    Q(sqrt(p*))."""
     p = parts.prime
+    if parts.top != CycElem.const(p, -1):
+        raise DiscrepancyError(f"row 0 is not -1 at p={p.p}")
+    for d in range(p.p):
+        if parts.classes[d] != _square_sum(p, d):
+            raise DiscrepancyError(f"class {d} entry is not a square sum at p={p.p}")
+        quadratic_gauss_identity(p, d)
     pstar = (-1) ** p.n * p.p
-    tau = gauss_sum(p)
-    chi = legendre_table(p)
-    forms = {(c, d): CycElem.const(p, c) + tau.scale(d)
-             for c, d in ((-1, 0), (p.p, 0), (0, 1), (0, -1))}
-    rows = []
-    for i, row in enumerate(parts.matrix):
-        out = []
-        for j, entry in enumerate(row):
-            if i == 0:
-                c, d = -1, 0
-            elif i == j:
-                c, d = p.p, 0
-            else:
-                c, d = 0, chi[i - j]
-            if entry != forms[c, d]:
-                raise DiscrepancyError(
-                    f"entry ({i},{j}) is not {c} + {d}*tau at p={p.p}"
-                )
-            out.append(QuadElem(pstar, 2 * c, 2 * d))
-        rows.append(out)
-    value = _bareiss(rows, QuadElem(pstar, 2, 0))
+    f = [QuadElem(pstar, 0, 2 * c) for c in legendre_table(p)]
+    f[0] = QuadElem(pstar, 2 * p.p, 0)
+    value = toeplitz_det(lambda k: f[k + 1] - f[k], p.n, QuadElem(pstar, 2, 0))
     if value.a % 2 or value.b % 2:
         raise DiscrepancyError(f"determinant left Z[tau] at p={p.p}")
-    return value.a // 2, value.b // 2
+    sign = (-1) ** (p.n + 1)
+    return sign * value.a // 2, sign * value.b // 2
 
 
 def ztau_to_cyc(p: OddPrime, c: int, d: int) -> CycElem:
@@ -352,21 +355,18 @@ class MtildeCheck:
         return f"{self.c} {'+' if self.d > 0 else '-'} {tau}"
 
 
-_MTILDE_CAP = 31
-
-
 def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     """Check det of the structured matrix against
     -(-2)^n * conj(prod(1 - zeta^(k^2))) * |prod(zeta^(k^2) - zeta^(j^2))|^2
-    by exact equality in Q(zeta_p), for 5 <= p <= 31.
+    by exact equality in Q(zeta_p), for 5 <= p <= 199.
 
     The closed form needs sum_{k<=n} k^2 = p(p^2-1)/24 to vanish mod p,
     which holds for every prime p >= 5 but not for p = 3."""
     p = parts.prime
     if p.p < 5:
         raise ValueError("closed form requires p >= 5")
-    if p.p > _MTILDE_CAP:
-        raise ValueError(f"capped at p <= {_MTILDE_CAP}")
+    if p.p > _EXACT_PRODUCT_CAP:
+        raise ValueError(f"capped at p <= {_EXACT_PRODUCT_CAP}")
     c, d = mtilde_det(parts)
     p2 = exact_product_two(p)
     closed = (exact_product_one(p).conj() * p2 * p2.conj()).scale(-((-2) ** p.n))

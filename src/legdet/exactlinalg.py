@@ -167,7 +167,7 @@ def det(m: IntMatrix) -> int:
     return _bareiss([list(r) for r in m.rows], 1)
 
 
-def _exact_div(a: int, b: int) -> int:
+def _exact_div(a, b):
     q, r = divmod(a, b)
     if r:
         raise DiscrepancyError("subresultant step did not divide exactly")
@@ -181,7 +181,7 @@ def _lstrip0(c: list) -> list:
     return c[k:]
 
 
-def _prem_div(a: list, b: list, beta: int) -> list:
+def _prem_div(a: list, b: list, beta) -> list:
     """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, divided
     exactly by beta.  Polynomials are coefficient lists, leading coefficient
     first, with no leading zeros."""
@@ -202,35 +202,37 @@ def _prem_div(a: list, b: list, beta: int) -> list:
     return [q for q, _ in qr]
 
 
-def toeplitz_det(t, m: int) -> int:
+def toeplitz_det(t, m: int, one=1):
     """Exact determinant of the m x m Toeplitz matrix [t(i - j)], 0 <= i, j < m.
 
     Reversing the rows gives a Hankel matrix, whose determinant is the
     principal subresultant coefficient of index m - 1 of F0 = X^(2m-1) and
     F1 = sum_k t(m-1-k) X^(2m-2-k); the two sign changes cancel.  The
-    Brown-Collins subresultant PRS reaches it in O(m^2) integer operations
-    (Brown & Traub 1971).  Every division is exact in theory, so a nonzero
-    remainder means a broken invariant and raises DiscrepancyError.
+    Brown-Collins subresultant PRS reaches it in O(m^2) ring operations
+    (Brown & Traub 1971).  The ring and its unit one are as for _bareiss;
+    its elements also need ** by a non-negative int.  Every division is
+    exact in theory, so a nonzero remainder raises DiscrepancyError.
     """
     if m < 1:
         raise ValueError("Toeplitz dimension must be at least 1")
-    f0 = [1] + [0] * (2 * m - 1)
+    zero = one - one
+    f0 = [one] + [zero] * (2 * m - 1)
     f1 = _lstrip0([t(m - 1 - k) for k in range(2 * m - 1)])
     delta = len(f0) - len(f1)
     if len(f1) < m:
-        return 0
+        return zero
     if len(f1) == m:
         return f1[0] ** delta
-    beta, psi = (-1) ** (delta + 1), -1
+    beta, psi = (-one) ** (delta + 1), -one
     while True:
         r = _prem_div(f0, f1, beta)
         lc = f1[0]
         psi = _exact_div((-lc) ** delta, psi ** (delta - 1))
         gap = len(f1) - len(r)
         if len(r) < m:
-            return 0
+            return zero
         if len(r) == m:
-            return _exact_div((-1) ** (gap - 1) * r[0] ** gap, psi ** (gap - 1))
+            return _exact_div((-one) ** (gap - 1) * r[0] ** gap, psi ** (gap - 1))
         beta = -lc * psi**gap
         f0, f1, delta = f1, r, gap
 

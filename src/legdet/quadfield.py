@@ -64,6 +64,9 @@ class QuadElem:
     def __neg__(self) -> "QuadElem":
         return QuadElem(self.d, -self.a, -self.b)
 
+    def __pow__(self, k: int) -> "QuadElem":
+        return quad_pow(self, k)
+
     def __divmod__(self, other: "QuadElem") -> tuple["QuadElem", "QuadElem"]:
         """(q, r) with self = q*other + r, where r is zero exactly when other
         divides self in the order: q = self*conj(other)/norm(other) then.

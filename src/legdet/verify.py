@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .arith import OddPrime, primes_in_range
 from .cyclotomic import (
-    _MTILDE_CAP,
+    _EXACT_PRODUCT_CAP,
     CycElem,
     build_mtilde,
     cauchy_det,
@@ -35,7 +35,7 @@ from .errors import LegdetError
 from .exactlinalg import IntPolynomial, charpoly, poly_mul, poly_pow
 from .matrices import build_cp, det_ep, det_mp
 from .quadfield import chapman_ap, class_number_imag, class_number_real, fundamental_unit
-from .vsemirnov import decomposition_residual
+from .vsemirnov import _CAP as _DECOMP_CAP, decomposition_residual
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -119,9 +119,6 @@ def verify_unit(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     return VerificationRecord(p.p, "unit", status, str(computed), "+1 or -1", {})
 
 
-_LEMMA32_CAP = 199
-
-
 def verify_lemma32(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     """Both cyclotomic square products against their closed forms, by
     exact equality in Q(zeta_p)."""
@@ -130,10 +127,10 @@ def verify_lemma32(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
             p.p, "lemma32", SKIPPED, "", "",
             {"reason": "closed forms require p > 3"},
         )
-    if p.p > _LEMMA32_CAP:
+    if p.p > _EXACT_PRODUCT_CAP:
         return VerificationRecord(
             p.p, "lemma32", SKIPPED, "", "",
-            {"reason": f"exact products capped at p <= {_LEMMA32_CAP}"},
+            {"reason": f"exact products capped at p <= {_EXACT_PRODUCT_CAP}"},
         )
     if p.p % 4 == 1:
         eps = fundamental_unit(p)
@@ -197,9 +194,6 @@ def verify_cauchy(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     )
 
 
-_DECOMP_CAP = 61
-
-
 def verify_decomposition(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     """Max entrywise residual of the numeric factorization."""
     if p.p > _DECOMP_CAP:
@@ -220,10 +214,10 @@ def verify_decomposition(p: OddPrime, tolerance: float = 1e-6) -> VerificationRe
 def verify_mtilde(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     """Structure identity plus determinant closed form for the shifted
     matrix, both by exact equality."""
-    if p.p > _MTILDE_CAP:
+    if p.p > _EXACT_PRODUCT_CAP:
         return VerificationRecord(
             p.p, "mtilde", SKIPPED, "", "",
-            {"reason": f"determinant check capped at p <= {_MTILDE_CAP}"},
+            {"reason": f"determinant check capped at p <= {_EXACT_PRODUCT_CAP}"},
         )
     parts = build_mtilde(p)
     mtilde_structure_check(parts)

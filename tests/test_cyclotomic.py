@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legdet.arith import OddPrime, legendre, primes_in_range
 from legdet.cyclotomic import (
@@ -25,7 +27,7 @@ from legdet.cyclotomic import (
     ztau_to_cyc,
 )
 from legdet.errors import DiscrepancyError
-from legdet.exactlinalg import _bareiss
+from legdet.exactlinalg import _bareiss, toeplitz_det
 from legdet.quadfield import QuadElem, _numeric_product_one
 
 
@@ -133,7 +135,7 @@ def test_quadratic_gauss_identity_all_residues():
             assert quadratic_gauss_identity(q, a)
 
 
-def test_embed_frozen():
+def test_gauss_sum_complex_images_frozen():
     # Gauss's sign: tau maps to +sqrt(p) or +i*sqrt(p), which is what the
     # closed forms printed as "tau" rely on
     assert complex_image(CycElem.one(OddPrime(5))) == 1
@@ -143,7 +145,7 @@ def test_embed_frozen():
     assert abs(g7.imag - 7 ** 0.5) < 1e-9 and abs(g7.real) < 1e-9
 
 
-def test_sun_product_values():
+def test_numeric_product_one_values():
     # the numeric product behind class_number_real's second route
     one5 = _numeric_product_one(5)
     assert abs(one5.real - 1.3819660112501051) < 1e-9 and abs(one5.imag) < 1e-9
@@ -245,13 +247,19 @@ def test_mtilde_build_shape():
     for q in primes_in_range(3, 13):
         parts = build_mtilde(q)
         dim = q.n + 1
-        assert len(parts.matrix) == dim
-        assert all(e == CycElem.const(q, -1) for e in parts.matrix[0])
+        assert len(parts.classes) == q.p
+        assert len(parts.a_exp) == len(parts.b_exp) == len(parts.nu) == dim
+        # row 0 is all -1; the diagonal (class 0) is p
+        assert parts.top == CycElem.const(q, -1)
+        assert parts.classes[0] == CycElem.const(q, q.p)
+        # row 0 of A is zero, row 0 of B is all ones, nu is all ones
+        assert parts.a_exp[0] == ()
+        assert parts.b_exp[0] == (0,) * dim
+        assert parts.nu == (1,) * dim
         for i in range(1, dim):
-            assert parts.matrix[i][i] == CycElem.const(q, q.p)
-        assert all(e.is_zero() for e in parts.a_mat[0])
-        assert all(e == CycElem.one(q) for e in parts.b_mat[0])
-        assert all(e == CycElem.one(q) for e in parts.nu)
+            for j in range(dim):
+                assert parts.a_exp[i][j] == i * j * j % q.p
+                assert parts.b_exp[i][j] == -i * j * j % q.p
 
 
 def test_mtilde_structure_identity():
@@ -324,6 +332,53 @@ def test_bareiss_ztau_zero_pivots_and_singular():
     assert ztau_bareiss(q5, proportional).is_zero()
 
 
+def ztau_toeplitz(q, coords, m):
+    """toeplitz_det over Z[tau] of [t(i - j)] and Bareiss on the same dense
+    matrix, where coords lists t(-(m-1)), ..., t(m-1) as (c, d) pairs."""
+    pstar = (-1) ** q.n * q.p
+    vals = [QuadElem(pstar, 2 * c, 2 * d) for c, d in coords]
+    one = QuadElem(pstar, 2, 0)
+    dense = [[vals[i - j + m - 1] for j in range(m)] for i in range(m)]
+    return toeplitz_det(lambda k: vals[k + m - 1], m, one), _bareiss(dense, one)
+
+
+@st.composite
+def ztau_toeplitz_inputs(draw):
+    q = OddPrime(draw(st.sampled_from((3, 5, 7, 13))))
+    m = draw(st.integers(1, 8))
+    # zero-heavy (c, d) entries, so the PRS meets degree gaps of every size
+    entry = st.tuples(st.sampled_from((-2, -1, 0, 0, 0, 1, 3)),
+                      st.sampled_from((-1, 0, 0, 0, 1, 2)))
+    return q, draw(st.lists(entry, min_size=2 * m - 1, max_size=2 * m - 1)), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(ztau_toeplitz_inputs())
+def test_toeplitz_det_over_ztau_matches_bareiss(args):
+    q, coords, m = args
+    structured, dense = ztau_toeplitz(q, coords, m)
+    assert structured == dense
+
+
+def test_toeplitz_det_over_ztau_even_final_gap_and_singular():
+    q = OddPrime(7)
+    pstar = -7
+    # tau times the integer matrix whose PRS ends on a degree gap of 2:
+    # det = tau^5 * (-1) = -pstar^2 * tau
+    values = [1, 0, -1, 0, 0, -1, 0, 1, -1]
+    got, ref = ztau_toeplitz(q, [(0, v) for v in values], 5)
+    assert got == ref == QuadElem(pstar, 0, -2 * pstar ** 2)
+    # rows 0 and 2 agree; the all-zero matrix; a zero diagonal
+    for coords, m in (([(1, 1), (2, 0), (1, 1), (2, 0), (1, 1)], 3),
+                      ([(0, 0)] * 7, 4),
+                      ([(1, -1)] * 3 + [(0, 0)] * 4, 4)):
+        got, ref = ztau_toeplitz(q, coords, m)
+        assert got == ref == QuadElem(pstar, 0, 0)
+    # upper triangular with diagonal 1 + tau: (1 + tau)^3
+    got, ref = ztau_toeplitz(q, [(0, 0)] * 2 + [(1, 1)] + [(2, -1)] * 2, 3)
+    assert got == ref == QuadElem(pstar, 2, 2) ** 3
+
+
 def test_mtilde_det_exact_small():
     check5 = mtilde_det_check(build_mtilde(OddPrime(5)))
     assert (check5.c, check5.d) == (-20, 0)
@@ -345,21 +400,50 @@ def test_mtilde_det_exact_above_old_cap():
     assert (check.c, check.d) == (0, -13181630464)
 
 
+def test_mtilde_det_above_the_dense_route_cap():
+    # values of the dense Bareiss route over Z[tau], which stopped at p = 31
+    assert mtilde_det(build_mtilde(OddPrime(61))) == (
+        -646915258962549275091904510950375424, 0
+    )
+    assert mtilde_det(build_mtilde(OddPrime(101))) == (
+        -144389006372190377129352128848834560623194404530333784790085402624, 0
+    )
+
+
 def test_mtilde_det_domain():
     with pytest.raises(ValueError):
         mtilde_det_check(build_mtilde(OddPrime(3)))
     with pytest.raises(ValueError):
-        mtilde_det_check(build_mtilde(OddPrime(37)))
+        mtilde_det_check(build_mtilde(OddPrime(211)))
 
 
 def test_mtilde_det_rejects_entry_off_ztau():
     q = OddPrime(7)
     parts = build_mtilde(q)
-    rows = [list(r) for r in parts.matrix]
-    rows[2][1] = rows[2][1] + CycElem.zeta_pow(q, 1)
-    bad = dataclasses.replace(parts, matrix=tuple(tuple(r) for r in rows))
-    with pytest.raises(DiscrepancyError):
-        mtilde_det(bad)
+    classes = list(parts.classes)
+    classes[1] = classes[1] + CycElem.zeta_pow(q, 1)  # entry (2, 1) and its class
+    for bad in (
+        dataclasses.replace(parts, classes=tuple(classes)),
+        dataclasses.replace(parts, top=CycElem.const(q, 1)),
+    ):
+        with pytest.raises(DiscrepancyError):
+            mtilde_det(bad)
+        with pytest.raises(DiscrepancyError):
+            mtilde_structure_check(bad)
+
+
+def test_mtilde_structure_check_rejects_a_wrong_witness():
+    q = OddPrime(7)
+    parts = build_mtilde(q)
+    rows = [list(r) for r in parts.a_exp]
+    rows[3][2] = (rows[3][2] + 1) % q.p
+    bad = dataclasses.replace(parts, a_exp=tuple(tuple(r) for r in rows))
+    with pytest.raises(DiscrepancyError, match="entry"):
+        mtilde_structure_check(bad)
+    # (0, 2) repeats row 0's class, so its count is compared with (0, 0)'s
+    bad = dataclasses.replace(parts, nu=(1, 1, 2, 1))
+    with pytest.raises(DiscrepancyError, match=r"entry \(0,2\)"):
+        mtilde_structure_check(bad)
 
 
 def test_mtilde_p3_observed_determinant():
@@ -372,5 +456,6 @@ def test_mtilde_p3_observed_determinant():
     assert mtilde_det(parts) == (-3, 1)
     d = ztau_to_cyc(q, *mtilde_det(parts))
     assert d == CycElem(q, (-2, 2))
-    a, b = parts.matrix[0], parts.matrix[1]
+    # row 0 is [top, top]; row 1 is [class 1 - 0, class 1 - 1]
+    a, b = (parts.top, parts.top), (parts.classes[1], parts.classes[0])
     assert d == a[0] * b[1] - a[1] * b[0]

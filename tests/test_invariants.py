@@ -3,7 +3,9 @@
 Broken invariants must raise, never assert: `python -O` strips asserts.
 Q(zeta_p) arithmetic is exact: no floats in the cyclotomic module.
 Sweeps over residues read `legendre_table`: no Jacobi call in a loop.
-Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`.
+Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`,
+and the cyclotomic module, whose shifted matrix is Toeplitz below row 0,
+never names `_bareiss`.
 """
 import ast
 from pathlib import Path
@@ -74,4 +76,17 @@ def test_verify_makes_no_dense_det_call():
         and (getattr(node.func, "id", None) == "det"
              or getattr(node.func, "attr", None) == "det")
     ]
+    assert found == []
+
+
+def test_mtilde_takes_no_bareiss_route():
+    path = next(p for p in SOURCES if p.name == "cyclotomic.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if "_bareiss" in names:
+            found.append(f"cyclotomic.py:{node.lineno}")
     assert found == []

@@ -161,7 +161,9 @@ def test_verify_mtilde_records():
     assert r23.status == PASS
     assert r23.aux["exact"] == "equal"
     assert r23.computed == "-13181630464*tau"
-    assert verify_mtilde(OddPrime(37)).status == SKIPPED
+    r37 = verify_mtilde(OddPrime(37))
+    assert (r37.status, r37.aux["exact"]) == (PASS, "equal")
+    assert verify_mtilde(OddPrime(211)).status == SKIPPED
 
 
 def test_run_sweep_counts():
@@ -185,6 +187,15 @@ def test_toeplitz_route_reaches_past_the_old_frontier():
         assert [r.p for r in report.records] == [601, 607, 613]
         assert (report.passed, report.failed, report.skipped) == (3, 0, 0)
     assert det_mp(OddPrime(613)) == -1
+
+
+def test_mtilde_sweep_reaches_the_exact_product_cap():
+    # the Toeplitz route over Z[tau]; the dense route stopped at p = 31
+    report = run_sweep("mtilde", 197, 211)
+    assert [(r.p, r.status) for r in report.records] == [
+        (197, PASS), (199, PASS), (211, SKIPPED)
+    ]
+    assert report.records[2].aux["reason"] == "determinant check capped at p <= 199"
 
 
 def test_one_bad_prime_never_sinks_a_sweep(monkeypatch):
