@@ -42,16 +42,8 @@ class CycElem:
         return cls(prime, [vec[i] - top for i in range(prime.p - 1)])
 
     @classmethod
-    def zero(cls, prime: OddPrime) -> "CycElem":
-        return cls(prime, [0] * (prime.p - 1))
-
-    @classmethod
     def const(cls, prime: OddPrime, c) -> "CycElem":
         return cls(prime, [c] + [0] * (prime.p - 2))
-
-    @classmethod
-    def one(cls, prime: OddPrime) -> "CycElem":
-        return cls.const(prime, 1)
 
     @classmethod
     def zeta_pow(cls, prime: OddPrime, e: int) -> "CycElem":
@@ -62,9 +54,6 @@ class CycElem:
     def _check(self, other: "CycElem") -> None:
         if self.prime.p != other.prime.p:
             raise ValueError("mixed cyclotomic fields")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs)
@@ -280,9 +269,6 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
     return True
 
 
-_EXACT_PRODUCT_CAP = 199  # largest p whose products lemma32 and mtilde check
-
-
 def _times_difference(vec: list, a: int, b: int) -> list:
     """vec * (zeta^a - zeta^b) on length-p exponent vectors, 0 <= a, b < p:
     one shift-subtract, out[i] = vec[i - a] - vec[i - b]."""
@@ -358,15 +344,13 @@ class MtildeCheck:
 def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     """Check det of the structured matrix against
     -(-2)^n * conj(prod(1 - zeta^(k^2))) * |prod(zeta^(k^2) - zeta^(j^2))|^2
-    by exact equality in Q(zeta_p), for 5 <= p <= 199.
+    by exact equality in Q(zeta_p), for p >= 5.
 
     The closed form needs sum_{k<=n} k^2 = p(p^2-1)/24 to vanish mod p,
     which holds for every prime p >= 5 but not for p = 3."""
     p = parts.prime
     if p.p < 5:
         raise ValueError("closed form requires p >= 5")
-    if p.p > _EXACT_PRODUCT_CAP:
-        raise ValueError(f"capped at p <= {_EXACT_PRODUCT_CAP}")
     c, d = mtilde_det(parts)
     p2 = exact_product_two(p)
     closed = (exact_product_one(p).conj() * p2 * p2.conj()).scale(-((-2) ** p.n))

@@ -2,6 +2,8 @@
 
 Each verifier returns a record; a sweep maps a target over every odd prime
 in a closed range, in order, and aggregates PASS/FAIL/SKIPPED counts.
+`_TARGET_TABLE` declares every target once: its verifier, its cap, the
+phrase of its capped SKIP, and whether its verdict reads the tolerance.
 Report content is deterministic for a given (target, range, tolerance):
 parallel workers only change elapsed_s, never the records.
 """
@@ -12,13 +14,13 @@ import io
 import json
 import random
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import OddPrime, primes_in_range
 from .cyclotomic import (
-    _EXACT_PRODUCT_CAP,
     CycElem,
     build_mtilde,
     cauchy_det,
@@ -52,7 +54,7 @@ class VerificationRecord:
     aux: dict
 
 
-def verify_sun(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
+def verify_sun(p: OddPrime) -> VerificationRecord:
     """det of the ones-row symbol matrix against the class-number formula."""
     computed = det_mp(p)
     if p.p == 3:
@@ -72,7 +74,7 @@ def verify_sun(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     return VerificationRecord(p.p, "sun", status, str(computed), str(predicted), aux)
 
 
-def verify_chapman(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
+def verify_chapman(p: OddPrime) -> VerificationRecord:
     """det of the symbol matrix, indices 0..n, against -a_p or 1."""
     computed = det_ep(p)
     if p.p % 4 == 3:
@@ -89,17 +91,9 @@ def verify_chapman(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     return VerificationRecord(p.p, "chapman", status, str(computed), str(predicted), aux)
 
 
-_CARLITZ_CAP = 31
-
-
-def verify_carlitz(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
+def verify_carlitz(p: OddPrime) -> VerificationRecord:
     """Characteristic polynomial of the circulant-style symbol matrix
     against (t^2 - s*p)^((p-3)/2) * (t^2 - s), s = (-1)^((p-1)/2)."""
-    if p.p > _CARLITZ_CAP:
-        return VerificationRecord(
-            p.p, "carlitz", SKIPPED, "", "",
-            {"reason": f"characteristic polynomial capped at p <= {_CARLITZ_CAP}"},
-        )
     computed = charpoly(build_cp(p))
     s = (-1) ** ((p.p - 1) // 2)
     predicted = poly_mul(
@@ -112,25 +106,20 @@ def verify_carlitz(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     )
 
 
-def verify_unit(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
+def verify_unit(p: OddPrime) -> VerificationRecord:
     """|det| of the ones-row symbol matrix must be exactly 1."""
     computed = det_mp(p)
     status = PASS if abs(computed) == 1 else FAIL
     return VerificationRecord(p.p, "unit", status, str(computed), "+1 or -1", {})
 
 
-def verify_lemma32(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
+def verify_lemma32(p: OddPrime) -> VerificationRecord:
     """Both cyclotomic square products against their closed forms, by
     exact equality in Q(zeta_p)."""
     if p.p < 5:
         return VerificationRecord(
             p.p, "lemma32", SKIPPED, "", "",
             {"reason": "closed forms require p > 3"},
-        )
-    if p.p > _EXACT_PRODUCT_CAP:
-        return VerificationRecord(
-            p.p, "lemma32", SKIPPED, "", "",
-            {"reason": f"exact products capped at p <= {_EXACT_PRODUCT_CAP}"},
         )
     if p.p % 4 == 1:
         eps = fundamental_unit(p)
@@ -145,18 +134,12 @@ def verify_lemma32(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     return VerificationRecord(p.p, "lemma32", PASS, form_one, form_one, aux)
 
 
-_GAUSS_CAP = 61
 _GAUSS_ALL_A_CAP = 31
 
 
-def verify_gauss(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
+def verify_gauss(p: OddPrime) -> VerificationRecord:
     """tau^2 = (-1)^((p-1)/2) * p exactly; for small p also the exact
     square-sum identity for every residue a."""
-    if p.p > _GAUSS_CAP:
-        return VerificationRecord(
-            p.p, "gauss", SKIPPED, "", "",
-            {"reason": f"exact square capped at p <= {_GAUSS_CAP}"},
-        )
     tau = gauss_sum(p)
     sq = tau * tau
     predicted = CycElem.const(p, (-1) ** ((p.p - 1) // 2) * p.p)
@@ -174,7 +157,7 @@ def verify_gauss(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
 _CAUCHY_BATCH = 5
 
 
-def verify_cauchy(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
+def verify_cauchy(p: OddPrime) -> VerificationRecord:
     """Seeded batch of exact Cauchy-determinant cross-checks."""
     rng = random.Random(p.p)
     checked = 0
@@ -196,11 +179,6 @@ def verify_cauchy(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
 
 def verify_decomposition(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     """Max entrywise residual of the numeric factorization."""
-    if p.p > _DECOMP_CAP:
-        return VerificationRecord(
-            p.p, "decomposition", SKIPPED, "", "",
-            {"reason": f"numeric diagnostic capped at p <= {_DECOMP_CAP}"},
-        )
     residual = decomposition_residual(p)
     status = PASS if residual < tolerance else FAIL
     aux = {}
@@ -211,14 +189,9 @@ def verify_decomposition(p: OddPrime, tolerance: float = 1e-6) -> VerificationRe
     )
 
 
-def verify_mtilde(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
+def verify_mtilde(p: OddPrime) -> VerificationRecord:
     """Structure identity plus determinant closed form for the shifted
     matrix, both by exact equality."""
-    if p.p > _EXACT_PRODUCT_CAP:
-        return VerificationRecord(
-            p.p, "mtilde", SKIPPED, "", "",
-            {"reason": f"determinant check capped at p <= {_EXACT_PRODUCT_CAP}"},
-        )
     parts = build_mtilde(p)
     mtilde_structure_check(parts)
     if p.p == 3:
@@ -236,26 +209,49 @@ def verify_mtilde(p: OddPrime, tolerance: float = 1e-6) -> VerificationRecord:
     return VerificationRecord(p.p, "mtilde", PASS, str(chk), str(chk), aux)
 
 
-_VERIFIERS = {
-    "sun": verify_sun,
-    "chapman": verify_chapman,
-    "carlitz": verify_carlitz,
-    "unit": verify_unit,
-    "lemma32": verify_lemma32,
-    "gauss": verify_gauss,
-    "cauchy": verify_cauchy,
-    "decomposition": verify_decomposition,
-    "mtilde": verify_mtilde,
+@dataclass(frozen=True)
+class Target:
+    """One row of the target table.  Above `cap` a prime is SKIPPED with
+    the reason "<cap_reason> capped at p <= <cap>" and the verifier is not
+    called; only a row that reads the tolerance is passed it."""
+
+    verifier: Callable[..., VerificationRecord]
+    cap: int | None = None
+    cap_reason: str = ""
+    reads_tolerance: bool = False
+
+
+# lemma32 and mtilde share one sweep time budget, not a domain limit;
+# decomposition's cap is build_uvd's double-precision conditioning limit
+_EXACT_PRODUCT_CAP = 199
+_TARGET_TABLE = {
+    "sun": Target(verify_sun),
+    "chapman": Target(verify_chapman),
+    "carlitz": Target(verify_carlitz, 31, "characteristic polynomial"),
+    "unit": Target(verify_unit),
+    "lemma32": Target(verify_lemma32, _EXACT_PRODUCT_CAP, "exact products"),
+    "gauss": Target(verify_gauss, 61, "exact square"),
+    "cauchy": Target(verify_cauchy),
+    "decomposition": Target(
+        verify_decomposition, _DECOMP_CAP, "numeric diagnostic", reads_tolerance=True
+    ),
+    "mtilde": Target(verify_mtilde, _EXACT_PRODUCT_CAP, "determinant check"),
 }
-TARGETS = tuple(_VERIFIERS)
-# the one target whose verdict reads the tolerance; the others are exact
-_TOLERANCE_TARGET = "decomposition"
+TARGETS = tuple(_TARGET_TABLE)
 
 
 def _run_one(target: str, p_int: int, tolerance: float) -> VerificationRecord:
+    row = _TARGET_TABLE[target]
+    if row.cap is not None and p_int > row.cap:
+        return VerificationRecord(
+            p_int, target, SKIPPED, "", "",
+            {"reason": f"{row.cap_reason} capped at p <= {row.cap}"},
+        )
     p = OddPrime(p_int)
     try:
-        return _VERIFIERS[target](p, tolerance)
+        if row.reads_tolerance:
+            return row.verifier(p, tolerance)
+        return row.verifier(p)
     except LegdetError as exc:
         aux = {"error": str(exc)}
     except Exception as exc:  # one bad prime becomes a FAIL, never a lost sweep
@@ -327,7 +323,7 @@ class SweepReport:
 
     def to_text(self) -> str:
         header = f"target={self.target} from={self.lo} to={self.hi}"
-        if self.target == _TOLERANCE_TARGET:
+        if _TARGET_TABLE[self.target].reads_tolerance:
             header += f" tolerance={self.tolerance:g}"
         lines = [header]
         width_c = max([len("computed")] + [len(r.computed) for r in self.records])

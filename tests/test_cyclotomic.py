@@ -45,8 +45,8 @@ def test_power_basis_relations():
     for q in primes_in_range(3, 20):
         top = CycElem.zeta_pow(q, q.p - 1)
         assert top == CycElem(q, [-1] * (q.p - 1))
-        assert CycElem.zeta_pow(q, q.p) == CycElem.one(q)
-        total = CycElem.zero(q)
+        assert CycElem.zeta_pow(q, q.p) == CycElem.const(q, 1)
+        total = CycElem.const(q, 0)
         for i in range(1, q.p):
             total = total + CycElem.zeta_pow(q, i)
         assert total == CycElem.const(q, -1)
@@ -67,15 +67,15 @@ def test_frozen_products_p3():
     diff = z - z2
     assert diff.coeffs == (1, 2)
     assert diff * diff == CycElem.const(q, -3)
-    assert (CycElem.one(q) - z) * (CycElem.one(q) - z2) == CycElem.const(q, 3)
+    assert (CycElem.const(q, 1) - z) * (CycElem.const(q, 1) - z2) == CycElem.const(q, 3)
 
 
 def test_all_roots_product_is_p():
     # prod over k=1..p-1 of (1 - zeta^k) is the cyclotomic polynomial at 1
     for q in primes_in_range(3, 19):
-        acc = CycElem.one(q)
+        acc = CycElem.const(q, 1)
         for k in range(1, q.p):
-            acc = acc * (CycElem.one(q) - CycElem.zeta_pow(q, k))
+            acc = acc * (CycElem.const(q, 1) - CycElem.zeta_pow(q, k))
         assert acc == CycElem.const(q, q.p)
 
 
@@ -106,13 +106,13 @@ def test_gauss_sum_scaled_relation():
         tau = gauss_sum(q)
         for a in range(1, q.p):
             assert gauss_sum_scaled(q, a) == tau.scale(legendre(a, q))
-        assert gauss_sum_scaled(q, 0) == CycElem.zero(q)
+        assert gauss_sum_scaled(q, 0) == CycElem.const(q, 0)
 
 
 def test_frakp_residue_values():
     q = OddPrime(7)
     assert frakp_residue(CycElem.const(q, 10)) == 3
-    assert frakp_residue(CycElem.one(q) - CycElem.zeta_pow(q, 1)) == 0
+    assert frakp_residue(CycElem.const(q, 1) - CycElem.zeta_pow(q, 1)) == 0
     for q2 in primes_in_range(3, 31):
         assert frakp_residue(gauss_sum(q2)) == 0
     with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ def test_quadratic_gauss_identity_all_residues():
 def test_gauss_sum_complex_images_frozen():
     # Gauss's sign: tau maps to +sqrt(p) or +i*sqrt(p), which is what the
     # closed forms printed as "tau" rely on
-    assert complex_image(CycElem.one(OddPrime(5))) == 1
+    assert complex_image(CycElem.const(OddPrime(5), 1)) == 1
     g5 = complex_image(gauss_sum(OddPrime(5)))
     assert abs(g5.real - 5 ** 0.5) < 1e-9 and abs(g5.imag) < 1e-9
     g7 = complex_image(gauss_sum(OddPrime(7)))
@@ -161,7 +161,7 @@ def test_sun_product_matches_exact_embedding():
 
 
 def generic_product(q, pairs):
-    acc = CycElem.one(q)
+    acc = CycElem.const(q, 1)
     for a, b in pairs:
         acc = acc * (CycElem.zeta_pow(q, a) - CycElem.zeta_pow(q, b))
     return acc
@@ -272,7 +272,7 @@ def cofactor_det(p, rows):
         return rows[0][0]
     if len(rows) == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = CycElem.zero(p)
+    acc = CycElem.const(p, 0)
     for j in range(len(rows)):
         minor = [
             [x for jj, x in enumerate(row) if jj != j] for row in rows[1:]
@@ -320,16 +320,16 @@ def test_bareiss_ztau_zero_pivots_and_singular():
     ]
     for coords in cases:
         got = ztau_bareiss(q, coords)
-        assert not got.is_zero()
+        assert got != CycElem.const(q, 0)
         assert got == ztau_cofactor(q, coords)
     repeated = [[(1, 0), (0, 1)], [(1, 0), (0, 1)]]
     zero_column = [[(0, 0), (1, 2)], [(0, 0), (3, 1)]]
     for coords in (repeated, zero_column):
-        assert ztau_bareiss(q, coords).is_zero()
+        assert ztau_bareiss(q, coords) == CycElem.const(q, 0)
     # row 1 is (1 + tau) times row 0, with tau^2 = 5
     q5 = OddPrime(5)
     proportional = [[(1, 1), (2, 0)], [(6, 2), (2, 2)]]
-    assert ztau_bareiss(q5, proportional).is_zero()
+    assert ztau_bareiss(q5, proportional) == CycElem.const(q5, 0)
 
 
 def ztau_toeplitz(q, coords, m):
@@ -413,8 +413,6 @@ def test_mtilde_det_above_the_dense_route_cap():
 def test_mtilde_det_domain():
     with pytest.raises(ValueError):
         mtilde_det_check(build_mtilde(OddPrime(3)))
-    with pytest.raises(ValueError):
-        mtilde_det_check(build_mtilde(OddPrime(211)))
 
 
 def test_mtilde_det_rejects_entry_off_ztau():

@@ -1,4 +1,6 @@
+import inspect
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +13,7 @@ from legdet.verify import (
     PASS,
     SKIPPED,
     TARGETS,
-    _VERIFIERS,
+    _TARGET_TABLE,
     run_sweep,
     verify_carlitz,
     verify_cauchy,
@@ -28,7 +30,39 @@ from legdet.verify import (
 def test_targets_registry():
     assert len(TARGETS) == 9
     assert len(set(TARGETS)) == 9
-    assert TARGETS == tuple(_VERIFIERS)
+    assert TARGETS == tuple(_TARGET_TABLE)
+    uncapped = {t for t, row in _TARGET_TABLE.items() if row.cap is None}
+    assert uncapped == {"sun", "unit", "chapman", "cauchy"}
+
+
+def test_only_the_tolerance_reader_takes_a_tolerance():
+    for target, row in _TARGET_TABLE.items():
+        takes = "tolerance" in inspect.signature(row.verifier).parameters
+        assert takes == row.reads_tolerance, target
+    assert [t for t, row in _TARGET_TABLE.items() if row.reads_tolerance] == [
+        "decomposition"
+    ]
+
+
+# first prime above each cap, and the SKIP reason it gets there
+_CAP_BOUNDARY = {
+    "carlitz": (37, "characteristic polynomial capped at p <= 31"),
+    "gauss": (67, "exact square capped at p <= 61"),
+    "decomposition": (67, "numeric diagnostic capped at p <= 61"),
+    "lemma32": (211, "exact products capped at p <= 199"),
+    "mtilde": (211, "determinant check capped at p <= 199"),
+}
+
+
+def test_every_capped_row_skips_above_its_cap():
+    capped = {t for t, row in _TARGET_TABLE.items() if row.cap is not None}
+    assert capped == set(_CAP_BOUNDARY)
+    for target, (q, reason) in _CAP_BOUNDARY.items():
+        report = run_sweep(target, q, q)
+        assert len(report.records) == 1, target
+        r = report.records[0]
+        assert (r.p, r.status, r.computed, r.predicted) == (q, SKIPPED, "", "")
+        assert r.aux == {"reason": reason}
 
 
 def test_verify_sun_records():
@@ -65,7 +99,7 @@ def test_verify_carlitz_records():
     r5 = verify_carlitz(OddPrime(5))
     assert r5.status == PASS
     assert r5.computed == "t^4 - 6*t^2 + 5"
-    r37 = verify_carlitz(OddPrime(37))
+    r37 = run_sweep("carlitz", 37, 37).records[0]
     assert r37.status == SKIPPED
     assert "reason" in r37.aux
 
@@ -83,7 +117,7 @@ def test_verify_lemma32_records():
     assert r3.status == SKIPPED
     r67 = verify_lemma32(OddPrime(67))
     assert r67.status == PASS
-    r211 = verify_lemma32(OddPrime(211))
+    r211 = run_sweep("lemma32", 211, 211).records[0]
     assert r211.status == SKIPPED
     assert r211.aux == {"reason": "exact products capped at p <= 199"}
     r5 = verify_lemma32(OddPrime(5))
@@ -110,7 +144,7 @@ def test_verify_lemma32_exact_records():
 
 
 def test_lemma32_mismatch_is_a_fail_record(monkeypatch):
-    monkeypatch.setattr(cyclotomic, "exact_product_two", lambda p: CycElem.one(p))
+    monkeypatch.setattr(cyclotomic, "exact_product_two", lambda p: CycElem.const(p, 1))
     report = run_sweep("lemma32", 5, 7)
     assert [r.status for r in report.records] == [FAIL, FAIL]
     for r in report.records:
@@ -126,7 +160,7 @@ def test_verify_gauss_records():
     r37 = verify_gauss(OddPrime(37))
     assert r37.status == PASS
     assert "capped" in r37.aux["square_sum_identity"]
-    assert verify_gauss(OddPrime(67)).status == SKIPPED
+    assert run_sweep("gauss", 67, 67).records[0].status == SKIPPED
 
 
 def test_verify_cauchy_record():
@@ -140,7 +174,7 @@ def test_verify_cauchy_record():
 def test_verify_decomposition_records():
     r = verify_decomposition(OddPrime(5))
     assert r.status == PASS
-    assert verify_decomposition(OddPrime(67)).status == SKIPPED
+    assert run_sweep("decomposition", 67, 67).records[0].status == SKIPPED
     forced = verify_decomposition(OddPrime(5), tolerance=0.0)
     assert forced.status == FAIL
     assert "alt_diag_residual" in forced.aux
@@ -163,7 +197,7 @@ def test_verify_mtilde_records():
     assert r23.computed == "-13181630464*tau"
     r37 = verify_mtilde(OddPrime(37))
     assert (r37.status, r37.aux["exact"]) == (PASS, "equal")
-    assert verify_mtilde(OddPrime(211)).status == SKIPPED
+    assert run_sweep("mtilde", 211, 211).records[0].status == SKIPPED
 
 
 def test_run_sweep_counts():
@@ -199,14 +233,14 @@ def test_mtilde_sweep_reaches_the_exact_product_cap():
 
 
 def test_one_bad_prime_never_sinks_a_sweep(monkeypatch):
-    real = _VERIFIERS["unit"]
+    row = _TARGET_TABLE["unit"]
 
-    def flaky(p, tolerance=1e-6):
+    def flaky(p):
         if p.p == 11:
             raise ZeroDivisionError("boom")
-        return real(p, tolerance)
+        return row.verifier(p)
 
-    monkeypatch.setitem(_VERIFIERS, "unit", flaky)
+    monkeypatch.setitem(_TARGET_TABLE, "unit", replace(row, verifier=flaky))
     report = run_sweep("unit", 3, 20)
     by_p = {r.p: r for r in report.records}
     assert [r.p for r in report.records] == [3, 5, 7, 11, 13, 17, 19]
