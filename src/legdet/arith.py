@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Deterministic witness set, valid for every n < 4_759_123_141 > 2**32.
 _MR_WITNESSES = (2, 7, 61)
 _LIMIT = 1 << 32
@@ -64,19 +66,32 @@ def legendre(a: int, p: OddPrime) -> int:
     return _jacobi(a % p.p, p.p)
 
 
+def legendre_array(p: OddPrime) -> np.ndarray:
+    """The quadratic character as an int64 array chi with chi[a] = (a/p),
+    0 <= a < p.
+
+    Built in one numpy scatter from the squares k^2 mod p, k = 1..n, which
+    are exactly the n nonzero residues (k^2 < 2**62 since p < 2**32).
+    Vectorised float sums read this array; `legendre_table` is its list
+    form."""
+    k = np.arange(1, p.n + 1, dtype=np.int64)
+    chi = np.full(p.p, -1, dtype=np.int64)
+    chi[0] = 0
+    chi[k * k % p.p] = 1
+    return chi
+
+
 def legendre_table(p: OddPrime) -> list[int]:
     """The quadratic character as a list chi with chi[a] = (a/p), 0 <= a < p.
 
-    Built from the squares k^2 mod p, k = 1..n, which are exactly the n
-    nonzero residues.  Python's negative indexing wraps mod p, so
-    chi[-k] = (-k/p) for 0 < k < p.  Sweeps over a residue range read this
-    table; `legendre` serves single symbols.
+    This is `legendre_array(p).tolist()`: the numpy scatter over the squares
+    k^2 mod p, converted so that every entry is a Python int.  The bigint
+    kernels multiply these entries, and a numpy int64 would overflow
+    silently.  Python's negative indexing wraps mod p, so chi[-k] = (-k/p)
+    for 0 < k < p.  Sweeps over a residue range read this table; `legendre`
+    serves single symbols.
     """
-    chi = [-1] * p.p
-    chi[0] = 0
-    for k in range(1, p.n + 1):
-        chi[k * k % p.p] = 1
-    return chi
+    return legendre_array(p).tolist()
 
 
 def _jacobi(a: int, n: int) -> int:

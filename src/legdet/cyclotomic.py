@@ -158,16 +158,20 @@ def quadratic_gauss_identity(p: OddPrime, a: int) -> bool:
     For a divisible by p the left side degenerates to the constant p,
     whose (1 - zeta)-residue is 0; both facts are checked instead.
     """
-    lhs = _square_sum(p, a)
-    if a % p.p == 0:
-        if lhs != CycElem.const(p, p.p) or frakp_residue(lhs) != 0:
-            raise DiscrepancyError(f"degenerate square sum wrong at p={p.p}")
-        return True
     chi = legendre_table(p)
-    rhs = CycElem.from_exponents(p, chi).scale(chi[a % p.p])
-    if lhs != rhs:
-        raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={a}")
+    _check_square_sum(p, a, _square_sum(p, a), chi, CycElem.from_exponents(p, chi))
     return True
+
+
+def _check_square_sum(p: OddPrime, a: int, square: CycElem, chi: list,
+                      tau: CycElem) -> None:
+    """quadratic_gauss_identity on a square sum, character table and Gauss
+    sum built by the caller, so a loop over a builds the last two once."""
+    if a % p.p == 0:
+        if square != CycElem.const(p, p.p) or frakp_residue(square) != 0:
+            raise DiscrepancyError(f"degenerate square sum wrong at p={p.p}")
+    elif square != tau.scale(chi[a % p.p]):
+        raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={a}")
 
 
 def cauchy_det(u: list, v: list) -> Fraction:
@@ -305,12 +309,15 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
     p = parts.prime
     if parts.top != CycElem.const(p, -1):
         raise DiscrepancyError(f"row 0 is not -1 at p={p.p}")
+    chi = legendre_table(p)
+    tau = CycElem.from_exponents(p, chi)
     for d in range(p.p):
-        if parts.classes[d] != _square_sum(p, d):
+        square = _square_sum(p, d)
+        if parts.classes[d] != square:
             raise DiscrepancyError(f"class {d} entry is not a square sum at p={p.p}")
-        quadratic_gauss_identity(p, d)
+        _check_square_sum(p, d, square, chi, tau)
     pstar = (-1) ** p.n * p.p
-    f = [QuadElem(pstar, 0, 2 * c) for c in legendre_table(p)]
+    f = [QuadElem(pstar, 0, 2 * c) for c in chi]
     f[0] = QuadElem(pstar, 2 * p.p, 0)
     value = toeplitz_det(lambda k: f[k + 1] - f[k], p.n, QuadElem(pstar, 2, 0))
     if value.a % 2 or value.b % 2:

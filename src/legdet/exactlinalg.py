@@ -24,10 +24,6 @@ class IntMatrix:
     def identity(cls, dim: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
-    @classmethod
-    def zero(cls, dim: int) -> "IntMatrix":
-        return cls([[0] * dim for _ in range(dim)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 

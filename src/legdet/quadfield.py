@@ -6,13 +6,14 @@ the maximal order: a = b (mod 2) when d = 1 (mod 4), both even otherwise.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import OddPrime, legendre, legendre_table
+import numpy as np
+
+from .arith import OddPrime, legendre, legendre_array
 from .errors import DiscrepancyError, PrecisionError
 
 
@@ -179,7 +180,8 @@ def _reduced_form_count(p: int) -> int:
     # |b| <= a <= c, with b > 0 whenever |b| = a or a = c
     count = 0
     for a in range(1, isqrt(p // 3) + 1):
-        for b in range(-a + 1, a + 1):
+        # b^2 + p = 4ac with p odd forces b odd
+        for b in range(-a + 1 + a % 2, a + 1, 2):
             num = b * b + p
             if num % (4 * a):
                 continue
@@ -204,8 +206,8 @@ def class_number_imag(p: OddPrime) -> ClassNumberReport:
     if p.p % 4 != 3 or p.p == 3:
         raise ValueError("requires p = 3 (mod 4), p > 3")
     forms = _reduced_form_count(p.p)
-    chi = legendre_table(p)
-    q, r = divmod(sum(chi[1:p.n + 1]), 2 - chi[2])
+    chi = legendre_array(p)
+    q, r = divmod(int(chi[1:p.n + 1].sum()), 2 - int(chi[2]))
     if r != 0 or q < 1:
         raise DiscrepancyError(f"character sum for p={p.p} is not a class number")
     if q != forms:
@@ -237,10 +239,8 @@ def _round_to_count(estimate: float, what: str) -> int:
 def _numeric_product_one(p: int) -> complex:
     """prod over k=1..n of (1 - zeta^(k^2)) at zeta = exp(2*pi*i/p), in
     double precision."""
-    z = 1 + 0j
-    for k in range(1, (p + 1) // 2):
-        z *= 1 - cmath.exp(2j * math.pi * (k * k % p) / p)
-    return z
+    k = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    return complex(np.prod(1 - np.exp(2j * np.pi * (k * k % p) / p)))
 
 
 def _log_sin_sum(p: OddPrime) -> float:
@@ -248,11 +248,9 @@ def _log_sin_sum(p: OddPrime) -> float:
 
     The terms at a and p - a are equal, since (-1/p) = 1 and
     sin(pi (p - a) / p) = sin(pi a / p), so only a = 1..n are summed."""
-    chi = legendre_table(p)
-    half = sum(
-        chi[a] * math.log(math.sin(math.pi * a / p.p)) for a in range(1, p.n + 1)
-    )
-    return 2 * half
+    a = np.arange(1, p.n + 1)
+    half = legendre_array(p)[1:p.n + 1] @ np.log(np.sin(np.pi * a / p.p))
+    return 2 * float(half)
 
 
 def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberReport:

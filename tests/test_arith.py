@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from legdet.arith import OddPrime, is_prime, legendre, legendre_table, primes_in_range
+from legdet.arith import (
+    OddPrime,
+    is_prime,
+    legendre,
+    legendre_array,
+    legendre_table,
+    primes_in_range,
+)
 
 
 def sieve(limit):
@@ -95,6 +102,17 @@ def test_legendre_table_matches_jacobi():
         assert [chi[-k] for k in range(1, q.p)] == [
             legendre(-k, q) for k in range(1, q.p)
         ], q.p
+
+
+def test_legendre_table_entries_are_python_ints():
+    # the bigint kernels multiply table entries; an int64 would wrap silently
+    for q in primes_in_range(3, 400) + [OddPrime(10007)]:
+        chi = legendre_table(q)
+        assert type(chi) is list
+        assert all(type(x) is int for x in chi), q.p
+        assert chi == legendre_array(q).tolist()
+    big = 1 << 80
+    assert legendre_table(OddPrime(7))[1] * big == big
 
 
 def test_primes_in_range_frozen():

@@ -3,6 +3,8 @@
 Broken invariants must raise, never assert: `python -O` strips asserts.
 Q(zeta_p) arithmetic is exact: no floats in the cyclotomic module.
 Sweeps over residues read `legendre_table`: no Jacobi call in a loop.
+The O(p) float routes of the class numbers are numpy calls: no scalar
+log, sin or exp in a loop of the quadratic-field module.
 Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`,
 and the cyclotomic module, whose shifted matrix is Toeplitz below row 0,
 never names `_bareiss`.
@@ -49,22 +51,44 @@ def _calls_legendre(node) -> bool:
     )
 
 
-def test_no_legendre_call_in_a_loop():
+_SCALAR_FLOAT = {("math", "log"), ("math", "sin"), ("cmath", "exp")}
+
+
+def _calls_scalar_float(node) -> bool:
+    return any(
+        isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and (getattr(sub.func.value, "id", None), sub.func.attr) in _SCALAR_FLOAT
+        for sub in ast.walk(node)
+    )
+
+
+def _loops_calling(path: Path, calls) -> list:
+    """Loops and comprehensions of one source whose repeated part has a
+    call that `calls` flags."""
     found = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                repeated = node.body
-            elif isinstance(node, ast.While):
-                repeated = [node.test, *node.body]
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                repeated = [node]
-            else:
-                continue
-            if any(_calls_legendre(part) for part in repeated):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            repeated = node.body
+        elif isinstance(node, ast.While):
+            repeated = [node.test, *node.body]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            repeated = [node]
+        else:
+            continue
+        if any(calls(part) for part in repeated):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_legendre_call_in_a_loop():
+    assert [loc for path in SOURCES for loc in _loops_calling(path, _calls_legendre)] == []
+
+
+def test_quadfield_float_routes_are_vectorised():
+    path = next(p for p in SOURCES if p.name == "quadfield.py")
+    assert _loops_calling(path, _calls_scalar_float) == []
 
 
 def test_verify_makes_no_dense_det_call():

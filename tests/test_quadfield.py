@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -6,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from legdet.arith import OddPrime, legendre, primes_in_range
+from legdet.arith import OddPrime, legendre, legendre_table, primes_in_range
 from legdet.quadfield import (
     QuadElem,
     _log_sin_sum,
+    _numeric_product_one,
+    _reduced_form_count,
     chapman_ap,
     class_number_imag,
     class_number_real,
@@ -189,21 +192,73 @@ def test_log_sin_sum_parity_fold_matches_full_sum():
         assert _log_sin_sum(q) == pytest.approx(full, rel=1e-9), q.p
 
 
+def loop_log_sin_sum(q):
+    """The folded log-sin sum term by term, as a scalar loop."""
+    chi = legendre_table(q)
+    return 2 * sum(
+        chi[a] * math.log(math.sin(math.pi * a / q.p)) for a in range(1, q.n + 1)
+    )
+
+
+def loop_numeric_product_one(p):
+    """prod(1 - zeta^(k^2)) factor by factor, as a scalar loop."""
+    z = 1 + 0j
+    for k in range(1, (p + 1) // 2):
+        z *= 1 - cmath.exp(2j * math.pi * (k * k % p) / p)
+    return z
+
+
+def full_b_form_count(p):
+    """Reduced forms of discriminant -p, trying every b with |b| <= a."""
+    count = 0
+    for a in range(1, math.isqrt(p // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            num = b * b + p
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a or (b < 0 and a == c):
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) == 1:
+                count += 1
+    return count
+
+
+def test_float_routes_match_scalar_loops():
+    primes = [q for q in primes_in_range(5, 1999) if q.p % 4 == 1]
+    for q in primes + [OddPrime(10009), OddPrime(10273), OddPrime(12497)]:
+        assert _log_sin_sum(q) == pytest.approx(loop_log_sin_sum(q), rel=1e-9), q.p
+        ref = loop_numeric_product_one(q.p)
+        assert abs(_numeric_product_one(q.p) - ref) <= 1e-9 * abs(ref), q.p
+
+
+def test_reduced_form_count_matches_full_b_loop():
+    # the count skips even b; every p = 3 (mod 4) below 20000 is checked
+    for q in primes_in_range(7, 19999):
+        if q.p % 4 == 3:
+            assert _reduced_form_count(q.p) == full_b_form_count(q.p), q.p
+
+
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
 )
 
 
 def test_class_numbers_near_ten_thousand():
-    for p in (10007, 10039, 12263, 12479):
-        assert class_number_imag(OddPrime(p)).h == EXPECTED["imag"][str(p)], p
-    # h of Q(sqrt(p)), on which both routes agree; a_p and b_p depend on h,
-    # and their digests are the benchmark's expected values
+    # every class number the benchmark expects: criterion 10's small primes
+    # and the band near 10^4
+    for p, h in EXPECTED["imag"].items():
+        assert class_number_imag(OddPrime(int(p))).h == h, p
+    for p, h in EXPECTED["real"].items():
+        assert class_number_real(OddPrime(int(p))).h == h, p
+    # a_p and b_p depend on h of Q(sqrt(p)), on which both routes agree;
+    # their digests are the benchmark's expected values
+    for p, expected in EXPECTED["chapman"].items():
+        a, b = chapman_ap(OddPrime(int(p)))
+        digest = hashlib.sha256(f"{a}|{b}".encode()).hexdigest()[:16]
+        assert digest == expected, p
     for p, h in ((10009, 1), (10069, 3), (10273, 9), (10313, 7), (10613, 5)):
         assert class_number_real(OddPrime(p)).h == h, p
-        a, b = chapman_ap(OddPrime(p))
-        digest = hashlib.sha256(f"{a}|{b}".encode()).hexdigest()[:16]
-        assert digest == EXPECTED["chapman"][str(p)], p
 
 
 def test_chapman_ap_frozen():
