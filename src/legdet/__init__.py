@@ -17,9 +17,10 @@ from .exactlinalg import (
     charpoly,
     det,
     rank_one_update_det,
+    toeplitz_charpoly,
     toeplitz_det,
 )
-from .matrices import build_cp, build_ep, build_mp, det_cp, det_ep, det_mp
+from .matrices import build_cp, build_ep, build_mp, charpoly_cp, det_cp, det_ep, det_mp
 from .quadfield import (
     ClassNumberReport,
     QuadElem,
@@ -54,6 +55,7 @@ __all__ = [
     "cauchy_det",
     "chapman_ap",
     "charpoly",
+    "charpoly_cp",
     "class_number_imag",
     "class_number_real",
     "decomposition_residual",
@@ -72,5 +74,6 @@ __all__ = [
     "quadratic_gauss_identity",
     "rank_one_update_det",
     "run_sweep",
+    "toeplitz_charpoly",
     "toeplitz_det",
 ]

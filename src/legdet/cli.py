@@ -10,8 +10,7 @@ import sys
 
 from .arith import OddPrime, legendre
 from .errors import LegdetError
-from .exactlinalg import charpoly
-from .matrices import build_cp, build_ep, build_mp, det_cp, det_ep, det_mp
+from .matrices import build_cp, build_ep, build_mp, charpoly_cp, det_cp, det_ep, det_mp
 from .quadfield import (
     _chapman_power,
     class_number_imag,
@@ -92,7 +91,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    print(charpoly(build_cp(OddPrime(args.p))))
+    print(charpoly_cp(OddPrime(args.p)))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Exact dense linear algebra over arbitrary-precision integers."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DiscrepancyError
@@ -166,7 +167,7 @@ def det(m: IntMatrix) -> int:
 def _exact_div(a, b):
     q, r = divmod(a, b)
     if r:
-        raise DiscrepancyError("subresultant step did not divide exactly")
+        raise DiscrepancyError("exact division left a remainder")
     return q
 
 
@@ -231,6 +232,32 @@ def toeplitz_det(t, m: int, one=1):
             return _exact_div((-one) ** (gap - 1) * r[0] ** gap, psi ** (gap - 1))
         beta = -lc * psi**gap
         f0, f1, delta = f1, r, gap
+
+
+def toeplitz_charpoly(t, m: int) -> IntPolynomial:
+    """Characteristic polynomial det(xI - T) of the m x m Toeplitz matrix
+    T = [t(i - j)], 0 <= i, j < m.
+
+    xI - T is Toeplitz with t'(0) = x - t(0) and t'(k) = -t(k), so each value
+    at x = 0..m is one toeplitz_det.  The k-th forward difference at 0 is k!
+    times the integer coefficient of x(x-1)...(x-k+1) (Newton's form), so an
+    inexact division by k! raises DiscrepancyError; a Horner loop expands
+    that form into monomials.  m + 1 points fix a polynomial of degree at
+    most m, so the monic leading term is computed, not assumed.
+    """
+    t0 = t(0)
+    values = [
+        toeplitz_det(lambda k: x - t0 if k == 0 else -t(k), m) for x in range(m + 1)
+    ]
+    newton = []
+    for k in range(m + 1):
+        newton.append(_exact_div(values[0], math.factorial(k)))
+        values = [b - a for a, b in zip(values, values[1:])]
+    coeffs = [newton[m]]
+    for k in range(m - 1, -1, -1):  # coeffs = coeffs * (x - k) + newton[k]
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += newton[k]
+    return IntPolynomial(tuple(coeffs))
 
 
 def charpoly(m: IntMatrix) -> IntPolynomial:

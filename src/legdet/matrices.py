@@ -1,9 +1,10 @@
 """Builders for the three Legendre-symbol matrices under study, and their
-determinants by the Toeplitz route."""
+determinants (and the characteristic polynomial of C_p) by the Toeplitz
+route."""
 from __future__ import annotations
 
 from .arith import OddPrime, legendre_table
-from .exactlinalg import IntMatrix, toeplitz_det
+from .exactlinalg import IntMatrix, IntPolynomial, toeplitz_charpoly, toeplitz_det
 
 
 def build_cp(p: OddPrime) -> IntMatrix:
@@ -33,6 +34,12 @@ def det_cp(p: OddPrime) -> int:
     """det of build_cp(p): Toeplitz with t(k) = (-k/p), dimension p-1."""
     chi = legendre_table(p)
     return toeplitz_det(lambda k: chi[-k], p.p - 1)
+
+
+def charpoly_cp(p: OddPrime) -> IntPolynomial:
+    """det(tI - build_cp(p)): Toeplitz with t(k) = (-k/p), dimension p-1."""
+    chi = legendre_table(p)
+    return toeplitz_charpoly(lambda k: chi[-k], p.p - 1)
 
 
 def det_ep(p: OddPrime) -> int:

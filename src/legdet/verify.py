@@ -19,9 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import OddPrime, primes_in_range
+from .arith import OddPrime, legendre_table, primes_in_range
 from .cyclotomic import (
     CycElem,
+    _check_square_sum,
+    _square_sum,
     build_mtilde,
     cauchy_det,
     frakp_residue,
@@ -30,12 +32,11 @@ from .cyclotomic import (
     mtilde_det_check,
     mtilde_structure_check,
     lemma32_check,
-    quadratic_gauss_identity,
     ztau_to_cyc,
 )
 from .errors import LegdetError
-from .exactlinalg import IntPolynomial, charpoly, poly_mul, poly_pow
-from .matrices import build_cp, det_ep, det_mp
+from .exactlinalg import IntPolynomial, poly_mul, poly_pow
+from .matrices import charpoly_cp, det_ep, det_mp
 from .quadfield import chapman_ap, class_number_imag, class_number_real, fundamental_unit
 from .vsemirnov import _CAP as _DECOMP_CAP, decomposition_residual
 
@@ -92,9 +93,10 @@ def verify_chapman(p: OddPrime) -> VerificationRecord:
 
 
 def verify_carlitz(p: OddPrime) -> VerificationRecord:
-    """Characteristic polynomial of the circulant-style symbol matrix
-    against (t^2 - s*p)^((p-3)/2) * (t^2 - s), s = (-1)^((p-1)/2)."""
-    computed = charpoly(build_cp(p))
+    """Characteristic polynomial of the Toeplitz symbol matrix C_p, by
+    evaluation and interpolation, against (t^2 - s*p)^((p-3)/2) * (t^2 - s),
+    s = (-1)^((p-1)/2)."""
+    computed = charpoly_cp(p)
     s = (-1) ** ((p.p - 1) // 2)
     predicted = poly_mul(
         poly_pow(IntPolynomial((-s * p.p, 0, 1)), (p.p - 3) // 2),
@@ -145,8 +147,9 @@ def verify_gauss(p: OddPrime) -> VerificationRecord:
     predicted = CycElem.const(p, (-1) ** ((p.p - 1) // 2) * p.p)
     aux = {"frakp_residue_tau": str(frakp_residue(tau))}
     if p.p <= _GAUSS_ALL_A_CAP:
+        chi = legendre_table(p)
         for a in range(p.p):
-            quadratic_gauss_identity(p, a)
+            _check_square_sum(p, a, _square_sum(p, a), chi, tau)
         aux["square_sum_identity"] = "exact for all a"
     else:
         aux["square_sum_identity"] = f"capped at p <= {_GAUSS_ALL_A_CAP}"
@@ -227,7 +230,7 @@ _EXACT_PRODUCT_CAP = 199
 _TARGET_TABLE = {
     "sun": Target(verify_sun),
     "chapman": Target(verify_chapman),
-    "carlitz": Target(verify_carlitz, 31, "characteristic polynomial"),
+    "carlitz": Target(verify_carlitz, 61, "characteristic polynomial"),
     "unit": Target(verify_unit),
     "lemma32": Target(verify_lemma32, _EXACT_PRODUCT_CAP, "exact products"),
     "gauss": Target(verify_gauss, 61, "exact square"),

@@ -4,7 +4,7 @@ import pytest
 
 from legdet.arith import OddPrime
 from legdet.cli import main
-from legdet.exactlinalg import _bareiss
+from legdet.exactlinalg import _bareiss, charpoly
 from legdet.matrices import build_cp, build_mp
 
 
@@ -66,6 +66,12 @@ def test_charpoly(capsys):
     code, out, err = run(capsys, ["charpoly", "--p", "5"])
     assert code == 0
     assert out == "t^4 - 6*t^2 + 5\n"
+
+
+def test_charpoly_matches_faddeev_leverrier(capsys):
+    code, out, err = run(capsys, ["charpoly", "--p", "13"])
+    assert code == 0
+    assert out == f"{charpoly(build_cp(OddPrime(13)))}\n"
 
 
 def test_class_number(capsys):

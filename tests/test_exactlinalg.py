@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legdet import exactlinalg
 from legdet.arith import OddPrime, primes_in_range
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import (
@@ -19,9 +20,19 @@ from legdet.exactlinalg import (
     poly_mul,
     poly_pow,
     rank_one_update_det,
+    toeplitz_charpoly,
     toeplitz_det,
 )
-from legdet.matrices import build_cp, build_ep, build_mp, det_cp, det_ep, det_mp
+from legdet.matrices import (
+    build_cp,
+    build_ep,
+    build_mp,
+    charpoly_cp,
+    det_cp,
+    det_ep,
+    det_mp,
+)
+from legdet.verify import FAIL, run_sweep
 
 
 def perm_det(rows):
@@ -216,15 +227,20 @@ def test_poly_mul_and_pow():
         assert poly_mul(a, b)(x) == a(x) * b(x)
 
 
+def _toeplitz_rows(values, m):
+    """The dense m x m matrix [t(i - j)], where values lists t(-(m-1)), ...,
+    t(m-1)."""
+    return [[values[i - j + m - 1] for j in range(m)] for i in range(m)]
+
+
 def _toeplitz_bareiss(values, m):
-    """Reference: Bareiss on the dense m x m matrix [t(i - j)], where
-    values lists t(-(m-1)), ..., t(m-1)."""
-    return _bareiss([[values[i - j + m - 1] for j in range(m)] for i in range(m)], 1)
+    """Reference: Bareiss on the dense Toeplitz matrix."""
+    return _bareiss(_toeplitz_rows(values, m), 1)
 
 
 @st.composite
-def toeplitz_inputs(draw):
-    m = draw(st.integers(1, 14))
+def toeplitz_inputs(draw, max_m=14):
+    m = draw(st.integers(1, max_m))
     # zero-heavy small entries, so the PRS meets degree gaps of every size
     entry = st.sampled_from((-2, -1, 0, 0, 0, 1, 1, 3))
     return draw(st.lists(entry, min_size=2 * m - 1, max_size=2 * m - 1)), m
@@ -272,3 +288,38 @@ def test_symbol_matrix_dets_match_bareiss():
         assert det_mp(q) == det(build_mp(q)), q.p
         if q.p <= 61:
             assert det_cp(q) == det(build_cp(q)), q.p
+
+
+@settings(max_examples=300, deadline=None)
+@given(toeplitz_inputs(max_m=10))
+def test_toeplitz_charpoly_matches_faddeev_leverrier(args):
+    values, m = args
+    dense = IntMatrix(_toeplitz_rows(values, m))
+    assert toeplitz_charpoly(lambda k: values[k + m - 1], m) == charpoly(dense)
+
+
+def test_charpoly_cp_matches_faddeev_leverrier():
+    for q in primes_in_range(3, 31):
+        assert charpoly_cp(q) == charpoly(build_cp(q)), q.p
+
+
+def test_one_wrong_determinant_value_cannot_pass(monkeypatch):
+    # the value at x = 3 of det(xI - C_13) is off by one, of 13 points; that
+    # moves the third forward difference by 1, which 3! cannot divide
+    exact = toeplitz_det
+    calls = []
+
+    def off_by_one_at_x3(t, m, one=1):
+        calls.append(m)
+        return exact(t, m, one) + (len(calls) == 4)
+
+    monkeypatch.setattr(exactlinalg, "toeplitz_det", off_by_one_at_x3)
+    with pytest.raises(DiscrepancyError):
+        charpoly_cp(OddPrime(13))
+    assert len(calls) == 13
+    calls.clear()
+    record = run_sweep("carlitz", 13, 13).records[0]
+    assert (record.status, record.aux) == (
+        FAIL, {"error": "exact division left a remainder"}
+    )
+    assert len(calls) == 13

@@ -5,9 +5,10 @@ Q(zeta_p) arithmetic is exact: no floats in the cyclotomic module.
 Sweeps over residues read `legendre_table`: no Jacobi call in a loop.
 The O(p) float routes of the class numbers are numpy calls: no scalar
 log, sin or exp in a loop of the quadratic-field module.
-Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`,
-and the cyclotomic module, whose shifted matrix is Toeplitz below row 0,
-never names `_bareiss`.
+Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`
+or the dense Faddeev-LeVerrier `charpoly` (carlitz interpolates Toeplitz
+determinants), and the cyclotomic module, whose shifted matrix is Toeplitz
+below row 0, never names `_bareiss`.
 """
 import ast
 from pathlib import Path
@@ -91,16 +92,23 @@ def test_quadfield_float_routes_are_vectorised():
     assert _loops_calling(path, _calls_scalar_float) == []
 
 
-def test_verify_makes_no_dense_det_call():
+def _verify_calls_to(name: str) -> list:
     path = next(p for p in SOURCES if p.name == "verify.py")
-    found = [
+    return [
         f"verify.py:{node.lineno}"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == "det"
-             or getattr(node.func, "attr", None) == "det")
+        and (getattr(node.func, "id", None) == name
+             or getattr(node.func, "attr", None) == name)
     ]
-    assert found == []
+
+
+def test_verify_makes_no_dense_det_call():
+    assert _verify_calls_to("det") == []
+
+
+def test_verify_makes_no_dense_charpoly_call():
+    assert _verify_calls_to("charpoly") == []
 
 
 def test_mtilde_takes_no_bareiss_route():

@@ -46,7 +46,7 @@ def test_only_the_tolerance_reader_takes_a_tolerance():
 
 # first prime above each cap, and the SKIP reason it gets there
 _CAP_BOUNDARY = {
-    "carlitz": (37, "characteristic polynomial capped at p <= 31"),
+    "carlitz": (67, "characteristic polynomial capped at p <= 61"),
     "gauss": (67, "exact square capped at p <= 61"),
     "decomposition": (67, "numeric diagnostic capped at p <= 61"),
     "lemma32": (211, "exact products capped at p <= 199"),
@@ -99,9 +99,9 @@ def test_verify_carlitz_records():
     r5 = verify_carlitz(OddPrime(5))
     assert r5.status == PASS
     assert r5.computed == "t^4 - 6*t^2 + 5"
-    r37 = run_sweep("carlitz", 37, 37).records[0]
-    assert r37.status == SKIPPED
-    assert "reason" in r37.aux
+    r67 = run_sweep("carlitz", 67, 67).records[0]
+    assert r67.status == SKIPPED
+    assert "reason" in r67.aux
 
 
 def test_verify_unit_records():
@@ -230,6 +230,15 @@ def test_mtilde_sweep_reaches_the_exact_product_cap():
         (197, PASS), (199, PASS), (211, SKIPPED)
     ]
     assert report.records[2].aux["reason"] == "determinant check capped at p <= 199"
+
+
+def test_carlitz_sweep_reaches_its_cap():
+    # evaluation on the Toeplitz kernel; Faddeev-LeVerrier stopped at p = 31
+    report = run_sweep("carlitz", 59, 67)
+    assert [(r.p, r.status) for r in report.records] == [
+        (59, PASS), (61, PASS), (67, SKIPPED)
+    ]
+    assert report.records[2].aux["reason"] == "characteristic polynomial capped at p <= 61"
 
 
 def test_one_bad_prime_never_sinks_a_sweep(monkeypatch):
