@@ -6,8 +6,6 @@ from .cyclotomic import (
     cauchy_det,
     frakp_residue,
     gauss_sum,
-    gauss_sum_scaled,
-    quadratic_gauss_identity,
 )
 from .errors import DiscrepancyError, LegdetError, PrecisionError
 from .exactlinalg import (
@@ -66,12 +64,10 @@ __all__ = [
     "frakp_residue",
     "fundamental_unit",
     "gauss_sum",
-    "gauss_sum_scaled",
     "is_prime",
     "legendre",
     "primes_in_range",
     "quad_pow",
-    "quadratic_gauss_identity",
     "rank_one_update_det",
     "run_sweep",
     "toeplitz_charpoly",

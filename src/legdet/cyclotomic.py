@@ -3,6 +3,9 @@
 Elements are stored on the power basis 1, zeta, ..., zeta^(p-2); the single
 relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) keeps every element in
 canonical form.  Exponents are always reduced mod p first since zeta^p = 1.
+A length-p exponent vector, one slot per power zeta^0..zeta^(p-1), names an
+element too; two such vectors name the same element exactly when they differ
+by a constant, since 1 + zeta + ... + zeta^(p-1) = 0 spans the kernel.
 """
 from __future__ import annotations
 
@@ -17,19 +20,14 @@ from .exactlinalg import IntMatrix, det, toeplitz_det
 from .quadfield import QuadElem, fundamental_unit, quad_pow
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class CycElem:
-    """Element of Q(zeta_p) with exact rational coefficients."""
+    """Element of Q(zeta_p); its coefficients are ints or Fractions, kept
+    as given."""
 
     __slots__ = ("prime", "coeffs")
 
     def __init__(self, prime: OddPrime, coeffs) -> None:
-        coeffs = tuple(_norm_coeff(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != prime.p - 1:
             raise ValueError(f"need {prime.p - 1} coefficients, got {len(coeffs)}")
         self.prime = prime
@@ -56,7 +54,7 @@ class CycElem:
             raise ValueError("mixed cyclotomic fields")
 
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
+        return all(c.denominator == 1 for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -126,52 +124,45 @@ def gauss_sum(p: OddPrime) -> CycElem:
     return CycElem.from_exponents(p, legendre_table(p))
 
 
-def gauss_sum_scaled(p: OddPrime, a: int) -> CycElem:
-    """Twisted sum over k of (k/p) * zeta^(a*k), exact."""
-    chi = legendre_table(p)
-    vec = [0] * p.p
-    for k in range(1, p.p):
-        vec[(a * k) % p.p] += chi[k]
-    return CycElem.from_exponents(p, vec)
-
-
 def frakp_residue(x: CycElem) -> int:
     """Residue of an integral element modulo the prime ideal (1 - zeta):
     the coefficient sum mod p."""
     if not x.is_integral():
         raise ValueError("residue defined for integer-coefficient elements only")
-    return sum(x.coeffs) % x.prime.p
+    return int(sum(x.coeffs) % x.prime.p)
 
 
-def _square_sum(p: OddPrime, a: int) -> CycElem:
-    """1 + 2*sum_{k=1..n} zeta^(a k^2), exact."""
-    vec = [0] * p.p
-    vec[0] = 1
-    for k in range(1, p.n + 1):
-        vec[(a * k * k) % p.p] += 2
-    return CycElem.from_exponents(p, vec)
+def _same_element(u, v) -> bool:
+    """Whether two length-p exponent vectors name the same element of
+    Q(zeta_p): they must differ by a constant."""
+    return len(u) == len(v) and len(set(map(sub, u, v))) == 1
 
 
-def quadratic_gauss_identity(p: OddPrime, a: int) -> bool:
-    """Exact check of 1 + 2*sum_{k=1..n} zeta^(a k^2) = (a/p) * gauss_sum(p).
+def square_sums(p: OddPrime) -> list:
+    """The exponent vectors of 1 + 2*sum_{k=1..n} zeta^(a k^2) for
+    a = 0..p-1."""
+    squares = [k * k for k in range(1, p.n + 1)]
+    sums = []
+    for a in range(p.p):
+        vec = [0] * p.p
+        vec[0] = 1
+        for s in squares:
+            vec[a * s % p.p] += 2
+        sums.append(vec)
+    return sums
 
-    For a divisible by p the left side degenerates to the constant p,
-    whose (1 - zeta)-residue is 0; both facts are checked instead.
-    """
+
+def check_square_sums(p: OddPrime, sums) -> None:
+    """Exact check of the quadratic Gauss identity on the p exponent vectors
+    of square_sums: 1 + 2*sum_{k=1..n} zeta^(a k^2) is (a/p) * gauss_sum(p)
+    for a != 0, and the constant p for a = 0."""
+    if len(sums) != p.p:
+        raise ValueError(f"need {p.p} square sums, got {len(sums)}")
     chi = legendre_table(p)
-    _check_square_sum(p, a, _square_sum(p, a), chi, CycElem.from_exponents(p, chi))
-    return True
-
-
-def _check_square_sum(p: OddPrime, a: int, square: CycElem, chi: list,
-                      tau: CycElem) -> None:
-    """quadratic_gauss_identity on a square sum, character table and Gauss
-    sum built by the caller, so a loop over a builds the last two once."""
-    if a % p.p == 0:
-        if square != CycElem.const(p, p.p) or frakp_residue(square) != 0:
-            raise DiscrepancyError(f"degenerate square sum wrong at p={p.p}")
-    elif square != tau.scale(chi[a % p.p]):
-        raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={a}")
+    for a, vec in enumerate(sums):
+        want = [chi[a] * c for c in chi] if a else [p.p] + [0] * (p.p - 1)
+        if not _same_element(vec, want):
+            raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={a}")
 
 
 def cauchy_det(u: list, v: list) -> Fraction:
@@ -237,7 +228,7 @@ def build_mtilde(p: OddPrime) -> MtildeParts:
     rng = range(p.n + 1)
     a_exp = ((),) + tuple(tuple(i * j * j % p.p for j in rng) for i in rng[1:])
     b_exp = tuple(tuple(-i * j * j % p.p for j in rng) for i in rng)
-    classes = tuple(_square_sum(p, d) for d in range(p.p))
+    classes = tuple(CycElem.from_exponents(p, vec) for vec in square_sums(p))
     return MtildeParts(p, CycElem.const(p, -1), classes, (1,) * len(rng), a_exp, b_exp)
 
 
@@ -246,27 +237,20 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
 
     A and B are monomial, so entry (i, j) of the right side is
     -nu_i nu_j + 2 * sum_k zeta^(a_exp[i][k] + b_exp[j][k]), an exponent
-    count taken by integer arithmetic mod p.  Two counts are the same
-    element of Q(zeta_p) exactly when they differ by a constant, so only
-    the first count of each class (row 0 being one class) becomes a
-    CycElem, compared with that class's entry."""
+    count taken by integer arithmetic mod p.  Each count is compared with
+    the exponent vector of its entry's class (row 0 being one class),
+    built once per class."""
     p = parts.prime
     dim = p.n + 1
-    first = {}
+    top = parts.top.coeffs + (0,)
+    classes = [c.coeffs + (0,) for c in parts.classes]
     for i in range(dim):
         for j in range(dim):
             vec = [0] * p.p
             vec[0] = -parts.nu[i] * parts.nu[j]
             for e in map(add, parts.a_exp[i], parts.b_exp[j]):
                 vec[e % p.p] += 2
-            key = (i - j) % p.p if i else None
-            if key in first:
-                same = len(set(map(sub, vec, first[key]))) == 1
-            else:
-                first[key] = vec
-                entry = parts.classes[key] if i else parts.top
-                same = CycElem.from_exponents(p, vec) == entry
-            if not same:
+            if not _same_element(vec, classes[(i - j) % p.p] if i else top):
                 raise DiscrepancyError(
                     f"structure identity failed at p={p.p}, entry ({i},{j})"
                 )
@@ -300,22 +284,16 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
     """det of the structured matrix as (c, d), meaning c + d*tau with
     tau = gauss_sum, tau^2 = p* = (-1)^((p-1)/2) * p.
 
-    Row 0 must be all -1 and class d's entry the square sum that
-    quadratic_gauss_identity proves equal to f(d): f(0) = p, f(d) =
-    (d/p)*tau.  Subtracting column j+1 from column j, j < n, turns row 0
-    into -e_n, leaving (-1)^(n+1) times the n x n Toeplitz determinant of
-    t(k) = f(k+1) - f(k), taken over Z[tau] inside the integers of
-    Q(sqrt(p*))."""
+    Row 0 must be all -1, and check_square_sums must prove each class d's
+    entry equal to f(d): f(0) = p, f(d) = (d/p)*tau.  Subtracting column
+    j+1 from column j, j < n, turns row 0 into -e_n, leaving (-1)^(n+1)
+    times the n x n Toeplitz determinant of t(k) = f(k+1) - f(k), taken
+    over Z[tau] inside the integers of Q(sqrt(p*))."""
     p = parts.prime
     if parts.top != CycElem.const(p, -1):
         raise DiscrepancyError(f"row 0 is not -1 at p={p.p}")
+    check_square_sums(p, [c.coeffs + (0,) for c in parts.classes])
     chi = legendre_table(p)
-    tau = CycElem.from_exponents(p, chi)
-    for d in range(p.p):
-        square = _square_sum(p, d)
-        if parts.classes[d] != square:
-            raise DiscrepancyError(f"class {d} entry is not a square sum at p={p.p}")
-        _check_square_sum(p, d, square, chi, tau)
     pstar = (-1) ** p.n * p.p
     f = [QuadElem(pstar, 0, 2 * c) for c in chi]
     f[0] = QuadElem(pstar, 2 * p.p, 0)

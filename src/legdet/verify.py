@@ -19,19 +19,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import OddPrime, legendre_table, primes_in_range
+from .arith import OddPrime, primes_in_range
 from .cyclotomic import (
     CycElem,
-    _check_square_sum,
-    _square_sum,
     build_mtilde,
     cauchy_det,
+    check_square_sums,
     frakp_residue,
     gauss_sum,
     mtilde_det,
     mtilde_det_check,
     mtilde_structure_check,
     lemma32_check,
+    square_sums,
     ztau_to_cyc,
 )
 from .errors import LegdetError
@@ -136,23 +136,17 @@ def verify_lemma32(p: OddPrime) -> VerificationRecord:
     return VerificationRecord(p.p, "lemma32", PASS, form_one, form_one, aux)
 
 
-_GAUSS_ALL_A_CAP = 31
-
-
 def verify_gauss(p: OddPrime) -> VerificationRecord:
-    """tau^2 = (-1)^((p-1)/2) * p exactly; for small p also the exact
-    square-sum identity for every residue a."""
+    """tau^2 = (-1)^((p-1)/2) * p exactly, and the exact square-sum
+    identity for every residue a."""
     tau = gauss_sum(p)
     sq = tau * tau
     predicted = CycElem.const(p, (-1) ** ((p.p - 1) // 2) * p.p)
-    aux = {"frakp_residue_tau": str(frakp_residue(tau))}
-    if p.p <= _GAUSS_ALL_A_CAP:
-        chi = legendre_table(p)
-        for a in range(p.p):
-            _check_square_sum(p, a, _square_sum(p, a), chi, tau)
-        aux["square_sum_identity"] = "exact for all a"
-    else:
-        aux["square_sum_identity"] = f"capped at p <= {_GAUSS_ALL_A_CAP}"
+    check_square_sums(p, square_sums(p))
+    aux = {
+        "frakp_residue_tau": str(frakp_residue(tau)),
+        "square_sum_identity": "exact for all a",
+    }
     status = PASS if sq == predicted else FAIL
     return VerificationRecord(p.p, "gauss", status, str(sq), str(predicted), aux)
 

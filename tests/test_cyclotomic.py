@@ -14,16 +14,16 @@ from legdet.cyclotomic import (
     CycElem,
     build_mtilde,
     cauchy_det,
+    check_square_sums,
     exact_product_one,
     exact_product_two,
     frakp_residue,
     gauss_sum,
-    gauss_sum_scaled,
     lemma32_check,
     mtilde_det,
     mtilde_det_check,
     mtilde_structure_check,
-    quadratic_gauss_identity,
+    square_sums,
     ztau_to_cyc,
 )
 from legdet.errors import DiscrepancyError
@@ -101,14 +101,6 @@ def test_gauss_sum_square_exact():
         assert tau * tau == CycElem.const(q, sign * q.p), q.p
 
 
-def test_gauss_sum_scaled_relation():
-    for q in primes_in_range(3, 31):
-        tau = gauss_sum(q)
-        for a in range(1, q.p):
-            assert gauss_sum_scaled(q, a) == tau.scale(legendre(a, q))
-        assert gauss_sum_scaled(q, 0) == CycElem.const(q, 0)
-
-
 def test_frakp_residue_values():
     q = OddPrime(7)
     assert frakp_residue(CycElem.const(q, 10)) == 3
@@ -130,9 +122,32 @@ def test_frakp_residue_is_homomorphism():
 
 
 def test_quadratic_gauss_identity_all_residues():
-    for q in primes_in_range(3, 31):
-        for a in range(q.p):
-            assert quadratic_gauss_identity(q, a)
+    for q in primes_in_range(3, 199):
+        check_square_sums(q, square_sums(q))
+
+
+def test_square_sums_match_cycelem_equality():
+    # the constant-difference rule against equality on the power basis
+    for q in primes_in_range(3, 61):
+        tau = gauss_sum(q)
+        sums = square_sums(q)
+        assert CycElem.from_exponents(q, sums[0]) == CycElem.const(q, q.p)
+        for a in range(1, q.p):
+            assert CycElem.from_exponents(q, sums[a]) == tau.scale(legendre(a, q)), (q.p, a)
+
+
+def test_check_square_sums_rejects_a_moved_exponent():
+    q = OddPrime(13)
+    sums = square_sums(q)
+    shifted = [list(s) for s in sums]
+    shifted[4] = [c + 7 for c in shifted[4]]  # adds 7 * (1 + zeta + ... + zeta^12) = 0
+    check_square_sums(q, shifted)
+    for a in (0, 5):
+        moved = [list(s) for s in sums]
+        moved[a][0] -= 1
+        moved[a][1] += 1
+        with pytest.raises(DiscrepancyError, match=f"a={a}"):
+            check_square_sums(q, moved)
 
 
 def test_gauss_sum_complex_images_frozen():

@@ -9,6 +9,7 @@ Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`
 or the dense Faddeev-LeVerrier `charpoly` (carlitz interpolates Toeplitz
 determinants), and the cyclotomic module, whose shifted matrix is Toeplitz
 below row 0, never names `_bareiss`.
+`verify.py` imports no private (underscore) name from the cyclotomic module.
 """
 import ast
 from pathlib import Path
@@ -121,4 +122,16 @@ def test_mtilde_takes_no_bareiss_route():
             names = [getattr(node, "id", None), getattr(node, "attr", None)]
         if "_bareiss" in names:
             found.append(f"cyclotomic.py:{node.lineno}")
+    assert found == []
+
+
+def test_verify_imports_no_cyclotomic_private():
+    path = next(p for p in SOURCES if p.name == "verify.py")
+    found = [
+        f"verify.py:{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "cyclotomic"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
     assert found == []

@@ -157,9 +157,10 @@ def test_verify_gauss_records():
     assert (r5.status, r5.computed, r5.predicted) == (PASS, "5", "5")
     assert r5.aux["frakp_residue_tau"] == "0"
     assert r5.aux["square_sum_identity"] == "exact for all a"
-    r37 = verify_gauss(OddPrime(37))
-    assert r37.status == PASS
-    assert "capped" in r37.aux["square_sum_identity"]
+    for top in (37, 61):
+        r = verify_gauss(OddPrime(top))
+        assert r.status == PASS
+        assert r.aux["square_sum_identity"] == "exact for all a"
     assert run_sweep("gauss", 67, 67).records[0].status == SKIPPED
 
 
