@@ -178,22 +178,28 @@ def _lstrip0(c: list) -> list:
     return c[k:]
 
 
-def _prem_div(a: list, b: list, beta) -> list:
-    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, divided
-    exactly by beta.  Polynomials are coefficient lists, leading coefficient
-    first, with no leading zeros."""
-    lb, nb = b[0], len(b)
-    tail_b = b[1:]
+def _prem_window(a: list, b: list, steps: int, beta) -> list:
+    """The top coefficients of the pseudo-remainder lc(b)^steps * a mod b,
+    divided exactly by beta.
+
+    a and b are coefficient windows of equal length, leading coefficient
+    first: a starts at degree deg b + steps - 1, b at its leading
+    coefficient.  Each step eliminates a's current leading term, so the
+    result is the window steps shorter that starts at degree deg b - 1.
+    Its coefficient of degree e reads a at degree e and up and b at degree
+    e - steps + 1 and up, all inside the windows, so it equals the full
+    pseudo-remainder's.  Every coefficient computed is divided by beta, and
+    a nonzero remainder raises DiscrepancyError.
+    """
+    lb, tail_b = b[0], b[1:]
     r = a
-    for _ in range(len(a) - nb + 1):
+    for _ in range(steps):
         c = r[0]
         if c:
-            r = [lb * x - c * y for x, y in zip(r[1:nb], tail_b)] + [
-                lb * x for x in r[nb:]
-            ]
+            r = [lb * x - c * y for x, y in zip(r[1:], tail_b)]
         else:
             r = [lb * x for x in r[1:]]
-    qr = [divmod(x, beta) for x in _lstrip0(r)]
+    qr = [divmod(x, beta) for x in r]
     if any(rem for _, rem in qr):
         raise DiscrepancyError("subresultant step did not divide exactly")
     return [q for q, _ in qr]
@@ -205,33 +211,52 @@ def toeplitz_det(t, m: int, one=1):
     Reversing the rows gives a Hankel matrix, whose determinant is the
     principal subresultant coefficient of index m - 1 of F0 = X^(2m-1) and
     F1 = sum_k t(m-1-k) X^(2m-2-k); the two sign changes cancel.  The
-    Brown-Collins subresultant PRS reaches it in O(m^2) ring operations
-    (Brown & Traub 1971).  The ring and its unit one are as for _bareiss;
-    its elements also need ** by a non-negative int.  Every division is
-    exact in theory, so a nonzero remainder raises DiscrepancyError.
+    Brown-Collins subresultant PRS reaches it (Brown & Traub 1971) as the
+    scaled leading coefficient of the remainder of degree m - 1.
+
+    Each step keeps only the window of coefficients that this answer reads.
+    In prem(A, B), the coefficient of degree e reads A at degree e and at
+    degrees >= deg B, and B at degrees >= e - (deg A - deg B).  Working back
+    from degree m - 1, the step whose divisor has degree d needs its
+    remainder only at degrees >= 2m - 1 - d.  So the dividend is cut to
+    that floor, and the divisor's own window (its floor was set one step
+    earlier, by the dividend's degree) is exactly what the step reads: the
+    two windows have equal length, and each step's is 2 shorter than the
+    last when the degrees fall by 1.  Coefficients below a window are never
+    computed.  The divisor has degree >= m, so every floor is <= m - 1: the
+    remainder's true degree is known whenever it is >= m - 1, and an
+    all-zero window means degree < m - 1, hence determinant 0.
+
+    The ring and its unit one are as for _bareiss; its elements also need
+    ** by a non-negative int.  Every division is exact in theory, so a
+    nonzero remainder of any computed coefficient raises DiscrepancyError.
     """
     if m < 1:
         raise ValueError("Toeplitz dimension must be at least 1")
     zero = one - one
-    f0 = [one] + [zero] * (2 * m - 1)
     f1 = _lstrip0([t(m - 1 - k) for k in range(2 * m - 1)])
-    delta = len(f0) - len(f1)
-    if len(f1) < m:
+    d = len(f1) - 1
+    delta = 2 * m - 1 - d
+    if d < m - 1:
         return zero
-    if len(f1) == m:
+    if d == m - 1:
         return f1[0] ** delta
+    # X^(2m-1) down to the first floor, 2m - 1 - d
+    f0 = [one] + [zero] * d
     beta, psi = (-one) ** (delta + 1), -one
     while True:
-        r = _prem_div(f0, f1, beta)
         lc = f1[0]
+        window = _prem_window(f0[: len(f1)], f1, delta + 1, beta)
         psi = _exact_div((-lc) ** delta, psi ** (delta - 1))
-        gap = len(f1) - len(r)
-        if len(r) < m:
+        r = _lstrip0(window)
+        # deg f1 - deg r; an all-zero window gives d - gap = floor - 1
+        gap = len(window) - len(r) + 1
+        if d - gap < m - 1:
             return zero
-        if len(r) == m:
+        if d - gap == m - 1:
             return _exact_div((-one) ** (gap - 1) * r[0] ** gap, psi ** (gap - 1))
         beta = -lc * psi**gap
-        f0, f1, delta = f1, r, gap
+        f0, f1, d, delta = f1, r, d - gap, gap
 
 
 def toeplitz_charpoly(t, m: int) -> IntPolynomial:

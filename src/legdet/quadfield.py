@@ -177,23 +177,19 @@ class ClassNumberReport:
 
 def _reduced_form_count(p: int) -> int:
     # reduced positive forms (a, b, c) of discriminant -p:
-    # |b| <= a <= c, with b > 0 whenever |b| = a or a = c
-    count = 0
-    for a in range(1, isqrt(p // 3) + 1):
-        # b^2 + p = 4ac with p odd forces b odd
-        for b in range(-a + 1 + a % 2, a + 1, 2):
-            num = b * b + p
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
-                continue
-            count += 1
-    return count
+    # |b| <= a <= c, with b > 0 whenever |b| = a or a = c.
+    # b^2 + p = 4ac with p odd forces b odd, and b, -b share c, so one numpy
+    # pass over the grid of a and odd |b| finds both; every value is below
+    # 2p, exact in int64.
+    top = isqrt(p // 3)
+    a = np.arange(1, top + 1, dtype=np.int64)[:, None]
+    b = np.arange(1, top + 1, 2, dtype=np.int64)
+    c, rem = np.divmod(b * b + p, 4 * a)
+    i, j = np.nonzero((rem == 0) & (b <= a))
+    a, b, c = i + 1, b[j], c[i, j]
+    form = (c >= a) & (np.gcd(np.gcd(a, b), c) == 1)
+    # +b always counts; -b only when |b| < a < c
+    return int(form.sum() + (form & (b < a) & (c > a)).sum())
 
 
 def class_number_imag(p: OddPrime) -> ClassNumberReport:

@@ -13,7 +13,7 @@ from legdet.exactlinalg import (
     IntPolynomial,
     _bareiss,
     _exact_div,
-    _prem_div,
+    _prem_window,
     adjugate,
     charpoly,
     det,
@@ -32,7 +32,7 @@ from legdet.matrices import (
     det_ep,
     det_mp,
 )
-from legdet.verify import FAIL, run_sweep
+from legdet.verify import FAIL, PASS, run_sweep
 
 
 def perm_det(rows):
@@ -275,11 +275,23 @@ def test_toeplitz_det_singular_and_triangular():
 
 
 def test_toeplitz_inexact_division_raises():
-    # prem(X^2, X + 1) = 1, which a false beta of 2 cannot divide
+    # prem(X^2, X + 1) = 1, which a false beta of 2 cannot divide; the
+    # divisor's window reaches as deep as the dividend's, one degree below
+    # its constant term
     with pytest.raises(DiscrepancyError):
-        _prem_div([1, 0, 0], [1, 1], 2)
+        _prem_window([1, 0, 0], [1, 1, 0], 2, 2)
     with pytest.raises(DiscrepancyError):
         _exact_div(3, 2)
+
+
+def test_toeplitz_det_zero_window_over_nonzero_remainder():
+    # the all -1 matrix has rank 1: X^(2m-1) = 1 mod F1, so the first
+    # remainder is a nonzero constant, below the window's floor of degree 1
+    assert toeplitz_det(lambda k: -1, 4) == 0 == _toeplitz_bareiss([-1] * 7, 4)
+    # rows 0 and 2 are proportional: prem(X^5, 2X^3 + X) is a nonzero multiple
+    # of X, below the window's floor of degree 2
+    values = [0, 1, 0, 2, 0]
+    assert toeplitz_det(lambda k: values[k + 2], 3) == 0 == _toeplitz_bareiss(values, 3)
 
 
 def test_symbol_matrix_dets_match_bareiss():
@@ -288,6 +300,15 @@ def test_symbol_matrix_dets_match_bareiss():
         assert det_mp(q) == det(build_mp(q)), q.p
         if q.p <= 61:
             assert det_cp(q) == det(build_cp(q)), q.p
+
+
+def test_det_band_sweeps_match_the_closed_forms():
+    # the windowed PRS at 389, 397 and 401 against the paper's closed forms
+    for target in ("sun", "chapman"):
+        report = run_sweep(target, 389, 401)
+        assert [(r.p, r.status) for r in report.records] == [
+            (389, PASS), (397, PASS), (401, PASS)
+        ], target
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,6 +10,8 @@ or the dense Faddeev-LeVerrier `charpoly` (carlitz interpolates Toeplitz
 determinants), and the cyclotomic module, whose shifted matrix is Toeplitz
 below row 0, never names `_bareiss`.
 `verify.py` imports no private (underscore) name from the cyclotomic module.
+No module of the package reads the environment (`os.environ`, `getenv`):
+routes and caps are fixed in code, never switched by a knob.
 """
 import ast
 from pathlib import Path
@@ -133,5 +135,18 @@ def test_verify_imports_no_cyclotomic_private():
         if isinstance(node, ast.ImportFrom) and node.module == "cyclotomic"
         for alias in node.names
         if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_package_reads_no_environment():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name in ("environ", "getenv") for alias in node.names))
     ]
     assert found == []

@@ -239,6 +239,29 @@ def test_reduced_form_count_matches_full_b_loop():
             assert _reduced_form_count(q.p) == full_b_form_count(q.p), q.p
 
 
+def loop_reduced_form_count(p):
+    """Reduced forms of discriminant -p, one odd b at a time."""
+    count = 0
+    for a in range(1, math.isqrt(p // 3) + 1):
+        for b in range(-a + 1 + a % 2, a + 1, 2):
+            num = b * b + p
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a or (b < 0 and a == c):
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) == 1:
+                count += 1
+    return count
+
+
+def test_reduced_form_count_matches_the_loop():
+    # the numpy grid pass against the odd-b loop it replaced
+    for q in primes_in_range(7, 5000):
+        if q.p % 4 == 3:
+            assert _reduced_form_count(q.p) == loop_reduced_form_count(q.p), q.p
+
+
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
 )
