@@ -17,6 +17,7 @@ from .exactlinalg import (
     rank_one_update_det,
     toeplitz_charpoly,
     toeplitz_det,
+    toeplitz_det_mod,
 )
 from .matrices import build_cp, build_ep, build_mp, charpoly_cp, det_cp, det_ep, det_mp
 from .quadfield import (
@@ -72,4 +73,5 @@ __all__ = [
     "run_sweep",
     "toeplitz_charpoly",
     "toeplitz_det",
+    "toeplitz_det_mod",
 ]

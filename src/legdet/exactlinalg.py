@@ -1,9 +1,14 @@
-"""Exact dense linear algebra over arbitrary-precision integers."""
+"""Exact linear algebra over the integers: dense elimination, the Toeplitz
+determinant on bigints and on numpy lanes mod many primes, and
+characteristic polynomials."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .arith import is_prime
 from .errors import DiscrepancyError
 
 
@@ -122,20 +127,17 @@ def poly_pow(a: IntPolynomial, k: int) -> IntPolynomial:
     return acc
 
 
-def _bareiss(a: list, one):
-    """Determinant of the square list-of-rows a by fraction-free (Bareiss)
-    elimination, overwriting a.
+def _bareiss(a: list) -> int:
+    """Determinant of the square integer list-of-rows a by fraction-free
+    (Bareiss) elimination, overwriting a.
 
-    Exact over any integral domain whose elements support *, -, truthiness
-    and a divmod whose remainder is falsy exactly when the division is
-    exact; one is the domain's unit.  Every interior division is exact in
-    theory, so a nonzero remainder means a broken invariant and raises
-    DiscrepancyError.  A zero column with no pivot available means the
-    matrix is singular, and that column's zero is returned.
+    Every interior division is exact in theory, so a nonzero remainder
+    means a broken invariant and raises DiscrepancyError.  A zero column
+    with no pivot available means the matrix is singular: the result is 0.
     """
     n = len(a)
     negate = False
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -161,7 +163,7 @@ def _bareiss(a: list, one):
 
 def det(m: IntMatrix) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
-    return _bareiss([list(r) for r in m.rows], 1)
+    return _bareiss([list(r) for r in m.rows])
 
 
 def _exact_div(a, b):
@@ -227,9 +229,11 @@ def toeplitz_det(t, m: int, one=1):
     remainder's true degree is known whenever it is >= m - 1, and an
     all-zero window means degree < m - 1, hence determinant 0.
 
-    The ring and its unit one are as for _bareiss; its elements also need
-    ** by a non-negative int.  Every division is exact in theory, so a
-    nonzero remainder of any computed coefficient raises DiscrepancyError.
+    The entries may lie in any integral domain whose elements support *,
+    -, ** by a non-negative int, truthiness and a divmod whose remainder is
+    falsy exactly when the division is exact; one is the domain's unit.
+    Every division is exact in theory, so a nonzero remainder of any
+    computed coefficient raises DiscrepancyError.
     """
     if m < 1:
         raise ValueError("Toeplitz dimension must be at least 1")
@@ -257,6 +261,198 @@ def toeplitz_det(t, m: int, one=1):
             return _exact_div((-one) ** (gap - 1) * r[0] ** gap, psi ** (gap - 1))
         beta = -lc * psi**gap
         f0, f1, d, delta = f1, r, d - gap, gap
+
+
+# Lane primes stay below 2^30, so that a sum of three products of residues
+# stays below 2^62 and fits in int64.
+_LANE_PRIME_LIMIT = 1 << 30
+_LANE_PRIMES: list = []  # descending from _LANE_PRIME_LIMIT, filled on first use
+
+
+def _lane_primes():
+    """The primes below 2^30 in descending order, each found once and kept."""
+    i = 0
+    while True:
+        if i == len(_LANE_PRIMES):
+            q = _LANE_PRIMES[-1] - 2 if _LANE_PRIMES else _LANE_PRIME_LIMIT - 1
+            while not is_prime(q):
+                q -= 2
+            _LANE_PRIMES.append(q)
+        yield _LANE_PRIMES[i]
+        i += 1
+
+
+def _lane_pow(x, e: int, q):
+    """x^e mod q, elementwise over the lanes, for an int e >= 0; x itself
+    when e = 1."""
+    acc = None
+    while True:
+        if e & 1:
+            acc = x if acc is None else acc * x % q
+        e >>= 1
+        if not e:
+            return np.ones_like(x) if acc is None else acc
+        x = x * x % q
+
+
+def _lane_lead(w):
+    """First nonzero column of the lane window w over Z, and the mask of the
+    lanes that read zero there (None when there are none).
+
+    Column k is zero over Z exactly when it is zero in every lane, and
+    nonzero over Z when it is nonzero in some lane; the lanes whose own
+    first nonzero column lies further right are then unlucky.  An all-zero
+    window gives its width.
+    """
+    if w[:, 0].all():
+        return 0, None
+    nz = w != 0
+    first = np.where(nz.any(axis=1), nz.argmax(axis=1), w.shape[1])
+    lead = int(first.min())
+    unlucky = first > lead
+    return lead, (unlucky if unlucky.any() else None)
+
+
+def _lane_dets(f1, q, m: int):
+    """The m x m Toeplitz determinant mod each lane prime, by the windowed
+    Brown-Collins PRS of toeplitz_det run over F_q in every lane at once.
+
+    f1 is a (K, 2m - 1) int64 array: row i holds the residues mod q[i], in
+    [0, q[i]), of F1's coefficients (toeplitz_det's F1, leading first).
+    Every lane takes the same steps on its own residues, so one int64 array
+    of shape (K, width) holds each polynomial window.  A stored window is
+    the true one times a per-lane scalar c; c, beta, psi and -lc are kept
+    as (num, den) residue pairs, (2, K) arrays, so no step inverts
+    anything, and each lane makes one inversion at the end.  Returns
+    (residues, None), residues a list of K ints; or (None, unlucky) when
+    some column reads zero in some lanes only, unlucky being the bool mask
+    of those lanes.
+    """
+    lead, unlucky = _lane_lead(f1)
+    if unlucky is not None:
+        return None, unlucky
+    f1 = f1[:, lead:]
+    d = 2 * m - 2 - lead
+    delta = 2 * m - 1 - d
+    if d < m - 1:
+        return [0] * len(q), None
+    if d == m - 1:
+        return _lane_pow(f1[:, 0], delta, q).tolist(), None
+    qc = q[:, None]
+    f0 = np.zeros_like(f1)
+    f0[:, 0] = 1
+    c0 = c1 = np.ones((2, len(q)), dtype=np.int64)  # true = stored * num / den
+    beta = c0.copy()
+    beta[0] = (-1) ** (delta + 1) % q
+    psi = c0.copy()
+    psi[0] = q - 1
+    while True:
+        lc = f1[:, 0]
+        a = f0[:, : f1.shape[1]]
+        if delta == 1:
+            # the two elimination steps as one expression, one reduction;
+            # r1 is the first step's leading coefficient
+            lcc, a0 = lc[:, None], a[:, :1]
+            r1 = (lcc * a[:, 1:2] - a0 * f1[:, 1:2]) % qc
+            window = (lcc * lcc % qc * a[:, 2:] - lcc * a0 % qc * f1[:, 2:]
+                      - r1 * f1[:, 1:-1]) % qc
+        else:
+            window = a
+            for _ in range(delta + 1):
+                window = (lc[:, None] * window[:, 1:]
+                          - window[:, :1] * f1[:, 1:window.shape[1]]) % qc
+        # the true window is prem(F0, F1) / beta = c0 * c1^(delta+1) * window / beta
+        c = c0 * _lane_pow(c1, delta + 1, q) % q * beta[::-1] % q
+        minus_lc = c1.copy()
+        minus_lc[0] = -lc * c1[0] % q
+        psi_old, psi = psi, _lane_pow(minus_lc, delta, q)
+        if delta > 1:
+            psi = psi * _lane_pow(psi_old, delta - 1, q)[::-1] % q
+        lead, unlucky = _lane_lead(window)
+        if unlucky is not None:
+            return None, unlucky
+        gap = lead + 1
+        if d - gap < m - 1:
+            return [0] * len(q), None
+        if d - gap == m - 1:
+            r0 = c.copy()
+            r0[0] = window[:, lead] * c[0] % q
+            num, den = (_lane_pow(r0, gap, q)
+                        * _lane_pow(psi, gap - 1, q)[::-1] % q).tolist()
+            sign = (-1) ** (gap - 1)
+            return [sign * x * pow(y, -1, qi) % qi
+                    for x, y, qi in zip(num, den, q.tolist())], None
+        beta = minus_lc * _lane_pow(psi, gap, q) % q
+        f0, f1, d, delta = f1, window[:, lead:], d - gap, gap
+        c0, c1 = c1, c
+
+
+def _toeplitz_det_crt(coeffs: list, m: int, primes):
+    """The m x m Toeplitz determinant whose F1 has the integer coefficients
+    coeffs, by _lane_dets over primes taken in order from the iterable
+    primes, rebuilt by CRT; see toeplitz_det_mod.
+
+    Primes are taken until their product exceeds 2H.  Lanes found unlucky
+    are dropped and the run is repeated with the next primes.  Running out
+    of primes, or a CRT value above H, raises DiscrepancyError.
+    """
+    bound = math.isqrt(sum(sorted(c * c for c in coeffs)[-m:]) ** m) + 1
+    values = np.array(coeffs, dtype=np.int64)
+    primes = iter(primes)
+    chosen, product = [], 1
+    while True:
+        while product <= 2 * bound:
+            q = next(primes, None)
+            if q is None:
+                raise DiscrepancyError("lane primes ran out below twice the Hadamard bound")
+            chosen.append(q)
+            product *= q
+        q = np.array(chosen, dtype=np.int64)
+        residues, unlucky = _lane_dets(values % q[:, None], q, m)
+        if unlucky is None:
+            break
+        chosen = [qi for qi, bad in zip(chosen, unlucky.tolist()) if not bad]
+        product = math.prod(chosen)
+    value, modulus = 0, 1
+    for r, qi in zip(residues, chosen):
+        value += modulus * ((r - value % qi) * pow(modulus, -1, qi) % qi)
+        modulus *= qi
+    if 2 * value > modulus:
+        value -= modulus
+    if abs(value) > bound:
+        raise DiscrepancyError("multimodular determinant exceeds its Hadamard bound")
+    return value
+
+
+def toeplitz_det_mod(t, m: int) -> int:
+    """Exact determinant of the m x m integer Toeplitz matrix [t(i - j)],
+    0 <= i, j < m, by toeplitz_det's windowed PRS over F_q for many primes
+    q < 2^30 at once, rebuilt by the Chinese remainder theorem.
+
+    Bound.  Let S be the sum of the m largest of the squares t(k)^2,
+    |k| < m, and H = isqrt(S^m) + 1.  Every coefficient the PRS reads, the
+    determinant included, belongs to a subresultant of F0 = X^(2m-1) and
+    F1 of index j >= m - 1 (Brown & Traub 1971), so it is a determinant of
+    Sylvester rows of F0 and F1.  F0's rows are unit vectors; expanding
+    along them leaves +- a minor of 2m - 1 - j <= m rows and as many
+    columns.  Each of its rows holds at most m of F1's coefficients, each
+    at most once, so its squared norm is at most S, and Hadamard's
+    inequality gives |c| <= S^(m/2) < H.  Primes are taken until their
+    product Q exceeds 2H; then a coefficient is zero over Z exactly when it
+    is zero mod every q, and the symmetric residue of the CRT value mod Q
+    is the determinant.
+
+    Zero tests are exact.  A column that is zero in some lanes but not in
+    all is nonzero over Z, and the primes of those lanes are unlucky: they
+    are dropped and the whole run repeats with the next primes, so the
+    verdict is deterministic.  In agreeing lanes every leading coefficient
+    is a unit mod q, and each lane computes the determinant mod q.  A CRT
+    value of absolute value above H raises DiscrepancyError, as does
+    running out of primes.  The values t(k) must fit in int64.
+    """
+    if m < 1:
+        raise ValueError("Toeplitz dimension must be at least 1")
+    return _toeplitz_det_crt([t(m - 1 - k) for k in range(2 * m - 1)], m, _lane_primes())
 
 
 def toeplitz_charpoly(t, m: int) -> IntPolynomial:

@@ -4,7 +4,26 @@ route."""
 from __future__ import annotations
 
 from .arith import OddPrime, legendre_table
-from .exactlinalg import IntMatrix, IntPolynomial, toeplitz_charpoly, toeplitz_det
+from .exactlinalg import (
+    IntMatrix,
+    IntPolynomial,
+    toeplitz_charpoly,
+    toeplitz_det,
+    toeplitz_det_mod,
+)
+
+# Dimension from which det_cp/det_ep/det_mp take the multimodular lanes
+# (toeplitz_det_mod) instead of the bigint PRS (toeplitz_det).  Timed on
+# det_ep and det_mp, best of 9 on a shared 2-core Xeon (Python 3.11, numpy
+# 2.4), the two routes break even near m = 70, at about 3 ms each; the
+# lanes take about 0.7x the bigint time at m = 100 and 0.35x at m = 199.
+# With 75, perfbench's acceptance workload (sweeps to p = 199) ran 13%
+# faster than on the bigint route alone.
+_LANES_FROM = 75
+
+
+def _toeplitz(t, m: int) -> int:
+    return (toeplitz_det_mod if m >= _LANES_FROM else toeplitz_det)(t, m)
 
 
 def build_cp(p: OddPrime) -> IntMatrix:
@@ -33,7 +52,7 @@ def build_mp(p: OddPrime) -> IntMatrix:
 def det_cp(p: OddPrime) -> int:
     """det of build_cp(p): Toeplitz with t(k) = (-k/p), dimension p-1."""
     chi = legendre_table(p)
-    return toeplitz_det(lambda k: chi[-k], p.p - 1)
+    return _toeplitz(lambda k: chi[-k], p.p - 1)
 
 
 def charpoly_cp(p: OddPrime) -> IntPolynomial:
@@ -45,7 +64,7 @@ def charpoly_cp(p: OddPrime) -> IntPolynomial:
 def det_ep(p: OddPrime) -> int:
     """det of build_ep(p): Toeplitz with t(k) = (-k/p), dimension n+1."""
     chi = legendre_table(p)
-    return toeplitz_det(lambda k: chi[-k], p.n + 1)
+    return _toeplitz(lambda k: chi[-k], p.n + 1)
 
 
 def det_mp(p: OddPrime) -> int:
@@ -53,4 +72,4 @@ def det_mp(p: OddPrime) -> int:
     turns row 0 into e_n; expanding along it leaves (-1)^n times the n x n
     Toeplitz determinant with t(k) = ((k+1)/p) - (k/p)."""
     chi = legendre_table(p)
-    return (-1) ** p.n * toeplitz_det(lambda k: chi[k + 1] - chi[k], p.n)
+    return (-1) ** p.n * _toeplitz(lambda k: chi[k + 1] - chi[k], p.n)

@@ -27,8 +27,9 @@ from legdet.cyclotomic import (
     ztau_to_cyc,
 )
 from legdet.errors import DiscrepancyError
-from legdet.exactlinalg import _bareiss, toeplitz_det
+from legdet.exactlinalg import toeplitz_det
 from legdet.quadfield import QuadElem, _numeric_product_one
+from ring_bareiss import bareiss
 
 
 def random_elem(rng, q, lo=-4, hi=4):
@@ -301,7 +302,7 @@ def ztau_bareiss(q, coords):
     """Bareiss over Z[tau] on a matrix of (c, d) pairs, mapped to Q(zeta_q)."""
     pstar = (-1) ** q.n * q.p
     rows = [[QuadElem(pstar, 2 * c, 2 * d) for c, d in row] for row in coords]
-    value = _bareiss(rows, QuadElem(pstar, 2, 0))
+    value = bareiss(rows, QuadElem(pstar, 2, 0))
     assert value.a % 2 == 0 and value.b % 2 == 0
     return ztau_to_cyc(q, value.a // 2, value.b // 2)
 
@@ -354,7 +355,7 @@ def ztau_toeplitz(q, coords, m):
     vals = [QuadElem(pstar, 2 * c, 2 * d) for c, d in coords]
     one = QuadElem(pstar, 2, 0)
     dense = [[vals[i - j + m - 1] for j in range(m)] for i in range(m)]
-    return toeplitz_det(lambda k: vals[k + m - 1], m, one), _bareiss(dense, one)
+    return toeplitz_det(lambda k: vals[k + m - 1], m, one), bareiss(dense, one)
 
 
 @st.composite

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legdet import exactlinalg
-from legdet.arith import OddPrime, primes_in_range
+from legdet.arith import OddPrime, is_prime, legendre_table, primes_in_range
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import (
     IntMatrix,
     IntPolynomial,
     _bareiss,
     _exact_div,
+    _lane_primes,
     _prem_window,
+    _toeplitz_det_crt,
     adjugate,
     charpoly,
     det,
@@ -22,6 +24,7 @@ from legdet.exactlinalg import (
     rank_one_update_det,
     toeplitz_charpoly,
     toeplitz_det,
+    toeplitz_det_mod,
 )
 from legdet.matrices import (
     build_cp,
@@ -33,6 +36,7 @@ from legdet.matrices import (
     det_mp,
 )
 from legdet.verify import FAIL, PASS, run_sweep
+from ring_bareiss import bareiss
 
 
 def perm_det(rows):
@@ -87,7 +91,7 @@ def test_det_zero_pivots_and_singular():
 def test_bareiss_inexact_division_raises():
     # a false unit makes the first division inexact: -1 is not a multiple of 2
     with pytest.raises(DiscrepancyError):
-        _bareiss([[1, 2], [3, 5]], 2)
+        bareiss([[1, 2], [3, 5]], 2)
 
 
 def test_det_frozen_values():
@@ -235,7 +239,7 @@ def _toeplitz_rows(values, m):
 
 def _toeplitz_bareiss(values, m):
     """Reference: Bareiss on the dense Toeplitz matrix."""
-    return _bareiss(_toeplitz_rows(values, m), 1)
+    return _bareiss(_toeplitz_rows(values, m))
 
 
 @st.composite
@@ -309,6 +313,124 @@ def test_det_band_sweeps_match_the_closed_forms():
         assert [(r.p, r.status) for r in report.records] == [
             (389, PASS), (397, PASS), (401, PASS)
         ], target
+
+
+def _random_toeplitz(rng, max_m=14):
+    """Zero-heavy t(-(m-1)), ..., t(m-1) and m; a quarter of the draws are
+    all zero or have t(k) = 0 for k >= 0 (a zero diagonal and above)."""
+    m = rng.randint(1, max_m)
+    values = [rng.choice((-2, -1, 0, 0, 0, 1, 1, 3)) for _ in range(2 * m - 1)]
+    shape = rng.randrange(8)
+    if shape == 0:
+        values = [0] * (2 * m - 1)
+    elif shape == 1:
+        values[m - 1:] = [0] * m
+    return values, m
+
+
+def _f1(values):
+    """F1's coefficients t(m-1), ..., t(-(m-1)), as toeplitz_det reads them."""
+    return values[::-1]
+
+
+def test_toeplitz_det_mod_matches_toeplitz_det():
+    rng = random.Random(12)
+    zero = 0
+    for _ in range(2500):
+        values, m = _random_toeplitz(rng)
+        exact = toeplitz_det(lambda k: values[k + m - 1], m)
+        assert toeplitz_det_mod(lambda k: values[k + m - 1], m) == exact, (values, m)
+        zero += exact == 0
+    assert zero > 500  # singular matrices are well represented
+    # the fixed cases of the bigint kernel's tests
+    assert toeplitz_det_mod(lambda k: [1, 0, -1, 0, 0, -1, 0, 1, -1][k + 4], 5) == -1
+    assert toeplitz_det_mod(lambda k: [1, 2, 1, 2, 1][k + 2], 3) == 0
+    assert toeplitz_det_mod(lambda k: [0, 1, 0, 2, 0][k + 2], 3) == 0
+    assert toeplitz_det_mod(lambda k: -1, 4) == 0
+    assert toeplitz_det_mod(lambda k: 0, 4) == 0
+    assert toeplitz_det_mod(lambda k: 0 if k > 0 else k - 3, 4) == 81
+    assert toeplitz_det_mod(lambda k: 7, 1) == 7
+    with pytest.raises(ValueError):
+        toeplitz_det_mod(lambda k: 1, 0)
+
+
+_SMALL_PRIMES = [q.p for q in primes_in_range(3, 2000)]
+
+
+def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
+    # with primes 3, 5, 7, ... many columns vanish mod some lane primes
+    # only; those lanes are dropped and the run repeats with later primes
+    runs = []
+    lane_dets = exactlinalg._lane_dets
+
+    def recording(f1, q, m):
+        residues, unlucky = lane_dets(f1, q, m)
+        runs.append(unlucky is not None)
+        return residues, unlucky
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    rng = random.Random(13)
+    reruns = 0
+    for _ in range(400):
+        values, m = _random_toeplitz(rng)
+        runs.clear()
+        got = _toeplitz_det_crt(_f1(values), m, _SMALL_PRIMES)
+        assert got == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
+        assert runs[-1] is False
+        reruns += sum(runs)
+    assert reruns > 50
+
+
+def test_lanes_reject_too_few_primes_and_a_tampered_lane(monkeypatch):
+    values, m = [1, 0, -1, 0, 0, -1, 0, 1, -1], 5
+    # S = 5 (the five largest squares), H = isqrt(5^5) + 1 = 56: primes must
+    # multiply past 112, and 3 * 5 * 7 = 105 does not
+    with pytest.raises(DiscrepancyError):
+        _toeplitz_det_crt(_f1(values), m, [3, 5, 7])
+    assert _toeplitz_det_crt(_f1(values), m, [3, 5, 11]) == -1
+    lane_dets = exactlinalg._lane_dets
+
+    def tampered(f1, q, m):
+        residues, unlucky = lane_dets(f1, q, m)
+        residues[0] = (residues[0] + 1) % int(q[0])
+        return residues, unlucky
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
+    # det E_101 = -a_101 takes 5 lanes; one residue off by 1 moves the
+    # CRT value far outside H
+    chi = legendre_table(OddPrime(101))
+    with pytest.raises(DiscrepancyError):
+        toeplitz_det_mod(lambda k: chi[-k], 51)
+
+
+def test_lane_primes_are_distinct_primes_below_2_30():
+    primes = list(itertools.islice(_lane_primes(), 40))
+    assert primes == sorted(set(primes), reverse=True)
+    assert primes[0] == (1 << 30) - 35
+    assert all(is_prime(q) and q < 1 << 30 for q in primes)
+
+
+def test_symbol_matrix_dets_match_the_bigint_route():
+    # toeplitz_det_mod on every kind below and above the crossover, and
+    # det_cp/det_ep/det_mp, whichever route they take
+    for q in primes_in_range(3, 199) + primes_in_range(389, 401):
+        chi = legendre_table(q)
+        for det_x, t, m in (
+            (det_cp, lambda k: chi[-k], q.p - 1),
+            (det_ep, lambda k: chi[-k], q.n + 1),
+            (det_mp, lambda k: chi[k + 1] - chi[k], q.n),
+        ):
+            exact = toeplitz_det(t, m)
+            assert toeplitz_det_mod(t, m) == exact, (q.p, det_x.__name__)
+            sign = (-1) ** q.n if det_x is det_mp else 1
+            assert det_x(q) == sign * exact, (q.p, det_x.__name__)
+
+
+def test_sweeps_pass_beyond_the_bigint_reach():
+    # p = 1201: dimension 600/601, about 0.6 s per determinant on the lanes
+    for target in ("sun", "unit", "chapman"):
+        report = run_sweep(target, 1201, 1201)
+        assert [(r.p, r.status) for r in report.records] == [(1201, PASS)], target
 
 
 @settings(max_examples=300, deadline=None)

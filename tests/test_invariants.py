@@ -2,6 +2,9 @@
 
 Broken invariants must raise, never assert: `python -O` strips asserts.
 Q(zeta_p) arithmetic is exact: no floats in the cyclotomic module.
+The integer kernels are exact: the exact linear algebra module makes no float
+call (`float`, `math.log*`, `math.sqrt`, true division, float dtypes), so
+the multimodular Hadamard bound stays integer arithmetic.
 Sweeps over residues read `legendre_table`: no Jacobi call in a loop.
 The O(p) float routes of the class numbers are numpy calls: no scalar
 log, sin or exp in a loop of the quadratic-field module.
@@ -43,6 +46,34 @@ def test_cyclotomic_module_has_no_floats():
         found += [f"import {n}:{node.lineno}" for n in names if n == "cmath"]
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"float literal {node.value!r}:{node.lineno}")
+    assert found == []
+
+
+_FLOAT_DTYPES = {"float16", "float32", "float64", "float128", "floating", "half",
+                 "single", "double", "longdouble", "complex64", "complex128",
+                 "complexfloating", "csingle", "cdouble", "clongdouble"}
+
+
+def test_exactlinalg_module_has_no_floats():
+    path = next(p for p in SOURCES if p.name == "exactlinalg.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        line = getattr(node, "lineno", None)
+        if isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            found.append(f"{node.id}:{line}")
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in _FLOAT_DTYPES
+            or (getattr(node.value, "id", None) == "math"
+                and (node.attr.startswith("log") or node.attr == "sqrt"))
+        ):
+            found.append(f"{node.attr}:{line}")
+        elif isinstance(node, ast.Constant) and (
+            isinstance(node.value, (float, complex))
+            or (isinstance(node.value, str) and node.value in _FLOAT_DTYPES)
+        ):
+            found.append(f"constant {node.value!r}:{line}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"true division:{line}")
     assert found == []
 
 
