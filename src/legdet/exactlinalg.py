@@ -295,133 +295,204 @@ def _lane_pow(x, e: int, q):
         x = x * x % q
 
 
-def _lane_lead(w):
-    """First nonzero column of the lane window w over Z, and the mask of the
-    lanes that read zero there (None when there are none).
+# From this many lanes per prime on, _lane_reduce divides prime by prime.
+# Timed on 6 and 25 primes (shared 2-core Xeon, numpy 2.4), one % over
+# the whole array is faster below 500-1000 lanes per prime and up to 4x
+# slower above 3000.
+_REDUCE_BY_PRIME_FROM = 1024
 
-    Column k is zero over Z exactly when it is zero in every lane, and
-    nonzero over Z when it is nonzero in some lane; the lanes whose own
-    first nonzero column lies further right are then unlucky.  An all-zero
-    window gives its width.
+
+def _lane_reduce(w, q3, ql: list):
+    """w mod q, for a (K, R, width) lane array w, q3 the (K, 1, 1) moduli
+    and ql the same as Python ints.
+
+    On large windows it reduces in place, one prime at a time, as w[k] -
+    (w[k] // ql[k]) * ql[k]: numpy divides by a scalar with a multiply
+    and shifts, not a hardware division, so this is several times faster
+    than w % q3 per element, at the cost of 3 calls per prime.
     """
-    if w[:, 0].all():
-        return 0, None
+    if w[0].size < _REDUCE_BY_PRIME_FROM:
+        return w % q3
+    for wk, qk in zip(w, ql):
+        t = wk // qk
+        t *= qk
+        wk -= t
+    return w
+
+
+def _lane_lead(w):
+    """The first nonzero column over Z of each row's lane windows w, a
+    (K, R, width) int64 array; the mask of the rows whose column is the
+    most common one (None when all are); and the mask of the unlucky
+    primes, of shape (K,) (None when there are none).
+
+    Column k of a row is zero over Z exactly when it is zero in every lane
+    of the row, and nonzero over Z when it is nonzero in some lane; the
+    primes of the lanes whose own first nonzero column lies further right
+    are then unlucky.  An all-zero window gives its width.  Only when no
+    prime is unlucky are the columns exact and the rows compared.
+    """
+    if w[:, :, 0].all():
+        return 0, None, None
     nz = w != 0
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), w.shape[1])
-    lead = int(first.min())
-    unlucky = first > lead
-    return lead, (unlucky if unlucky.any() else None)
+    first = np.where(nz.any(axis=2), nz.argmax(axis=2), w.shape[2])
+    lead = first.min(axis=0)
+    unlucky = (first > lead).any(axis=1)
+    if unlucky.any():
+        return None, None, unlucky
+    common = np.bincount(lead).argmax()
+    keep = lead == common
+    return int(common), (None if keep.all() else keep), None
 
 
 def _lane_dets(f1, q, m: int):
-    """The m x m Toeplitz determinant mod each lane prime, by the windowed
-    Brown-Collins PRS of toeplitz_det run over F_q in every lane at once.
+    """The m x m Toeplitz determinants of a batch of R rows mod each of K
+    lane primes, by the windowed Brown-Collins PRS of toeplitz_det run over
+    F_q in every lane at once.
 
-    f1 is a (K, 2m - 1) int64 array: row i holds the residues mod q[i], in
-    [0, q[i]), of F1's coefficients (toeplitz_det's F1, leading first).
-    Every lane takes the same steps on its own residues, so one int64 array
-    of shape (K, width) holds each polynomial window.  A stored window is
-    the true one times a per-lane scalar c; c, beta, psi and -lc are kept
-    as (num, den) residue pairs, (2, K) arrays, so no step inverts
-    anything, and each lane makes one inversion at the end.  Returns
-    (residues, None), residues a list of K ints; or (None, unlucky) when
-    some column reads zero in some lanes only, unlucky being the bool mask
-    of those lanes.
+    f1 is a (K, R, 2m - 1) int64 array: f1[k, r] holds the residues mod
+    q[k], in [0, q[k]), of the coefficients of row r's F1 (toeplitz_det's
+    F1, leading first).  The lanes are the (prime, row) pairs, and every
+    lane takes the same steps on its own residues, so one array of shape
+    (K, R, width) holds each polynomial window; each prime's lanes are one
+    contiguous block, which _lane_reduce reduces by a scalar modulus.
+
+    The stored windows are plain pseudo-remainders, W_(i+1) = prem(W_(i-1),
+    W_i), with no division.  So W_i = s_i * R_i, where R_0 = F0, R_1 = F1,
+    R_(i+1) is the remainder of R_(i-1) by R_i over the field, s_0 = s_1
+    = 1 and s_(i+1) = L_i^(delta_i + 1) * s_(i-1), L_i being W_i's
+    leading coefficient and delta_i = n_(i-1) - n_i its degree drop.  With
+    j = m - 1 and l_i = L_i / s_i = lc(R_i), the subresultant coefficients
+    obey sigma_j(R_(i-1), R_i) = (-1)^((n_(i-1) - j)(n_i - j)) *
+    l_i^(n_(i-1) - n_(i+1)) * sigma_j(R_i, R_(i+1)) while j <= n_(i+1);
+    sigma_j = 0 when n_(i+1) < j < n_i, and sigma_j(R_(k-1), R_k) =
+    l_k^(n_(k-1) - j) when n_k = j.  The sign is a Python int shared by
+    every lane; each lane keeps the product of the L powers and of the s
+    powers, two (K, R) arrays, and inverts the second once, at the end.
+
+    A row whose leading column over Z differs from the most common one has
+    its own degree sequence: it leaves the batch there and is reported
+    dropped, never carried on in lockstep.  Returns (alive, residues, None),
+    alive the indices of the rows kept and residues their determinants mod
+    q, one list of K ints per row kept; or (None, None, unlucky) when some
+    column of some row reads zero in some lanes of the row only, unlucky
+    being the (K,) bool mask of those lanes' primes.
     """
-    lead, unlucky = _lane_lead(f1)
+    j = m - 1
+    ql, qr, q3 = q.tolist(), q[:, None], q[:, None, None]
+    alive = np.arange(f1.shape[1])
+    lead, keep, unlucky = _lane_lead(f1)
     if unlucky is not None:
-        return None, unlucky
-    f1 = f1[:, lead:]
-    d = 2 * m - 2 - lead
-    delta = 2 * m - 1 - d
-    if d < m - 1:
-        return [0] * len(q), None
-    if d == m - 1:
-        return _lane_pow(f1[:, 0], delta, q).tolist(), None
-    qc = q[:, None]
+        return None, None, unlucky
+    if keep is not None:
+        alive, f1 = alive[keep], f1[:, keep]
+    f1 = f1[:, :, lead:]
+    n0, n1 = 2 * m - 1, 2 * m - 2 - lead
+    if n1 < j:
+        return alive, [[0] * len(ql) for _ in alive], None
+    if n1 == j:
+        return alive, _lane_pow(f1[:, :, 0], n0 - n1, qr).T.tolist(), None
     f0 = np.zeros_like(f1)
-    f0[:, 0] = 1
-    c0 = c1 = np.ones((2, len(q)), dtype=np.int64)  # true = stored * num / den
-    beta = c0.copy()
-    beta[0] = (-1) ** (delta + 1) % q
-    psi = c0.copy()
-    psi[0] = q - 1
+    f0[:, :, 0] = 1
+    s0 = s1 = num = den = np.ones(f1.shape[:2], dtype=np.int64)
+    sign = 1
     while True:
-        lc = f1[:, 0]
-        a = f0[:, : f1.shape[1]]
+        lc = f1[:, :, 0]
+        delta = n0 - n1
+        lcd = _lane_pow(lc, delta + 1, qr)  # the pseudo-remainder's scale L^(delta+1)
+        a = f0[:, :, : f1.shape[2]]
         if delta == 1:
             # the two elimination steps as one expression, one reduction;
             # r1 is the first step's leading coefficient
-            lcc, a0 = lc[:, None], a[:, :1]
-            r1 = (lcc * a[:, 1:2] - a0 * f1[:, 1:2]) % qc
-            window = (lcc * lcc % qc * a[:, 2:] - lcc * a0 % qc * f1[:, 2:]
-                      - r1 * f1[:, 1:-1]) % qc
+            lcc, a0 = lc[:, :, None], a[:, :, :1]
+            r1 = (lcc * a[:, :, 1:2] - a0 * f1[:, :, 1:2]) % q3
+            window = _lane_reduce(lcd[:, :, None] * a[:, :, 2:]
+                                  - lcc * a0 % q3 * f1[:, :, 2:]
+                                  - r1 * f1[:, :, 1:-1], q3, ql)
         else:
             window = a
             for _ in range(delta + 1):
-                window = (lc[:, None] * window[:, 1:]
-                          - window[:, :1] * f1[:, 1:window.shape[1]]) % qc
-        # the true window is prem(F0, F1) / beta = c0 * c1^(delta+1) * window / beta
-        c = c0 * _lane_pow(c1, delta + 1, q) % q * beta[::-1] % q
-        minus_lc = c1.copy()
-        minus_lc[0] = -lc * c1[0] % q
-        psi_old, psi = psi, _lane_pow(minus_lc, delta, q)
-        if delta > 1:
-            psi = psi * _lane_pow(psi_old, delta - 1, q)[::-1] % q
-        lead, unlucky = _lane_lead(window)
+                window = _lane_reduce(lc[:, :, None] * window[:, :, 1:]
+                                      - window[:, :, :1] * f1[:, :, 1:window.shape[2]],
+                                      q3, ql)
+        lead, keep, unlucky = _lane_lead(window)
         if unlucky is not None:
-            return None, unlucky
+            return None, None, unlucky
+        if keep is not None:
+            alive, window, f1 = alive[keep], window[:, keep], f1[:, keep]
+            lc, lcd, s0, s1 = lc[:, keep], lcd[:, keep], s0[:, keep], s1[:, keep]
+            num, den = num[:, keep], den[:, keep]
         gap = lead + 1
-        if d - gap < m - 1:
-            return [0] * len(q), None
-        if d - gap == m - 1:
-            r0 = c.copy()
-            r0[0] = window[:, lead] * c[0] % q
-            num, den = (_lane_pow(r0, gap, q)
-                        * _lane_pow(psi, gap - 1, q)[::-1] % q).tolist()
-            sign = (-1) ** (gap - 1)
-            return [sign * x * pow(y, -1, qi) % qi
-                    for x, y, qi in zip(num, den, q.tolist())], None
-        beta = minus_lc * _lane_pow(psi, gap, q) % q
-        f0, f1, d, delta = f1, window[:, lead:], d - gap, gap
-        c0, c1 = c1, c
+        n2 = n1 - gap
+        if n2 < j:
+            return alive, [[0] * len(ql) for _ in alive], None
+        # the factor (-1)^((n0-j)(n1-j)) * l1^(n0-n2), n0 - n2 = (delta+1) + (gap-1)
+        if (n0 - j) * (n1 - j) % 2:
+            sign = -sign
+        num = num * lcd % qr
+        if gap > 1:
+            num = num * _lane_pow(lc, gap - 1, qr) % qr
+        den = den * _lane_pow(s1, n0 - n2, qr) % qr
+        s2 = lcd * s0 % qr
+        f2 = window[:, :, lead:]
+        if n2 == j:
+            num = num * _lane_pow(f2[:, :, 0], gap, qr) % qr
+            den = den * _lane_pow(s2, gap, qr) % qr
+            return alive, [
+                [sign * x * pow(y, -1, qk) % qk for x, y, qk in zip(nr, dr, ql)]
+                for nr, dr in zip(num.T.tolist(), den.T.tolist())
+            ], None
+        f0, f1, n0, n1, s0, s1 = f1, f2, n1, n2, s1, s2
 
 
-def _toeplitz_det_crt(coeffs: list, m: int, primes):
-    """The m x m Toeplitz determinant whose F1 has the integer coefficients
-    coeffs, by _lane_dets over primes taken in order from the iterable
-    primes, rebuilt by CRT; see toeplitz_det_mod.
+def _toeplitz_dets_crt(rows, m: int, primes) -> list:
+    """The m x m Toeplitz determinants whose F1s have the integer
+    coefficients rows, an (R, 2m - 1) int64 array, by _lane_dets over
+    primes taken in order from the iterable primes, rebuilt by CRT; see
+    toeplitz_det_mod.  Returns a list of R values, None for each row that
+    _lane_dets dropped.
 
-    Primes are taken until their product exceeds 2H.  Lanes found unlucky
-    are dropped and the run is repeated with the next primes.  Running out
-    of primes, or a CRT value above H, raises DiscrepancyError.
+    Each row has its own Hadamard bound H_row, and primes are taken until
+    their product exceeds 2 max H_row.  Primes found unlucky are dropped
+    for every row and the run is repeated with the next primes.  Running
+    out of primes, or a row's CRT value above its own H_row, raises
+    DiscrepancyError.
     """
-    bound = math.isqrt(sum(sorted(c * c for c in coeffs)[-m:]) ** m) + 1
-    values = np.array(coeffs, dtype=np.int64)
+    top = np.sort(np.abs(rows), axis=1)[:, -m:].astype(object)
+    bounds = [math.isqrt(s ** m) + 1 for s in (top * top).sum(axis=1)]
+    limit = 2 * max(bounds)
     primes = iter(primes)
     chosen, product = [], 1
     while True:
-        while product <= 2 * bound:
+        while product <= limit:
             q = next(primes, None)
             if q is None:
                 raise DiscrepancyError("lane primes ran out below twice the Hadamard bound")
             chosen.append(q)
             product *= q
         q = np.array(chosen, dtype=np.int64)
-        residues, unlucky = _lane_dets(values % q[:, None], q, m)
+        alive, residues, unlucky = _lane_dets(rows % q[:, None, None], q, m)
         if unlucky is None:
             break
-        chosen = [qi for qi, bad in zip(chosen, unlucky.tolist()) if not bad]
+        chosen = [qk for qk, bad in zip(chosen, unlucky.tolist()) if not bad]
         product = math.prod(chosen)
-    value, modulus = 0, 1
-    for r, qi in zip(residues, chosen):
-        value += modulus * ((r - value % qi) * pow(modulus, -1, qi) % qi)
-        modulus *= qi
-    if 2 * value > modulus:
-        value -= modulus
-    if abs(value) > bound:
-        raise DiscrepancyError("multimodular determinant exceeds its Hadamard bound")
-    return value
+    # Garner: value = sum of moduli[k] * digit_k, each digit in [0, q_k)
+    moduli, inverses, modulus = [], [], 1
+    for qk in chosen:
+        moduli.append(modulus)
+        inverses.append(pow(modulus % qk, -1, qk))
+        modulus *= qk
+    values = [None] * len(rows)
+    for i, res in zip(alive.tolist(), residues):
+        value = 0
+        for r, qk, mk, ik in zip(res, chosen, moduli, inverses):
+            value += mk * ((r - value % qk) * ik % qk)
+        if 2 * value > modulus:
+            value -= modulus
+        if abs(value) > bounds[i]:
+            raise DiscrepancyError("multimodular determinant exceeds its Hadamard bound")
+        values[i] = value
+    return values
 
 
 def toeplitz_det_mod(t, m: int) -> int:
@@ -449,34 +520,65 @@ def toeplitz_det_mod(t, m: int) -> int:
     is a unit mod q, and each lane computes the determinant mod q.  A CRT
     value of absolute value above H raises DiscrepancyError, as does
     running out of primes.  The values t(k) must fit in int64.
+
+    This is the batch of one of _toeplitz_dets_crt, whose single row is
+    always the most common and so is never dropped.
     """
     if m < 1:
         raise ValueError("Toeplitz dimension must be at least 1")
-    return _toeplitz_det_crt([t(m - 1 - k) for k in range(2 * m - 1)], m, _lane_primes())
+    rows = np.array([[t(m - 1 - k) for k in range(2 * m - 1)]], dtype=np.int64)
+    return _toeplitz_dets_crt(rows, m, _lane_primes())[0]
+
+
+# Points evaluated beyond the m + 2 that toeplitz_charpoly needs.  They stand
+# in for points whose PRS leaves the batch, so that one batch nearly always
+# suffices: for C_p, p <= 131, at most 5 of the m + 8 points leave, all at
+# x <= 11.
+_SPARE_POINTS = 6
 
 
 def toeplitz_charpoly(t, m: int) -> IntPolynomial:
     """Characteristic polynomial det(xI - T) of the m x m Toeplitz matrix
     T = [t(i - j)], 0 <= i, j < m.
 
-    xI - T is Toeplitz with t'(0) = x - t(0) and t'(k) = -t(k), so each value
-    at x = 0..m is one toeplitz_det.  The k-th forward difference at 0 is k!
-    times the integer coefficient of x(x-1)...(x-k+1) (Newton's form), so an
-    inexact division by k! raises DiscrepancyError; a Horner loop expands
-    that form into monomials.  m + 1 points fix a polynomial of degree at
-    most m, so the monic leading term is computed, not assumed.
+    xI - T is Toeplitz with t'(0) = x - t(0) and t'(k) = -t(k): its F1s
+    differ only in the coefficient of t'(0).  The values at x = 0, 1, 2, ...
+    are one batch of _toeplitz_dets_crt, on the multimodular lanes.  A
+    point whose PRS leaves the batch's degree sequence is dropped there;
+    further points are evaluated until at least m + 2 values are known.
+
+    Newton's divided differences interpolate through every known point.
+    At integer points the divided differences of an integer polynomial are
+    integers, so every division is exact, and an inexact one raises
+    DiscrepancyError.  det(xI - T) has degree m, so every divided
+    difference of order above m must be exactly 0, else DiscrepancyError:
+    with m + 1 correct values fixing the polynomial, one wrong value can
+    never pass.  A Horner loop expands the Newton form of order m into
+    monomials; the monic leading term is computed, not assumed.
     """
-    t0 = t(0)
-    values = [
-        toeplitz_det(lambda k: x - t0 if k == 0 else -t(k), m) for x in range(m + 1)
-    ]
-    newton = []
-    for k in range(m + 1):
-        newton.append(_exact_div(values[0], math.factorial(k)))
-        values = [b - a for a, b in zip(values, values[1:])]
+    row = np.array([-t(m - 1 - k) for k in range(2 * m - 1)], dtype=np.int64)
+    points, values = [], []
+    start = 0
+    while len(points) < m + 2:
+        xs = np.arange(start, start + m + 2 + _SPARE_POINTS - len(points), dtype=np.int64)
+        rows = np.tile(row, (len(xs), 1))
+        rows[:, m - 1] += xs
+        for x, value in zip(xs.tolist(), _toeplitz_dets_crt(rows, m, _lane_primes())):
+            if value is not None:
+                points.append(x)
+                values.append(value)
+        start += len(xs)
+    # in place: newton[i] becomes f[x_0, ..., x_i]
+    newton = values
+    for k in range(1, len(points)):
+        for i in range(len(points) - 1, k - 1, -1):
+            newton[i] = _exact_div(newton[i] - newton[i - 1], points[i] - points[i - k])
+    if any(newton[m + 1:]):
+        raise DiscrepancyError("a divided difference of order above the degree is nonzero")
     coeffs = [newton[m]]
-    for k in range(m - 1, -1, -1):  # coeffs = coeffs * (x - k) + newton[k]
-        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    for k in range(m - 1, -1, -1):  # coeffs = coeffs * (x - x_k) + newton[k]
+        xk = points[k]
+        coeffs = [a - xk * b for a, b in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] += newton[k]
     return IntPolynomial(tuple(coeffs))
 

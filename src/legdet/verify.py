@@ -224,7 +224,7 @@ _EXACT_PRODUCT_CAP = 199
 _TARGET_TABLE = {
     "sun": Target(verify_sun),
     "chapman": Target(verify_chapman),
-    "carlitz": Target(verify_carlitz, 79, "characteristic polynomial"),
+    "carlitz": Target(verify_carlitz, 109, "characteristic polynomial"),
     "unit": Target(verify_unit),
     "lemma32": Target(verify_lemma32, _EXACT_PRODUCT_CAP, "exact products"),
     "gauss": Target(verify_gauss, 61, "exact square"),

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from legdet.exactlinalg import (
     _exact_div,
     _lane_primes,
     _prem_window,
-    _toeplitz_det_crt,
+    _toeplitz_dets_crt,
     adjugate,
     charpoly,
     det,
@@ -35,7 +37,8 @@ from legdet.matrices import (
     det_ep,
     det_mp,
 )
-from legdet.verify import FAIL, PASS, run_sweep
+from legdet.verify import _TARGET_TABLE, FAIL, PASS, run_sweep
+from bigint_charpoly import bigint_charpoly
 from ring_bareiss import bareiss
 
 
@@ -315,17 +318,22 @@ def test_det_band_sweeps_match_the_closed_forms():
         ], target
 
 
-def _random_toeplitz(rng, max_m=14):
-    """Zero-heavy t(-(m-1)), ..., t(m-1) and m; a quarter of the draws are
-    all zero or have t(k) = 0 for k >= 0 (a zero diagonal and above)."""
-    m = rng.randint(1, max_m)
+def _random_values(rng, m):
+    """Zero-heavy t(-(m-1)), ..., t(m-1); a quarter of the draws are all
+    zero or have t(k) = 0 for k >= 0 (a zero diagonal and above)."""
     values = [rng.choice((-2, -1, 0, 0, 0, 1, 1, 3)) for _ in range(2 * m - 1)]
     shape = rng.randrange(8)
     if shape == 0:
         values = [0] * (2 * m - 1)
     elif shape == 1:
         values[m - 1:] = [0] * m
-    return values, m
+    return values
+
+
+def _random_toeplitz(rng, max_m=14):
+    """_random_values for a random m, and m."""
+    m = rng.randint(1, max_m)
+    return _random_values(rng, m), m
 
 
 def _f1(values):
@@ -364,9 +372,9 @@ def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
     lane_dets = exactlinalg._lane_dets
 
     def recording(f1, q, m):
-        residues, unlucky = lane_dets(f1, q, m)
+        alive, residues, unlucky = lane_dets(f1, q, m)
         runs.append(unlucky is not None)
-        return residues, unlucky
+        return alive, residues, unlucky
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
     rng = random.Random(13)
@@ -374,11 +382,42 @@ def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
     for _ in range(400):
         values, m = _random_toeplitz(rng)
         runs.clear()
-        got = _toeplitz_det_crt(_f1(values), m, _SMALL_PRIMES)
-        assert got == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
+        got = _toeplitz_dets_crt(np.array([_f1(values)]), m, _SMALL_PRIMES)
+        assert got == [toeplitz_det(lambda k: values[k + m - 1], m)], (values, m)
         assert runs[-1] is False
         reruns += sum(runs)
     assert reruns > 50
+
+
+def test_batched_lanes_match_toeplitz_det_or_drop():
+    # every row of a batch is either its own toeplitz_det or reported
+    # dropped; with primes 3, 5, 7, ... unlucky primes and reruns occur too
+    rng = random.Random(14)
+    kept = dropped = zero = 0
+    for trial in range(300):
+        m = rng.randint(1, 12)
+        batch = [_random_values(rng, m) for _ in range(rng.randint(1, 12))]
+        primes = _SMALL_PRIMES if trial % 2 else _lane_primes()
+        got = _toeplitz_dets_crt(np.array([_f1(v) for v in batch]), m, primes)
+        assert len(got) == len(batch)
+        for values, value in zip(batch, got):
+            if value is None:
+                dropped += 1
+            else:
+                kept += 1
+                zero += value == 0
+                assert value == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
+    assert kept > 500 and dropped > 500 and zero > 40
+
+
+def test_a_batch_of_one_never_drops_its_row():
+    rng = random.Random(15)
+    for trial in range(500):
+        values, m = _random_toeplitz(rng, 12)
+        primes = _SMALL_PRIMES if trial % 2 else _lane_primes()
+        assert _toeplitz_dets_crt(np.array([_f1(values)]), m, primes) == [
+            toeplitz_det(lambda k: values[k + m - 1], m)
+        ], (values, m)
 
 
 def test_lanes_reject_too_few_primes_and_a_tampered_lane(monkeypatch):
@@ -386,14 +425,14 @@ def test_lanes_reject_too_few_primes_and_a_tampered_lane(monkeypatch):
     # S = 5 (the five largest squares), H = isqrt(5^5) + 1 = 56: primes must
     # multiply past 112, and 3 * 5 * 7 = 105 does not
     with pytest.raises(DiscrepancyError):
-        _toeplitz_det_crt(_f1(values), m, [3, 5, 7])
-    assert _toeplitz_det_crt(_f1(values), m, [3, 5, 11]) == -1
+        _toeplitz_dets_crt(np.array([_f1(values)]), m, [3, 5, 7])
+    assert _toeplitz_dets_crt(np.array([_f1(values)]), m, [3, 5, 11]) == [-1]
     lane_dets = exactlinalg._lane_dets
 
     def tampered(f1, q, m):
-        residues, unlucky = lane_dets(f1, q, m)
-        residues[0] = (residues[0] + 1) % int(q[0])
-        return residues, unlucky
+        alive, residues, unlucky = lane_dets(f1, q, m)
+        residues[0][0] = (residues[0][0] + 1) % int(q[0])
+        return alive, residues, unlucky
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
     # det E_101 = -a_101 takes 5 lanes; one residue off by 1 moves the
@@ -401,6 +440,22 @@ def test_lanes_reject_too_few_primes_and_a_tampered_lane(monkeypatch):
     chi = legendre_table(OddPrime(101))
     with pytest.raises(DiscrepancyError):
         toeplitz_det_mod(lambda k: chi[-k], 51)
+
+
+def test_each_row_is_checked_against_its_own_bound(monkeypatch):
+    # row 0 is [[0, 1], [1, 0]], H = isqrt(2^2) + 1 = 3; row 1 is
+    # [[4, 5], [5, 4]], H = isqrt(50^2) + 1 = 51.  A CRT value of 10 for
+    # row 0 lies inside row 1's bound but not its own.
+    batch = np.array([[1, 0, 1], [5, 4, 5]])
+    assert _toeplitz_dets_crt(batch, 2, _lane_primes()) == [-1, -9]
+
+    def ten_for_row_0(f1, q, m):
+        return np.arange(2), [[10 % qk for qk in q.tolist()],
+                              [-9 % qk for qk in q.tolist()]], None
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", ten_for_row_0)
+    with pytest.raises(DiscrepancyError):
+        _toeplitz_dets_crt(batch, 2, _lane_primes())
 
 
 def test_lane_primes_are_distinct_primes_below_2_30():
@@ -446,23 +501,77 @@ def test_charpoly_cp_matches_faddeev_leverrier():
         assert charpoly_cp(q) == charpoly(build_cp(q)), q.p
 
 
+def test_charpoly_cp_matches_the_bigint_route():
+    # every carlitz prime up to the cap, against the evaluation route on the
+    # bigint toeplitz_det
+    for q in primes_in_range(3, _TARGET_TABLE["carlitz"].cap):
+        chi = legendre_table(q)
+        assert charpoly_cp(q) == bigint_charpoly(lambda k: chi[-k], q.p - 1), q.p
+
+
+def _recording_batches(monkeypatch, alter=None):
+    """Record the size of every batch toeplitz_charpoly sends, and let
+    alter(values) change the values of the first batch, whose row r is the
+    point x = r."""
+    exact = exactlinalg._toeplitz_dets_crt
+    batches = []
+
+    def recording(rows, m, primes):
+        values = exact(rows, m, primes)
+        batches.append(len(rows))
+        if alter is not None and len(batches) == 1:
+            alter(values)
+        return values
+
+    monkeypatch.setattr(exactlinalg, "_toeplitz_dets_crt", recording)
+    return batches
+
+
+def test_points_past_the_spares_are_evaluated(monkeypatch):
+    # at p = 89, 5 of the points x = 0..88 leave the batch; with no spare
+    # points, further batches make up the m + 2 values
+    q = OddPrime(89)
+    chi = legendre_table(q)
+    reference = bigint_charpoly(lambda k: chi[-k], q.p - 1)
+    monkeypatch.setattr(exactlinalg, "_SPARE_POINTS", 0)
+    batches = _recording_batches(monkeypatch)
+    assert charpoly_cp(q) == reference
+    assert batches[0] == 90 and len(batches) > 1
+
+
 def test_one_wrong_determinant_value_cannot_pass(monkeypatch):
-    # the value at x = 3 of det(xI - C_13) is off by one, of 13 points; that
-    # moves the third forward difference by 1, which 3! cannot divide
-    exact = toeplitz_det
-    calls = []
+    # the lane value at x = 3 of det(xI - C_13) is off by one; x = 1, 2 leave
+    # the batch, so the divided difference over (0, 3) moves by 1/3 off an
+    # integer
+    def off_by_one_at_x3(values):
+        values[3] += 1
 
-    def off_by_one_at_x3(t, m, one=1):
-        calls.append(m)
-        return exact(t, m, one) + (len(calls) == 4)
-
-    monkeypatch.setattr(exactlinalg, "toeplitz_det", off_by_one_at_x3)
-    with pytest.raises(DiscrepancyError):
+    batches = _recording_batches(monkeypatch, off_by_one_at_x3)
+    with pytest.raises(DiscrepancyError, match="exact division left a remainder"):
         charpoly_cp(OddPrime(13))
-    assert len(calls) == 13
-    calls.clear()
+    assert len(batches) == 1
+    batches.clear()
     record = run_sweep("carlitz", 13, 13).records[0]
     assert (record.status, record.aux) == (
         FAIL, {"error": "exact division left a remainder"}
     )
-    assert len(calls) == 13
+    assert len(batches) == 1
+
+
+def test_a_wrong_value_every_division_passes_is_caught_by_the_spares(monkeypatch):
+    # adding prod_{j != r} (x_r - x_j) at the point x_r = 3 adds the values
+    # of an integer polynomial of degree N - 1 at the N known points, so
+    # every divided difference stays an integer; only the orders above m
+    # show the error
+    def polynomial_error_at_x3(values):
+        points = [x for x, value in enumerate(values) if value is not None]
+        values[3] += math.prod(3 - x for x in points if x != 3)
+
+    message = "a divided difference of order above the degree is nonzero"
+    batches = _recording_batches(monkeypatch, polynomial_error_at_x3)
+    with pytest.raises(DiscrepancyError, match=message):
+        charpoly_cp(OddPrime(13))
+    assert len(batches) == 1
+    batches.clear()
+    record = run_sweep("carlitz", 13, 13).records[0]
+    assert (record.status, record.aux) == (FAIL, {"error": message})

@@ -12,6 +12,8 @@ Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`
 or the dense Faddeev-LeVerrier `charpoly` (carlitz interpolates Toeplitz
 determinants), and the cyclotomic module, whose shifted matrix is Toeplitz
 below row 0, never names `_bareiss`.
+`toeplitz_charpoly` takes its values from the batched multimodular lanes:
+it never names the bigint `toeplitz_det`.
 `verify.py` imports no private (underscore) name from the cyclotomic module.
 No module of the package reads the environment (`os.environ`, `getenv`):
 routes and caps are fixed in code, never switched by a knob.
@@ -143,6 +145,20 @@ def test_verify_makes_no_dense_det_call():
 
 def test_verify_makes_no_dense_charpoly_call():
     assert _verify_calls_to("charpoly") == []
+
+
+def test_toeplitz_charpoly_makes_no_bigint_det_call():
+    path = next(p for p in SOURCES if p.name == "exactlinalg.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    [function] = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "toeplitz_charpoly"]
+    found = [
+        f"exactlinalg.py:{node.lineno}"
+        for node in ast.walk(function)
+        if getattr(node, "id", None) == "toeplitz_det"
+        or getattr(node, "attr", None) == "toeplitz_det"
+    ]
+    assert found == []
 
 
 def test_mtilde_takes_no_bareiss_route():

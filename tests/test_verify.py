@@ -46,7 +46,7 @@ def test_only_the_tolerance_reader_takes_a_tolerance():
 
 # first prime above each cap, and the SKIP reason it gets there
 _CAP_BOUNDARY = {
-    "carlitz": (83, "characteristic polynomial capped at p <= 79"),
+    "carlitz": (113, "characteristic polynomial capped at p <= 109"),
     "gauss": (67, "exact square capped at p <= 61"),
     "decomposition": (67, "numeric diagnostic capped at p <= 61"),
     "lemma32": (211, "exact products capped at p <= 199"),
@@ -99,9 +99,9 @@ def test_verify_carlitz_records():
     r5 = verify_carlitz(OddPrime(5))
     assert r5.status == PASS
     assert r5.computed == "t^4 - 6*t^2 + 5"
-    r83 = run_sweep("carlitz", 83, 83).records[0]
-    assert r83.status == SKIPPED
-    assert "reason" in r83.aux
+    r113 = run_sweep("carlitz", 113, 113).records[0]
+    assert r113.status == SKIPPED
+    assert "reason" in r113.aux
 
 
 def test_verify_unit_records():
@@ -234,13 +234,13 @@ def test_mtilde_sweep_reaches_the_exact_product_cap():
 
 
 def test_carlitz_sweep_reaches_its_cap():
-    # evaluation on the windowed Toeplitz kernel; Faddeev-LeVerrier stopped
-    # at p = 31
-    report = run_sweep("carlitz", 73, 83)
+    # evaluation on the batched multimodular lanes; Faddeev-LeVerrier
+    # stopped at p = 31, the bigint evaluation route at 79
+    report = run_sweep("carlitz", 107, 113)
     assert [(r.p, r.status) for r in report.records] == [
-        (73, PASS), (79, PASS), (83, SKIPPED)
+        (107, PASS), (109, PASS), (113, SKIPPED)
     ]
-    assert report.records[2].aux["reason"] == "characteristic polynomial capped at p <= 79"
+    assert report.records[2].aux["reason"] == "characteristic polynomial capped at p <= 109"
 
 
 def test_one_bad_prime_never_sinks_a_sweep(monkeypatch):
