@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
+
+import numpy as np
 
 from .arith import OddPrime, legendre_table
 from .errors import DiscrepancyError
-from .exactlinalg import IntMatrix, det, toeplitz_det
-from .quadfield import QuadElem, fundamental_unit, quad_pow
+from .exactlinalg import IntMatrix, det, toeplitz_det_ztau
+from .quadfield import fundamental_unit, quad_pow
 
 
 class CycElem:
@@ -237,23 +239,26 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
 
     A and B are monomial, so entry (i, j) of the right side is
     -nu_i nu_j + 2 * sum_k zeta^(a_exp[i][k] + b_exp[j][k]), an exponent
-    count taken by integer arithmetic mod p.  Each count is compared with
-    the exponent vector of its entry's class (row 0 being one class),
-    built once per class."""
+    count taken by integer arithmetic mod p: one bincount per row i, with
+    column j's exponents offset by j*p.  Each count is compared with the
+    exponent vector of its entry's class (row 0 being one class), built
+    once per class."""
     p = parts.prime
     dim = p.n + 1
-    top = parts.top.coeffs + (0,)
-    classes = [c.coeffs + (0,) for c in parts.classes]
+    nu, b_exp = np.array(parts.nu), np.array(parts.b_exp)
+    offsets = p.p * np.arange(dim)[:, None]
+    top = np.array(parts.top.coeffs + (0,))
+    classes = np.array([c.coeffs + (0,) for c in parts.classes])
     for i in range(dim):
-        for j in range(dim):
-            vec = [0] * p.p
-            vec[0] = -parts.nu[i] * parts.nu[j]
-            for e in map(add, parts.a_exp[i], parts.b_exp[j]):
-                vec[e % p.p] += 2
-            if not _same_element(vec, classes[(i - j) % p.p] if i else top):
-                raise DiscrepancyError(
-                    f"structure identity failed at p={p.p}, entry ({i},{j})"
-                )
+        a = np.array(parts.a_exp[i], dtype=np.int64)
+        exps = (a + b_exp[:, : len(a)]) % p.p + offsets
+        vecs = 2 * np.bincount(exps.ravel(), minlength=dim * p.p).reshape(dim, p.p)
+        vecs[:, 0] -= nu[i] * nu
+        diff = vecs - (classes[(i - np.arange(dim)) % p.p] if i else top)
+        bad = (diff != diff[:, :1]).any(axis=1)
+        if bad.any():
+            raise DiscrepancyError(f"structure identity failed at p={p.p}, "
+                                   f"entry ({i},{bad.argmax()})")
     return True
 
 
@@ -287,21 +292,16 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
     Row 0 must be all -1, and check_square_sums must prove each class d's
     entry equal to f(d): f(0) = p, f(d) = (d/p)*tau.  Subtracting column
     j+1 from column j, j < n, turns row 0 into -e_n, leaving (-1)^(n+1)
-    times the n x n Toeplitz determinant of t(k) = f(k+1) - f(k), taken
-    over Z[tau] inside the integers of Q(sqrt(p*))."""
+    times the n x n Toeplitz determinant of t(k) = f(k+1) - f(k) over Z[tau],
+    whose parts a(k), from f(0), and b(k) = chi(k+1) - chi(k) are integers."""
     p = parts.prime
     if parts.top != CycElem.const(p, -1):
         raise DiscrepancyError(f"row 0 is not -1 at p={p.p}")
     check_square_sums(p, [c.coeffs + (0,) for c in parts.classes])
     chi = legendre_table(p)
-    pstar = (-1) ** p.n * p.p
-    f = [QuadElem(pstar, 0, 2 * c) for c in chi]
-    f[0] = QuadElem(pstar, 2 * p.p, 0)
-    value = toeplitz_det(lambda k: f[k + 1] - f[k], p.n, QuadElem(pstar, 2, 0))
-    if value.a % 2 or value.b % 2:
-        raise DiscrepancyError(f"determinant left Z[tau] at p={p.p}")
-    sign = (-1) ** (p.n + 1)
-    return sign * value.a // 2, sign * value.b // 2
+    c, d = toeplitz_det_ztau(lambda k: p.p * (((k + 1) % p.p == 0) - (k % p.p == 0)),
+                             lambda k: chi[k + 1] - chi[k], p.n, (-1) ** p.n * p.p)
+    return (c, d) if p.n % 2 else (-c, -d)
 
 
 def ztau_to_cyc(p: OddPrime, c: int, d: int) -> CycElem:

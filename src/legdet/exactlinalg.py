@@ -207,8 +207,8 @@ def _prem_window(a: list, b: list, steps: int, beta) -> list:
     return [q for q, _ in qr]
 
 
-def toeplitz_det(t, m: int, one=1):
-    """Exact determinant of the m x m Toeplitz matrix [t(i - j)], 0 <= i, j < m.
+def toeplitz_det(t, m: int) -> int:
+    """Exact determinant of the integer m x m Toeplitz matrix [t(i - j)], 0 <= i, j < m.
 
     Reversing the rows gives a Hankel matrix, whose determinant is the
     principal subresultant coefficient of index m - 1 of F0 = X^(2m-1) and
@@ -229,25 +229,21 @@ def toeplitz_det(t, m: int, one=1):
     remainder's true degree is known whenever it is >= m - 1, and an
     all-zero window means degree < m - 1, hence determinant 0.
 
-    The entries may lie in any integral domain whose elements support *,
-    -, ** by a non-negative int, truthiness and a divmod whose remainder is
-    falsy exactly when the division is exact; one is the domain's unit.
     Every division is exact in theory, so a nonzero remainder of any
     computed coefficient raises DiscrepancyError.
     """
     if m < 1:
         raise ValueError("Toeplitz dimension must be at least 1")
-    zero = one - one
     f1 = _lstrip0([t(m - 1 - k) for k in range(2 * m - 1)])
     d = len(f1) - 1
     delta = 2 * m - 1 - d
     if d < m - 1:
-        return zero
+        return 0
     if d == m - 1:
         return f1[0] ** delta
     # X^(2m-1) down to the first floor, 2m - 1 - d
-    f0 = [one] + [zero] * d
-    beta, psi = (-one) ** (delta + 1), -one
+    f0 = [1] + [0] * d
+    beta, psi = (-1) ** (delta + 1), -1
     while True:
         lc = f1[0]
         window = _prem_window(f0[: len(f1)], f1, delta + 1, beta)
@@ -256,9 +252,9 @@ def toeplitz_det(t, m: int, one=1):
         # deg f1 - deg r; an all-zero window gives d - gap = floor - 1
         gap = len(window) - len(r) + 1
         if d - gap < m - 1:
-            return zero
+            return 0
         if d - gap == m - 1:
-            return _exact_div((-one) ** (gap - 1) * r[0] ** gap, psi ** (gap - 1))
+            return _exact_div((-1) ** (gap - 1) * r[0] ** gap, psi ** (gap - 1))
         beta = -lc * psi**gap
         f0, f1, d, delta = f1, r, d - gap, gap
 
@@ -445,52 +441,64 @@ def _lane_dets(f1, q, m: int):
         f0, f1, n0, n1, s0, s1 = f1, f2, n1, n2, s1, s2
 
 
-def _toeplitz_dets_crt(rows, m: int, primes) -> list:
-    """The m x m Toeplitz determinants whose F1s have the integer
-    coefficients rows, an (R, 2m - 1) int64 array, by _lane_dets over
-    primes taken in order from the iterable primes, rebuilt by CRT; see
-    toeplitz_det_mod.  Returns a list of R values, None for each row that
-    _lane_dets dropped.
-
-    Each row has its own Hadamard bound H_row, and primes are taken until
-    their product exceeds 2 max H_row.  Primes found unlucky are dropped
-    for every row and the run is repeated with the next primes.  Running
-    out of primes, or a row's CRT value above its own H_row, raises
-    DiscrepancyError.
-    """
+def _hadamard_bounds(rows, m: int) -> list:
+    """toeplitz_det_mod's bound H for each row of the (R, 2m - 1) array rows."""
     top = np.sort(np.abs(rows), axis=1)[:, -m:].astype(object)
-    bounds = [math.isqrt(s ** m) + 1 for s in (top * top).sum(axis=1)]
-    limit = 2 * max(bounds)
+    return [math.isqrt(s ** m) + 1 for s in (top * top).sum(axis=1)]
+
+
+def _lane_run(lanes, m: int, primes, limit: int):
+    """(chosen, alive, residues) of _lane_dets on lanes(q), a batch mod the
+    (K,) array q of the primes chosen in order from primes until their
+    product exceeds limit, unlucky ones dropped and the run repeated."""
     primes = iter(primes)
     chosen, product = [], 1
     while True:
         while product <= limit:
             q = next(primes, None)
             if q is None:
-                raise DiscrepancyError("lane primes ran out below twice the Hadamard bound")
+                raise DiscrepancyError("lane primes ran out below the CRT bound")
             chosen.append(q)
             product *= q
         q = np.array(chosen, dtype=np.int64)
-        alive, residues, unlucky = _lane_dets(rows % q[:, None, None], q, m)
+        alive, residues, unlucky = _lane_dets(lanes(q), q, m)
         if unlucky is None:
-            break
+            return chosen, alive, residues
         chosen = [qk for qk, bad in zip(chosen, unlucky.tolist()) if not bad]
         product = math.prod(chosen)
-    # Garner: value = sum of moduli[k] * digit_k, each digit in [0, q_k)
+
+
+def _crt(residues, chosen: list, bounds) -> list:
+    """By Garner's method, the symmetric residue mod prod(chosen) of each
+    list in residues, whose entries are residues mod the primes chosen; one
+    of absolute value above its entry in bounds raises DiscrepancyError."""
+    # value = sum of moduli[k] * digit_k, each digit in [0, q_k)
     moduli, inverses, modulus = [], [], 1
     for qk in chosen:
         moduli.append(modulus)
         inverses.append(pow(modulus % qk, -1, qk))
         modulus *= qk
-    values = [None] * len(rows)
-    for i, res in zip(alive.tolist(), residues):
+    values = []
+    for res, bound in zip(residues, bounds):
         value = 0
         for r, qk, mk, ik in zip(res, chosen, moduli, inverses):
             value += mk * ((r - value % qk) * ik % qk)
-        if 2 * value > modulus:
-            value -= modulus
-        if abs(value) > bounds[i]:
+        values.append(value - modulus if 2 * value > modulus else value)
+        if abs(values[-1]) > bound:
             raise DiscrepancyError("multimodular determinant exceeds its Hadamard bound")
+    return values
+
+
+def _toeplitz_dets_crt(rows, m: int, primes) -> list:
+    """The m x m Toeplitz determinants of the F1s rows, an (R, 2m - 1) int64
+    array, on lanes whose primes multiply past 2 max H_row (see
+    toeplitz_det_mod), None for each row _lane_dets dropped.  A CRT value
+    above its row's own H_row raises DiscrepancyError."""
+    bounds = _hadamard_bounds(rows, m)
+    chosen, alive, residues = _lane_run(lambda q: rows % q[:, None, None], m,
+                                        primes, 2 * max(bounds))
+    alive, values = alive.tolist(), [None] * len(rows)
+    for i, value in zip(alive, _crt(residues, chosen, [bounds[i] for i in alive])):
         values[i] = value
     return values
 
@@ -528,6 +536,41 @@ def toeplitz_det_mod(t, m: int) -> int:
         raise ValueError("Toeplitz dimension must be at least 1")
     rows = np.array([[t(m - 1 - k) for k in range(2 * m - 1)]], dtype=np.int64)
     return _toeplitz_dets_crt(rows, m, _lane_primes())[0]
+
+
+def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
+    """Exact (c, d), meaning c + d*tau, of det [a(i - j) + b(i - j)*tau],
+    0 <= i, j < m, tau^2 = pstar, for int64-valued a and b, |pstar| no square.
+
+    At primes q = 3 (mod 4) with pstar a nonzero square, s = pstar^((q+1)/4)
+    is a root of it, and tau -> +-s map the matrix to the rows a +- s*b of
+    one _lane_run batch, whose determinants D+- = c +- d*s give c and d mod
+    q.  toeplitz_det_mod's bound, in each complex embedding on |a| + r|b|,
+    r = isqrt(|pstar|) + 1, bounds every coefficient kappa the PRS reads by
+    h, so |N(kappa)| <= h^2, and tau -> s kills kappa only if q | N(kappa):
+    primes multiply past 2h^2, zero tests are exact, and the conjugate rows
+    share one degree sequence.  A row leaving the batch, or c or d above h,
+    raises DiscrepancyError.
+    """
+    if m < 1 or math.isqrt(abs(pstar)) ** 2 == abs(pstar):
+        raise ValueError("need m >= 1 and |pstar| not a square")
+    av, bv = (np.array([f(k) for k in range(m - 1, -m, -1)], np.int64) for f in (a, b))
+    [h] = _hadamard_bounds([np.abs(av) + (math.isqrt(abs(pstar)) + 1) * np.abs(bv)], m)
+
+    def lanes(q):
+        s = np.array([pow(pstar, (qk + 1) // 4, qk) for qk in q.tolist()])[:, None]
+        sb = s * (bv % q[:, None]) % q[:, None]
+        return np.stack([av + sb, av - sb], axis=1) % q[:, None, None]
+
+    primes = (q for q in _lane_primes() if q % 4 == 3 and pow(pstar, q // 2, q) == 1)
+    chosen, alive, residues = _lane_run(lanes, m, primes, 2 * h * h)
+    if len(alive) < 2:
+        raise DiscrepancyError("the conjugate rows left each other's degree sequence")
+    roots = [pow(pstar, (qk + 1) // 4, qk) for qk in chosen]
+    cs = [(x + y) * ((qk + 1) // 2) % qk for x, y, qk in zip(*residues, chosen)]
+    ds = [(x - y) * pow(2 * s, -1, qk) % qk
+          for x, y, s, qk in zip(*residues, roots, chosen)]
+    return tuple(_crt([cs, ds], chosen, [h, h]))
 
 
 # Points evaluated beyond the m + 2 that toeplitz_charpoly needs.  They stand

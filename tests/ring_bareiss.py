@@ -1,5 +1,6 @@
-"""Ring-generic fraction-free (Bareiss) elimination, the tests' reference
-for determinants over rings other than Z (here Z[tau])."""
+"""Ring-generic fraction-free (Bareiss) elimination whose starting divisor
+is the caller's `one`: with a false unit it shows that an inexact interior
+division raises."""
 from legdet.errors import DiscrepancyError
 
 

@@ -4,12 +4,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legdet.arith import OddPrime, legendre, primes_in_range
+from legdet.arith import OddPrime, legendre, legendre_table, primes_in_range
 from legdet.cyclotomic import (
     CycElem,
     build_mtilde,
@@ -27,9 +28,8 @@ from legdet.cyclotomic import (
     ztau_to_cyc,
 )
 from legdet.errors import DiscrepancyError
-from legdet.exactlinalg import toeplitz_det
-from legdet.quadfield import QuadElem, _numeric_product_one
-from ring_bareiss import bareiss
+from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
+from legdet.quadfield import _numeric_product_one
 
 
 def random_elem(rng, q, lo=-4, hi=4):
@@ -283,6 +283,53 @@ def test_mtilde_structure_identity():
         assert mtilde_structure_check(build_mtilde(q))
 
 
+def structure_loop(parts):
+    """The entrywise exponent count that mtilde_structure_check takes by one
+    bincount per row: the first entry (i, j), row by row, whose count is not
+    its class's exponent vector up to a constant, or None."""
+    p = parts.prime
+    top = parts.top.coeffs + (0,)
+    classes = [c.coeffs + (0,) for c in parts.classes]
+    for i in range(p.n + 1):
+        for j in range(p.n + 1):
+            vec = [0] * p.p
+            vec[0] = -parts.nu[i] * parts.nu[j]
+            for e in map(add, parts.a_exp[i], parts.b_exp[j]):
+                vec[e % p.p] += 2
+            if len(set(map(sub, vec, classes[(i - j) % p.p] if i else top))) != 1:
+                return i, j
+    return None
+
+
+def test_structure_check_matches_the_entrywise_loop():
+    # random single changes to a witness entry or to nu: the check passes
+    # exactly when the loop finds no bad entry, else names the loop's first
+    rng = random.Random(71)
+    raised = 0
+    for q in primes_in_range(3, 31):
+        parts = build_mtilde(q)
+        assert structure_loop(parts) is None and mtilde_structure_check(parts)
+        for _ in range(12):
+            field = rng.choice(("a_exp", "b_exp", "nu"))
+            if field == "nu":
+                nu = list(parts.nu)
+                nu[rng.randrange(len(nu))] += rng.choice((-1, 1))
+                bad = dataclasses.replace(parts, nu=tuple(nu))
+            else:
+                rows = [list(r) for r in getattr(parts, field)]
+                i = rng.randrange(1 if field == "a_exp" else 0, len(rows))
+                rows[i][rng.randrange(len(rows[i]))] += rng.randrange(1, q.p)
+                bad = dataclasses.replace(parts, **{field: tuple(map(tuple, rows))})
+            where = structure_loop(bad)
+            if where is None:
+                assert mtilde_structure_check(bad)
+            else:
+                raised += 1
+                with pytest.raises(DiscrepancyError, match=rf"entry \({where[0]},{where[1]}\)"):
+                    mtilde_structure_check(bad)
+    assert raised > 100
+
+
 def cofactor_det(p, rows):
     if len(rows) == 1:
         return rows[0][0]
@@ -298,64 +345,46 @@ def cofactor_det(p, rows):
     return acc
 
 
-def ztau_bareiss(q, coords):
-    """Bareiss over Z[tau] on a matrix of (c, d) pairs, mapped to Q(zeta_q)."""
-    pstar = (-1) ** q.n * q.p
-    rows = [[QuadElem(pstar, 2 * c, 2 * d) for c, d in row] for row in coords]
-    value = bareiss(rows, QuadElem(pstar, 2, 0))
-    assert value.a % 2 == 0 and value.b % 2 == 0
-    return ztau_to_cyc(q, value.a // 2, value.b // 2)
-
-
 def ztau_cofactor(q, coords):
     return cofactor_det(q, [[ztau_to_cyc(q, c, d) for c, d in row] for row in coords])
 
 
-def test_bareiss_ztau_against_cofactor_expansion():
-    rng = random.Random(61)
-    for p in (3, 5, 7, 13):
-        q = OddPrime(p)
-        for _ in range(30):
-            dim = rng.randint(1, 4)
-            # zero-heavy entries, so zero pivots and singular matrices occur
-            coords = [
-                [(rng.choice((0, 0, rng.randint(-3, 3))), rng.choice((0, rng.randint(-3, 3))))
-                 for _ in range(dim)]
-                for _ in range(dim)
-            ]
-            assert ztau_bareiss(q, coords) == ztau_cofactor(q, coords), (p, coords)
+def ztau_reference(coords, m, pstar):
+    """det [t(i - j)] over Z[tau], tau^2 = pstar, where coords lists
+    t(-(m-1)), ..., t(m-1) as (c, d) pairs meaning c + d*tau, as (c, d).
 
-
-def test_bareiss_ztau_zero_pivots_and_singular():
-    q = OddPrime(7)
-    cases = [
-        [[(0, 0), (1, 1)], [(2, -1), (0, 3)]],  # zero leading pivot
-        # rows 0 and 1 agree on the first two columns: zero second pivot
-        [[(1, 1), (2, 0), (0, 1)], [(1, 1), (2, 0), (3, 0)], [(0, 2), (1, 0), (1, -1)]],
-        [[(0, 0), (0, 0), (1, 0)], [(0, 0), (0, 1), (2, 0)], [(1, 0), (0, 0), (0, 0)]],
-    ]
-    for coords in cases:
-        got = ztau_bareiss(q, coords)
-        assert got != CycElem.const(q, 0)
-        assert got == ztau_cofactor(q, coords)
-    repeated = [[(1, 0), (0, 1)], [(1, 0), (0, 1)]]
-    zero_column = [[(0, 0), (1, 2)], [(0, 0), (3, 1)]]
-    for coords in (repeated, zero_column):
-        assert ztau_bareiss(q, coords) == CycElem.const(q, 0)
-    # row 1 is (1 + tau) times row 0, with tau^2 = 5
-    q5 = OddPrime(5)
-    proportional = [[(1, 1), (2, 0)], [(6, 2), (2, 2)]]
-    assert ztau_bareiss(q5, proportional) == CycElem.const(q5, 0)
+    P(x) = det [c + x*d] has degree at most m: the dense det at x = 0..m,
+    forward differences divided exactly by k! (Newton's form), a Horner
+    expansion into monomials, and x^2 = pstar folded in."""
+    rows = [[coords[i - j + m - 1] for j in range(m)] for i in range(m)]
+    values = [det(IntMatrix([[c + x * d for c, d in row] for row in rows]))
+              for x in range(m + 1)]
+    newton = []
+    for k in range(m + 1):
+        newton.append(_exact_div(values[0], math.factorial(k)))
+        values = [b - a for a, b in zip(values, values[1:])]
+    coeffs = [newton[m]]
+    for k in range(m - 1, -1, -1):  # coeffs = coeffs * (x - k) + newton[k]
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += newton[k]
+    folded = [0, 0]
+    for e, coeff in enumerate(coeffs):
+        folded[e % 2] += coeff * pstar ** (e // 2)
+    return tuple(folded)
 
 
 def ztau_toeplitz(q, coords, m):
-    """toeplitz_det over Z[tau] of [t(i - j)] and Bareiss on the same dense
-    matrix, where coords lists t(-(m-1)), ..., t(m-1) as (c, d) pairs."""
+    """toeplitz_det_ztau of [t(i - j)] and ztau_reference on the same matrix,
+    where coords lists t(-(m-1)), ..., t(m-1) as (c, d) pairs; for m <= 4
+    the reference must also equal the cofactor expansion in Q(zeta_q)."""
     pstar = (-1) ** q.n * q.p
-    vals = [QuadElem(pstar, 2 * c, 2 * d) for c, d in coords]
-    one = QuadElem(pstar, 2, 0)
-    dense = [[vals[i - j + m - 1] for j in range(m)] for i in range(m)]
-    return toeplitz_det(lambda k: vals[k + m - 1], m, one), bareiss(dense, one)
+    got = toeplitz_det_ztau(lambda k: coords[k + m - 1][0],
+                            lambda k: coords[k + m - 1][1], m, pstar)
+    ref = ztau_reference(coords, m, pstar)
+    if m <= 4:
+        dense = [[coords[i - j + m - 1] for j in range(m)] for i in range(m)]
+        assert ztau_to_cyc(q, *ref) == ztau_cofactor(q, dense)
+    return got, ref
 
 
 @st.composite
@@ -383,16 +412,28 @@ def test_toeplitz_det_over_ztau_even_final_gap_and_singular():
     # det = tau^5 * (-1) = -pstar^2 * tau
     values = [1, 0, -1, 0, 0, -1, 0, 1, -1]
     got, ref = ztau_toeplitz(q, [(0, v) for v in values], 5)
-    assert got == ref == QuadElem(pstar, 0, -2 * pstar ** 2)
+    assert got == ref == (0, -pstar ** 2)
     # rows 0 and 2 agree; the all-zero matrix; a zero diagonal
     for coords, m in (([(1, 1), (2, 0), (1, 1), (2, 0), (1, 1)], 3),
                       ([(0, 0)] * 7, 4),
                       ([(1, -1)] * 3 + [(0, 0)] * 4, 4)):
         got, ref = ztau_toeplitz(q, coords, m)
-        assert got == ref == QuadElem(pstar, 0, 0)
-    # upper triangular with diagonal 1 + tau: (1 + tau)^3
+        assert got == ref == (0, 0)
+    # upper triangular with diagonal 1 + tau: (1 + tau)^3 = 1 + 3 pstar + (3 + pstar) tau
     got, ref = ztau_toeplitz(q, [(0, 0)] * 2 + [(1, 1)] + [(2, -1)] * 2, 3)
-    assert got == ref == QuadElem(pstar, 2, 2) ** 3
+    assert got == ref == (-20, -4)
+
+
+def test_mtilde_det_matches_the_dense_reference():
+    # t(k) = f(k+1) - f(k) with f(0) = p, f(d) = (d/p)*tau; det M~ is
+    # (-1)^(n+1) times its n x n Toeplitz determinant
+    for q in primes_in_range(3, 61):
+        f = [(q.p, 0)] + [(0, c) for c in legendre_table(q)[1:]]
+        coords = [(f[k + 1][0] - f[k][0], f[k + 1][1] - f[k][1])
+                  for k in range(-(q.n - 1), q.n)]
+        c, d = ztau_reference(coords, q.n, (-1) ** q.n * q.p)
+        sign = (-1) ** (q.n + 1)
+        assert mtilde_det(build_mtilde(q)) == (sign * c, sign * d), q.p
 
 
 def test_mtilde_det_exact_small():

@@ -27,6 +27,7 @@ from legdet.exactlinalg import (
     toeplitz_charpoly,
     toeplitz_det,
     toeplitz_det_mod,
+    toeplitz_det_ztau,
 )
 from legdet.matrices import (
     build_cp,
@@ -456,6 +457,71 @@ def test_each_row_is_checked_against_its_own_bound(monkeypatch):
     monkeypatch.setattr(exactlinalg, "_lane_dets", ten_for_row_0)
     with pytest.raises(DiscrepancyError):
         _toeplitz_dets_crt(batch, 2, _lane_primes())
+
+
+def _mtilde_toeplitz(p):
+    """mtilde's Z[tau] Toeplitz matrix at p as toeplitz_det_ztau's
+    arguments: a from f(0) = p, b(k) = chi(k+1) - chi(k)."""
+    q = OddPrime(p)
+    chi = legendre_table(q)
+    return (lambda k: p * (((k + 1) % p == 0) - (k % p == 0)),
+            lambda k: chi[k + 1] - chi[k], q.n, (-1) ** q.n * p)
+
+
+def _ztau_primes(pstar):
+    return (q for q in _lane_primes() if q % 4 == 3 and pow(pstar, q // 2, q) == 1)
+
+
+def test_toeplitz_det_ztau_rejects_a_product_below_twice_h_squared(monkeypatch):
+    a, b, m, pstar = _mtilde_toeplitz(23)
+    assert toeplitz_det_ztau(a, b, m, pstar) == (0, -13181630464)
+    ks = range(m - 1, -m, -1)
+    [h] = exactlinalg._hadamard_bounds(
+        [[abs(a(k)) + (math.isqrt(abs(pstar)) + 1) * abs(b(k)) for k in ks]], m)
+    # three primes multiply past 2h, the integer kernel's limit, but not 2h^2
+    three = list(itertools.islice(_ztau_primes(pstar), 3))
+    assert 2 * h < math.prod(three) <= 2 * h * h
+    monkeypatch.setattr(exactlinalg, "_lane_primes", lambda: iter(three))
+    with pytest.raises(DiscrepancyError, match="lane primes ran out below the CRT bound"):
+        toeplitz_det_ztau(a, b, m, pstar)
+
+
+def test_toeplitz_det_ztau_rejects_a_tampered_plus_residue(monkeypatch):
+    lane_dets = exactlinalg._lane_dets
+    lanes = []
+
+    def tampered(f1, q, m):
+        alive, residues, unlucky = lane_dets(f1, q, m)
+        residues[0][0] = (residues[0][0] + 1) % int(q[0])
+        lanes.append(len(q))
+        return alive, residues, unlucky
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
+    # d != 0 at p = 23, and its 2h^2 takes at least 3 primes
+    with pytest.raises(DiscrepancyError, match="exceeds its Hadamard bound"):
+        toeplitz_det_ztau(*_mtilde_toeplitz(23))
+    assert lanes[-1] >= 3
+
+
+def test_toeplitz_det_ztau_rejects_rows_off_each_others_degrees(monkeypatch):
+    lane_dets = exactlinalg._lane_dets
+
+    def minus_row_leading_zero(f1, q, m):
+        f1[:, 1, 0] = 0  # tau -> -s no longer mirrors tau -> s
+        return lane_dets(f1, q, m)
+
+    av, bv = [3, -1, 2, 5, 0, 1, -2], [1, 0, -1, 2, 1, 0, 1]
+    a, b = (lambda k: av[k + 3]), (lambda k: bv[k + 3])
+    assert toeplitz_det_ztau(a, b, 4, -7) == (-1940, -232)
+    monkeypatch.setattr(exactlinalg, "_lane_dets", minus_row_leading_zero)
+    with pytest.raises(DiscrepancyError, match="conjugate rows"):
+        toeplitz_det_ztau(a, b, 4, -7)
+
+
+def test_toeplitz_det_ztau_domain():
+    for m, pstar in ((0, -7), (3, 4), (3, -9), (3, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            toeplitz_det_ztau(lambda k: 1, lambda k: k, m, pstar)
 
 
 def test_lane_primes_are_distinct_primes_below_2_30():

