@@ -6,9 +6,13 @@ canonical form.  Exponents are always reduced mod p first since zeta^p = 1.
 A length-p exponent vector, one slot per power zeta^0..zeta^(p-1), names an
 element too; two such vectors name the same element exactly when they differ
 by a constant, since 1 + zeta + ... + zeta^(p-1) = 0 spans the kernel.
+The products of Lemma 3.2 and of the mtilde closed form are never expanded:
+their identities are decided by evaluation at primes q = 1 (mod p), in
+integer numpy lanes (`_embeddings`).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,9 +20,9 @@ from operator import sub
 
 import numpy as np
 
-from .arith import OddPrime, legendre_table
+from .arith import OddPrime, is_prime, legendre_array, legendre_table
 from .errors import DiscrepancyError
-from .exactlinalg import IntMatrix, det, toeplitz_det_ztau
+from .exactlinalg import IntMatrix, _lane_reduce, det, toeplitz_det_ztau
 from .quadfield import fundamental_unit, quad_pow
 
 
@@ -94,14 +98,6 @@ class CycElem:
 
     def scale(self, c) -> "CycElem":
         return CycElem(self.prime, [c * a for a in self.coeffs])
-
-    def conj(self) -> "CycElem":
-        """Complex conjugation, the field automorphism zeta -> zeta^(-1)."""
-        p = self.prime.p
-        vec = [0] * p
-        for i, c in enumerate(self.coeffs):
-            vec[(p - i) % p] += c
-        return CycElem.from_exponents(self.prime, vec)
 
     def __str__(self) -> str:
         if all(c == 0 for c in self.coeffs[1:]):
@@ -262,27 +258,119 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
     return True
 
 
-def _times_difference(vec: list, a: int, b: int) -> list:
-    """vec * (zeta^a - zeta^b) on length-p exponent vectors, 0 <= a, b < p:
-    one shift-subtract, out[i] = vec[i - a] - vec[i - b]."""
-    return [vec[i - a] - vec[i - b] for i in range(len(vec))]
+# Split primes q = 1 (mod p) stay below 2^30: a product of two residues
+# fits in int64, and CPython's three-argument pow, which is_prime and the
+# root of unity take, runs about 2.5x faster on one-digit ints than on 31 bits.
+_SPLIT_PRIME_LIMIT = 1 << 30
+# Entries of the largest array _embeddings gathers for one block of primes.
+_BLOCK_ENTRIES = 1 << 20
+# One numpy remainder by these primes drops most composite candidates for
+# split primes before is_prime, and its three pows, sees them.
+_SIEVE = np.array([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+                   61, 67, 71, 73, 79, 83, 89, 97])[:, None]
 
 
-def exact_product_one(p: OddPrime) -> CycElem:
-    """Exact product over k=1..n of (1 - zeta^(k^2))."""
-    vec = [1] + [0] * (p.p - 1)
-    for k in range(1, p.n + 1):
-        vec = _times_difference(vec, 0, k * k % p.p)
-    return CycElem.from_exponents(p, vec)
+def _split_primes(p: int):
+    """The primes q = kp + 1 between 100 and 2^30, descending; k is even,
+    so q is odd.  Candidates are sieved 64 at a time."""
+    top = (_SPLIT_PRIME_LIMIT - 2) // p
+    for k in range(top - top % 2, 0, -128):
+        candidates = (k - np.arange(0, min(128, k), 2)) * p + 1
+        for q in candidates[(candidates % _SIEVE).all(axis=0)].tolist():
+            if is_prime(q):
+                yield q
 
 
-def exact_product_two(p: OddPrime) -> CycElem:
-    """Exact product over pairs j < k of (zeta^(k^2) - zeta^(j^2))."""
-    vec = [1] + [0] * (p.p - 1)
-    for k in range(2, p.n + 1):
-        for j in range(1, k):
-            vec = _times_difference(vec, k * k % p.p, j * j % p.p)
-    return CycElem.from_exponents(p, vec)
+def _root_of_order(p: int, q: int) -> int:
+    """An element of order p in F_q, for a prime q = 1 (mod p): the first
+    g^((q-1)/p), g = 2, 3, ..., that is not 1."""
+    for g in itertools.count(2):
+        w = pow(g, (q - 1) // p, q)
+        if w != 1:
+            return w
+
+
+def _powers(x, count: int, q):
+    """x^0, ..., x^(count-1) mod q, stacked on a new axis 1, for a (K, width)
+    array x and the (K, 1) moduli q, by doubling."""
+    out = np.empty(x.shape[:1] + (count,) + x.shape[1:], np.int64)
+    out[:, 0] = 1
+    done = 1
+    while done < count:  # here x is the original x^done
+        size = min(done, count - done)
+        block = out[:, done:done + size]
+        np.multiply(out[:, :size], x[:, None], out=block)
+        block %= q[:, None]
+        x = x * x % q
+        done += size
+    return out
+
+
+def _product(x, q3, ql: list):
+    """The product mod q along axis 1 of the (K, length, columns) array x,
+    for q3 the (K, 1, 1) moduli and ql the same as Python ints; x is
+    overwritten.  Each step folds the top half of axis 1 onto the bottom
+    half, so an odd length leaves its middle entry for later."""
+    while x.shape[1] > 1:
+        length, half = x.shape[1], x.shape[1] // 2
+        low = x[:, :half]
+        low *= x[:, length - half:]
+        _lane_reduce(low, q3, ql)
+        x = x[:, :length - half]
+    return x[:, 0]
+
+
+def _embeddings(p: OddPrime, bound: int, products):
+    """The residues of tau and of zeta^shift prod_{e=1..p-1} (1 - zeta^e)^x[e],
+    for each (shift, x) of products, under every embedding zeta -> omega^j,
+    j = 1..p-1, modulo primes q = 1 (mod p) whose product exceeds bound.
+    Yields (q, tau, values) by blocks of primes: q of shape (K, 1), tau and
+    each value (K, p - 1), column j - 1 for j.
+
+    omega has order p mod q, so Z[zeta]/q is F_q^(p-1) through the p - 1
+    embeddings.  An element of Z[zeta] whose embeddings all have absolute
+    value at most bound, and whose residues all vanish, is 0: it lies in
+    Q Z[zeta], and a nonzero one would have norm at least Q^(p-1).
+    sigma_j(tau) = chi(j) sigma_1(tau).  The primes below 2^30 run out
+    from p near 15000 on; then DiscrepancyError is raised.
+
+    Every value is one gather from the table of omega^e (row 0) and
+    (1 - omega^e)^mu (row mu >= 1), then a product along its row."""
+    chosen, product = [], 1
+    primes = _split_primes(p.p)
+    while product <= bound:
+        q = next(primes, None)
+        if q is None:
+            raise DiscrepancyError(f"primes q = 1 (mod {p.p}) ran out below "
+                                   f"the embedding bound at p={p.p}")
+        chosen.append(q)
+        product *= q
+    js = np.arange(1, p.p)
+    indices = []
+    for shift, exponents in products:
+        support = np.flatnonzero(exponents)
+        index = exponents[support, None] * p.p + support[:, None] * js % p.p
+        indices.append(np.vstack([shift * js % p.p, index]) if shift else index)
+    top = max(int(exponents.max()) for _, exponents in products)
+    chi = legendre_array(p)
+    block = max(1, _BLOCK_ENTRIES // max(index.size for index in indices))
+    for lo in range(0, len(chosen), block):
+        ql = chosen[lo:lo + block]
+        q = np.array(ql, np.int64)[:, None]
+        rows = []
+        for qk in ql:
+            w = _root_of_order(p.p, qk)
+            row = [1]
+            for _ in range(p.p - 1):
+                row.append(row[-1] * w % qk)
+            rows.append(row)
+        table = np.array(rows, np.int64)
+        factors = _powers((1 - table) % q, top + 1, q)
+        factors[:, 0] = table
+        factors = factors.reshape(len(ql), -1)
+        tau = (table * chi).sum(axis=1, keepdims=True) * chi[1:] % q
+        yield q, tau, [_product(np.take(factors, index, axis=1), q[:, :, None], ql)
+                       for index in indices]
 
 
 def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
@@ -329,7 +417,11 @@ class MtildeCheck:
 def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     """Check det of the structured matrix against
     -(-2)^n * conj(prod(1 - zeta^(k^2))) * |prod(zeta^(k^2) - zeta^(j^2))|^2
-    by exact equality in Q(zeta_p), for p >= 5.
+    exactly, for p >= 5, by evaluation at primes q = 1 (mod p): both sides
+    are in Z[zeta], and every embedding of their difference has absolute
+    value at most |c| + |d|(isqrt(p) + 1) + 4^n n^n, since |1 - zeta^e| <= 2
+    and, by Hadamard on the Vandermonde matrix of the zeta^(k^2),
+    |P2| <= n^(n/2).
 
     The closed form needs sum_{k<=n} k^2 = p(p^2-1)/24 to vanish mod p,
     which holds for every prime p >= 5 but not for p = 3."""
@@ -337,11 +429,28 @@ def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     if p.p < 5:
         raise ValueError("closed form requires p >= 5")
     c, d = mtilde_det(parts)
-    p2 = exact_product_two(p)
-    closed = (exact_product_one(p).conj() * p2 * p2.conj()).scale(-((-2) ** p.n))
-    if ztau_to_cyc(p, c, d) != closed:
-        raise DiscrepancyError(f"exact determinant mismatch at p={p.p}")
+    # conj(P1) = prod_k (1 - zeta^(-k^2)), and P2 conj(P2) is the product
+    # over ordered pairs a != b of (1 - zeta^(a^2 - b^2)): in
+    # zeta^(b^2) - zeta^(a^2) = zeta^(b^2) (1 - zeta^(a^2 - b^2)) and its
+    # conjugate the powers of zeta cancel.  The n pairs a = b are counted
+    # at 0 and taken off again.
+    squares = np.arange(1, p.n + 1) ** 2 % p.p
+    exponents = np.bincount(np.append(squares[:, None] - squares, -squares) % p.p,
+                            minlength=p.p)
+    exponents[0] -= p.n
+    bound = abs(c) + abs(d) * (math.isqrt(p.p) + 1) + 4 ** p.n * p.n ** p.n
+    for q, tau, (closed,) in _embeddings(p, bound, [(0, exponents)]):
+        rc, rd, coef = _residues(q, c, d, -((-2) ** p.n))
+        if ((rc + rd * tau - closed * coef) % q).any():
+            raise DiscrepancyError(f"exact determinant mismatch at p={p.p}")
     return MtildeCheck(p.p, c, d)
+
+
+def _residues(q, *values: int):
+    """Each integer of values mod each prime of the (K, 1) array q, as one
+    (K, 1) array per value."""
+    return np.array([[v % qk for qk in q[:, 0].tolist()] for v in values],
+                    np.int64)[:, :, None]
 
 
 def _closed_form(sign: int, base: int, k: int, tau: bool, eps_exp: int = 0) -> str:
@@ -360,7 +469,8 @@ def _closed_form(sign: int, base: int, k: int, tau: bool, eps_exp: int = 0) -> s
 def lemma32_check(p: OddPrime, h: int) -> tuple[str, str]:
     """Check P1 = prod_{k=1..n} (1 - zeta^(k^2)) and
     P2^2 = prod_{j<k} (zeta^(j^2) - zeta^(k^2))^2 against their closed
-    forms by exact equality in Q(zeta_p); return the two closed forms.
+    forms exactly, by evaluation at primes q = 1 (mod p); return the two
+    closed forms.
 
     For p = 3 (mod 4), h is the class number of Q(sqrt(-p)) and
 
@@ -372,29 +482,50 @@ def lemma32_check(p: OddPrime, h: int) -> tuple[str, str]:
     are checked with the unit multiplied out, never inverted:
 
         P1 * 2eps^h = 2*tau,
-        2 * P2^2 = (-1)^((p-1)/4) * p^((p-5)/4) * tau * 2eps^h."""
+        2 * P2^2 = (-1)^((p-1)/4) * p^((p-5)/4) * tau * 2eps^h.
+
+    Every identity has integral sides, and the bound on the embeddings of
+    their difference takes |sigma(P1)| <= 2^n, |sigma(P2^2)| <= n^n
+    (Hadamard), sqrt(p) <= isqrt(p) + 1 and |sigma(2eps^h)| <= |A| +
+    |B|(isqrt(p) + 1); A and B enter reduced mod q."""
     if p.p < 5:
         raise ValueError("closed forms require p >= 5")
-    tau = gauss_sum(p)
-    one = exact_product_one(p)
-    two = exact_product_two(p)
-    two_sq = two * two
+    r = math.isqrt(p.p) + 1
     if p.p % 4 == 3:
         sign = (-1) ** ((h + 1) // 2)
         k = (p.p - 3) // 4
-        ok_one = one == tau.scale(sign)
-        ok_two = two_sq == CycElem.const(p, (-p.p) ** k)
+        bound = max(2 ** p.n + r, p.n ** p.n + p.p ** k)
         form_one = _closed_form(sign, p.p, 0, True)
         form_two = _closed_form((-1) ** k, p.p, k, False)
     else:
         power = quad_pow(fundamental_unit(p), h)
-        twice = ztau_to_cyc(p, power.a, power.b)
         sign = (-1) ** ((p.p - 1) // 4)
         k = (p.p - 5) // 4
-        ok_one = one * twice == tau.scale(2)
-        ok_two = two_sq.scale(2) == (tau * twice).scale(sign * p.p ** k)
+        unit = abs(power.a) + abs(power.b) * r
+        bound = max(2 ** p.n * unit + 2 * r, 2 * p.n ** p.n + p.p ** k * r * unit)
         form_one = _closed_form(1, p.p, 0, True, -h)
         form_two = _closed_form(sign, p.p, k, True, h)
+    # P2 = zeta^E prod_d (1 - zeta^d)^m(d): zeta^(b^2) - zeta^(a^2) is
+    # zeta^(b^2) (1 - zeta^d) with d = a^2 - b^2, m(d) counts the pairs
+    # a < b with that d, and E sums their b^2
+    i = np.arange(p.n)
+    squares = (i + 1) ** 2 % p.p
+    m = np.bincount(((squares[:, None] - squares) % p.p)[i[:, None] < i], minlength=p.p)
+    products = [(0, np.bincount(squares, minlength=p.p)), (int(i @ squares) % p.p, m)]
+    ok_one = ok_two = True
+    for q, tau, (one, two) in _embeddings(p, bound, products):
+        two = two * two % q
+        if p.p % 4 == 3:
+            [const] = _residues(q, (-p.p) ** k)
+            diff_one = one - sign * tau
+            diff_two = two - const
+        else:
+            a, b, const = _residues(q, power.a, power.b, sign * p.p ** k)
+            twice = (a + b * tau) % q
+            diff_one = one * twice - 2 * tau
+            diff_two = 2 * two - const * (tau * twice % q)
+        ok_one = ok_one and not (diff_one % q).any()
+        ok_two = ok_two and not (diff_two % q).any()
     if not ok_one:
         raise DiscrepancyError(
             f"first identity failed at p={p.p}: prod(1 - zeta^(k^2)) != {form_one}"

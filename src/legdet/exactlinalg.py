@@ -299,16 +299,17 @@ _REDUCE_BY_PRIME_FROM = 1024
 
 
 def _lane_reduce(w, q3, ql: list):
-    """w mod q, for a (K, R, width) lane array w, q3 the (K, 1, 1) moduli
-    and ql the same as Python ints.
+    """w mod q in place, for a (K, R, width) lane array w, q3 the (K, 1, 1)
+    moduli and ql the same as Python ints; returns w.
 
-    On large windows it reduces in place, one prime at a time, as w[k] -
+    On large windows it reduces one prime at a time, as w[k] -
     (w[k] // ql[k]) * ql[k]: numpy divides by a scalar with a multiply
     and shifts, not a hardware division, so this is several times faster
     than w % q3 per element, at the cost of 3 calls per prime.
     """
     if w[0].size < _REDUCE_BY_PRIME_FROM:
-        return w % q3
+        w %= q3
+        return w
     for wk, qk in zip(w, ql):
         t = wk // qk
         t *= qk

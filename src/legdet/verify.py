@@ -116,8 +116,8 @@ def verify_unit(p: OddPrime) -> VerificationRecord:
 
 
 def verify_lemma32(p: OddPrime) -> VerificationRecord:
-    """Both cyclotomic square products against their closed forms, by
-    exact equality in Q(zeta_p)."""
+    """Both cyclotomic square products against their closed forms, exactly,
+    by evaluation at primes q = 1 (mod p)."""
     if p.p < 5:
         return VerificationRecord(
             p.p, "lemma32", SKIPPED, "", "",
@@ -218,21 +218,22 @@ class Target:
     reads_tolerance: bool = False
 
 
-# lemma32 and mtilde share one sweep time budget, not a domain limit;
-# decomposition's cap is build_uvd's double-precision conditioning limit
-_EXACT_PRODUCT_CAP = 199
+# The caps of carlitz, gauss, lemma32 and mtilde bound the time of one
+# prime, not a domain: each is about the largest p whose verifier takes no
+# longer than lemma32 or mtilde took at p = 199 on the exact products.
+# decomposition's cap is build_uvd's double-precision conditioning limit.
 _TARGET_TABLE = {
     "sun": Target(verify_sun),
     "chapman": Target(verify_chapman),
     "carlitz": Target(verify_carlitz, 109, "characteristic polynomial"),
     "unit": Target(verify_unit),
-    "lemma32": Target(verify_lemma32, _EXACT_PRODUCT_CAP, "exact products"),
-    "gauss": Target(verify_gauss, 61, "exact square"),
+    "lemma32": Target(verify_lemma32, 449, "exact products"),
+    "gauss": Target(verify_gauss, 809, "exact square"),
     "cauchy": Target(verify_cauchy),
     "decomposition": Target(
         verify_decomposition, _DECOMP_CAP, "numeric diagnostic", reads_tolerance=True
     ),
-    "mtilde": Target(verify_mtilde, _EXACT_PRODUCT_CAP, "determinant check"),
+    "mtilde": Target(verify_mtilde, 311, "determinant check"),
 }
 TARGETS = tuple(_TARGET_TABLE)
 

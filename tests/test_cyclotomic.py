@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legdet import cyclotomic
 from legdet.arith import OddPrime, legendre, legendre_table, primes_in_range
 from legdet.cyclotomic import (
     CycElem,
+    MtildeCheck,
     build_mtilde,
     cauchy_det,
     check_square_sums,
-    exact_product_one,
-    exact_product_two,
     frakp_residue,
     gauss_sum,
     lemma32_check,
@@ -29,7 +29,9 @@ from legdet.cyclotomic import (
 )
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
-from legdet.quadfield import _numeric_product_one
+from legdet.quadfield import _numeric_product_one, class_number_imag, class_number_real
+
+from exact_products import conj, exact_product_one, exact_product_two
 
 
 def random_elem(rng, q, lo=-4, hi=4):
@@ -86,13 +88,13 @@ def test_conj_properties():
     for _ in range(50):
         x = random_elem(rng, q)
         y = random_elem(rng, q)
-        assert x.conj().conj() == x
-        assert (x * y).conj() == x.conj() * y.conj()
-        assert (x + y).conj() == x.conj() + y.conj()
+        assert conj(conj(x)) == x
+        assert conj(x * y) == conj(x) * conj(y)
+        assert conj(x + y) == conj(x) + conj(y)
     z = CycElem.zeta_pow(q, 4)
-    assert z.conj() == CycElem.zeta_pow(q, 7)
+    assert conj(z) == CycElem.zeta_pow(q, 7)
     w = random_elem(rng, q)
-    assert abs(complex_image(w.conj()) - complex_image(w).conjugate()) < 1e-12
+    assert abs(complex_image(conj(w)) - complex_image(w).conjugate()) < 1e-12
 
 
 def test_gauss_sum_square_exact():
@@ -202,13 +204,88 @@ def test_lemma32_check_closed_forms():
 
 
 def test_lemma32_check_rejects_wrong_class_number():
-    # h enters the first closed form only; a wrong h must be caught exactly
-    with pytest.raises(DiscrepancyError, match="first identity"):
-        lemma32_check(OddPrime(7), 3)
-    with pytest.raises(DiscrepancyError, match="first identity"):
-        lemma32_check(OddPrime(5), 2)
+    # h enters the first closed form only; a wrong h must be caught exactly.
+    # At p = 3 (mod 4), h + 2 flips the sign of tau; h(-23) = 3, h(-199) = 9
+    for p, h in ((7, 3), (5, 2), (23, 5), (199, 11), (197, 3)):
+        with pytest.raises(DiscrepancyError, match="first identity failed"):
+            lemma32_check(OddPrime(p), h)
     with pytest.raises(ValueError):
         lemma32_check(OddPrime(3), 1)
+
+
+def horner_images(x, q, omega):
+    """x under every embedding zeta -> omega^j, j = 1..p-1, mod q."""
+    p = x.prime.p
+    images = []
+    for j in range(1, p):
+        w, acc = pow(omega, j, q), 0
+        for c in reversed(x.coeffs):
+            acc = (acc * w + c) % q
+        images.append(acc)
+    return images
+
+
+def spy_embeddings(monkeypatch):
+    """Patch cyclotomic._embeddings to record every block it yields."""
+    seen = []
+    real = cyclotomic._embeddings
+
+    def spy(p, bound, products):
+        for q, tau, values in real(p, bound, products):
+            seen.append((q, tau, values))
+            yield q, tau, values
+
+    monkeypatch.setattr(cyclotomic, "_embeddings", spy)
+    return seen
+
+
+def test_evaluation_route_matches_the_exact_products(monkeypatch):
+    # at the first split prime of each p, the residues both checks test
+    # are the exact products' images: tau and P1, P2 for lemma32, and
+    # conj(P1) P2 conj(P2) for mtilde, with conj as j -> p - j
+    seen = spy_embeddings(monkeypatch)
+    for q in primes_in_range(5, 199):
+        h = (class_number_real(q) if q.p % 4 == 1 else class_number_imag(q)).h
+        lemma32_check(q, h)
+        mod, tau, (one, two) = seen[0]
+        seen.clear()
+        mtilde_det_check(build_mtilde(q))
+        (_, _, (closed,)) = seen[0]
+        seen.clear()
+        r = int(mod[0, 0])
+        omega = cyclotomic._root_of_order(q.p, r)
+        p1 = horner_images(exact_product_one(q), r, omega)
+        p2 = horner_images(exact_product_two(q), r, omega)
+        assert tau[0].tolist() == horner_images(gauss_sum(q), r, omega), q.p
+        assert one[0].tolist() == p1, q.p
+        assert two[0].tolist() == p2, q.p
+        assert closed[0].tolist() == [a * b * c % r for a, b, c in
+                                      zip(p1[::-1], p2, p2[::-1])], q.p
+
+
+@pytest.mark.parametrize("p", [13, 23, 61])
+def test_mtilde_det_check_rejects_a_moved_determinant(monkeypatch, p):
+    q = OddPrime(p)
+    parts = build_mtilde(q)
+    c, d = mtilde_det(parts)
+    assert mtilde_det_check(parts) == MtildeCheck(p, c, d)
+    for wrong in ((c + 1, d), (c, d - 1)):
+        monkeypatch.setattr(cyclotomic, "mtilde_det", lambda parts, wrong=wrong: wrong)
+        with pytest.raises(DiscrepancyError, match="exact determinant mismatch"):
+            mtilde_det_check(parts)
+
+
+def test_checks_reject_split_primes_below_the_bound(monkeypatch):
+    # at p = 23 one split prime exceeds the first identity's bound,
+    # 2^11 + 5, but neither lemma32's bound 11^11 + 23^5 nor mtilde's
+    q = OddPrime(23)
+    one = list(itertools.islice(cyclotomic._split_primes(23), 1))
+    assert 2 ** 11 + 5 < one[0] <= 11 ** 11 + 23 ** 5
+    parts = build_mtilde(q)
+    monkeypatch.setattr(cyclotomic, "_split_primes", lambda p: iter(one))
+    for check in (lambda: lemma32_check(q, 3), lambda: mtilde_det_check(parts)):
+        with pytest.raises(DiscrepancyError, match="ran out below the embedding bound"):
+            check()
 
 
 def cauchy_perm_det(u, v):

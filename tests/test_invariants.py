@@ -16,6 +16,9 @@ below row 0, never names `_bareiss`.
 it never names the bigint `toeplitz_det`.  Nor does the cyclotomic module,
 whose Z[tau] determinant runs on the integer lanes: it never names
 `toeplitz_det` or the ring class `QuadElem`.
+No module of the package names the shift-subtract products
+`exact_product_one/two`: Lemma 3.2 and the mtilde closed form are decided by
+evaluation at primes q = 1 (mod p).
 `verify.py` imports no private (underscore) name from the cyclotomic module.
 No module of the package reads the environment (`os.environ`, `getenv`):
 routes and caps are fixed in code, never switched by a knob.
@@ -173,6 +176,22 @@ def test_cyclotomic_takes_no_bigint_or_ring_toeplitz_route():
             names = [getattr(node, "id", None), getattr(node, "attr", None)]
         found += [f"cyclotomic.py:{node.lineno} {name}" for name in names
                   if name in ("toeplitz_det", "QuadElem")]
+    assert found == []
+
+
+def test_package_names_no_exact_product():
+    # lemma32_check and mtilde_det_check decide by evaluation at split
+    # primes; the shift-subtract products live in tests/exact_products.py
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name and (name.startswith("exact_product")
+                                   or name == "_times_difference")]
     assert found == []
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from legdet import cyclotomic
 from legdet.arith import OddPrime
-from legdet.cyclotomic import CycElem
 from legdet.matrices import det_mp
 from legdet.verify import (
     FAIL,
@@ -47,10 +46,10 @@ def test_only_the_tolerance_reader_takes_a_tolerance():
 # first prime above each cap, and the SKIP reason it gets there
 _CAP_BOUNDARY = {
     "carlitz": (113, "characteristic polynomial capped at p <= 109"),
-    "gauss": (67, "exact square capped at p <= 61"),
+    "gauss": (811, "exact square capped at p <= 809"),
     "decomposition": (67, "numeric diagnostic capped at p <= 61"),
-    "lemma32": (211, "exact products capped at p <= 199"),
-    "mtilde": (211, "determinant check capped at p <= 199"),
+    "lemma32": (457, "exact products capped at p <= 449"),
+    "mtilde": (313, "determinant check capped at p <= 311"),
 }
 
 
@@ -117,9 +116,9 @@ def test_verify_lemma32_records():
     assert r3.status == SKIPPED
     r67 = verify_lemma32(OddPrime(67))
     assert r67.status == PASS
-    r211 = run_sweep("lemma32", 211, 211).records[0]
-    assert r211.status == SKIPPED
-    assert r211.aux == {"reason": "exact products capped at p <= 199"}
+    r457 = run_sweep("lemma32", 457, 457).records[0]
+    assert r457.status == SKIPPED
+    assert r457.aux == {"reason": "exact products capped at p <= 449"}
     r5 = verify_lemma32(OddPrime(5))
     assert r5.status == PASS
     assert r5.aux["h_real"] == "1"
@@ -143,13 +142,37 @@ def test_verify_lemma32_exact_records():
     assert r7.aux == {"h_imag": "1", "product_two": "-7", "closed_two": "-7"}
 
 
-def test_lemma32_mismatch_is_a_fail_record(monkeypatch):
-    monkeypatch.setattr(cyclotomic, "exact_product_two", lambda p: CycElem.const(p, 1))
-    report = run_sweep("lemma32", 5, 7)
+def corrupt_last_product(monkeypatch):
+    """Patch cyclotomic._embeddings to add 1 to a single residue of the last
+    product it evaluates (P2 for lemma32, the closed form for mtilde): the
+    last embedding at the last prime of each block."""
+    real = cyclotomic._embeddings
+
+    def corrupted(p, bound, products):
+        for q, tau, values in real(p, bound, products):
+            values[-1][-1, -1] = (values[-1][-1, -1] + 1) % q[-1, 0]
+            yield q, tau, values
+
+    monkeypatch.setattr(cyclotomic, "_embeddings", corrupted)
+
+
+def assert_fail_records(report, error: str) -> None:
     assert [r.status for r in report.records] == [FAIL, FAIL]
     for r in report.records:
-        assert "second identity" in r.aux["error"]
+        assert error in r.aux["error"]
         assert "exception" not in r.aux
+
+
+# at p = 29 and 31 both checks take at least two split primes, so the
+# corrupted residue is not at the first prime or the first embedding
+def test_lemma32_mismatch_is_a_fail_record(monkeypatch):
+    corrupt_last_product(monkeypatch)
+    assert_fail_records(run_sweep("lemma32", 29, 31), "second identity failed")
+
+
+def test_mtilde_mismatch_is_a_fail_record(monkeypatch):
+    corrupt_last_product(monkeypatch)
+    assert_fail_records(run_sweep("mtilde", 29, 31), "exact determinant mismatch")
 
 
 def test_verify_gauss_records():
@@ -161,7 +184,8 @@ def test_verify_gauss_records():
         r = verify_gauss(OddPrime(top))
         assert r.status == PASS
         assert r.aux["square_sum_identity"] == "exact for all a"
-    assert run_sweep("gauss", 67, 67).records[0].status == SKIPPED
+    report = run_sweep("gauss", 809, 811)
+    assert [(r.p, r.status) for r in report.records] == [(809, PASS), (811, SKIPPED)]
 
 
 def test_verify_cauchy_record():
@@ -198,7 +222,7 @@ def test_verify_mtilde_records():
     assert r23.computed == "-13181630464*tau"
     r37 = verify_mtilde(OddPrime(37))
     assert (r37.status, r37.aux["exact"]) == (PASS, "equal")
-    assert run_sweep("mtilde", 211, 211).records[0].status == SKIPPED
+    assert run_sweep("mtilde", 313, 313).records[0].status == SKIPPED
 
 
 def test_run_sweep_counts():
@@ -225,12 +249,13 @@ def test_toeplitz_route_reaches_past_the_old_frontier():
 
 
 def test_mtilde_sweep_reaches_the_exact_product_cap():
-    # the Toeplitz route over Z[tau]; the dense route stopped at p = 31
-    report = run_sweep("mtilde", 197, 211)
+    # the Toeplitz route over Z[tau] and the closed form by evaluation; the
+    # dense route stopped at p = 31, the exact products at 199
+    report = run_sweep("mtilde", 307, 313)
     assert [(r.p, r.status) for r in report.records] == [
-        (197, PASS), (199, PASS), (211, SKIPPED)
+        (307, PASS), (311, PASS), (313, SKIPPED)
     ]
-    assert report.records[2].aux["reason"] == "determinant check capped at p <= 199"
+    assert report.records[2].aux["reason"] == "determinant check capped at p <= 311"
 
 
 def test_carlitz_sweep_reaches_its_cap():
