@@ -1,12 +1,7 @@
 """Exact verification of Legendre-symbol matrix determinant identities."""
 
 from .arith import OddPrime, is_prime, legendre, primes_in_range
-from .cyclotomic import (
-    CycElem,
-    cauchy_det,
-    frakp_residue,
-    gauss_sum,
-)
+from .cyclotomic import cauchy_det, frakp_residue, gauss_sum
 from .errors import DiscrepancyError, LegdetError, PrecisionError
 from .exactlinalg import (
     IntMatrix,
@@ -36,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassNumberReport",
-    "CycElem",
     "DiscrepancyError",
     "IntMatrix",
     "IntPolynomial",

@@ -1,14 +1,15 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p).
 
-Elements are stored on the power basis 1, zeta, ..., zeta^(p-2); the single
-relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) keeps every element in
-canonical form.  Exponents are always reduced mod p first since zeta^p = 1.
-A length-p exponent vector, one slot per power zeta^0..zeta^(p-1), names an
-element too; two such vectors name the same element exactly when they differ
-by a constant, since 1 + zeta + ... + zeta^(p-1) = 0 spans the kernel.
-The products of Lemma 3.2 and of the mtilde closed form are never expanded:
-their identities are decided by evaluation at primes q = 1 (mod p), in
-integer numpy lanes (`_embeddings`).
+An element is a length-p integer exponent vector, one slot per power
+zeta^0..zeta^(p-1).  Two vectors name the same element exactly when they
+differ by a constant, since 1 + zeta + ... + zeta^(p-1) = 0 spans the
+kernel: identities are decided by that constant difference, and
+`_power_basis_text` prints an element on the power basis 1, zeta, ...,
+zeta^(p-2), folding zeta^(p-1) away.  No other module knows this storage:
+the verifiers receive verdicts, integers and text.  The products of
+Lemma 3.2 and of the mtilde closed form are never expanded: their
+identities are decided by evaluation at primes q = 1 (mod p), in integer
+numpy lanes (`_embeddings`).
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import OddPrime, is_prime, legendre_array, legendre_table
 from .errors import DiscrepancyError
@@ -26,141 +27,94 @@ from .exactlinalg import IntMatrix, _lane_reduce, det, toeplitz_det_ztau
 from .quadfield import fundamental_unit, quad_pow
 
 
-class CycElem:
-    """Element of Q(zeta_p); its coefficients are ints or Fractions, kept
-    as given."""
-
-    __slots__ = ("prime", "coeffs")
-
-    def __init__(self, prime: OddPrime, coeffs) -> None:
-        coeffs = tuple(coeffs)
-        if len(coeffs) != prime.p - 1:
-            raise ValueError(f"need {prime.p - 1} coefficients, got {len(coeffs)}")
-        self.prime = prime
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_exponents(cls, prime: OddPrime, vec) -> "CycElem":
-        # vec has length p, one slot per exponent; fold zeta^(p-1) away
-        top = vec[prime.p - 1]
-        return cls(prime, [vec[i] - top for i in range(prime.p - 1)])
-
-    @classmethod
-    def const(cls, prime: OddPrime, c) -> "CycElem":
-        return cls(prime, [c] + [0] * (prime.p - 2))
-
-    @classmethod
-    def zeta_pow(cls, prime: OddPrime, e: int) -> "CycElem":
-        vec = [0] * prime.p
-        vec[e % prime.p] = 1
-        return cls.from_exponents(prime, vec)
-
-    def _check(self, other: "CycElem") -> None:
-        if self.prime.p != other.prime.p:
-            raise ValueError("mixed cyclotomic fields")
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycElem)
-            and self.prime.p == other.prime.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.prime.p, self.coeffs))
-
-    def __add__(self, other: "CycElem") -> "CycElem":
-        self._check(other)
-        return CycElem(self.prime, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "CycElem") -> "CycElem":
-        self._check(other)
-        return CycElem(self.prime, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "CycElem":
-        return CycElem(self.prime, [-a for a in self.coeffs])
-
-    def __mul__(self, other: "CycElem") -> "CycElem":
-        self._check(other)
-        p = self.prime.p
-        out = [0] * p
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if cj == 0:
-                    continue
-                out[(i + j) % p] += ci * cj
-        return CycElem.from_exponents(self.prime, out)
-
-    def scale(self, c) -> "CycElem":
-        return CycElem(self.prime, [c * a for a in self.coeffs])
-
-    def __str__(self) -> str:
-        if all(c == 0 for c in self.coeffs[1:]):
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            body = "1" if i == 0 else ("z" if i == 1 else f"z^{i}")
-            if i > 0 and mag != 1:
-                body = f"{mag}*{body}"
-            elif i == 0:
-                body = str(mag)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+def _constant(vec: np.ndarray) -> int | None:
+    """The integer c that an exponent vector names, or None if it names an
+    element outside Z: vec - c*e_0 must be constant, so c = vec[0] - vec[1]
+    and the slots 1..p-1 agree."""
+    return int(vec[0] - vec[1]) if (vec[1:] == vec[1]).all() else None
 
 
-def gauss_sum(p: OddPrime) -> CycElem:
-    """Quadratic Gauss sum: sum over k of (k/p) * zeta^k, exact."""
-    return CycElem.from_exponents(p, legendre_table(p))
+def _power_basis_text(vec: list) -> str:
+    """The element of an integer exponent vector as text on the power basis,
+    "-2 + 2*z" for -2 + 2*zeta: zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    is folded away by subtracting its slot from every other, so equal
+    elements print alike."""
+    coeffs = [c - vec[-1] for c in vec[:-1]]
+    if not any(coeffs[1:]):
+        return str(coeffs[0])
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c:
+            power = "z" if i == 1 else f"z^{i}"
+            body = str(abs(c)) if i == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+            terms.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(terms)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def frakp_residue(x: CycElem) -> int:
-    """Residue of an integral element modulo the prime ideal (1 - zeta):
-    the coefficient sum mod p."""
-    if not x.is_integral():
+def gauss_sum(p: OddPrime) -> np.ndarray:
+    """Quadratic Gauss sum tau = sum over k of (k/p) * zeta^k: its exponent
+    vector is the character's table."""
+    return legendre_array(p)
+
+
+def _cyclic_square(vec: np.ndarray) -> np.ndarray:
+    """vec * vec on int64 exponent vectors, out[s] = sum_k vec[s + k] vec[-k]:
+    the windows of vec twice over against that doubled vector read backwards
+    from slot p, exact while sum_k vec[k]^2 fits."""
+    p = len(vec)
+    twice = np.concatenate((vec, vec))
+    return sliding_window_view(twice[:-1], p) @ twice[p:0:-1]
+
+
+def gauss_square(p: OddPrime) -> tuple[str, int | None]:
+    """tau^2 as power-basis text, and the integer it is (None if not in Z);
+    its vector's entries are at most p in absolute value, so int64 is exact."""
+    square = _cyclic_square(gauss_sum(p))
+    return _power_basis_text(square.tolist()), _constant(square)
+
+
+def ztau_text(p: OddPrime, c: int, d: int) -> str:
+    """c + d*tau as power-basis text; slot 0 of tau is (0/p) = 0."""
+    return _power_basis_text([c] + [d * x for x in legendre_table(p)[1:]])
+
+
+def frakp_residue(vec) -> int:
+    """Residue of an integral element modulo the prime ideal (1 - zeta),
+    from its exponent vector: zeta = 1 there, so it is the entry sum mod p,
+    which a constant shift leaves alone."""
+    if any(c != int(c) for c in vec):
         raise ValueError("residue defined for integer-coefficient elements only")
-    return int(sum(x.coeffs) % x.prime.p)
+    return int(sum(vec)) % len(vec)
 
 
-def _same_element(u, v) -> bool:
-    """Whether two length-p exponent vectors name the same element of
-    Q(zeta_p): they must differ by a constant."""
-    return len(u) == len(v) and len(set(map(sub, u, v))) == 1
-
-
-def square_sums(p: OddPrime) -> list:
-    """The exponent vectors of 1 + 2*sum_{k=1..n} zeta^(a k^2) for
-    a = 0..p-1."""
-    squares = [k * k for k in range(1, p.n + 1)]
-    sums = []
-    for a in range(p.p):
-        vec = [0] * p.p
-        vec[0] = 1
-        for s in squares:
-            vec[a * s % p.p] += 2
-        sums.append(vec)
+def square_sums(p: OddPrime) -> np.ndarray:
+    """The exponent vectors of 1 + 2*sum_{k=1..n} zeta^(a k^2), a = 0..p-1,
+    as the rows of one (p, p) int64 array, by one bincount."""
+    a = np.arange(p.p)
+    slots = np.multiply.outer(a, np.arange(1, p.n + 1) ** 2 % p.p)
+    slots %= p.p
+    slots += p.p * a[:, None]
+    sums = np.bincount(slots.ravel(), minlength=p.p * p.p).reshape(p.p, p.p)
+    sums *= 2
+    sums[:, 0] += 1
     return sums
 
 
 def check_square_sums(p: OddPrime, sums) -> None:
     """Exact check of the quadratic Gauss identity on the p exponent vectors
     of square_sums: 1 + 2*sum_{k=1..n} zeta^(a k^2) is (a/p) * gauss_sum(p)
-    for a != 0, and the constant p for a = 0."""
+    for a != 0, and the constant p for a = 0.  The first failing a is
+    named."""
     if len(sums) != p.p:
         raise ValueError(f"need {p.p} square sums, got {len(sums)}")
-    chi = legendre_table(p)
-    for a, vec in enumerate(sums):
-        want = [chi[a] * c for c in chi] if a else [p.p] + [0] * (p.p - 1)
-        if not _same_element(vec, want):
-            raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={a}")
+    chi = legendre_array(p)
+    diff = np.multiply.outer(chi, chi)
+    diff[0, 0] = p.p
+    np.subtract(sums, diff, out=diff)
+    bad = (diff != diff[:, :1]).any(axis=1)
+    if bad.any():
+        raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={bad.argmax()}")
 
 
 def cauchy_det(u: list, v: list) -> Fraction:
@@ -210,11 +164,12 @@ class MtildeParts:
     its rank-one-update structure: row 0 is all top, entry (i, j) of a row
     i >= 1 is classes[(i - j) % p], nu is all ones, and the monomial A and
     B have entry (i, j) zeta^a_exp[i][j] and zeta^b_exp[i][j], except that
-    row 0 of A is zero and is stored empty."""
+    row 0 of A is zero and is stored empty.  top is an exponent vector and
+    classes the (p, p) array of them."""
 
     prime: OddPrime
-    top: CycElem
-    classes: tuple
+    top: np.ndarray
+    classes: np.ndarray
     nu: tuple
     a_exp: tuple
     b_exp: tuple
@@ -226,8 +181,8 @@ def build_mtilde(p: OddPrime) -> MtildeParts:
     rng = range(p.n + 1)
     a_exp = ((),) + tuple(tuple(i * j * j % p.p for j in rng) for i in rng[1:])
     b_exp = tuple(tuple(-i * j * j % p.p for j in rng) for i in rng)
-    classes = tuple(CycElem.from_exponents(p, vec) for vec in square_sums(p))
-    return MtildeParts(p, CycElem.const(p, -1), classes, (1,) * len(rng), a_exp, b_exp)
+    top = np.array([-1] + [0] * (p.p - 1))
+    return MtildeParts(p, top, square_sums(p), (1,) * len(rng), a_exp, b_exp)
 
 
 def mtilde_structure_check(parts: MtildeParts) -> bool:
@@ -237,20 +192,17 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
     -nu_i nu_j + 2 * sum_k zeta^(a_exp[i][k] + b_exp[j][k]), an exponent
     count taken by integer arithmetic mod p: one bincount per row i, with
     column j's exponents offset by j*p.  Each count is compared with the
-    exponent vector of its entry's class (row 0 being one class), built
-    once per class."""
+    exponent vector of its entry's class (row 0 being one class)."""
     p = parts.prime
     dim = p.n + 1
     nu, b_exp = np.array(parts.nu), np.array(parts.b_exp)
     offsets = p.p * np.arange(dim)[:, None]
-    top = np.array(parts.top.coeffs + (0,))
-    classes = np.array([c.coeffs + (0,) for c in parts.classes])
     for i in range(dim):
         a = np.array(parts.a_exp[i], dtype=np.int64)
         exps = (a + b_exp[:, : len(a)]) % p.p + offsets
         vecs = 2 * np.bincount(exps.ravel(), minlength=dim * p.p).reshape(dim, p.p)
         vecs[:, 0] -= nu[i] * nu
-        diff = vecs - (classes[(i - np.arange(dim)) % p.p] if i else top)
+        diff = vecs - (parts.classes[(i - np.arange(dim)) % p.p] if i else parts.top)
         bad = (diff != diff[:, :1]).any(axis=1)
         if bad.any():
             raise DiscrepancyError(f"structure identity failed at p={p.p}, "
@@ -383,18 +335,13 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
     times the n x n Toeplitz determinant of t(k) = f(k+1) - f(k) over Z[tau],
     whose parts a(k), from f(0), and b(k) = chi(k+1) - chi(k) are integers."""
     p = parts.prime
-    if parts.top != CycElem.const(p, -1):
+    if _constant(parts.top) != -1:
         raise DiscrepancyError(f"row 0 is not -1 at p={p.p}")
-    check_square_sums(p, [c.coeffs + (0,) for c in parts.classes])
+    check_square_sums(p, parts.classes)
     chi = legendre_table(p)
     c, d = toeplitz_det_ztau(lambda k: p.p * (((k + 1) % p.p == 0) - (k % p.p == 0)),
                              lambda k: chi[k + 1] - chi[k], p.n, (-1) ** p.n * p.p)
     return (c, d) if p.n % 2 else (-c, -d)
-
-
-def ztau_to_cyc(p: OddPrime, c: int, d: int) -> CycElem:
-    """c + d*tau on the power basis of Q(zeta_p)."""
-    return CycElem.const(p, c) + gauss_sum(p).scale(d)
 
 
 @dataclass(frozen=True)

@@ -13,29 +13,44 @@ from hypothesis import strategies as st
 from legdet import cyclotomic
 from legdet.arith import OddPrime, legendre, legendre_table, primes_in_range
 from legdet.cyclotomic import (
-    CycElem,
     MtildeCheck,
     build_mtilde,
     cauchy_det,
     check_square_sums,
     frakp_residue,
+    gauss_square,
     gauss_sum,
     lemma32_check,
     mtilde_det,
     mtilde_det_check,
     mtilde_structure_check,
     square_sums,
-    ztau_to_cyc,
+    ztau_text,
 )
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
 from legdet.quadfield import _numeric_product_one, class_number_imag, class_number_real
 
-from exact_products import conj, exact_product_one, exact_product_two
+from exact_products import CycElem, conj, exact_product_one, exact_product_two
 
 
 def random_elem(rng, q, lo=-4, hi=4):
     return CycElem(q, [rng.randint(lo, hi) for _ in range(q.p - 1)])
+
+
+def element(q, vec):
+    """The reference element of an exponent vector."""
+    return CycElem.from_exponents(q, [int(c) for c in vec])
+
+
+def vector(x):
+    """An exponent vector of a reference element."""
+    return [*x.coeffs, 0]
+
+
+def ztau_to_cyc(q, c, d):
+    """c + d*tau in the reference arithmetic."""
+    return CycElem.const(q, c) + element(q, gauss_sum(q)).scale(d)
 
 
 def complex_image(x):
@@ -98,30 +113,50 @@ def test_conj_properties():
 
 
 def test_gauss_sum_square_exact():
+    # the cyclic square of the exponent vector against the reference product
     for q in primes_in_range(3, 61):
-        tau = gauss_sum(q)
-        sign = (-1) ** ((q.p - 1) // 2)
-        assert tau * tau == CycElem.const(q, sign * q.p), q.p
+        tau = element(q, gauss_sum(q))
+        want = CycElem.const(q, (-1) ** ((q.p - 1) // 2) * q.p)
+        assert tau * tau == want, q.p
+        assert gauss_square(q) == (str(tau * tau), want.coeffs[0]), q.p
+
+
+def test_power_basis_text_matches_the_reference():
+    # random vectors, and constants c shifted by s, whose text is str(c)
+    rng = random.Random(73)
+    for q in primes_in_range(3, 13):
+        vecs = [[rng.randint(-3, 3) for _ in range(q.p)] for _ in range(100)]
+        vecs += [[c + s] + [s] * (q.p - 1) for c in range(-3, 4) for s in (-2, 0, 5)]
+        for vec in vecs:
+            text = cyclotomic._power_basis_text(vec)
+            assert text == str(CycElem.from_exponents(q, vec)), (q.p, vec)
+        assert cyclotomic._power_basis_text([4] + [1] * (q.p - 1)) == "3"
 
 
 def test_frakp_residue_values():
     q = OddPrime(7)
-    assert frakp_residue(CycElem.const(q, 10)) == 3
-    assert frakp_residue(CycElem.const(q, 1) - CycElem.zeta_pow(q, 1)) == 0
+    assert frakp_residue(vector(CycElem.const(q, 10))) == 3
+    assert frakp_residue(vector(CycElem.const(q, 1) - CycElem.zeta_pow(q, 1))) == 0
     for q2 in primes_in_range(3, 31):
         assert frakp_residue(gauss_sum(q2)) == 0
     with pytest.raises(ValueError):
-        frakp_residue(CycElem(q, [Fraction(1, 2), 0, 0, 0, 0, 0]))
+        frakp_residue([Fraction(1, 2), 0, 0, 0, 0, 0, 0])
 
 
 def test_frakp_residue_is_homomorphism():
+    # the exponent-vector sum mod p is the power-basis coefficient sum mod p,
+    # whatever constant the vector is shifted by
     rng = random.Random(47)
     q = OddPrime(13)
     for _ in range(200):
         x = random_elem(rng, q)
         y = random_elem(rng, q)
-        assert frakp_residue(x + y) == (frakp_residue(x) + frakp_residue(y)) % q.p
-        assert frakp_residue(x * y) == (frakp_residue(x) * frakp_residue(y)) % q.p
+        rx, ry = frakp_residue(vector(x)), frakp_residue(vector(y))
+        assert rx == sum(x.coeffs) % q.p
+        shift = rng.randint(-9, 9)
+        assert frakp_residue([c + shift for c in vector(x)]) == rx
+        assert frakp_residue(vector(x + y)) == (rx + ry) % q.p
+        assert frakp_residue(vector(x * y)) == (rx * ry) % q.p
 
 
 def test_quadratic_gauss_identity_all_residues():
@@ -130,36 +165,49 @@ def test_quadratic_gauss_identity_all_residues():
 
 
 def test_square_sums_match_cycelem_equality():
-    # the constant-difference rule against equality on the power basis
+    # the bincount against the loop over k, and the constant-difference rule
+    # against equality on the power basis
     for q in primes_in_range(3, 61):
-        tau = gauss_sum(q)
+        tau = element(q, gauss_sum(q))
         sums = square_sums(q)
-        assert CycElem.from_exponents(q, sums[0]) == CycElem.const(q, q.p)
+        assert sums.shape == (q.p, q.p)
+        for a in range(q.p):
+            vec = [1] + [0] * (q.p - 1)
+            for k in range(1, q.n + 1):
+                vec[a * k * k % q.p] += 2
+            assert sums[a].tolist() == vec, (q.p, a)
+        assert element(q, sums[0]) == CycElem.const(q, q.p)
         for a in range(1, q.p):
-            assert CycElem.from_exponents(q, sums[a]) == tau.scale(legendre(a, q)), (q.p, a)
+            assert element(q, sums[a]) == tau.scale(legendre(a, q)), (q.p, a)
 
 
 def test_check_square_sums_rejects_a_moved_exponent():
     q = OddPrime(13)
     sums = square_sums(q)
-    shifted = [list(s) for s in sums]
+    shifted = sums.tolist()
     shifted[4] = [c + 7 for c in shifted[4]]  # adds 7 * (1 + zeta + ... + zeta^12) = 0
     check_square_sums(q, shifted)
-    for a in (0, 5):
-        moved = [list(s) for s in sums]
-        moved[a][0] -= 1
-        moved[a][1] += 1
-        with pytest.raises(DiscrepancyError, match=f"a={a}"):
+    # one moved row is named; of two, the lower a.  Row a moves one exponent
+    # from zeta^a to zeta^(a+1)
+    for rows, a in (((0,), 0), ((5,), 5), ((12,), 12), ((9, 1), 1), ((12, 0), 0)):
+        moved = sums.copy()
+        for row in rows:
+            moved[row, row] -= 1
+            moved[row, (row + 1) % 13] += 1
+        with pytest.raises(DiscrepancyError, match=rf"a={a}$"):
             check_square_sums(q, moved)
+    for rows in (sums[:12], sums.tolist() + [[0] * 13]):
+        with pytest.raises(ValueError, match=f"need 13 square sums, got {len(rows)}"):
+            check_square_sums(q, rows)
 
 
 def test_gauss_sum_complex_images_frozen():
     # Gauss's sign: tau maps to +sqrt(p) or +i*sqrt(p), which is what the
     # closed forms printed as "tau" rely on
     assert complex_image(CycElem.const(OddPrime(5), 1)) == 1
-    g5 = complex_image(gauss_sum(OddPrime(5)))
+    g5 = complex_image(element(OddPrime(5), gauss_sum(OddPrime(5))))
     assert abs(g5.real - 5 ** 0.5) < 1e-9 and abs(g5.imag) < 1e-9
-    g7 = complex_image(gauss_sum(OddPrime(7)))
+    g7 = complex_image(element(OddPrime(7), gauss_sum(OddPrime(7))))
     assert abs(g7.imag - 7 ** 0.5) < 1e-9 and abs(g7.real) < 1e-9
 
 
@@ -256,7 +304,7 @@ def test_evaluation_route_matches_the_exact_products(monkeypatch):
         omega = cyclotomic._root_of_order(q.p, r)
         p1 = horner_images(exact_product_one(q), r, omega)
         p2 = horner_images(exact_product_two(q), r, omega)
-        assert tau[0].tolist() == horner_images(gauss_sum(q), r, omega), q.p
+        assert tau[0].tolist() == horner_images(element(q, gauss_sum(q)), r, omega), q.p
         assert one[0].tolist() == p1, q.p
         assert two[0].tolist() == p2, q.p
         assert closed[0].tolist() == [a * b * c % r for a, b, c in
@@ -340,11 +388,11 @@ def test_mtilde_build_shape():
     for q in primes_in_range(3, 13):
         parts = build_mtilde(q)
         dim = q.n + 1
-        assert len(parts.classes) == q.p
+        assert parts.classes.shape == (q.p, q.p)
         assert len(parts.a_exp) == len(parts.b_exp) == len(parts.nu) == dim
         # row 0 is all -1; the diagonal (class 0) is p
-        assert parts.top == CycElem.const(q, -1)
-        assert parts.classes[0] == CycElem.const(q, q.p)
+        assert element(q, parts.top) == CycElem.const(q, -1)
+        assert element(q, parts.classes[0]) == CycElem.const(q, q.p)
         # row 0 of A is zero, row 0 of B is all ones, nu is all ones
         assert parts.a_exp[0] == ()
         assert parts.b_exp[0] == (0,) * dim
@@ -365,8 +413,7 @@ def structure_loop(parts):
     bincount per row: the first entry (i, j), row by row, whose count is not
     its class's exponent vector up to a constant, or None."""
     p = parts.prime
-    top = parts.top.coeffs + (0,)
-    classes = [c.coeffs + (0,) for c in parts.classes]
+    top, classes = parts.top.tolist(), parts.classes.tolist()
     for i in range(p.n + 1):
         for j in range(p.n + 1):
             vec = [0] * p.p
@@ -552,11 +599,14 @@ def test_mtilde_det_domain():
 def test_mtilde_det_rejects_entry_off_ztau():
     q = OddPrime(7)
     parts = build_mtilde(q)
-    classes = list(parts.classes)
-    classes[1] = classes[1] + CycElem.zeta_pow(q, 1)  # entry (2, 1) and its class
+    classes = parts.classes.copy()
+    classes[1, 1] += 1  # entry (2, 1) and its class gain zeta
+    top = parts.top.copy()
+    top[3] += 1  # row 0 gains zeta^3
     for bad in (
-        dataclasses.replace(parts, classes=tuple(classes)),
-        dataclasses.replace(parts, top=CycElem.const(q, 1)),
+        dataclasses.replace(parts, classes=classes),
+        dataclasses.replace(parts, top=-parts.top),
+        dataclasses.replace(parts, top=top),
     ):
         with pytest.raises(DiscrepancyError):
             mtilde_det(bad)
@@ -586,8 +636,10 @@ def test_mtilde_p3_observed_determinant():
     q = OddPrime(3)
     parts = build_mtilde(q)
     assert mtilde_det(parts) == (-3, 1)
+    assert ztau_text(q, *mtilde_det(parts)) == "-2 + 2*z"
     d = ztau_to_cyc(q, *mtilde_det(parts))
     assert d == CycElem(q, (-2, 2))
     # row 0 is [top, top]; row 1 is [class 1 - 0, class 1 - 1]
-    a, b = (parts.top, parts.top), (parts.classes[1], parts.classes[0])
+    top = element(q, parts.top)
+    a, b = (top, top), (element(q, parts.classes[1]), element(q, parts.classes[0]))
     assert d == a[0] * b[1] - a[1] * b[0]

@@ -19,6 +19,8 @@ whose Z[tau] determinant runs on the integer lanes: it never names
 No module of the package names the shift-subtract products
 `exact_product_one/two`: Lemma 3.2 and the mtilde closed form are decided by
 evaluation at primes q = 1 (mod p).
+No module of the package names `CycElem`: an element of Q(zeta_p) is an
+exponent vector, and the power-basis class is the tests' reference.
 `verify.py` imports no private (underscore) name from the cyclotomic module.
 No module of the package reads the environment (`os.environ`, `getenv`):
 routes and caps are fixed in code, never switched by a knob.
@@ -192,6 +194,23 @@ def test_package_names_no_exact_product():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name and (name.startswith("exact_product")
                                    or name == "_times_difference")]
+    assert found == []
+
+
+def test_package_names_no_cycelem():
+    # exponent vectors are the package's one form of an element; the
+    # power-basis CycElem lives in tests/exact_products.py
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.append(node.value)
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "CycElem"]
     assert found == []
 
 

@@ -25,6 +25,8 @@ from legdet.verify import (
     verify_unit,
 )
 
+from exact_products import CycElem
+
 
 def test_targets_registry():
     assert len(TARGETS) == 9
@@ -46,8 +48,8 @@ def test_only_the_tolerance_reader_takes_a_tolerance():
 # first prime above each cap, and the SKIP reason it gets there
 _CAP_BOUNDARY = {
     "carlitz": (113, "characteristic polynomial capped at p <= 109"),
-    "gauss": (811, "exact square capped at p <= 809"),
-    "decomposition": (67, "numeric diagnostic capped at p <= 61"),
+    "gauss": (3011, "exact square capped at p <= 3001"),
+    "decomposition": (607, "numeric diagnostic capped at p <= 601"),
     "lemma32": (457, "exact products capped at p <= 449"),
     "mtilde": (313, "determinant check capped at p <= 311"),
 }
@@ -184,8 +186,28 @@ def test_verify_gauss_records():
         r = verify_gauss(OddPrime(top))
         assert r.status == PASS
         assert r.aux["square_sum_identity"] == "exact for all a"
-    report = run_sweep("gauss", 809, 811)
-    assert [(r.p, r.status) for r in report.records] == [(809, PASS), (811, SKIPPED)]
+    report = run_sweep("gauss", 3001, 3011)
+    assert [(r.p, r.status) for r in report.records] == [(3001, PASS), (3011, SKIPPED)]
+
+
+def test_wrong_gauss_square_is_a_fail_record(monkeypatch):
+    # tau^2 moved by zeta or by zeta^(p-1): a FAIL record whose computed
+    # text is the reference's text of the moved vector
+    real = cyclotomic._cyclic_square
+    moved = []
+
+    def wrong(vec):
+        out = real(vec)
+        out[slot] += 1
+        moved.append(out.tolist())
+        return out
+
+    monkeypatch.setattr(cyclotomic, "_cyclic_square", wrong)
+    for p, slot in ((5, 1), (7, 1), (13, 1), (5, 4), (13, 12)):
+        r = verify_gauss(OddPrime(p))
+        assert (r.status, r.predicted) == (FAIL, str((-1) ** (p // 2) * p))
+        assert r.computed == str(CycElem.from_exponents(OddPrime(p), moved[-1]))
+        assert r.computed != r.predicted
 
 
 def test_verify_cauchy_record():
@@ -199,7 +221,7 @@ def test_verify_cauchy_record():
 def test_verify_decomposition_records():
     r = verify_decomposition(OddPrime(5))
     assert r.status == PASS
-    assert run_sweep("decomposition", 67, 67).records[0].status == SKIPPED
+    assert run_sweep("decomposition", 607, 607).records[0].status == SKIPPED
     forced = verify_decomposition(OddPrime(5), tolerance=0.0)
     assert forced.status == FAIL
     assert "alt_diag_residual" in forced.aux

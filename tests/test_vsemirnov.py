@@ -79,6 +79,6 @@ def test_alt_diag_reading_changes_nothing():
 
 def test_cap_enforced():
     with pytest.raises(ValueError):
-        build_uvd(OddPrime(67))
+        build_uvd(OddPrime(607))
     with pytest.raises(ValueError):
-        decomposition_residual(OddPrime(67))
+        decomposition_residual(OddPrime(607))
