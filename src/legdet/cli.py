@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = success / no FAIL records, 1 = any FAIL or falsified
-identity, 2 = usage error (bad arguments or out-of-domain input).
+identity, 2 = usage error (bad arguments, out-of-domain input or an
+unwritable --out).
 """
 from __future__ import annotations
 
@@ -129,8 +130,12 @@ def _cmd_verify(args) -> int:
     else:
         rendered = report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"legdet: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return report.exit_code

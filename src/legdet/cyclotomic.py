@@ -104,17 +104,22 @@ def square_sums(p: OddPrime) -> np.ndarray:
 def check_square_sums(p: OddPrime, sums) -> None:
     """Exact check of the quadratic Gauss identity on the p exponent vectors
     of square_sums: 1 + 2*sum_{k=1..n} zeta^(a k^2) is (a/p) * gauss_sum(p)
-    for a != 0, and the constant p for a = 0.  The first failing a is
+    for a != 0, and the constant p for a = 0.  The rows are compared in
+    blocks of at most _BLOCK_ENTRIES entries, and the first failing a is
     named."""
     if len(sums) != p.p:
         raise ValueError(f"need {p.p} square sums, got {len(sums)}")
     chi = legendre_array(p)
-    diff = np.multiply.outer(chi, chi)
-    diff[0, 0] = p.p
-    np.subtract(sums, diff, out=diff)
-    bad = (diff != diff[:, :1]).any(axis=1)
-    if bad.any():
-        raise DiscrepancyError(f"square-sum identity failed at p={p.p}, a={bad.argmax()}")
+    rows = max(1, _BLOCK_ENTRIES // p.p)
+    for lo in range(0, p.p, rows):
+        diff = np.multiply.outer(chi[lo: lo + rows], chi)
+        if not lo:
+            diff[0, 0] = p.p
+        np.subtract(sums[lo: lo + rows], diff, out=diff)
+        bad = (diff != diff[:, :1]).any(axis=1)
+        if bad.any():
+            raise DiscrepancyError(f"square-sum identity failed at p={p.p}, "
+                                   f"a={lo + bad.argmax()}")
 
 
 def cauchy_det(u: list, v: list) -> Fraction:
@@ -122,40 +127,45 @@ def cauchy_det(u: list, v: list) -> Fraction:
 
         prod_{i<j} (u_i - u_j)(v_j - v_i) / prod_{i,j} (1 + u_i v_j),
 
-    with the denominator running over all index pairs.  The two routes
-    must agree exactly."""
+    with the denominator running over all index pairs.  Both routes run on
+    integers.  With u_i = a_i/b_i and v_j = c_j/d_j in lowest terms and
+    N_ij = b_i d_j + a_i c_j, entry (i, j) is b_i d_j / N_ij: the
+    elimination scales row i by lcm_j N_ij and takes one det over Z, and
+    the closed form is
+
+        prod_{i<j} (a_i b_j - a_j b_i)(c_j d_i - c_i d_j) * prod_i b_i d_i / prod_{i,j} N_ij,
+
+    the prod_{i,j} b_i d_j of the pair factors over the prod_{i<j} b_i b_j
+    d_i d_j of the differences leaving prod_i b_i d_i.  The two routes must
+    agree exactly; their quotients are compared by cross-multiplication."""
     if len(u) != len(v) or not u:
         raise ValueError("need two equal-length non-empty node lists")
     u = [Fraction(x) for x in u]
     v = [Fraction(x) for x in v]
+    a, b = [x.numerator for x in u], [x.denominator for x in u]
+    c, d = [x.numerator for x in v], [x.denominator for x in v]
     m = len(u)
-    for ui in u:
-        for vj in v:
-            if 1 + ui * vj == 0:
-                raise ValueError("node pair with 1 + u*v = 0")
-    # clear each row's denominators, eliminate over Z, divide back out
+    pairs = [[bi * dj + ai * cj for cj, dj in zip(c, d)] for ai, bi in zip(a, b)]
+    if not all(map(all, pairs)):
+        raise ValueError("node pair with 1 + u*v = 0")
     rows = []
     scale = 1
-    for ui in u:
-        row = [1 / (1 + ui * vj) for vj in v]
-        mult = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (mult // x.denominator) for x in row])
+    for bi, row in zip(b, pairs):
+        mult = math.lcm(*row)
+        rows.append([bi * dj * (mult // n) for dj, n in zip(d, row)])
         scale *= mult
-    direct = Fraction(det(IntMatrix(rows)), scale)
-    num = Fraction(1)
+    direct = det(IntMatrix(rows))
+    num = math.prod(b) * math.prod(d)
     for i in range(m):
         for j in range(i + 1, m):
-            num *= (u[i] - u[j]) * (v[j] - v[i])
-    den = Fraction(1)
-    for ui in u:
-        for vj in v:
-            den *= 1 + ui * vj
-    closed = num / den
-    if direct != closed:
+            num *= (a[i] * b[j] - a[j] * b[i]) * (c[j] * d[i] - c[i] * d[j])
+    den = math.prod(map(math.prod, pairs))
+    if direct * den != num * scale:
         raise DiscrepancyError(
-            f"Cauchy determinant mismatch: elimination {direct}, closed {closed}"
+            f"Cauchy determinant mismatch: elimination {Fraction(direct, scale)}, "
+            f"closed {Fraction(num, den)}"
         )
-    return direct
+    return Fraction(direct, scale)
 
 
 @dataclass(frozen=True)
@@ -214,7 +224,8 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
 # fits in int64, and CPython's three-argument pow, which is_prime and the
 # root of unity take, runs about 2.5x faster on one-digit ints than on 31 bits.
 _SPLIT_PRIME_LIMIT = 1 << 30
-# Entries of the largest array _embeddings gathers for one block of primes.
+# Entries of the largest array that check_square_sums compares for one block
+# of rows, or _embeddings gathers for one block of primes.
 _BLOCK_ENTRIES = 1 << 20
 # One numpy remainder by these primes drops most composite candidates for
 # split primes before is_prime, and its three pows, sees them.

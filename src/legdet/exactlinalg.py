@@ -192,19 +192,27 @@ def _prem_window(a: list, b: list, steps: int, beta) -> list:
     e - steps + 1 and up, all inside the windows, so it equals the full
     pseudo-remainder's.  Every coefficient computed is divided by beta, and
     a nonzero remainder raises DiscrepancyError.
+
+    Two steps, the normal case, are one expression per coefficient: with
+    l = lc(b) and r1 = l a_1 - a_0 b_1 the first step's leading coefficient,
+    coefficient k is l^2 a_(k+2) - (l a_0) b_(k+2) - r1 b_(k+1).
     """
     lb, tail_b = b[0], b[1:]
-    r = a
-    for _ in range(steps):
-        c = r[0]
-        if c:
-            r = [lb * x - c * y for x, y in zip(r[1:], tail_b)]
-        else:
-            r = [lb * x for x in r[1:]]
-    qr = [divmod(x, beta) for x in r]
-    if any(rem for _, rem in qr):
+    if steps == 2:
+        l2, la0, r1 = lb * lb, lb * a[0], lb * a[1] - a[0] * b[1]
+        r = [l2 * x - la0 * y - r1 * z for x, y, z in zip(a[2:], b[2:], tail_b)]
+    else:
+        r = a
+        for _ in range(steps):
+            c = r[0]
+            if c:
+                r = [lb * x - c * y for x, y in zip(r[1:], tail_b)]
+            else:
+                r = [lb * x for x in r[1:]]
+    q = [x // beta for x in r]
+    if any(x - y * beta for x, y in zip(r, q)):
         raise DiscrepancyError("subresultant step did not divide exactly")
-    return [q for q, _ in qr]
+    return q
 
 
 def toeplitz_det(t, m: int) -> int:

@@ -129,6 +129,16 @@ def test_verify_json_to_file(tmp_path, capsys):
     assert {r["p"] for r in data["records"]} == {3, 5, 7, 11, 13, 17, 19}
 
 
+def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "r.txt"
+    code, out, err = run(capsys, ["verify", "--target", "unit", "--from", "3",
+                                  "--to", "7", "--out", str(missing)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("legdet: ") and str(missing) in err
+    assert not missing.parent.exists()
+
+
 def test_verify_csv_stdout(capsys):
     code, out, err = run(capsys, ["verify", "--target", "unit",
                                   "--from", "3", "--to", "12",

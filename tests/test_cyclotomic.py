@@ -30,6 +30,7 @@ from legdet.cyclotomic import (
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
 from legdet.quadfield import _numeric_product_one, class_number_imag, class_number_real
+from legdet.verify import FAIL, run_sweep
 
 from exact_products import CycElem, conj, exact_product_one, exact_product_two
 
@@ -199,6 +200,20 @@ def test_check_square_sums_rejects_a_moved_exponent():
     for rows in (sums[:12], sums.tolist() + [[0] * 13]):
         with pytest.raises(ValueError, match=f"need 13 square sums, got {len(rows)}"):
             check_square_sums(q, rows)
+
+
+def test_check_square_sums_names_a_row_of_a_later_block():
+    # at p = 1031 a block holds 1017 rows, so a = 1020 and a = p - 1 lie in
+    # the second block
+    q = OddPrime(1031)
+    sums = square_sums(q)
+    check_square_sums(q, sums)
+    for a in (1020, q.p - 1):
+        moved = sums.copy()
+        moved[a, 0] -= 1
+        moved[a, 1] += 1
+        with pytest.raises(DiscrepancyError, match=rf"a={a}$"):
+            check_square_sums(q, moved)
 
 
 def test_gauss_sum_complex_images_frozen():
@@ -373,7 +388,7 @@ def test_cauchy_det_against_permutation_expansion():
     rng = random.Random(59)
     done = 0
     while done < 50:
-        m = rng.randint(1, 4)
+        m = rng.randint(1, 6)  # the sizes verify_cauchy draws
         u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
         v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
         try:
@@ -382,6 +397,19 @@ def test_cauchy_det_against_permutation_expansion():
             continue
         assert got == cauchy_perm_det(u, v)
         done += 1
+
+
+def test_cauchy_det_mismatch_raises_and_fails_the_record(monkeypatch):
+    # the elimination's determinant off by one: the cross-multiplied
+    # comparison names both values, and a sweep turns it into a FAIL record
+    monkeypatch.setattr(cyclotomic, "det", lambda m: det(m) + 1)
+    # 1/(1 + 2*3): the row scaled by 7 has det 1, read as 2
+    with pytest.raises(DiscrepancyError, match=r"^Cauchy determinant mismatch: "
+                       r"elimination 2/7, closed 1/7$"):
+        cauchy_det([2], [3])
+    report = run_sweep("cauchy", 5, 5)
+    assert [r.status for r in report.records] == [FAIL]
+    assert report.records[0].aux["error"].startswith("Cauchy determinant mismatch: ")
 
 
 def test_mtilde_build_shape():

@@ -290,6 +290,30 @@ def test_toeplitz_inexact_division_raises():
         _prem_window([1, 0, 0], [1, 1, 0], 2, 2)
     with pytest.raises(DiscrepancyError):
         _exact_div(3, 2)
+    # longer windows whose first quotient is exact and a later one is not,
+    # by a negative beta, on both the two-step and the looped path
+    b = [2, 1, -1, 3, 0]
+    for a, steps, window in (([1, 0, 3, 1, 1], 2, [15, -3, 7]),
+                             ([1, 0, 1, 0, 0], 3, [-21, 13])):
+        assert _prem_window(a, b, steps, -1) == [-x for x in window]
+        with pytest.raises(DiscrepancyError, match="subresultant step did not divide exactly"):
+            _prem_window(a, b, steps, -3)
+
+
+def test_prem_window_two_steps_match_single_steps():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        a = [rng.randint(-50, 50) for _ in range(n)]
+        b = [rng.choice([-3, -1, 1, 2, 5])] + [rng.randint(-50, 50) for _ in range(n - 1)]
+        single = _prem_window(_prem_window(a, b, 1, 1), b, 1, 1)
+        assert _prem_window(a, b, 2, 1) == single
+        beta = rng.choice([-7, -2, 3, 6])
+        if all(x % beta == 0 for x in single):
+            assert _prem_window(a, b, 2, beta) == [x // beta for x in single]
+        else:
+            with pytest.raises(DiscrepancyError):
+                _prem_window(a, b, 2, beta)
 
 
 def test_toeplitz_det_zero_window_over_nonzero_remainder():
