@@ -195,6 +195,15 @@ def test_rank_one_update_dimension_check():
         rank_one_update_det(IntMatrix.identity(2), (1,), (1, 2))
 
 
+def test_rank_one_update_mismatch_raises(monkeypatch):
+    # every determinant off by one: the direct route reads 7 + 1, while the
+    # update formula adds one per determinant it takes, so the two disagree
+    monkeypatch.setattr(exactlinalg, "det", lambda m: det(m) + 1)
+    with pytest.raises(DiscrepancyError, match=r"^rank-one update mismatch: elimination 8, "):
+        rank_one_update_det(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                            (1, 2, 3), (1, 1, 1))
+
+
 def test_int_matrix_ops():
     m = IntMatrix([[1, 2], [3, 4]])
     assert m.transpose().rows == ((1, 3), (2, 4))
