@@ -6,8 +6,6 @@ from .errors import DiscrepancyError, LegdetError, PrecisionError
 from .exactlinalg import (
     IntMatrix,
     IntPolynomial,
-    adjugate,
-    charpoly,
     det,
     rank_one_update_det,
     toeplitz_charpoly,
@@ -40,14 +38,12 @@ __all__ = [
     "QuadElem",
     "SweepReport",
     "VerificationRecord",
-    "adjugate",
     "build_cp",
     "build_ep",
     "build_mp",
     "build_uvd",
     "cauchy_det",
     "chapman_ap",
-    "charpoly",
     "charpoly_cp",
     "class_number_imag",
     "class_number_real",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .arith import OddPrime, legendre
 from .errors import LegdetError
@@ -120,6 +121,13 @@ def _cmd_chapman(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # refuse an --out that cannot be opened before the sweep, without
+    # creating or truncating the file: it is written only after the sweep
+    out = Path(args.out) if args.out else None
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        reason = "is a directory" if out.is_dir() else "no such directory"
+        print(f"legdet: cannot write --out {args.out}: {reason}", file=sys.stderr)
+        return 2
     report = run_sweep(
         args.target, args.lo, args.hi, tolerance=args.tolerance, jobs=args.jobs
     )

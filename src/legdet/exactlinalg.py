@@ -1,6 +1,6 @@
 """Exact linear algebra over the integers: dense elimination, the Toeplitz
-determinant on bigints and on numpy lanes mod many primes, and
-characteristic polynomials."""
+determinant on bigints and on numpy lanes mod many primes, and the
+characteristic polynomial of a Toeplitz matrix."""
 from __future__ import annotations
 
 import math
@@ -26,10 +26,6 @@ class IntMatrix:
         self.rows = rows
         self.dim = len(rows)
 
-    @classmethod
-    def identity(cls, dim: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -38,30 +34,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in row] for row in self.rows])
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)))
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -635,67 +607,24 @@ def toeplitz_charpoly(t, m: int) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-def charpoly(m: IntMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(tI - M), Faddeev-LeVerrier.
-
-    Works entirely over the integers: the division by the step index k
-    is exact (Newton's identities); an inexact one raises DiscrepancyError.
-    """
-    n = m.dim
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = am + IntMatrix.identity(n).scale(coeffs[n - k + 1])
-        am = m @ mk
-        tr = am.trace()
-        q, r = divmod(tr, k)
-        if r:
-            raise DiscrepancyError("Faddeev-LeVerrier trace division not exact")
-        coeffs[n - k] = -q
-    return IntPolynomial(tuple(coeffs))
-
-
-def _minor(rows, drop_i: int, drop_j: int) -> IntMatrix:
-    return IntMatrix(
-        [
-            [x for j, x in enumerate(row) if j != drop_j]
-            for i, row in enumerate(rows)
-            if i != drop_i
-        ]
-    )
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate via cofactors: adj(M)[i][j] = (-1)^(i+j) det(minor_ji)."""
-    n = m.dim
-    if n == 1:
-        return IntMatrix([[1]])
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = det(_minor(m.rows, j, i))
-            out[i][j] = c if (i + j) % 2 == 0 else -c
-    return IntMatrix(out)
-
-
 def rank_one_update_det(h: IntMatrix, u: list, v: list) -> int:
     """det(H + u v^T) by direct elimination and by the rank-one update
-    formula det(H) + v^T adj(H) u; the two routes must agree exactly."""
+    formula det(H) + v^T adj(H) u; the two routes must agree exactly.
+
+    Entry i of adj(H) u is det(H with column i replaced by u) (Cramer's
+    rule, which holds for singular H too), so both routes are Bareiss
+    determinants."""
     n = h.dim
     if len(u) != n or len(v) != n:
         raise ValueError("vector length must match matrix dimension")
-    updated = IntMatrix(
-        [[h.rows[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
+    direct = det(IntMatrix([[x + ui * vj for x, vj in zip(row, v)]
+                            for row, ui in zip(h.rows, u)]))
+    via_cramer = det(h) + sum(
+        vi * det(IntMatrix([row[:i] + (ui,) + row[i + 1:] for row, ui in zip(h.rows, u)]))
+        for i, vi in enumerate(v)
     )
-    direct = det(updated)
-    adj = adjugate(h)
-    via_adjugate = det(h) + sum(
-        v[i] * sum(adj.rows[i][j] * u[j] for j in range(n)) for i in range(n)
-    )
-    if direct != via_adjugate:
+    if direct != via_cramer:
         raise DiscrepancyError(
-            f"rank-one update mismatch: elimination {direct}, adjugate {via_adjugate}"
+            f"rank-one update mismatch: elimination {direct}, Cramer {via_cramer}"
         )
     return direct

@@ -64,62 +64,34 @@ def quad_pow(x: QuadElem, k: int) -> QuadElem:
     return acc
 
 
-def _pell_unit(p: int) -> tuple[int, int]:
-    """Minimal (x, y) with x^2 - p*y^2 = +-1, from the continued fraction
-    of sqrt(p).  Every solution is a convergent, and convergents grow, so
-    the first hit is the fundamental one."""
-    a0 = isqrt(p)
-    m, d, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    steps = 0
-    while h * h - p * k * k not in (1, -1):
-        m = d * a - m
-        d = (p - m * m) // d
-        a = (a0 + m) // d
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        steps += 1
-        if steps > 10 * p + 100:
-            raise ArithmeticError(f"continued fraction of sqrt({p}) did not close")
-    return h, k
-
-
-def _icbrt(v: int) -> int:
-    """Floor cube root by integer Newton iteration."""
-    if v <= 0:
-        raise ValueError("positive argument required")
-    x = 1 << ((v.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + v // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
 def fundamental_unit(p: OddPrime) -> QuadElem:
     """Fundamental unit > 1 of the ring of integers of Q(sqrt(p)).
 
-    The continued fraction of sqrt(p) yields the smallest unit u of
-    Z[sqrt(p)].  For p = 1 (mod 4) the maximal order can be larger by
-    index 3 only, in which case u is the cube of a half-integer unit
-    (a + b*sqrt(p))/2 with a, b odd; a then satisfies a^3 - 3Na = 2x
-    with N = norm(u), which an integer cube root locates exactly.
+    The ring is Z[omega], omega = (P0 + sqrt(p))/Q0 with (P0, Q0) = (1, 2)
+    for p = 1 (mod 4) and (0, 1) otherwise.  A unit eps = h - g*conj(omega)
+    > 1 has g > 0 and |h - g*omega| = 1/eps, with eps close to
+    g*(omega - conj(omega)) = 2g*sqrt(p)/Q0 > 2g, so |h/g - omega| < 1/(2g^2)
+    and h/g is a convergent of omega (Legendre).  Convergents grow, so the
+    first one that gives a unit gives the fundamental one.  The expansion
+    of (P + sqrt(p))/Q takes a = floor((P + sqrt(p))/Q) and steps
+    P <- aQ - P, Q <- (p - P^2)/Q.
     """
-    x1, y1 = _pell_unit(p.p)
-    if p.p % 4 == 1:
-        nrm = x1 * x1 - p.p * y1 * y1
-        root = _icbrt(2 * x1)
-        for cand in range(max(1, root - 2), root + 3):
-            if cand ** 3 - 3 * nrm * cand != 2 * x1:
-                continue
-            bb, r = divmod(cand * cand - 4 * nrm, p.p)
-            if r != 0:
-                continue
-            b = isqrt(bb)
-            if b * b == bb and b > 0 and (cand - b) % 2 == 0:
-                return QuadElem(p.p, cand, b)
-    return QuadElem(p.p, 2 * x1, 2 * y1)
+    n, s = p.p, isqrt(p.p)
+    one_mod_4 = n % 4 == 1
+    pk, qk = (1, 2) if one_mod_4 else (0, 1)
+    h_prev, h = 0, 1
+    g_prev, g = 1, 0
+    for _ in range(10 * n + 100):
+        a = (pk + s) // qk
+        h, h_prev = a * h + h_prev, h
+        g, g_prev = a * g + g_prev, g
+        # h - g*conj(omega) = (x + y*sqrt(p))/2
+        x, y = (2 * h - g, g) if one_mod_4 else (2 * h, 2 * g)
+        if x * x - n * y * y in (4, -4):
+            return QuadElem(n, x, y)
+        pk = a * qk - pk
+        qk = (n - pk * pk) // qk
+    raise ArithmeticError(f"continued fraction of the generator for p={n} did not close")
 
 
 @dataclass(frozen=True)

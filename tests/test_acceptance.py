@@ -11,7 +11,6 @@ from legdet.cyclotomic import build_mtilde, cauchy_det, mtilde_det_check
 from legdet.exactlinalg import (
     IntMatrix,
     IntPolynomial,
-    charpoly,
     det,
     poly_mul,
     poly_pow,
@@ -20,6 +19,7 @@ from legdet.exactlinalg import (
 from legdet.matrices import build_cp, build_ep, build_mp
 from legdet.quadfield import class_number_imag, class_number_real, fundamental_unit
 from legdet.verify import PASS, SKIPPED, run_sweep, verify_decomposition, verify_sun
+from faddeev_leverrier import charpoly
 
 
 def _report(num, description, ok):

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from legdet import cli
 from legdet.arith import OddPrime
 from legdet.cli import main
-from legdet.exactlinalg import charpoly, det
+from legdet.exactlinalg import det
 from legdet.matrices import build_cp, build_mp
+from faddeev_leverrier import charpoly
 
 
 def run(capsys, argv):
@@ -129,7 +131,12 @@ def test_verify_json_to_file(tmp_path, capsys):
     assert {r["p"] for r in data["records"]} == {3, 5, 7, 11, 13, 17, 19}
 
 
-def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
+def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # --out is checked before the sweep, which therefore never runs
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
     missing = tmp_path / "missing" / "r.txt"
     code, out, err = run(capsys, ["verify", "--target", "unit", "--from", "3",
                                   "--to", "7", "--out", str(missing)])
@@ -137,6 +144,11 @@ def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("legdet: ") and str(missing) in err
     assert not missing.parent.exists()
+    code, out, err = run(capsys, ["verify", "--target", "unit", "--from", "3",
+                                  "--to", "7", "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("legdet: ") and str(tmp_path) in err
 
 
 def test_verify_csv_stdout(capsys):

@@ -21,6 +21,9 @@ No module of the package names the shift-subtract products
 evaluation at primes q = 1 (mod p).
 No module of the package names `CycElem`: an element of Q(zeta_p) is an
 exponent vector, and the power-basis class is the tests' reference.
+No module of the package defines or names `adjugate`, `_minor`, `_pell_unit`,
+`_icbrt` or a dense `charpoly`: Bareiss is the one dense kernel, and the unit
+comes from one continued fraction.
 `verify.py` imports no private (underscore) name from the cyclotomic module.
 No module of the package reads the environment (`os.environ`, `getenv`):
 routes and caps are fixed in code, never switched by a knob.
@@ -211,6 +214,25 @@ def test_package_names_no_cycelem():
                 names.append(node.value)
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name == "CycElem"]
+    assert found == []
+
+
+_SECOND_ROUTES = {"adjugate", "_minor", "_pell_unit", "_icbrt", "charpoly"}
+
+
+def test_package_names_no_second_route():
+    # Faddeev-LeVerrier lives in tests/faddeev_leverrier.py and the Pell
+    # unit in tests/pell_unit.py; toeplitz_charpoly, charpoly_cp and the
+    # CLI's "charpoly" command are other names (strings are not read)
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None), getattr(node, "arg", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in _SECOND_ROUTES]
     assert found == []
 
 

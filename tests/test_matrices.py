@@ -71,7 +71,7 @@ def test_ep_symmetry_by_residue_class():
     for q in primes_in_range(3, 60):
         e = build_ep(q)
         s = legendre(-1, q)
-        assert e.transpose() == e.scale(s)
+        assert IntMatrix(list(zip(*e.rows))) == IntMatrix([[s * x for x in row] for row in e.rows])
 
 
 def test_diagonals_are_zero_except_mp_corner():

@@ -19,6 +19,7 @@ from legdet.quadfield import (
     fundamental_unit,
     quad_pow,
 )
+from pell_unit import pell_unit
 
 
 def brute_unit(p, cap=50000):
@@ -57,6 +58,16 @@ def test_fundamental_unit_matches_brute_force():
         assert u.norm() in (1, -1)
         # a unit is > 1 exactly when both of its coordinates are positive
         assert u.a > 0 and u.b > 0
+
+
+def test_fundamental_unit_matches_the_pell_route():
+    # the continued fraction of the maximal order's generator against the
+    # Pell unit of Z[sqrt(p)] and its cube-root repair, every odd prime < 20000
+    primes = primes_in_range(3, 20000)
+    assert len(primes) == 2261
+    for q in primes:
+        u = fundamental_unit(q)
+        assert (u.a, u.b) == pell_unit(q.p), q.p
 
 
 def test_fundamental_unit_frozen():
