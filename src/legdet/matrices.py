@@ -3,6 +3,8 @@ determinants (and the characteristic polynomial of C_p) by the Toeplitz
 route."""
 from __future__ import annotations
 
+import math
+
 from .arith import OddPrime, legendre_table
 from .exactlinalg import (
     IntMatrix,
@@ -14,16 +16,18 @@ from .exactlinalg import (
 
 # Dimension from which det_cp/det_ep/det_mp take the multimodular lanes
 # (toeplitz_det_mod) instead of the bigint PRS (toeplitz_det).  Timed on
-# det_ep and det_mp, best of 9 on a shared 2-core Xeon (Python 3.11, numpy
-# 2.4), the two routes break even near m = 70, at about 3 ms each; the
-# lanes take about 0.7x the bigint time at m = 100 and 0.35x at m = 199.
-# With 75, perfbench's acceptance workload (sweeps to p = 199) ran 13%
-# faster than on the bigint route alone.
-_LANES_FROM = 75
+# det_ep and det_mp (det_mp on its value bound), best of 9 with the two
+# routes interleaved, three rounds on a shared 2-core Xeon (Python 3.11,
+# numpy 2.4): they break even at m = 63-64, near 2.2-3.7 ms each; the lanes
+# take 0.73-0.97x the bigint time at m = 65-70, 0.74-0.82x at m = 75,
+# 0.63-0.73x at m = 100 and 0.3x at m = 199.
+_LANES_FROM = 65
 
 
-def _toeplitz(t, m: int) -> int:
-    return (toeplitz_det_mod if m >= _LANES_FROM else toeplitz_det)(t, m)
+def _toeplitz(t, m: int, bound=None) -> int:
+    """toeplitz_det_mod (with bound, a bound on |det|, when given) from
+    dimension _LANES_FROM on, else toeplitz_det."""
+    return toeplitz_det_mod(t, m, bound) if m >= _LANES_FROM else toeplitz_det(t, m)
 
 
 def build_cp(p: OddPrime) -> IntMatrix:
@@ -70,6 +74,15 @@ def det_ep(p: OddPrime) -> int:
 def det_mp(p: OddPrime) -> int:
     """det of build_mp(p).  Subtracting column j+1 from column j, j < n,
     turns row 0 into e_n; expanding along it leaves (-1)^n times the n x n
-    Toeplitz determinant with t(k) = ((k+1)/p) - (k/p)."""
+    Toeplitz determinant with t(k) = ((k+1)/p) - (k/p).
+
+    On the lanes, the CRT limit is Hadamard's bound on the rows of
+    build_mp(p) itself, isqrt((n+1) n^n) + 1: row 0 is all ones and each
+    other row has one zero, on the diagonal.  That bounds the value alone,
+    and is smaller than the Toeplitz matrix's own bound H, whose entries
+    lie in -2..2 (at p = 397, 760 bits and 26 primes against 954 bits and
+    32 primes)."""
     chi = legendre_table(p)
-    return (-1) ** p.n * _toeplitz(lambda k: chi[k + 1] - chi[k], p.n)
+    n = p.n
+    bound = math.isqrt((n + 1) * n**n) + 1
+    return (-1) ** n * _toeplitz(lambda k: chi[k + 1] - chi[k], n, bound)

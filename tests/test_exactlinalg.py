@@ -314,6 +314,19 @@ def test_toeplitz_inexact_division_raises():
             _prem_window(a, b, steps, -3)
 
 
+def test_prem_window_remainders_cannot_cancel():
+    # numerators 1 and -1 over beta = +-2: truncated remainders (1, -1)
+    # would cancel in a sum, floor remainders (1, 1) or (-1, -1) cannot;
+    # b = X^3 makes the numerators a's tail, on the two-step and the
+    # looped path
+    message = "subresultant step did not divide exactly"
+    for a, steps in (([0, 0, 1, -1], 2), ([0, 1, -1, 0], 1)):
+        assert _prem_window(a, [1, 0, 0, 0], steps, 1)[:2] == [1, -1]
+        for beta in (2, -2):
+            with pytest.raises(DiscrepancyError, match=message):
+                _prem_window(a, [1, 0, 0, 0], steps, beta)
+
+
 def test_prem_window_two_steps_match_single_steps():
     rng = random.Random(17)
     for _ in range(200):
@@ -495,6 +508,105 @@ def test_each_row_is_checked_against_its_own_bound(monkeypatch):
     monkeypatch.setattr(exactlinalg, "_lane_dets", ten_for_row_0)
     with pytest.raises(DiscrepancyError):
         _toeplitz_dets_crt(batch, 2, _lane_primes())
+
+
+def _row_hadamard_bound(values, m):
+    """isqrt of the product of the squared row norms of [t(i - j)], plus 1:
+    a bound on |det| alone."""
+    return math.isqrt(math.prod(sum(x * x for x in row)
+                                for row in _toeplitz_rows(values, m))) + 1
+
+
+def test_value_bound_on_small_primes(monkeypatch):
+    # with primes 3, 5, 7, ... a product past twice the matrix's own
+    # row-Hadamard bound often stays below 2H, the zero-test bound; the
+    # lanes kept still give det mod q, so every value is right
+    products = []
+    lane_dets = exactlinalg._lane_dets
+
+    def recording(f1, q, m):
+        products.append(math.prod(q.tolist()))
+        return lane_dets(f1, q, m)
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    rng = random.Random(21)
+    below = 0
+    for _ in range(3000):
+        values, m = _random_toeplitz(rng)
+        rows = np.array([_f1(values)])
+        got = _toeplitz_dets_crt(rows, m, _SMALL_PRIMES, _row_hadamard_bound(values, m))
+        assert got == [toeplitz_det(lambda k: values[k + m - 1], m)], (values, m)
+        [h] = exactlinalg._hadamard_bounds(rows, m)
+        below += products[-1] < 2 * h
+    assert below >= 1000
+
+
+def test_value_bound_rejects_too_few_primes_and_a_tampered_lane(monkeypatch):
+    values, m = [1, 0, -1, 0, 0, -1, 0, 1, -1], 5
+    # the rows' squared norms are 2, 2, 2, 2, 3: the bound is
+    # isqrt(48) + 1 = 7, so primes must multiply past 14; 7 does not, and
+    # 3 * 5 = 15 does, where H = 56 needs a product past 112
+    bound = _row_hadamard_bound(values, m)
+    assert bound == 7
+    with pytest.raises(DiscrepancyError, match="lane primes ran out"):
+        _toeplitz_dets_crt(np.array([_f1(values)]), m, [7], bound)
+    assert _toeplitz_dets_crt(np.array([_f1(values)]), m, [3, 5], bound) == [-1]
+    lane_dets = exactlinalg._lane_dets
+
+    def tampered(f1, q, m):
+        alive, residues, unlucky = lane_dets(f1, q, m)
+        residues[0][0] = (residues[0][0] + 1) % int(q[0])
+        return alive, residues, unlucky
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
+    # det_mp at 151 runs on its value bound, 8 lanes; one residue off by 1
+    # moves the CRT value outside that bound
+    with pytest.raises(DiscrepancyError, match="exceeds its Hadamard bound"):
+        det_mp(OddPrime(151))
+
+
+def test_det_mp_on_its_value_bound():
+    # det_mp takes the lanes from p = 131 on
+    for q in primes_in_range(131, 199):
+        assert det_mp(q) == det(build_mp(q)), q.p
+    assert all(abs(det_mp(q)) == 1 for q in primes_in_range(131, 601))
+
+
+def test_lane_reduce_matches_python_mod():
+    # both paths, at one lane per prime below and at _REDUCE_BY_PRIME_FROM,
+    # on entries up to 3 q (q - 1), the largest sum a PRS step reduces
+    q = np.array(list(itertools.islice(_lane_primes(), 3)), dtype=np.int64)
+    ql, q3 = q.tolist(), q[:, None, None]
+    rng = np.random.default_rng(22)
+    n = exactlinalg._REDUCE_BY_PRIME_FROM
+    for shape in ((3, 3, (n - 1) // 3), (3, 2, n // 2)):
+        assert shape[1] * shape[2] in (n - 1, n)
+        w = np.stack([rng.integers(0, 3 * qk * (qk - 1), shape[1:], endpoint=True)
+                      for qk in ql])
+        w[:, 0, :2] = [[0, 3 * qk * (qk - 1)] for qk in ql]
+        expected = [[[x % qk for x in row] for row in wk] for wk, qk in zip(w.tolist(), ql)]
+        assert exactlinalg._lane_reduce(w, q3, ql) is w
+        assert w.tolist() == expected
+
+
+def test_lane_reductions_are_sign_free(monkeypatch):
+    # every window the lanes reduce is nonnegative and fits int64 with room;
+    # a mixed-sign window would still reduce right, only twice as slowly
+    lane_reduce = exactlinalg._lane_reduce
+    calls = []
+
+    def checked(w, q3, ql):
+        calls.append(w.size)
+        assert w.min() >= 0 and w.max() < 2**62
+        return lane_reduce(w, q3, ql)
+
+    monkeypatch.setattr(exactlinalg, "_lane_reduce", checked)
+    # det_ep, det_mp, charpoly_cp and mtilde_det, each on the lanes
+    for target, p in (("chapman", 151), ("chapman", 389), ("unit", 151), ("unit", 389),
+                      ("carlitz", 31), ("mtilde", 31)):
+        calls.clear()
+        assert run_sweep(target, p, p).records[0].status == PASS, (target, p)
+        assert calls, (target, p)
 
 
 def _mtilde_toeplitz(p):
