@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import OddPrime, is_prime, legendre_array, legendre_table
+from .arith import OddPrime, _modular_primes, _take_primes, legendre_array, legendre_table
 from .errors import DiscrepancyError
 from .exactlinalg import IntMatrix, _lane_reduce, det, toeplitz_det_ztau
 from .quadfield import fundamental_unit, quad_pow
@@ -220,28 +220,9 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
     return True
 
 
-# Split primes q = 1 (mod p) stay below 2^30: a product of two residues
-# fits in int64, and CPython's three-argument pow, which is_prime and the
-# root of unity take, runs about 2.5x faster on one-digit ints than on 31 bits.
-_SPLIT_PRIME_LIMIT = 1 << 30
 # Entries of the largest array that check_square_sums compares for one block
 # of rows, or _embeddings gathers for one block of primes.
 _BLOCK_ENTRIES = 1 << 20
-# One numpy remainder by these primes drops most composite candidates for
-# split primes before is_prime, and its three pows, sees them.
-_SIEVE = np.array([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-                   61, 67, 71, 73, 79, 83, 89, 97])[:, None]
-
-
-def _split_primes(p: int):
-    """The primes q = kp + 1 between 100 and 2^30, descending; k is even,
-    so q is odd.  Candidates are sieved 64 at a time."""
-    top = (_SPLIT_PRIME_LIMIT - 2) // p
-    for k in range(top - top % 2, 0, -128):
-        candidates = (k - np.arange(0, min(128, k), 2)) * p + 1
-        for q in candidates[(candidates % _SIEVE).all(axis=0)].tolist():
-            if is_prime(q):
-                yield q
 
 
 def _root_of_order(p: int, q: int) -> int:
@@ -299,15 +280,8 @@ def _embeddings(p: OddPrime, bound: int, products):
 
     Every value is one gather from the table of omega^e (row 0) and
     (1 - omega^e)^mu (row mu >= 1), then a product along its row."""
-    chosen, product = [], 1
-    primes = _split_primes(p.p)
-    while product <= bound:
-        q = next(primes, None)
-        if q is None:
-            raise DiscrepancyError(f"primes q = 1 (mod {p.p}) ran out below "
-                                   f"the embedding bound at p={p.p}")
-        chosen.append(q)
-        product *= q
+    message = f"primes q = 1 (mod {p.p}) ran out below the embedding bound at p={p.p}"
+    chosen = _take_primes(_modular_primes(p.p), bound, message)
     js = np.arange(1, p.p)
     indices = []
     for shift, exponents in products:
@@ -320,14 +294,8 @@ def _embeddings(p: OddPrime, bound: int, products):
     for lo in range(0, len(chosen), block):
         ql = chosen[lo:lo + block]
         q = np.array(ql, np.int64)[:, None]
-        rows = []
-        for qk in ql:
-            w = _root_of_order(p.p, qk)
-            row = [1]
-            for _ in range(p.p - 1):
-                row.append(row[-1] * w % qk)
-            rows.append(row)
-        table = np.array(rows, np.int64)
+        roots = np.array([_root_of_order(p.p, qk) for qk in ql], np.int64)[:, None]
+        table = _powers(roots, p.p, q)[:, :, 0]
         factors = _powers((1 - table) % q, top + 1, q)
         factors[:, 0] = table
         factors = factors.reshape(len(ql), -1)

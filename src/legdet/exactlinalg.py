@@ -3,12 +3,13 @@ determinant on bigints and on numpy lanes mod many primes, and the
 characteristic polynomial of a Toeplitz matrix."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import _modular_primes, _take_primes
 from .errors import DiscrepancyError
 
 
@@ -247,23 +248,16 @@ def toeplitz_det(t, m: int) -> int:
         f0, f1, d, delta = f1, r, d - gap, gap
 
 
-# Lane primes stay below 2^30, so that a sum of three products of residues
-# stays below 2^62 and fits in int64.
-_LANE_PRIME_LIMIT = 1 << 30
-_LANE_PRIMES: list = []  # descending from _LANE_PRIME_LIMIT, filled on first use
+_LANE_PRIMES: list = []  # the odd primes descending from 2^30, filled on first use
+_LANE_STREAM = _modular_primes(1)
 
 
 def _lane_primes():
-    """The primes below 2^30 in descending order, each found once and kept."""
-    i = 0
-    while True:
+    """The odd primes below 2^30 in descending order, each found once and kept."""
+    for i in itertools.count():
         if i == len(_LANE_PRIMES):
-            q = _LANE_PRIMES[-1] - 2 if _LANE_PRIMES else _LANE_PRIME_LIMIT - 1
-            while not is_prime(q):
-                q -= 2
-            _LANE_PRIMES.append(q)
+            _LANE_PRIMES.append(next(_LANE_STREAM))
         yield _LANE_PRIMES[i]
-        i += 1
 
 
 def _lane_pow(x, e: int, q):
@@ -448,23 +442,17 @@ def _hadamard_bounds(rows, m: int) -> list:
 
 def _lane_run(lanes, m: int, primes, limit: int):
     """(chosen, alive, residues) of _lane_dets on lanes(q), a batch mod the
-    (K,) array q of the primes chosen in order from primes until their
-    product exceeds limit, unlucky ones dropped and the run repeated."""
-    primes = iter(primes)
-    chosen, product = [], 1
+    (K,) array q of the primes taken in order from primes until their
+    product exceeds limit; unlucky ones are dropped, the survivors refilled
+    by _take_primes and the run repeated."""
+    primes, chosen = iter(primes), []
     while True:
-        while product <= limit:
-            q = next(primes, None)
-            if q is None:
-                raise DiscrepancyError("lane primes ran out below the CRT bound")
-            chosen.append(q)
-            product *= q
+        chosen = _take_primes(primes, limit, "lane primes ran out below the CRT bound", chosen)
         q = np.array(chosen, dtype=np.int64)
         alive, residues, unlucky = _lane_dets(lanes(q), q, m)
         if unlucky is None:
             return chosen, alive, residues
         chosen = [qk for qk, bad in zip(chosen, unlucky.tolist()) if not bad]
-        product = math.prod(chosen)
 
 
 def _crt(residues, chosen: list, bounds) -> list:

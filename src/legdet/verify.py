@@ -18,6 +18,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .arith import OddPrime, primes_in_range
 from .cyclotomic import (
@@ -255,10 +256,6 @@ def _run_one(target: str, p_int: int, tolerance: float) -> VerificationRecord:
     return VerificationRecord(p_int, target, FAIL, "", "", aux)
 
 
-def _run_one_packed(args) -> VerificationRecord:
-    return _run_one(*args)
-
-
 @dataclass
 class SweepReport:
     target: str
@@ -356,14 +353,16 @@ def run_sweep(
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if not tolerance >= 0:  # NaN compares false too
+        raise ValueError(f"tolerance must be a number >= 0, got {tolerance}")
     primes = primes_in_range(lo, hi)
     start = time.perf_counter()
     if jobs == 1 or len(primes) <= 1:
         records = [_run_one(target, q.p, tolerance) for q in primes]
     else:
-        work = [(target, q.p, tolerance) for q in primes]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one_packed, work))
+            records = list(pool.map(_run_one, repeat(target), [q.p for q in primes],
+                                    repeat(tolerance)))
     records.sort(key=lambda r: r.p)
     elapsed = time.perf_counter() - start
     return SweepReport(target, lo, hi, tolerance, records, elapsed)

@@ -1,15 +1,24 @@
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
+from legdet import arith, cyclotomic
 from legdet.arith import (
     OddPrime,
+    _modular_primes,
+    _take_primes,
     is_prime,
     legendre,
     legendre_array,
     legendre_table,
     primes_in_range,
 )
+from legdet.cyclotomic import build_mtilde, lemma32_check, mtilde_det_check
+from legdet.errors import DiscrepancyError
+from legdet.exactlinalg import _toeplitz_dets_crt
 
 
 def sieve(limit):
@@ -21,6 +30,56 @@ def sieve(limit):
             for m in range(k * k, limit + 1, k):
                 flags[m] = False
     return flags
+
+
+def test_split_primes_match_a_brute_force_walk():
+    # the primes q = kp + 1 below 2^30 with k even, descending
+    for p in (3, 5, 13, 449):
+        top = ((1 << 30) - 2) // p
+        walk = (k * p + 1 for k in range(top - top % 2, 0, -2) if is_prime(k * p + 1))
+        assert list(itertools.islice(_modular_primes(p), 40)) == list(itertools.islice(walk, 40)), p
+
+
+def test_modular_primes_run_to_the_sieve(monkeypatch):
+    # below a limit of 1000 the whole stream is every prime q = 1 (mod 2s)
+    # above the sieve's primes, none skipped at either end
+    monkeypatch.setattr(arith, "_MODULAR_PRIME_LIMIT", 1000)
+    flags = sieve(1000)
+    for s in (1, 2, 3, 5, 7, 13, 449):
+        assert list(_modular_primes(s)) == [q for q in range(999, 100, -1)
+                                            if flags[q] and q % (2 * s) == 1], s
+
+
+def test_take_primes_stops_just_past_the_bound():
+    rng = random.Random(31)
+    for _ in range(300):
+        bound = rng.randrange(1, 1 << rng.randrange(1, 400))
+        chosen = _take_primes(_modular_primes(1), bound, "unused")
+        assert math.prod(chosen[:-1]) <= bound < math.prod(chosen)
+
+
+def test_take_primes_refills_after_the_survivors():
+    stream = iter([11, 13, 17, 19])
+    assert _take_primes(stream, 1000, "unused", [5, 7]) == [5, 7, 11, 13]
+    assert next(stream) == 17
+    # survivors already past the bound draw nothing
+    assert _take_primes(stream, 100, "unused", (7, 19)) == [7, 19]
+    assert next(stream) == 19
+
+
+def test_take_primes_raises_each_callers_message(monkeypatch):
+    with pytest.raises(DiscrepancyError, match="^too few$"):
+        _take_primes(iter([3, 5]), 15, "too few")
+    # the lanes' message: [[0, 1], [1, 0]] has H = 3, and 5 is not past 6
+    with pytest.raises(DiscrepancyError, match="^lane primes ran out below the CRT bound$"):
+        _toeplitz_dets_crt(np.array([[1, 0, 1]]), 2, [5])
+    # the split primes' message, naming p
+    monkeypatch.setattr(cyclotomic, "_modular_primes", lambda s: iter([]))
+    q = OddPrime(23)
+    for check in (lambda: lemma32_check(q, 3), lambda: mtilde_det_check(build_mtilde(q))):
+        with pytest.raises(DiscrepancyError, match=r"^primes q = 1 \(mod 23\) ran out "
+                                                   r"below the embedding bound at p=23$"):
+            check()
 
 
 def euler_symbol(a, p):

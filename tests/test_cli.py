@@ -177,6 +177,15 @@ def test_verify_failure_exit_code(capsys):
     assert "alt_diag_residual" in out
 
 
+def test_verify_bad_tolerance(capsys):
+    for tolerance in ("nan", "-1e-6"):
+        code, out, err = run(capsys, ["verify", "--target", "decomposition",
+                                      "--from", "5", "--to", "7",
+                                      f"--tolerance={tolerance}"])
+        assert (code, out) == (2, "")
+        assert "legdet: tolerance must be a number >= 0" in err
+
+
 def test_verify_bad_range(capsys):
     code, out, err = run(capsys, ["verify", "--target", "sun",
                                   "--from", "50", "--to", "10"])

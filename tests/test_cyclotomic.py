@@ -342,10 +342,10 @@ def test_checks_reject_split_primes_below_the_bound(monkeypatch):
     # at p = 23 one split prime exceeds the first identity's bound,
     # 2^11 + 5, but neither lemma32's bound 11^11 + 23^5 nor mtilde's
     q = OddPrime(23)
-    one = list(itertools.islice(cyclotomic._split_primes(23), 1))
+    one = list(itertools.islice(cyclotomic._modular_primes(23), 1))
     assert 2 ** 11 + 5 < one[0] <= 11 ** 11 + 23 ** 5
     parts = build_mtilde(q)
-    monkeypatch.setattr(cyclotomic, "_split_primes", lambda p: iter(one))
+    monkeypatch.setattr(cyclotomic, "_modular_primes", lambda s: iter(one))
     for check in (lambda: lemma32_check(q, 3), lambda: mtilde_det_check(parts)):
         with pytest.raises(DiscrepancyError, match="ran out below the embedding bound"):
             check()

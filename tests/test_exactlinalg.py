@@ -441,6 +441,38 @@ def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
     assert reruns > 50
 
 
+def test_a_refill_keeps_the_survivors_first_and_in_order(monkeypatch):
+    # after unlucky primes are dropped, the next run's primes are the
+    # survivors in their order, then the stream's next primes, until the
+    # product passes 2H and no earlier
+    runs = []
+    lane_dets = exactlinalg._lane_dets
+
+    def recording(f1, q, m):
+        alive, residues, unlucky = lane_dets(f1, q, m)
+        runs.append((q.tolist(), None if unlucky is None else unlucky.tolist()))
+        return alive, residues, unlucky
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    rng = random.Random(23)
+    refills = 0
+    for _ in range(200):
+        values, m = _random_toeplitz(rng)
+        rows = np.array([_f1(values)])
+        [h] = exactlinalg._hadamard_bounds(rows, m)
+        runs.clear()
+        _toeplitz_dets_crt(rows, m, _SMALL_PRIMES)
+        for (before, unlucky), (after, _) in zip(runs, runs[1:]):
+            survivors = [q for q, bad in zip(before, unlucky) if not bad]
+            start = _SMALL_PRIMES.index(before[-1]) + 1
+            assert after[:len(survivors)] == survivors
+            assert after[len(survivors):] == _SMALL_PRIMES[start:start + len(after) - len(survivors)]
+            refills += 1
+        for primes, _ in runs:
+            assert math.prod(primes[:-1]) <= 2 * h < math.prod(primes)
+    assert refills > 50
+
+
 def test_batched_lanes_match_toeplitz_det_or_drop():
     # every row of a batch is either its own toeplitz_det or reported
     # dropped; with primes 3, 5, 7, ... unlucky primes and reruns occur too
@@ -675,10 +707,15 @@ def test_toeplitz_det_ztau_domain():
 
 
 def test_lane_primes_are_distinct_primes_below_2_30():
-    primes = list(itertools.islice(_lane_primes(), 40))
+    primes = list(itertools.islice(_lane_primes(), 300))
     assert primes == sorted(set(primes), reverse=True)
     assert primes[0] == (1 << 30) - 35
     assert all(is_prime(q) and q < 1 << 30 for q in primes)
+    # the sieved stream skips no prime: a plain walk down the odd numbers
+    walk = (q for q in range((1 << 30) - 1, 0, -2) if is_prime(q))
+    assert primes == list(itertools.islice(walk, 300))
+    # and a second iterator reads the same cached primes
+    assert list(itertools.islice(_lane_primes(), 300)) == primes
 
 
 def test_symbol_matrix_dets_match_the_bigint_route():

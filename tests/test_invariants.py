@@ -27,6 +27,9 @@ comes from one continued fraction.
 `verify.py` imports no private (underscore) name from the cyclotomic module.
 No module of the package reads the environment (`os.environ`, `getenv`):
 routes and caps are fixed in code, never switched by a knob.
+Only `arith.py` names `is_prime` or writes the prime limit `1 << 30` (the
+package's `__init__` re-exports `is_prime`): one module chooses the modular
+primes of every route, by one limit, one stream and one rule.
 """
 import ast
 from pathlib import Path
@@ -271,4 +274,29 @@ def test_package_reads_no_environment():
         or (isinstance(node, ast.ImportFrom)
             and any(alias.name in ("environ", "getenv") for alias in node.names))
     ]
+    assert found == []
+
+
+def _is_two_to_the_30(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value == 1 << 30
+    return (isinstance(node, ast.BinOp)
+            and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
+            and (node.left.value, type(node.op), node.right.value)
+            in ((1, ast.LShift, 30), (2, ast.Pow, 30)))
+
+
+def test_only_arith_chooses_modular_primes():
+    found = []
+    for path in SOURCES:
+        if path.name == "arith.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                names += [alias.name for alias in node.names]
+            if "is_prime" in names:
+                found.append(f"{path.name}:{node.lineno} is_prime")
+            if _is_two_to_the_30(node):
+                found.append(f"{path.name}:{node.lineno} 2^30")
     assert found == []

@@ -315,6 +315,15 @@ def test_run_sweep_rejects_bad_input():
         run_sweep("sun", 3, 10, jobs=0)
 
 
+def test_run_sweep_rejects_a_nan_or_negative_tolerance():
+    # a NaN tolerance would write a FAIL for every prime; 0 stays legal
+    for tolerance in (float("nan"), -1e-6, float("-inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            run_sweep("decomposition", 5, 7, tolerance=tolerance)
+    report = run_sweep("decomposition", 5, 5, tolerance=0)
+    assert [r.status for r in report.records] == [FAIL]
+
+
 def test_run_sweep_parallel_is_deterministic():
     solo = run_sweep("sun", 5, 60, jobs=1)
     duo = run_sweep("sun", 5, 60, jobs=2)
