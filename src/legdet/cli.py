@@ -64,7 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--target", choices=TARGETS, required=True)
     vf.add_argument("--from", dest="lo", type=int, required=True)
     vf.add_argument("--to", dest="hi", type=int, required=True)
-    vf.add_argument("--tolerance", type=float, default=1e-6)
+    vf.add_argument("--tolerance", type=float, default=1e-6,
+                    help="decomposition's residual bound, a finite number >= 0 "
+                         "(default 1e-6); write a negative or exponent value "
+                         "as --tolerance=VALUE")
     vf.add_argument("--jobs", type=int, default=1)
     vf.add_argument("--format", choices=("text", "json", "csv"), default="text",
                     dest="fmt")

@@ -161,11 +161,51 @@ def _round_to_count(estimate: float, what: str) -> int:
     return nearest
 
 
-def _numeric_product_one(p: int) -> complex:
-    """prod over k=1..n of (1 - zeta^(k^2)) at zeta = exp(2*pi*i/p), in
-    double precision."""
-    k = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    return complex(np.prod(1 - np.exp(2j * np.pi * (k * k % p) / p)))
+def _cycle_count(p: int) -> int:
+    """Number of cycles of the reduction operator rho on the reduced
+    indefinite forms (a, b, c) of discriminant p = 1 (mod 4), p prime.
+
+    Reduced means 0 < b < sqrt(p) and sqrt(p) - b < 2|a| < sqrt(p) + b, with
+    b odd and a*c = (b^2 - p)/4 < 0.  rho(a, b, c) = (c, b', .) with b' the
+    largest integer below sqrt(p) that is = -b (mod 2|c|); it permutes the
+    reduced forms, and its cycles are the proper equivalence classes
+    (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  A prime p admits
+    only primitive forms, since a common factor g has g^2 | p."""
+    s = isqrt(p)
+    # sqrt(p) is irrational, so b < sqrt(p) is b <= s, and the band on 2a
+    # is s < 2a + b, 2a - b <= s.  One pass over the grid of a and odd b
+    # finds the pairs with 4a | p - b^2, and the band keeps the forms with
+    # a > 0; every value is below p, exact in int64.
+    a = np.arange(1, s + 1, dtype=np.int64)[:, None]
+    b = np.arange(1, s + 1, 2, dtype=np.int64)
+    i, j = np.nonzero((p - b * b) % (4 * a) == 0)
+    a, b = i + 1, b[j]
+    band = (2 * a + b > s) & (2 * a - b <= s)
+    a, b = a[band], b[band]
+    c = (b * b - p) // (4 * a)
+    m = a.size
+    # form k's index at (a, b // 2); row 0 holds no form and marks a miss
+    index = np.full((s + 1, (s + 1) // 2), -1, dtype=np.int64)
+    index[a, b // 2] = np.arange(m)
+    # b' depends on |c| only, so rho commutes with (a, b, c) -> (-a, b, -c):
+    # forms 0..m-1 are those with a > 0, and form m + k is the negative of
+    # form k.  rho sends form k to the negative of the a > 0 form at
+    # (|c|, b'), and the negative of form k to that form itself.
+    b_next = s - (s + b) % (2 * -c)
+    inside = (-c <= s) & (b_next > 0)
+    to = index[np.where(inside, -c, 0), np.where(inside, b_next // 2, 0)]
+    if (to < 0).any() or (np.bincount(to, minlength=m) != 1).any():
+        raise DiscrepancyError(f"reduction does not permute the reduced forms of {p}")
+    perm = np.concatenate((to + m, to))
+    # pointer doubling: after k rounds low[i] is the least index among
+    # i, rho(i), ..., rho^(2^k - 1)(i), so at 2^k >= 2m it is the least
+    # index of i's cycle, and each cycle has one such least index
+    n = perm.size
+    low = np.arange(n)
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[perm])
+        perm = perm[perm]
+    return int(np.count_nonzero(low == np.arange(n)))
 
 
 def _log_sin_sum(p: OddPrime) -> float:
@@ -179,38 +219,40 @@ def _log_sin_sum(p: OddPrime) -> float:
 
 
 def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberReport:
-    """Class number of Q(sqrt(p)) for p = 1 (mod 4), by the analytic formula
+    """Class number of Q(sqrt(p)) for p = 1 (mod 4), exactly, as the number
+    of cycles of reduced indefinite forms of discriminant p, checked against
+    the analytic formula
 
-        h = -(sum_{a=1..p-1} (a/p) log sin(pi a / p)) / (2 log eps)
+        h = -(sum_{a=1..p-1} (a/p) log sin(pi a / p)) / (2 log eps).
 
-    and, as an independent route, by inverting the numeric cyclotomic
-    product prod(1 - zeta^(k^2)) = sqrt(p) * eps^(-h).  The analytic value
-    is authoritative; the methods must agree."""
+    The cycles are the proper classes of forms, whose number is the narrow
+    class number h+.  h+ = h when the fundamental unit has norm -1 (and 2h
+    when it has norm +1); for a prime p = 1 (mod 4) it does, and the norm is
+    checked on eps rather than assumed.  The two routes must agree.
+
+    The numeric product prod(1 - zeta^(k^2)) = sqrt(p) * eps^(-h) is no
+    independent second route: |1 - zeta^a| = 2 sin(pi a / p) and
+    prod_{a=1..p-1} 2 sin(pi a / p) = p give
+    log(sqrt(p) / |prod|) = -(1/2) sum (a/p) log sin(pi a / p), the analytic
+    formula's numerator again."""
     if p.p % 4 != 1:
         raise ValueError("requires p = 1 (mod 4)")
     eps = unit or fundamental_unit(p)
-    log_eps = _log_value(eps)
-
+    if eps.norm() != -1:
+        raise DiscrepancyError(
+            f"fundamental unit {eps} of Q(sqrt({p.p})) has norm {eps.norm()}, expected -1"
+        )
+    cycles = _cycle_count(p.p)
     analytic = _round_to_count(
-        -_log_sin_sum(p) / (2 * log_eps), "analytic class number"
+        -_log_sin_sum(p) / (2 * _log_value(eps)), "analytic class number"
     )
-
-    prod = _numeric_product_one(p.p)
-    if abs(prod.imag) > 1e-6 * max(abs(prod.real), 1.0):
-        raise PrecisionError(f"cyclotomic product not real at p={p.p}")
-    if prod.real <= 0:
-        raise PrecisionError(f"cyclotomic product not positive at p={p.p}")
-    from_product = _round_to_count(
-        math.log(math.sqrt(p.p) / prod.real) / log_eps, "product class number"
-    )
-
-    if analytic != from_product:
+    if analytic != cycles:
         raise DiscrepancyError(
             f"class number methods disagree at p={p.p}: "
-            f"analytic {analytic}, product {from_product}"
+            f"reduced-form cycles {cycles}, analytic {analytic}"
         )
-    return ClassNumberReport(p, "real", analytic,
-                             {"analytic": analytic, "cyclotomic_product": from_product})
+    return ClassNumberReport(p, "real", cycles,
+                             {"analytic": analytic, "reduced_form_cycles": cycles})
 
 
 def _chapman_power(p: OddPrime) -> tuple[QuadElem, int, int, tuple[Fraction, Fraction]]:

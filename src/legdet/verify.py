@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import time
 from collections.abc import Callable
@@ -353,8 +354,8 @@ def run_sweep(
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if not tolerance >= 0:  # NaN compares false too
-        raise ValueError(f"tolerance must be a number >= 0, got {tolerance}")
+    if not 0 <= tolerance < math.inf:  # NaN compares false too
+        raise ValueError(f"tolerance must be a number >= 0 and finite, got {tolerance}")
     primes = primes_in_range(lo, hi)
     start = time.perf_counter()
     if jobs == 1 or len(primes) <= 1:

@@ -9,7 +9,11 @@ the mtilde closed form is the reference for the evaluation route of
 `cyclotomic.lemma32_check` and `cyclotomic.mtilde_det_check`: each factor
 zeta^a - zeta^b is one shift-subtract on a length-p exponent vector, so a
 product of N factors takes N passes of length p on bigints.
+`numeric_product_one` is the same P1 in double precision, the reference
+for the exact product's complex image.
 """
+import numpy as np
+
 from legdet.arith import OddPrime
 
 
@@ -116,6 +120,13 @@ def exact_product_one(p: OddPrime) -> CycElem:
     for k in range(1, p.n + 1):
         vec = times_difference(vec, 0, k * k % p.p)
     return CycElem.from_exponents(p, vec)
+
+
+def numeric_product_one(p: int) -> complex:
+    """prod over k=1..n of (1 - zeta^(k^2)) at zeta = exp(2*pi*i/p), in
+    double precision."""
+    k = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    return complex(np.prod(1 - np.exp(2j * np.pi * (k * k % p) / p)))
 
 
 def exact_product_two(p: OddPrime) -> CycElem:

@@ -82,7 +82,7 @@ def test_class_number(capsys):
     assert out == "h(-23) = 3 (character_sum=3, reduced_forms=3)\n"
     code, out, err = run(capsys, ["class-number", "--field", "real", "--p", "5"])
     assert code == 0
-    assert out == "h(5) = 1 (analytic=1, cyclotomic_product=1)\n"
+    assert out == "h(5) = 1 (analytic=1, reduced_form_cycles=1)\n"
 
 
 def test_class_number_wrong_field(capsys):
@@ -178,7 +178,7 @@ def test_verify_failure_exit_code(capsys):
 
 
 def test_verify_bad_tolerance(capsys):
-    for tolerance in ("nan", "-1e-6"):
+    for tolerance in ("nan", "-1e-6", "inf"):
         code, out, err = run(capsys, ["verify", "--target", "decomposition",
                                       "--from", "5", "--to", "7",
                                       f"--tolerance={tolerance}"])

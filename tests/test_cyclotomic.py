@@ -29,10 +29,16 @@ from legdet.cyclotomic import (
 )
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
-from legdet.quadfield import _numeric_product_one, class_number_imag, class_number_real
+from legdet.quadfield import class_number_imag, class_number_real
 from legdet.verify import FAIL, run_sweep
 
-from exact_products import CycElem, conj, exact_product_one, exact_product_two
+from exact_products import (
+    CycElem,
+    conj,
+    exact_product_one,
+    exact_product_two,
+    numeric_product_one,
+)
 
 
 def random_elem(rng, q, lo=-4, hi=4):
@@ -227,17 +233,17 @@ def test_gauss_sum_complex_images_frozen():
 
 
 def test_numeric_product_one_values():
-    # the numeric product behind class_number_real's second route
-    one5 = _numeric_product_one(5)
+    # the double-precision P1 that the exact product is checked against
+    one5 = numeric_product_one(5)
     assert abs(one5.real - 1.3819660112501051) < 1e-9 and abs(one5.imag) < 1e-9
-    one7 = _numeric_product_one(7)
+    one7 = numeric_product_one(7)
     assert abs(one7.imag - (-7 ** 0.5)) < 1e-9 and abs(one7.real) < 1e-9
 
 
 def test_sun_product_matches_exact_embedding():
     for q in primes_in_range(5, 23):
         exact = complex_image(exact_product_one(q))
-        numeric = _numeric_product_one(q.p)
+        numeric = numeric_product_one(q.p)
         assert abs(numeric - exact) <= 1e-9 * abs(exact), q.p
 
 

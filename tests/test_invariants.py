@@ -220,13 +220,15 @@ def test_package_names_no_cycelem():
     assert found == []
 
 
-_SECOND_ROUTES = {"adjugate", "_minor", "_pell_unit", "_icbrt", "charpoly"}
+_SECOND_ROUTES = {"adjugate", "_minor", "_pell_unit", "_icbrt", "charpoly",
+                  "_numeric_product_one"}
 
 
 def test_package_names_no_second_route():
-    # Faddeev-LeVerrier lives in tests/faddeev_leverrier.py and the Pell
-    # unit in tests/pell_unit.py; toeplitz_charpoly, charpoly_cp and the
-    # CLI's "charpoly" command are other names (strings are not read)
+    # Faddeev-LeVerrier lives in tests/faddeev_leverrier.py, the Pell unit
+    # in tests/pell_unit.py and the numeric P1 in tests/exact_products.py;
+    # toeplitz_charpoly, charpoly_cp and the CLI's "charpoly" command are
+    # other names (strings are not read)
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

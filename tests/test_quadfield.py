@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from legdet import quadfield
 from legdet.arith import OddPrime, legendre, legendre_table, primes_in_range
+from legdet.errors import DiscrepancyError
 from legdet.quadfield import (
     QuadElem,
+    _cycle_count,
     _log_sin_sum,
-    _numeric_product_one,
+    _log_value,
     _reduced_form_count,
     chapman_ap,
     class_number_imag,
@@ -19,6 +22,9 @@ from legdet.quadfield import (
     fundamental_unit,
     quad_pow,
 )
+from legdet.verify import FAIL, run_sweep
+
+from exact_products import numeric_product_one
 from pell_unit import pell_unit
 
 
@@ -161,7 +167,7 @@ def test_class_number_real_frozen():
     assert class_number_real(OddPrime(229)).h == 3
     report = class_number_real(OddPrime(401))
     assert report.h == 5
-    assert report.method_values["analytic"] == report.method_values["cyclotomic_product"]
+    assert report.method_values["analytic"] == report.method_values["reduced_form_cycles"]
 
 
 def test_class_number_real_domain():
@@ -173,7 +179,9 @@ def test_class_number_methods_agree_over_ranges():
     for q in primes_in_range(7, 499):
         if q.p % 4 == 3:
             class_number_imag(q)
-    for q in primes_in_range(5, 229):
+    # class_number_real raises unless the cycle count and the analytic
+    # route agree, at every p = 1 (mod 4) below 20000
+    for q in primes_in_range(5, 19999):
         if q.p % 4 == 1:
             class_number_real(q)
 
@@ -227,7 +235,74 @@ def test_float_routes_match_scalar_loops():
     for q in primes + [OddPrime(10009), OddPrime(10273), OddPrime(12497)]:
         assert _log_sin_sum(q) == pytest.approx(loop_log_sin_sum(q), rel=1e-9), q.p
         ref = loop_numeric_product_one(q.p)
-        assert abs(_numeric_product_one(q.p) - ref) <= 1e-9 * abs(ref), q.p
+        assert abs(numeric_product_one(q.p) - ref) <= 1e-9 * abs(ref), q.p
+
+
+def walk_cycle_count(p):
+    """Cycles of rho on the reduced forms of discriminant p, one form at a
+    time: a by trial division of (p - b^2)/4 over the band, then a walk
+    from each form not yet seen."""
+    s = math.isqrt(p)
+    unseen = set()
+    for b in range(1, s + 1, 2):
+        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+            if (p - b * b) % (4 * a) == 0:
+                unseen.update({(a, b), (-a, b)})
+    cycles = 0
+    while unseen:
+        start = a, b = min(unseen)
+        unseen.remove(start)
+        cycles += 1
+        while True:
+            c = (b * b - p) // (4 * a)
+            a, b = c, s - (s + b) % (2 * abs(c))
+            if (a, b) == start:
+                break
+            unseen.remove((a, b))  # KeyError: rho left the forms or met one twice
+    return cycles
+
+
+def test_cycle_count_matches_the_walk():
+    for q in primes_in_range(5, 19999):
+        if q.p % 4 == 1:
+            assert _cycle_count(q.p) == walk_cycle_count(q.p), q.p
+
+
+def test_cycle_count_rejects_a_wrong_band(monkeypatch):
+    # one less than isqrt(p) moves the band; at these p, rho then leaves the
+    # forms found, and the count raises instead of counting
+    monkeypatch.setattr(quadfield, "isqrt", lambda n: math.isqrt(n) - 1)
+    for p in (13, 29, 229):
+        with pytest.raises(DiscrepancyError, match="does not permute"):
+            _cycle_count(p)
+
+
+def test_a_unit_of_norm_plus_one_raises(monkeypatch):
+    # eps^2 has norm +1; with it the cycles would count 2h, and the analytic
+    # route h/2, so the norm is checked, not assumed
+    for p in (5, 13, 229):
+        eps = fundamental_unit(OddPrime(p))
+        with pytest.raises(DiscrepancyError, match="norm 1, expected -1"):
+            class_number_real(OddPrime(p), unit=quad_pow(eps, 2))
+    real = quadfield.fundamental_unit
+    monkeypatch.setattr(quadfield, "fundamental_unit", lambda q: quad_pow(real(q), 2))
+    with pytest.raises(DiscrepancyError, match="norm"):
+        class_number_real(OddPrime(13))
+    with pytest.raises(DiscrepancyError, match="norm"):
+        chapman_ap(OddPrime(13))
+
+
+def test_a_shifted_analytic_route_raises(monkeypatch):
+    # _log_sin_sum moved down by 2 log eps: the analytic route reads h + 1
+    real = quadfield._log_sin_sum
+    monkeypatch.setattr(quadfield, "_log_sin_sum",
+                        lambda q: real(q) - 2 * _log_value(fundamental_unit(q)))
+    for p in (5, 13, 229, 10009):
+        with pytest.raises(DiscrepancyError, match="disagree"):
+            class_number_real(OddPrime(p))
+    (record,) = run_sweep("chapman", 13, 13).records
+    assert record.status == FAIL
+    assert "disagree" in record.aux["error"]
 
 
 def test_reduced_form_count_matches_full_b_loop():

@@ -316,8 +316,9 @@ def test_run_sweep_rejects_bad_input():
 
 
 def test_run_sweep_rejects_a_nan_or_negative_tolerance():
-    # a NaN tolerance would write a FAIL for every prime; 0 stays legal
-    for tolerance in (float("nan"), -1e-6, float("-inf")):
+    # a NaN tolerance would write a FAIL for every prime, and an infinite
+    # one a PASS whatever the residual; 0 stays legal
+    for tolerance in (float("nan"), -1e-6, float("-inf"), float("inf")):
         with pytest.raises(ValueError, match="tolerance"):
             run_sweep("decomposition", 5, 7, tolerance=tolerance)
     report = run_sweep("decomposition", 5, 5, tolerance=0)
