@@ -9,7 +9,9 @@ zeta^(p-2), folding zeta^(p-1) away.  No other module knows this storage:
 the verifiers receive verdicts, integers and text.  The products of
 Lemma 3.2 and of the mtilde closed form are never expanded: their
 identities are decided by evaluation at primes q = 1 (mod p), in integer
-numpy lanes (`_embeddings`).
+numpy lanes (`_embeddings`).  Both sides of each lie in K = Q(sqrt(p*)),
+fixed by sigma_r: zeta -> zeta^r for each square r mod p, which permutes
+the squares and so fixes tau, P1 and P2^2; two embeddings decide them.
 """
 from __future__ import annotations
 
@@ -221,7 +223,7 @@ def mtilde_structure_check(parts: MtildeParts) -> bool:
 
 
 # Entries of the largest array that check_square_sums compares for one block
-# of rows, or _embeddings gathers for one block of primes.
+# of rows.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -235,16 +237,16 @@ def _root_of_order(p: int, q: int) -> int:
 
 
 def _powers(x, count: int, q):
-    """x^0, ..., x^(count-1) mod q, stacked on a new axis 1, for a (K, width)
-    array x and the (K, 1) moduli q, by doubling."""
-    out = np.empty(x.shape[:1] + (count,) + x.shape[1:], np.int64)
+    """x^0, ..., x^(count-1) mod q as a (K, count) array, for x and the
+    moduli q of shape (K, 1), by doubling."""
+    out = np.empty((len(q), count), np.int64)
     out[:, 0] = 1
     done = 1
     while done < count:  # here x is the original x^done
         size = min(done, count - done)
         block = out[:, done:done + size]
-        np.multiply(out[:, :size], x[:, None], out=block)
-        block %= q[:, None]
+        np.multiply(out[:, :size], x, out=block)
+        block %= q
         x = x * x % q
         done += size
     return out
@@ -266,42 +268,40 @@ def _product(x, q3, ql: list):
 
 def _embeddings(p: OddPrime, bound: int, products):
     """The residues of tau and of zeta^shift prod_{e=1..p-1} (1 - zeta^e)^x[e],
-    for each (shift, x) of products, under every embedding zeta -> omega^j,
-    j = 1..p-1, modulo primes q = 1 (mod p) whose product exceeds bound.
-    Yields (q, tau, values) by blocks of primes: q of shape (K, 1), tau and
-    each value (K, p - 1), column j - 1 for j.
+    for each (shift, x) of products, under zeta -> omega^j for j = 1 and
+    the least nonresidue g, modulo primes q = 1 (mod p) whose product Q
+    exceeds bound.  Returns (q, tau, values): q of shape (K, 1), tau and
+    each value (K, 2), column 1 for g.
 
-    omega has order p mod q, so Z[zeta]/q is F_q^(p-1) through the p - 1
-    embeddings.  An element of Z[zeta] whose embeddings all have absolute
-    value at most bound, and whose residues all vanish, is 0: it lies in
-    Q Z[zeta], and a nonzero one would have norm at least Q^(p-1).
-    sigma_j(tau) = chi(j) sigma_1(tau).  The primes below 2^30 run out
-    from p near 15000 on; then DiscrepancyError is raised.
-
-    Every value is one gather from the table of omega^e (row 0) and
-    (1 - omega^e)^mu (row mu >= 1), then a product along its row."""
+    omega has order p mod q, so the maps zeta -> omega^j, j = 1..p-1, are
+    the residue maps of the primes of Z[zeta] above q.  The callers'
+    differences D lie in K = Q(sqrt(p*)), fixed by sigma_r for r a square,
+    so D's residue at omega^j is sigma_j(D)'s at omega: it depends on
+    (j/p) only.  If it vanishes at 1 and g for every q, D is in Q O_K, and
+    a nonzero D there has |N(D)| >= Q^2, so an embedding above Q > bound.
+    The primes below 2^30 run out from p near 15000 on (DiscrepancyError).
+    The factors 1 - omega^(j d) are raised to x[d] by binary
+    exponentiation and folded by _product."""
     message = f"primes q = 1 (mod {p.p}) ran out below the embedding bound at p={p.p}"
-    chosen = _take_primes(_modular_primes(p.p), bound, message)
-    js = np.arange(1, p.p)
-    indices = []
+    ql = _take_primes(_modular_primes(p.p), bound, message)
+    q = np.array(ql, np.int64)[:, None]
+    q3 = q[:, :, None]
+    roots = np.array([_root_of_order(p.p, qk) for qk in ql], np.int64)[:, None]
+    table = _powers(roots, p.p, q)
+    chi = legendre_array(p)
+    js = np.array([1, int(np.argmax(chi < 0))])
+    tau = (table * chi).sum(axis=1, keepdims=True) * chi[js] % q
+    values = []
     for shift, exponents in products:
         support = np.flatnonzero(exponents)
-        index = exponents[support, None] * p.p + support[:, None] * js % p.p
-        indices.append(np.vstack([shift * js % p.p, index]) if shift else index)
-    top = max(int(exponents.max()) for _, exponents in products)
-    chi = legendre_array(p)
-    block = max(1, _BLOCK_ENTRIES // max(index.size for index in indices))
-    for lo in range(0, len(chosen), block):
-        ql = chosen[lo:lo + block]
-        q = np.array(ql, np.int64)[:, None]
-        roots = np.array([_root_of_order(p.p, qk) for qk in ql], np.int64)[:, None]
-        table = _powers(roots, p.p, q)[:, :, 0]
-        factors = _powers((1 - table) % q, top + 1, q)
-        factors[:, 0] = table
-        factors = factors.reshape(len(ql), -1)
-        tau = (table * chi).sum(axis=1, keepdims=True) * chi[1:] % q
-        yield q, tau, [_product(np.take(factors, index, axis=1), q[:, :, None], ql)
-                       for index in indices]
+        x = exponents[support, None]
+        base = (1 - table[:, support[:, None] * js % p.p]) % q3
+        power = np.where(x & 1, base, 1)
+        for bit in range(1, int(x.max()).bit_length()):
+            base = _lane_reduce(base * base, q3, ql)
+            power = _lane_reduce(power * np.where(x >> bit & 1, base, 1), q3, ql)
+        values.append(_product(power, q3, ql) * table[:, shift * js % p.p] % q)
+    return q, tau, values
 
 
 def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
@@ -347,7 +347,9 @@ def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     are in Z[zeta], and every embedding of their difference has absolute
     value at most |c| + |d|(isqrt(p) + 1) + 4^n n^n, since |1 - zeta^e| <= 2
     and, by Hadamard on the Vandermonde matrix of the zeta^(k^2),
-    |P2| <= n^(n/2).
+    |P2| <= n^(n/2).  Both sides lie in K = Q(sqrt(p*)), as _embeddings
+    needs: for r a square, sigma_r permutes the squares, so it fixes tau,
+    P1 and P2 conj(P2) (P2 up to one sign), and it commutes with conj.
 
     The closed form needs sum_{k<=n} k^2 = p(p^2-1)/24 to vanish mod p,
     which holds for every prime p >= 5 but not for p = 3."""
@@ -365,10 +367,10 @@ def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
                             minlength=p.p)
     exponents[0] -= p.n
     bound = abs(c) + abs(d) * (math.isqrt(p.p) + 1) + 4 ** p.n * p.n ** p.n
-    for q, tau, (closed,) in _embeddings(p, bound, [(0, exponents)]):
-        rc, rd, coef = _residues(q, c, d, -((-2) ** p.n))
-        if ((rc + rd * tau - closed * coef) % q).any():
-            raise DiscrepancyError(f"exact determinant mismatch at p={p.p}")
+    q, tau, (closed,) = _embeddings(p, bound, [(0, exponents)])
+    rc, rd, coef = _residues(q, c, d, -((-2) ** p.n))
+    if ((rc + rd * tau - closed * coef) % q).any():
+        raise DiscrepancyError(f"exact determinant mismatch at p={p.p}")
     return MtildeCheck(p.p, c, d)
 
 
@@ -413,7 +415,9 @@ def lemma32_check(p: OddPrime, h: int) -> tuple[str, str]:
     Every identity has integral sides, and the bound on the embeddings of
     their difference takes |sigma(P1)| <= 2^n, |sigma(P2^2)| <= n^n
     (Hadamard), sqrt(p) <= isqrt(p) + 1 and |sigma(2eps^h)| <= |A| +
-    |B|(isqrt(p) + 1); A and B enter reduced mod q."""
+    |B|(isqrt(p) + 1); A and B enter reduced mod q.  Every side lies in
+    K = Q(sqrt(p*)), as _embeddings needs: for r a square, sigma_r permutes
+    the squares, so it fixes tau, P1 and P2^2 (P2 up to one sign)."""
     if p.p < 5:
         raise ValueError("closed forms require p >= 5")
     r = math.isqrt(p.p) + 1
@@ -438,25 +442,22 @@ def lemma32_check(p: OddPrime, h: int) -> tuple[str, str]:
     squares = (i + 1) ** 2 % p.p
     m = np.bincount(((squares[:, None] - squares) % p.p)[i[:, None] < i], minlength=p.p)
     products = [(0, np.bincount(squares, minlength=p.p)), (int(i @ squares) % p.p, m)]
-    ok_one = ok_two = True
-    for q, tau, (one, two) in _embeddings(p, bound, products):
-        two = two * two % q
-        if p.p % 4 == 3:
-            [const] = _residues(q, (-p.p) ** k)
-            diff_one = one - sign * tau
-            diff_two = two - const
-        else:
-            a, b, const = _residues(q, power.a, power.b, sign * p.p ** k)
-            twice = (a + b * tau) % q
-            diff_one = one * twice - 2 * tau
-            diff_two = 2 * two - const * (tau * twice % q)
-        ok_one = ok_one and not (diff_one % q).any()
-        ok_two = ok_two and not (diff_two % q).any()
-    if not ok_one:
+    q, tau, (one, two) = _embeddings(p, bound, products)
+    two = two * two % q
+    if p.p % 4 == 3:
+        [const] = _residues(q, (-p.p) ** k)
+        diff_one = one - sign * tau
+        diff_two = two - const
+    else:
+        a, b, const = _residues(q, power.a, power.b, sign * p.p ** k)
+        twice = (a + b * tau) % q
+        diff_one = one * twice - 2 * tau
+        diff_two = 2 * two - const * (tau * twice % q)
+    if (diff_one % q).any():
         raise DiscrepancyError(
             f"first identity failed at p={p.p}: prod(1 - zeta^(k^2)) != {form_one}"
         )
-    if not ok_two:
+    if (diff_two % q).any():
         raise DiscrepancyError(
             f"second identity failed at p={p.p}: "
             f"prod_(j<k) (zeta^(j^2) - zeta^(k^2))^2 != {form_two}"

@@ -188,24 +188,23 @@ def _cycle_count(p: int) -> int:
     index = np.full((s + 1, (s + 1) // 2), -1, dtype=np.int64)
     index[a, b // 2] = np.arange(m)
     # b' depends on |c| only, so rho commutes with (a, b, c) -> (-a, b, -c):
-    # forms 0..m-1 are those with a > 0, and form m + k is the negative of
-    # form k.  rho sends form k to the negative of the a > 0 form at
-    # (|c|, b'), and the negative of form k to that form itself.
+    # it sends form k (a > 0) to the negative of the form to[k] at (|c|, b'),
+    # and the negative of form k to form to[k].
     b_next = s - (s + b) % (2 * -c)
     inside = (-c <= s) & (b_next > 0)
     to = index[np.where(inside, -c, 0), np.where(inside, b_next // 2, 0)]
     if (to < 0).any() or (np.bincount(to, minlength=m) != 1).any():
         raise DiscrepancyError(f"reduction does not permute the reduced forms of {p}")
-    perm = np.concatenate((to + m, to))
-    # pointer doubling: after k rounds low[i] is the least index among
-    # i, rho(i), ..., rho^(2^k - 1)(i), so at 2^k >= 2m it is the least
-    # index of i's cycle, and each cycle has one such least index
-    n = perm.size
-    low = np.arange(n)
-    for _ in range((n - 1).bit_length()):
+    # rho alternates the sign of a (ac < 0), so each rho-cycle holds exactly
+    # one cycle of rho^2 = to[to] on the forms with a > 0.  Pointer doubling:
+    # after k rounds low[i] is the least index among the first 2^k points of
+    # i's rho^2 orbit, so at 2^k >= m it is the least index of i's cycle
+    perm = to[to]
+    low = np.arange(m)
+    for _ in range((m - 1).bit_length()):
         low = np.minimum(low, low[perm])
         perm = perm[perm]
-    return int(np.count_nonzero(low == np.arange(n)))
+    return int(np.count_nonzero(low == np.arange(m)))
 
 
 def _log_sin_sum(p: OddPrime) -> float:

@@ -10,11 +10,14 @@ the mtilde closed form is the reference for the evaluation route of
 zeta^a - zeta^b is one shift-subtract on a length-p exponent vector, so a
 product of N factors takes N passes of length p on bigints.
 `numeric_product_one` is the same P1 in double precision, the reference
-for the exact product's complex image.
+for the exact product's complex image.  `all_embeddings` evaluates those
+products at every embedding zeta -> omega^j, j = 1..p-1, modulo the split
+primes: the reference for the two embeddings of `cyclotomic._embeddings`.
 """
 import numpy as np
 
-from legdet.arith import OddPrime
+from legdet.arith import OddPrime, _modular_primes, _take_primes, legendre_array
+from legdet.cyclotomic import _product, _root_of_order
 
 
 class CycElem:
@@ -146,3 +149,48 @@ def conj(x: CycElem) -> CycElem:
         vec[(p - i) % p] += c
     return CycElem.from_exponents(x.prime, vec)
 
+
+def powers(x, count: int, q):
+    """x^0, ..., x^(count-1) mod q, stacked on a new axis 1, for a (K, width)
+    array x and the (K, 1) moduli q, by doubling."""
+    out = np.empty(x.shape[:1] + (count,) + x.shape[1:], np.int64)
+    out[:, 0] = 1
+    done = 1
+    while done < count:  # here x is the original x^done
+        size = min(done, count - done)
+        block = out[:, done:done + size]
+        np.multiply(out[:, :size], x[:, None], out=block)
+        block %= q[:, None]
+        x = x * x % q
+        done += size
+    return out
+
+
+def all_embeddings(p: OddPrime, bound: int, products):
+    """The residues of tau and of zeta^shift prod_{e=1..p-1} (1 - zeta^e)^x[e],
+    for each (shift, x) of products, under every embedding zeta -> omega^j,
+    j = 1..p-1, modulo the split primes that `cyclotomic._embeddings` takes
+    for bound.  Returns (q, tau, values): q of shape (K, 1), tau and each
+    value (K, p - 1), column j - 1 for j.
+
+    Every value is one gather from the table of omega^e (row 0) and
+    (1 - omega^e)^mu (row mu >= 1), then a product along its row."""
+    ql = _take_primes(_modular_primes(p.p), bound, "split primes ran out")
+    q = np.array(ql, np.int64)[:, None]
+    roots = np.array([_root_of_order(p.p, qk) for qk in ql], np.int64)[:, None]
+    table = powers(roots, p.p, q)[:, :, 0]
+    top = max(int(exponents.max()) for _, exponents in products)
+    factors = powers((1 - table) % q, top + 1, q)
+    factors[:, 0] = table
+    factors = factors.reshape(len(ql), -1)
+    chi = legendre_array(p)
+    js = np.arange(1, p.p)
+    values = []
+    for shift, exponents in products:
+        support = np.flatnonzero(exponents)
+        index = exponents[support, None] * p.p + support[:, None] * js % p.p
+        if shift:
+            index = np.vstack([shift * js % p.p, index])
+        values.append(_product(np.take(factors, index, axis=1), q[:, :, None], ql))
+    tau = (table * chi).sum(axis=1, keepdims=True) * chi[1:] % q
+    return q, tau, values

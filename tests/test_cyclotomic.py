@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from operator import add, sub
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from legdet.verify import FAIL, run_sweep
 
 from exact_products import (
     CycElem,
+    all_embeddings,
     conj,
     exact_product_one,
     exact_product_two,
@@ -295,41 +297,108 @@ def horner_images(x, q, omega):
 
 
 def spy_embeddings(monkeypatch):
-    """Patch cyclotomic._embeddings to record every block it yields."""
+    """Patch cyclotomic._embeddings to record every call as
+    (bound, products, (q, tau, values))."""
     seen = []
     real = cyclotomic._embeddings
 
     def spy(p, bound, products):
-        for q, tau, values in real(p, bound, products):
-            seen.append((q, tau, values))
-            yield q, tau, values
+        out = real(p, bound, products)
+        seen.append((bound, products, out))
+        return out
 
     monkeypatch.setattr(cyclotomic, "_embeddings", spy)
     return seen
 
 
+def class_number(q):
+    return (class_number_real(q) if q.p % 4 == 1 else class_number_imag(q)).h
+
+
 def test_evaluation_route_matches_the_exact_products(monkeypatch):
     # at the first split prime of each p, the residues both checks test
-    # are the exact products' images: tau and P1, P2 for lemma32, and
-    # conj(P1) P2 conj(P2) for mtilde, with conj as j -> p - j
+    # are the exact products' images at j = 1 and the least nonresidue g:
+    # tau and P1, P2 for lemma32, and conj(P1) P2 conj(P2) for mtilde,
+    # with conj as j -> p - j
     seen = spy_embeddings(monkeypatch)
     for q in primes_in_range(5, 199):
-        h = (class_number_real(q) if q.p % 4 == 1 else class_number_imag(q)).h
-        lemma32_check(q, h)
-        mod, tau, (one, two) = seen[0]
-        seen.clear()
+        lemma32_check(q, class_number(q))
         mtilde_det_check(build_mtilde(q))
-        (_, _, (closed,)) = seen[0]
+        (_, _, (mod, tau, (one, two))), (_, _, (_, _, (closed,))) = seen
         seen.clear()
         r = int(mod[0, 0])
         omega = cyclotomic._root_of_order(q.p, r)
+        g = legendre_table(q).index(-1)
         p1 = horner_images(exact_product_one(q), r, omega)
         p2 = horner_images(exact_product_two(q), r, omega)
-        assert tau[0].tolist() == horner_images(element(q, gauss_sum(q)), r, omega), q.p
-        assert one[0].tolist() == p1, q.p
-        assert two[0].tolist() == p2, q.p
-        assert closed[0].tolist() == [a * b * c % r for a, b, c in
-                                      zip(p1[::-1], p2, p2[::-1])], q.p
+        both = [a * b * c % r for a, b, c in zip(p1[::-1], p2, p2[::-1])]
+        tau_all = horner_images(element(q, gauss_sum(q)), r, omega)
+        for got, images in ((tau, tau_all), (one, p1), (two, p2), (closed, both)):
+            assert got[0].tolist() == [images[0], images[g - 1]], q.p
+
+
+def test_each_side_lies_in_the_quadratic_subfield(monkeypatch):
+    # under the all-embedding reference, tau, P1, P2^2 and mtilde's
+    # conj(P1) P2 conj(P2) each take one value at the residues j and one
+    # at the nonresidues, as elements of Q(sqrt(p*)) do; this is what lets
+    # _embeddings evaluate only j = 1 and g, and its two columns are the
+    # reference's
+    seen = spy_embeddings(monkeypatch)
+    for q in primes_in_range(5, 61):
+        lemma32_check(q, class_number(q))
+        mtilde_det_check(build_mtilde(q))
+        (bound, products, lemma), (mtilde_bound, mtilde_products, mtilde) = seen
+        seen.clear()
+        mod, tau, (one, two) = all_embeddings(q, bound, products)
+        _, _, (closed,) = all_embeddings(q, mtilde_bound, mtilde_products)
+        chi = np.array(legendre_table(q)[1:])
+        for side in (tau, one, two * two % mod, closed):
+            for coset in (side[:, chi == 1], side[:, chi == -1]):
+                assert (coset == coset[:, :1]).all(), q.p
+        columns = [0, legendre_table(q).index(-1) - 1]
+        assert (lemma[0] == mod).all(), q.p
+        got = [lemma[1], *lemma[2], *mtilde[2]]
+        for value, reference in zip(got, (tau, one, two, closed)):
+            assert (value == reference[:, columns]).all(), q.p
+
+
+def move_one_unit(monkeypatch):
+    """Patch cyclotomic._embeddings to move one unit of the last product's
+    exponents, at its least d < p - 1 with x[d] > 0, to d + 1."""
+    real = cyclotomic._embeddings
+
+    def moved(p, bound, products):
+        shift, exponents = products[-1]
+        exponents = exponents.copy()
+        d = int(np.flatnonzero(exponents[:-1])[0])
+        exponents[d] -= 1
+        exponents[d + 1] += 1
+        return real(p, bound, products[:-1] + [(shift, exponents)])
+
+    monkeypatch.setattr(cyclotomic, "_embeddings", moved)
+
+
+@pytest.mark.parametrize("p", [13, 29, 31, 61, 449])
+def test_lemma32_check_rejects_a_tampered_evaluation(monkeypatch, p):
+    q = OddPrime(p)
+    h = class_number(q)
+    assert lemma32_check(q, h)
+    with pytest.raises(DiscrepancyError, match="first identity failed"):
+        lemma32_check(q, h + 2)
+    move_one_unit(monkeypatch)
+    with pytest.raises(DiscrepancyError, match="second identity failed"):
+        lemma32_check(q, h)
+    monkeypatch.undo()
+    real = cyclotomic._embeddings
+
+    def negated(p, bound, products):
+        mod, tau, values = real(p, bound, products)
+        tau[:, 1] = -tau[:, 1] % mod[:, 0]
+        return mod, tau, values
+
+    monkeypatch.setattr(cyclotomic, "_embeddings", negated)
+    with pytest.raises(DiscrepancyError, match="first identity failed"):
+        lemma32_check(q, h)
 
 
 @pytest.mark.parametrize("p", [13, 23, 61])
@@ -342,6 +411,10 @@ def test_mtilde_det_check_rejects_a_moved_determinant(monkeypatch, p):
         monkeypatch.setattr(cyclotomic, "mtilde_det", lambda parts, wrong=wrong: wrong)
         with pytest.raises(DiscrepancyError, match="exact determinant mismatch"):
             mtilde_det_check(parts)
+    monkeypatch.undo()
+    move_one_unit(monkeypatch)
+    with pytest.raises(DiscrepancyError, match="exact determinant mismatch"):
+        mtilde_det_check(parts)
 
 
 def test_checks_reject_split_primes_below_the_bound(monkeypatch):

@@ -24,6 +24,8 @@ exponent vector, and the power-basis class is the tests' reference.
 No module of the package defines or names `adjugate`, `_minor`, `_pell_unit`,
 `_icbrt` or a dense `charpoly`: Bareiss is the one dense kernel, and the unit
 comes from one continued fraction.
+Nor does any name the tests' `all_embeddings`: the split-prime identities lie
+in Q(sqrt(p*)), and two embeddings decide them, not p - 1.
 `verify.py` imports no private (underscore) name from the cyclotomic module.
 No module of the package reads the environment (`os.environ`, `getenv`):
 routes and caps are fixed in code, never switched by a knob.
@@ -221,12 +223,13 @@ def test_package_names_no_cycelem():
 
 
 _SECOND_ROUTES = {"adjugate", "_minor", "_pell_unit", "_icbrt", "charpoly",
-                  "_numeric_product_one"}
+                  "_numeric_product_one", "all_embeddings"}
 
 
 def test_package_names_no_second_route():
     # Faddeev-LeVerrier lives in tests/faddeev_leverrier.py, the Pell unit
-    # in tests/pell_unit.py and the numeric P1 in tests/exact_products.py;
+    # in tests/pell_unit.py, the numeric P1 and the all-embedding
+    # evaluation in tests/exact_products.py;
     # toeplitz_charpoly, charpoly_cp and the CLI's "charpoly" command are
     # other names (strings are not read)
     found = []

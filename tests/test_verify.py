@@ -147,13 +147,13 @@ def test_verify_lemma32_exact_records():
 def corrupt_last_product(monkeypatch):
     """Patch cyclotomic._embeddings to add 1 to a single residue of the last
     product it evaluates (P2 for lemma32, the closed form for mtilde): the
-    last embedding at the last prime of each block."""
+    last embedding at the last prime."""
     real = cyclotomic._embeddings
 
     def corrupted(p, bound, products):
-        for q, tau, values in real(p, bound, products):
-            values[-1][-1, -1] = (values[-1][-1, -1] + 1) % q[-1, 0]
-            yield q, tau, values
+        q, tau, values = real(p, bound, products)
+        values[-1][-1, -1] = (values[-1][-1, -1] + 1) % q[-1, 0]
+        return q, tau, values
 
     monkeypatch.setattr(cyclotomic, "_embeddings", corrupted)
 
