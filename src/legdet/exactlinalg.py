@@ -315,7 +315,7 @@ def _lane_lead(w):
     are then unlucky.  An all-zero window gives its width.  Only when no
     prime is unlucky are the columns exact and the rows compared.
     """
-    if w[:, :, 0].all():
+    if np.count_nonzero(w[:, :, 0]) == w.shape[0] * w.shape[1]:
         return 0, None, None
     nz = w != 0
     first = np.where(nz.any(axis=2), nz.argmax(axis=2), w.shape[2])
@@ -344,17 +344,22 @@ def _lane_dets(f1, q, m: int):
     below 3 * 2^60.
 
     The stored windows are plain pseudo-remainders, W_(i+1) = prem(W_(i-1),
-    W_i), with no division.  So W_i = s_i * R_i, where R_0 = F0, R_1 = F1,
-    R_(i+1) is the remainder of R_(i-1) by R_i over the field, s_0 = s_1
-    = 1 and s_(i+1) = L_i^(delta_i + 1) * s_(i-1), L_i being W_i's
-    leading coefficient and delta_i = n_(i-1) - n_i its degree drop.  With
-    j = m - 1 and l_i = L_i / s_i = lc(R_i), the subresultant coefficients
-    obey sigma_j(R_(i-1), R_i) = (-1)^((n_(i-1) - j)(n_i - j)) *
-    l_i^(n_(i-1) - n_(i+1)) * sigma_j(R_i, R_(i+1)) while j <= n_(i+1);
-    sigma_j = 0 when n_(i+1) < j < n_i, and sigma_j(R_(k-1), R_k) =
-    l_k^(n_(k-1) - j) when n_k = j.  The sign is a Python int shared by
-    every lane; each lane keeps the product of the L powers and of the s
-    powers, two (K, R) arrays, and inverts the second once, at the end.
+    W_i) = L_i^(delta_i + 1) * rem(W_(i-1), W_i), with no division; W_0 =
+    F0, W_1 = F1, L_i is W_i's leading coefficient, n_i its degree, delta_i
+    = n_(i-1) - n_i and gap_i = n_i - n_(i+1).  With j = m - 1 <= n_(i+1),
+    the subresultant coefficients obey sigma_j(A, B) = (-1)^((n_(i-1) - j)
+    (n_i - j)) * L_i^(delta_i + gap_i) * sigma_j(B, rem(A, B)) for A =
+    W_(i-1), B = W_i over the field, and sigma_j = 0 when n_(i+1) < j <
+    n_i.  sigma_j(B, c R) = c^(deg B - j) sigma_j(B, R), as c scales
+    deg B - j rows of the Sylvester matrix, so sigma_j(B, rem(A, B)) =
+    sigma_j(W_i, W_(i+1)) / L_i^((delta_i + 1)(n_i - j)).  At the end,
+    n_k = j and sigma_j(W_(k-1), W_k) = L_k^gap_(k-1).  Since n_i - j =
+    sum_(t >= i) gap_t, the divisors gather by step: the determinant is
+    sign * P_(k-1) * extra * L_k^gap_(k-1) / prod_t P_t^gap_t, with the
+    prefix P_t = prod_(i <= t) L_i^(delta_i + 1) and extra = prod_i
+    L_i^(gap_i - 1).  The sign is a Python int shared by every lane; each
+    lane keeps P, the denominator and extra, three (K, R) arrays, and
+    inverts the denominator once, at the end.
 
     A row whose leading column over Z differs from the most common one has
     its own degree sequence: it leaves the batch there and is reported
@@ -380,17 +385,17 @@ def _lane_dets(f1, q, m: int):
         return alive, _lane_pow(f1[:, :, 0], n0 - n1, qr).T.tolist(), None
     f0 = np.zeros_like(f1)
     f0[:, :, 0] = 1
-    s0 = s1 = num = den = np.ones(f1.shape[:2], dtype=np.int64)
+    prefix = den = extra = np.ones(f1.shape[:2], dtype=np.int64)
     sign = 1
     while True:
         lc = f1[:, :, 0]
         delta = n0 - n1
-        lcd = _lane_pow(lc, delta + 1, qr)  # the pseudo-remainder's scale L^(delta+1)
         a = f0[:, :, : f1.shape[2]]
         if delta == 1:
             # the two elimination steps as one expression, one reduction,
             # on the negated scalars -(l a_0) and -r1, r1 being the first
             # step's leading coefficient
+            lcd = lc * lc % qr
             lcc, a0 = lc[:, :, None], a[:, :, :1]
             nr1 = (a0 * f1[:, :, 1:2] - lcc * a[:, :, 1:2]) % q3
             window = lcd[:, :, None] * a[:, :, 2:]
@@ -398,40 +403,38 @@ def _lane_dets(f1, q, m: int):
             window += nr1 * f1[:, :, 1:-1]
             _lane_reduce(window, q3, ql)
         else:
+            lcd = _lane_pow(lc, delta + 1, qr)
             window = a
             for _ in range(delta + 1):
                 w = window
                 window = lc[:, :, None] * w[:, :, 1:]
                 window += (q3 - w[:, :, :1]) * f1[:, :, 1:w.shape[2]]
                 _lane_reduce(window, q3, ql)
+        prefix = prefix * lcd % qr
         lead, keep, unlucky = _lane_lead(window)
         if unlucky is not None:
             return None, None, unlucky
         if keep is not None:
-            alive, window, f1 = alive[keep], window[:, keep], f1[:, keep]
-            lc, lcd, s0, s1 = lc[:, keep], lcd[:, keep], s0[:, keep], s1[:, keep]
-            num, den = num[:, keep], den[:, keep]
+            alive, window, f1, lc = alive[keep], window[:, keep], f1[:, keep], lc[:, keep]
+            prefix, den, extra = prefix[:, keep], den[:, keep], extra[:, keep]
         gap = lead + 1
         n2 = n1 - gap
         if n2 < j:
             return alive, [[0] * len(ql) for _ in alive], None
-        # the factor (-1)^((n0-j)(n1-j)) * l1^(n0-n2), n0 - n2 = (delta+1) + (gap-1)
+        # sigma_j(A, B) against sigma_j(B, rem(A, B)): (-1)^((n0 - j)(n1 - j))
         if (n0 - j) * (n1 - j) % 2:
             sign = -sign
-        num = num * lcd % qr
+        den = den * _lane_pow(prefix, gap, qr) % qr
         if gap > 1:
-            num = num * _lane_pow(lc, gap - 1, qr) % qr
-        den = den * _lane_pow(s1, n0 - n2, qr) % qr
-        s2 = lcd * s0 % qr
+            extra = extra * _lane_pow(lc, gap - 1, qr) % qr
         f2 = window[:, :, lead:]
         if n2 == j:
-            num = num * _lane_pow(f2[:, :, 0], gap, qr) % qr
-            den = den * _lane_pow(s2, gap, qr) % qr
+            num = prefix * extra % qr * _lane_pow(f2[:, :, 0], gap, qr) % qr
             return alive, [
                 [sign * x * pow(y, -1, qk) % qk for x, y, qk in zip(nr, dr, ql)]
                 for nr, dr in zip(num.T.tolist(), den.T.tolist())
             ], None
-        f0, f1, n0, n1, s0, s1 = f1, f2, n1, n2, s1, s2
+        f0, f1, n0, n1 = f1, f2, n1, n2
 
 
 def _hadamard_bounds(rows, m: int) -> list:
@@ -578,14 +581,15 @@ def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
     return tuple(_crt([cs, ds], chosen, [h, h]))
 
 
-# Points evaluated beyond the m + 2 that toeplitz_charpoly needs.  They stand
-# in for points whose PRS leaves the batch, so that one batch nearly always
-# suffices: for C_p, p <= 131, at most 5 of the m + 8 points leave, all at
-# x <= 11.
+# Points evaluated beyond the d + 2 that toeplitz_charpoly needs, d = m, or
+# m/2 when even.  They stand in for points whose PRS leaves the batch, so
+# that one batch nearly always suffices: for C_p, p <= 131, on the even path,
+# at most 5 of the m/2 + 8 points leave (x = 0, 1, 2, 3, 5 at p = 89), all
+# at x <= 11 (x = 11 at p = 79).
 _SPARE_POINTS = 6
 
 
-def toeplitz_charpoly(t, m: int) -> IntPolynomial:
+def toeplitz_charpoly(t, m: int, *, even: bool = False) -> IntPolynomial:
     """Characteristic polynomial det(xI - T) of the m x m Toeplitz matrix
     T = [t(i - j)], 0 <= i, j < m.
 
@@ -593,41 +597,55 @@ def toeplitz_charpoly(t, m: int) -> IntPolynomial:
     differ only in the coefficient of t'(0).  The values at x = 0, 1, 2, ...
     are one batch of _toeplitz_dets_crt, on the multimodular lanes.  A
     point whose PRS leaves the batch's degree sequence is dropped there;
-    further points are evaluated until at least m + 2 values are known.
+    further points are evaluated until at least d + 2 values are known,
+    d being the degree interpolated: m, or m/2 when even.
 
-    Newton's divided differences interpolate through every known point.
-    At integer points the divided differences of an integer polynomial are
-    integers, so every division is exact, and an inexact one raises
-    DiscrepancyError.  det(xI - T) has degree m, so every divided
-    difference of order above m must be exactly 0, else DiscrepancyError:
-    with m + 1 correct values fixing the polynomial, one wrong value can
-    never pass.  A Horner loop expands the Newton form of order m into
-    monomials; the monic leading term is computed, not assumed.
+    even is the caller's contract that T is similar to -T and m is even.
+    Then f(x) = det(xI - T) = det(xI + T) = (-1)^m f(-x) = f(-x), so f(x)
+    = g(x^2) with g an integer polynomial of degree m/2, and only x =
+    0..m/2 + 1 (plus the spares) are evaluated.  The caller must have
+    checked the similarity; the values here need not show it.
+
+    Newton's divided differences interpolate through every known point,
+    on the nodes x (on the nodes x^2 for g when even).  At integer nodes
+    the divided differences of an integer polynomial are integers, so every
+    division is exact, and an inexact one raises DiscrepancyError.  The
+    polynomial interpolated has degree d, so every divided difference of
+    order above d must be exactly 0, else DiscrepancyError: with d + 1
+    correct values fixing it, one wrong value can never pass.  A Horner
+    loop expands the Newton form of order d into monomials, and g is
+    spread to the even degrees; the monic leading term is computed, not
+    assumed.
     """
+    if even and m % 2:
+        raise ValueError("an even characteristic polynomial needs an even dimension")
+    degree = m // 2 if even else m
     row = np.array([-t(m - 1 - k) for k in range(2 * m - 1)], dtype=np.int64)
-    points, values = [], []
+    nodes, values = [], []
     start = 0
-    while len(points) < m + 2:
-        xs = np.arange(start, start + m + 2 + _SPARE_POINTS - len(points), dtype=np.int64)
+    while len(nodes) < degree + 2:
+        xs = np.arange(start, start + degree + 2 + _SPARE_POINTS - len(nodes), dtype=np.int64)
         rows = np.tile(row, (len(xs), 1))
         rows[:, m - 1] += xs
         for x, value in zip(xs.tolist(), _toeplitz_dets_crt(rows, m, _lane_primes())):
             if value is not None:
-                points.append(x)
+                nodes.append(x * x if even else x)
                 values.append(value)
         start += len(xs)
-    # in place: newton[i] becomes f[x_0, ..., x_i]
+    # in place: newton[i] becomes the divided difference over nodes[0..i]
     newton = values
-    for k in range(1, len(points)):
-        for i in range(len(points) - 1, k - 1, -1):
-            newton[i] = _exact_div(newton[i] - newton[i - 1], points[i] - points[i - k])
-    if any(newton[m + 1:]):
+    for k in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, k - 1, -1):
+            newton[i] = _exact_div(newton[i] - newton[i - 1], nodes[i] - nodes[i - k])
+    if any(newton[degree + 1:]):
         raise DiscrepancyError("a divided difference of order above the degree is nonzero")
-    coeffs = [newton[m]]
-    for k in range(m - 1, -1, -1):  # coeffs = coeffs * (x - x_k) + newton[k]
-        xk = points[k]
-        coeffs = [a - xk * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    coeffs = [newton[degree]]
+    for k in range(degree - 1, -1, -1):  # coeffs = coeffs * (y - nodes[k]) + newton[k]
+        yk = nodes[k]
+        coeffs = [a - yk * b for a, b in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] += newton[k]
+    if even:
+        coeffs = [c for g in coeffs for c in (g, 0)][:-1]
     return IntPolynomial(tuple(coeffs))
 
 

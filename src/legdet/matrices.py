@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 from .arith import OddPrime, legendre_table
+from .errors import DiscrepancyError
 from .exactlinalg import (
     IntMatrix,
     IntPolynomial,
@@ -60,9 +61,22 @@ def det_cp(p: OddPrime) -> int:
 
 
 def charpoly_cp(p: OddPrime) -> IntPolynomial:
-    """det(tI - build_cp(p)): Toeplitz with t(k) = (-k/p), dimension p-1."""
+    """det(tI - build_cp(p)): Toeplitz with t(k) = (-k/p), dimension p-1.
+
+    C_p is similar to -C_p: with g the least nonresidue and P the
+    permutation k -> g k mod p of the indices 1..p-1, P C_p P^T has entry
+    chi(g j - g i) = chi(g) chi(j - i) = -chi(j - i).  That rests on
+    chi(g k mod p) = -chi(k) for every k, which is checked exactly on the
+    table that builds the matrix, else DiscrepancyError; only then is the
+    polynomial interpolated as one in t^2 (toeplitz_charpoly's even)."""
     chi = legendre_table(p)
-    return toeplitz_charpoly(lambda k: chi[-k], p.p - 1)
+    g = chi.index(-1)
+    if any(chi[g * k % p.p] != -chi[k] for k in range(p.p)):
+        raise DiscrepancyError(
+            f"chi(g k) = -chi(k) fails for the least nonresidue g = {g}: "
+            f"C_{p.p} is not shown similar to -C_{p.p}"
+        )
+    return toeplitz_charpoly(lambda k: chi[-k], p.p - 1, even=True)
 
 
 def det_ep(p: OddPrime) -> int:

@@ -225,7 +225,7 @@ class Target:
 _TARGET_TABLE = {
     "sun": Target(verify_sun),
     "chapman": Target(verify_chapman),
-    "carlitz": Target(verify_carlitz, 109, "characteristic polynomial"),
+    "carlitz": Target(verify_carlitz, 131, "characteristic polynomial"),
     "unit": Target(verify_unit),
     "lemma32": Target(verify_lemma32, 449, "exact products"),
     "gauss": Target(verify_gauss, 3001, "exact square"),

@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legdet import exactlinalg
+from legdet import exactlinalg, matrices
 from legdet.arith import OddPrime, is_prime, legendre_table, primes_in_range
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import (
@@ -36,7 +37,7 @@ from legdet.matrices import (
     det_ep,
     det_mp,
 )
-from legdet.verify import _TARGET_TABLE, FAIL, PASS, run_sweep
+from legdet.verify import FAIL, PASS, run_sweep
 from bigint_charpoly import bigint_charpoly
 from faddeev_leverrier import charpoly, identity, matmul
 from ring_bareiss import bareiss
@@ -749,15 +750,56 @@ def test_toeplitz_charpoly_matches_faddeev_leverrier(args):
     assert toeplitz_charpoly(lambda k: values[k + m - 1], m) == charpoly(dense)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_even_charpoly_of_a_skew_toeplitz_matrix(half, data):
+    # a skew-symmetric T is similar to T^T = -T, the even path's contract
+    m = 2 * half
+    entry = st.sampled_from((-2, -1, 0, 0, 1, 1, 3))
+    upper = data.draw(st.lists(entry, min_size=m - 1, max_size=m - 1))
+    values = [-x for x in reversed(upper)] + [0] + upper
+    dense = charpoly(IntMatrix(_toeplitz_rows(values, m)))
+    t = lambda k: values[k + m - 1]
+    assert toeplitz_charpoly(t, m, even=True) == dense == toeplitz_charpoly(t, m)
+
+
+def test_even_charpoly_needs_an_even_dimension():
+    with pytest.raises(ValueError, match="even dimension"):
+        toeplitz_charpoly(lambda k: 0, 3, even=True)
+
+
+def test_charpoly_cp_checks_that_c_p_is_similar_to_minus_c_p(monkeypatch):
+    # the table with the squares 4 and 9 = -4 made nonresidues: C_13 stays
+    # symmetric, but chi(2 * 2) = -chi(2) fails at the least nonresidue 2,
+    # so the even interpolation is refused before any lane runs
+    table = matrices.legendre_table
+
+    def two_squares_flipped(p):
+        chi = table(p)
+        chi[4], chi[9] = -chi[4], -chi[9]
+        return chi
+
+    message = ("chi(g k) = -chi(k) fails for the least nonresidue g = 2: "
+               "C_13 is not shown similar to -C_13")
+    monkeypatch.setattr(matrices, "legendre_table", two_squares_flipped)
+    batches = _recording_batches(monkeypatch)
+    with pytest.raises(DiscrepancyError, match=re.escape(message)):
+        charpoly_cp(OddPrime(13))
+    record = run_sweep("carlitz", 13, 13).records[0]
+    assert (record.status, record.aux) == (FAIL, {"error": message})
+    assert batches == []
+
+
 def test_charpoly_cp_matches_faddeev_leverrier():
     for q in primes_in_range(3, 31):
         assert charpoly_cp(q) == charpoly(build_cp(q)), q.p
 
 
 def test_charpoly_cp_matches_the_bigint_route():
-    # every carlitz prime up to the cap, against the evaluation route on the
-    # bigint toeplitz_det
-    for q in primes_in_range(3, _TARGET_TABLE["carlitz"].cap):
+    # every carlitz prime up to 109, against the evaluation route on the
+    # bigint toeplitz_det, the slowest reference of the suite; the primes
+    # up to the cap pass in test_verify.py's carlitz sweep
+    for q in primes_in_range(3, 109):
         chi = legendre_table(q)
         assert charpoly_cp(q) == bigint_charpoly(lambda k: chi[-k], q.p - 1), q.p
 
@@ -765,7 +807,7 @@ def test_charpoly_cp_matches_the_bigint_route():
 def _recording_batches(monkeypatch, alter=None):
     """Record the size of every batch toeplitz_charpoly sends, and let
     alter(values) change the values of the first batch, whose row r is the
-    point x = r."""
+    point x = r, the node x^2 of charpoly_cp's even interpolation."""
     exact = exactlinalg._toeplitz_dets_crt
     batches = []
 
@@ -781,21 +823,22 @@ def _recording_batches(monkeypatch, alter=None):
 
 
 def test_points_past_the_spares_are_evaluated(monkeypatch):
-    # at p = 89, 5 of the points x = 0..88 leave the batch; with no spare
-    # points, further batches make up the m + 2 values
+    # at p = 89, 5 of the points x = 0..45 leave the batch (x = 0, 1, 2, 3
+    # and 5); with no spare points, further batches make up the m/2 + 2
+    # values of the even interpolation
     q = OddPrime(89)
     chi = legendre_table(q)
     reference = bigint_charpoly(lambda k: chi[-k], q.p - 1)
     monkeypatch.setattr(exactlinalg, "_SPARE_POINTS", 0)
     batches = _recording_batches(monkeypatch)
     assert charpoly_cp(q) == reference
-    assert batches[0] == 90 and len(batches) > 1
+    assert batches[0] == 46 and len(batches) > 1
 
 
 def test_one_wrong_determinant_value_cannot_pass(monkeypatch):
     # the lane value at x = 3 of det(xI - C_13) is off by one; x = 1, 2 leave
-    # the batch, so the divided difference over (0, 3) moves by 1/3 off an
-    # integer
+    # the batch, and x = 3 is the node 9 of the interpolation in x^2, so the
+    # divided difference over the nodes (0, 9) moves by 1/9 off an integer
     def off_by_one_at_x3(values):
         values[3] += 1
 
@@ -812,13 +855,13 @@ def test_one_wrong_determinant_value_cannot_pass(monkeypatch):
 
 
 def test_a_wrong_value_every_division_passes_is_caught_by_the_spares(monkeypatch):
-    # adding prod_{j != r} (x_r - x_j) at the point x_r = 3 adds the values
-    # of an integer polynomial of degree N - 1 at the N known points, so
-    # every divided difference stays an integer; only the orders above m
-    # show the error
+    # adding prod_{j != r} (y_r - y_j) at the node y_r = 3^2 adds the values
+    # of an integer polynomial of degree N - 1 at the N known nodes y = x^2,
+    # so every divided difference stays an integer; only the orders above
+    # m/2 show the error
     def polynomial_error_at_x3(values):
         points = [x for x, value in enumerate(values) if value is not None]
-        values[3] += math.prod(3 - x for x in points if x != 3)
+        values[3] += math.prod(9 - x * x for x in points if x != 3)
 
     message = "a divided difference of order above the degree is nonzero"
     batches = _recording_batches(monkeypatch, polynomial_error_at_x3)

@@ -32,6 +32,9 @@ routes and caps are fixed in code, never switched by a knob.
 Only `arith.py` names `is_prime` or writes the prime limit `1 << 30` (the
 package's `__init__` re-exports `is_prime`): one module chooses the modular
 primes of every route, by one limit, one stream and one rule.
+Only `charpoly_cp` passes `toeplitz_charpoly` its `even` flag: the flag is
+the precondition that T is similar to -T, and `charpoly_cp` checks it for
+C_p first.
 """
 import ast
 from pathlib import Path
@@ -305,3 +308,19 @@ def test_only_arith_chooses_modular_primes():
             if _is_two_to_the_30(node):
                 found.append(f"{path.name}:{node.lineno} 2^30")
     assert found == []
+
+
+def test_only_charpoly_cp_claims_an_even_charpoly():
+    # any call with an `even` keyword (or a ** that could carry one), named
+    # by its innermost enclosing function; the flag is keyword-only
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(kw.arg in ("even", None)
+                                                  for kw in node.keywords):
+                owners = [f.name for f in functions
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{path.name}:{owners[-1] if owners else '<module>'}")
+    assert found == ["matrices.py:charpoly_cp"]

@@ -47,7 +47,7 @@ def test_only_the_tolerance_reader_takes_a_tolerance():
 
 # first prime above each cap, and the SKIP reason it gets there
 _CAP_BOUNDARY = {
-    "carlitz": (113, "characteristic polynomial capped at p <= 109"),
+    "carlitz": (137, "characteristic polynomial capped at p <= 131"),
     "gauss": (3011, "exact square capped at p <= 3001"),
     "decomposition": (607, "numeric diagnostic capped at p <= 601"),
     "lemma32": (457, "exact products capped at p <= 449"),
@@ -100,9 +100,9 @@ def test_verify_carlitz_records():
     r5 = verify_carlitz(OddPrime(5))
     assert r5.status == PASS
     assert r5.computed == "t^4 - 6*t^2 + 5"
-    r113 = run_sweep("carlitz", 113, 113).records[0]
-    assert r113.status == SKIPPED
-    assert "reason" in r113.aux
+    r137 = run_sweep("carlitz", 137, 137).records[0]
+    assert r137.status == SKIPPED
+    assert "reason" in r137.aux
 
 
 def test_verify_unit_records():
@@ -283,11 +283,11 @@ def test_mtilde_sweep_reaches_the_exact_product_cap():
 def test_carlitz_sweep_reaches_its_cap():
     # evaluation on the batched multimodular lanes; Faddeev-LeVerrier
     # stopped at p = 31, the bigint evaluation route at 79
-    report = run_sweep("carlitz", 107, 113)
+    report = run_sweep("carlitz", 127, 137)
     assert [(r.p, r.status) for r in report.records] == [
-        (107, PASS), (109, PASS), (113, SKIPPED)
+        (127, PASS), (131, PASS), (137, SKIPPED)
     ]
-    assert report.records[2].aux["reason"] == "characteristic polynomial capped at p <= 109"
+    assert report.records[2].aux["reason"] == "characteristic polynomial capped at p <= 131"
 
 
 def test_one_bad_prime_never_sinks_a_sweep(monkeypatch):
