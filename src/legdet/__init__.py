@@ -7,7 +7,6 @@ from .exactlinalg import (
     IntMatrix,
     IntPolynomial,
     det,
-    rank_one_update_det,
     toeplitz_charpoly,
     toeplitz_det,
     toeplitz_det_mod,
@@ -59,7 +58,6 @@ __all__ = [
     "legendre",
     "primes_in_range",
     "quad_pow",
-    "rank_one_update_det",
     "run_sweep",
     "toeplitz_charpoly",
     "toeplitz_det",

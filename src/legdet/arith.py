@@ -61,12 +61,10 @@ class OddPrime:
 
 
 def legendre(a: int, p: OddPrime) -> int:
-    """Legendre symbol (a/p) in {-1, 0, 1}.
-
-    Binary Jacobi algorithm via quadratic reciprocity; the argument is
-    reduced mod p first, so only the residue class of a matters.
-    """
-    return _jacobi(a % p.p, p.p)
+    """Legendre symbol (a/p) in {-1, 0, 1}, by Euler's criterion
+    a^((p-1)/2) = (a/p) (mod p), with p - 1 read as -1."""
+    r = pow(a % p.p, p.n, p.p)
+    return -1 if r == p.p - 1 else r
 
 
 def legendre_array(p: OddPrime) -> np.ndarray:
@@ -95,23 +93,6 @@ def legendre_table(p: OddPrime) -> list[int]:
     serves single symbols.
     """
     return legendre_array(p).tolist()
-
-
-def _jacobi(a: int, n: int) -> int:
-    # requires 0 <= a < n, n odd; for prime n this is the Legendre symbol
-    if a == 0:
-        return 0
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 # Every modular route (integer lanes, Z[tau], split primes) works modulo primes

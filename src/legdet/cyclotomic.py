@@ -327,7 +327,6 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
 class MtildeCheck:
     """The structured determinant c + d*tau, proved equal to its closed form."""
 
-    p: int
     c: int
     d: int
 
@@ -371,7 +370,7 @@ def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     rc, rd, coef = _residues(q, c, d, -((-2) ** p.n))
     if ((rc + rd * tau - closed * coef) % q).any():
         raise DiscrepancyError(f"exact determinant mismatch at p={p.p}")
-    return MtildeCheck(p.p, c, d)
+    return MtildeCheck(c, d)
 
 
 def _residues(q, *values: int):

@@ -565,19 +565,28 @@ def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
     av, bv = (np.array([f(k) for k in range(m - 1, -m, -1)], np.int64) for f in (a, b))
     [h] = _hadamard_bounds([np.abs(av) + (math.isqrt(abs(pstar)) + 1) * np.abs(bv)], m)
 
+    roots = {}  # q -> s, for every prime q that primes() has yielded
+
+    def primes():
+        # s^2 = (pstar/q) pstar mod q: s is a root exactly when pstar is a
+        # nonzero square mod q
+        for q in _lane_primes():
+            if q % 4 == 3:
+                s = pow(pstar, (q + 1) // 4, q)
+                if s and s * s % q == pstar % q:
+                    roots[q] = s
+                    yield q
+
     def lanes(q):
-        s = np.array([pow(pstar, (qk + 1) // 4, qk) for qk in q.tolist()])[:, None]
+        s = np.array([roots[qk] for qk in q.tolist()])[:, None]
         sb = s * (bv % q[:, None]) % q[:, None]
         return np.stack([av + sb, av - sb], axis=1) % q[:, None, None]
 
-    primes = (q for q in _lane_primes() if q % 4 == 3 and pow(pstar, q // 2, q) == 1)
-    chosen, alive, residues = _lane_run(lanes, m, primes, 2 * h * h)
+    chosen, alive, residues = _lane_run(lanes, m, primes(), 2 * h * h)
     if len(alive) < 2:
         raise DiscrepancyError("the conjugate rows left each other's degree sequence")
-    roots = [pow(pstar, (qk + 1) // 4, qk) for qk in chosen]
     cs = [(x + y) * ((qk + 1) // 2) % qk for x, y, qk in zip(*residues, chosen)]
-    ds = [(x - y) * pow(2 * s, -1, qk) % qk
-          for x, y, s, qk in zip(*residues, roots, chosen)]
+    ds = [(x - y) * pow(2 * roots[qk], -1, qk) % qk for x, y, qk in zip(*residues, chosen)]
     return tuple(_crt([cs, ds], chosen, [h, h]))
 
 
@@ -648,25 +657,3 @@ def toeplitz_charpoly(t, m: int, *, even: bool = False) -> IntPolynomial:
         coeffs = [c for g in coeffs for c in (g, 0)][:-1]
     return IntPolynomial(tuple(coeffs))
 
-
-def rank_one_update_det(h: IntMatrix, u: list, v: list) -> int:
-    """det(H + u v^T) by direct elimination and by the rank-one update
-    formula det(H) + v^T adj(H) u; the two routes must agree exactly.
-
-    Entry i of adj(H) u is det(H with column i replaced by u) (Cramer's
-    rule, which holds for singular H too), so both routes are Bareiss
-    determinants."""
-    n = h.dim
-    if len(u) != n or len(v) != n:
-        raise ValueError("vector length must match matrix dimension")
-    direct = det(IntMatrix([[x + ui * vj for x, vj in zip(row, v)]
-                            for row, ui in zip(h.rows, u)]))
-    via_cramer = det(h) + sum(
-        vi * det(IntMatrix([row[:i] + (ui,) + row[i + 1:] for row, ui in zip(h.rows, u)]))
-        for i, vi in enumerate(v)
-    )
-    if direct != via_cramer:
-        raise DiscrepancyError(
-            f"rank-one update mismatch: elimination {direct}, Cramer {via_cramer}"
-        )
-    return direct

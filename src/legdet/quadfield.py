@@ -96,12 +96,12 @@ def fundamental_unit(p: OddPrime) -> QuadElem:
 
 @dataclass(frozen=True)
 class ClassNumberReport:
-    """Class number with the per-method values that produced it."""
+    """Class number with the per-method values that produced it, and the
+    fundamental unit of the real field (None for the imaginary one)."""
 
-    p: OddPrime
-    field_sign: str
     h: int
     method_values: dict
+    unit: QuadElem | None
 
 
 def _reduced_form_count(p: int) -> int:
@@ -139,8 +139,7 @@ def class_number_imag(p: OddPrime) -> ClassNumberReport:
         raise DiscrepancyError(
             f"class number methods disagree at p={p.p}: forms {forms}, sum {q}"
         )
-    return ClassNumberReport(p, "imag", forms,
-                             {"reduced_forms": forms, "character_sum": q})
+    return ClassNumberReport(forms, {"reduced_forms": forms, "character_sum": q}, None)
 
 
 def _log_value(x: QuadElem) -> float:
@@ -217,7 +216,7 @@ def _log_sin_sum(p: OddPrime) -> float:
     return 2 * float(half)
 
 
-def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberReport:
+def class_number_real(p: OddPrime) -> ClassNumberReport:
     """Class number of Q(sqrt(p)) for p = 1 (mod 4), exactly, as the number
     of cycles of reduced indefinite forms of discriminant p, checked against
     the analytic formula
@@ -227,7 +226,8 @@ def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberR
     The cycles are the proper classes of forms, whose number is the narrow
     class number h+.  h+ = h when the fundamental unit has norm -1 (and 2h
     when it has norm +1); for a prime p = 1 (mod 4) it does, and the norm is
-    checked on eps rather than assumed.  The two routes must agree.
+    checked on eps rather than assumed.  The two routes must agree.  The
+    report carries eps.
 
     The numeric product prod(1 - zeta^(k^2)) = sqrt(p) * eps^(-h) is no
     independent second route: |1 - zeta^a| = 2 sin(pi a / p) and
@@ -236,7 +236,7 @@ def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberR
     formula's numerator again."""
     if p.p % 4 != 1:
         raise ValueError("requires p = 1 (mod 4)")
-    eps = unit or fundamental_unit(p)
+    eps = fundamental_unit(p)
     if eps.norm() != -1:
         raise DiscrepancyError(
             f"fundamental unit {eps} of Q(sqrt({p.p})) has norm {eps.norm()}, expected -1"
@@ -250,20 +250,18 @@ def class_number_real(p: OddPrime, unit: QuadElem | None = None) -> ClassNumberR
             f"class number methods disagree at p={p.p}: "
             f"reduced-form cycles {cycles}, analytic {analytic}"
         )
-    return ClassNumberReport(p, "real", cycles,
-                             {"analytic": analytic, "reduced_form_cycles": cycles})
+    return ClassNumberReport(
+        cycles, {"analytic": analytic, "reduced_form_cycles": cycles}, eps
+    )
 
 
 def _chapman_power(p: OddPrime) -> tuple[QuadElem, int, int, tuple[Fraction, Fraction]]:
     """(eps, h, e, (a_p, b_p)) with e = (2 - (2/p)) * h and
     eps^e = a_p + b_p sqrt(p), for p = 1 (mod 4)."""
-    if p.p % 4 != 1:
-        raise ValueError("requires p = 1 (mod 4)")
-    eps = fundamental_unit(p)
-    h = class_number_real(p, unit=eps).h
-    exponent = (2 - legendre(2, p)) * h
-    power = quad_pow(eps, exponent)
-    return eps, h, exponent, (Fraction(power.a, 2), Fraction(power.b, 2))
+    report = class_number_real(p)
+    exponent = (2 - legendre(2, p)) * report.h
+    power = quad_pow(report.unit, exponent)
+    return report.unit, report.h, exponent, (Fraction(power.a, 2), Fraction(power.b, 2))
 
 
 def chapman_ap(p: OddPrime) -> tuple[Fraction, Fraction]:

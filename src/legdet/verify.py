@@ -16,7 +16,6 @@ import math
 import random
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -39,7 +38,7 @@ from .cyclotomic import (
 from .errors import LegdetError
 from .exactlinalg import IntPolynomial, poly_mul, poly_pow
 from .matrices import charpoly_cp, det_ep, det_mp
-from .quadfield import chapman_ap, class_number_imag, class_number_real, fundamental_unit
+from .quadfield import chapman_ap, class_number_imag, class_number_real
 from .vsemirnov import _CAP as _DECOMP_CAP, decomposition_residual
 
 PASS = "PASS"
@@ -50,7 +49,6 @@ SKIPPED = "SKIPPED"
 @dataclass
 class VerificationRecord:
     p: int
-    target: str
     status: str
     computed: str
     predicted: str
@@ -62,7 +60,7 @@ def verify_sun(p: OddPrime) -> VerificationRecord:
     computed = det_mp(p)
     if p.p == 3:
         return VerificationRecord(
-            p.p, "sun", SKIPPED, str(computed), "1",
+            p.p, SKIPPED, str(computed), "1",
             {"reason": "formula does not hold at p=3; observed value recorded"},
         )
     aux: dict = {}
@@ -74,7 +72,7 @@ def verify_sun(p: OddPrime) -> VerificationRecord:
         aux["h_imag"] = str(h)
     aux["congruence_mod_p"] = "ok" if (computed - predicted) % p.p == 0 else "violated"
     status = PASS if computed == predicted else FAIL
-    return VerificationRecord(p.p, "sun", status, str(computed), str(predicted), aux)
+    return VerificationRecord(p.p, status, str(computed), str(predicted), aux)
 
 
 def verify_chapman(p: OddPrime) -> VerificationRecord:
@@ -82,7 +80,7 @@ def verify_chapman(p: OddPrime) -> VerificationRecord:
     computed = det_ep(p)
     if p.p % 4 == 3:
         status = PASS if computed == 1 else FAIL
-        return VerificationRecord(p.p, "chapman", status, str(computed), "1", {})
+        return VerificationRecord(p.p, status, str(computed), "1", {})
     a_p, b_p = chapman_ap(p)
     predicted = -a_p
     status = PASS if Fraction(computed) == predicted else FAIL
@@ -91,7 +89,7 @@ def verify_chapman(p: OddPrime) -> VerificationRecord:
         "b_p": str(b_p),
         "a_p_integral": "yes" if a_p.denominator == 1 else "no",
     }
-    return VerificationRecord(p.p, "chapman", status, str(computed), str(predicted), aux)
+    return VerificationRecord(p.p, status, str(computed), str(predicted), aux)
 
 
 def verify_carlitz(p: OddPrime) -> VerificationRecord:
@@ -105,37 +103,32 @@ def verify_carlitz(p: OddPrime) -> VerificationRecord:
         IntPolynomial((-s, 0, 1)),
     )
     status = PASS if computed == predicted else FAIL
-    return VerificationRecord(
-        p.p, "carlitz", status, str(computed), str(predicted), {}
-    )
+    return VerificationRecord(p.p, status, str(computed), str(predicted), {})
 
 
 def verify_unit(p: OddPrime) -> VerificationRecord:
     """|det| of the ones-row symbol matrix must be exactly 1."""
     computed = det_mp(p)
     status = PASS if abs(computed) == 1 else FAIL
-    return VerificationRecord(p.p, "unit", status, str(computed), "+1 or -1", {})
+    return VerificationRecord(p.p, status, str(computed), "+1 or -1", {})
 
 
 def verify_lemma32(p: OddPrime) -> VerificationRecord:
     """Both cyclotomic square products against their closed forms, exactly,
     by evaluation at primes q = 1 (mod p)."""
     if p.p < 5:
-        return VerificationRecord(
-            p.p, "lemma32", SKIPPED, "", "",
-            {"reason": "closed forms require p > 3"},
-        )
+        return VerificationRecord(p.p, SKIPPED, "", "",
+                                  {"reason": "closed forms require p > 3"})
     if p.p % 4 == 1:
-        eps = fundamental_unit(p)
-        h = class_number_real(p, unit=eps).h
-        aux = {"h_real": str(h), "eps": str(eps)}
+        report = class_number_real(p)
+        aux = {"h_real": str(report.h), "eps": str(report.unit)}
     else:
-        h = class_number_imag(p).h
-        aux = {"h_imag": str(h)}
-    form_one, form_two = lemma32_check(p, h)
+        report = class_number_imag(p)
+        aux = {"h_imag": str(report.h)}
+    form_one, form_two = lemma32_check(p, report.h)
     aux["product_two"] = form_two
     aux["closed_two"] = form_two
-    return VerificationRecord(p.p, "lemma32", PASS, form_one, form_one, aux)
+    return VerificationRecord(p.p, PASS, form_one, form_one, aux)
 
 
 def verify_gauss(p: OddPrime) -> VerificationRecord:
@@ -149,7 +142,7 @@ def verify_gauss(p: OddPrime) -> VerificationRecord:
         "square_sum_identity": "exact for all a",
     }
     status = PASS if square == predicted else FAIL
-    return VerificationRecord(p.p, "gauss", status, computed, str(predicted), aux)
+    return VerificationRecord(p.p, status, computed, str(predicted), aux)
 
 
 _CAUCHY_BATCH = 5
@@ -170,7 +163,7 @@ def verify_cauchy(p: OddPrime) -> VerificationRecord:
             continue  # a node pair hit 1 + u*v = 0; draw again
         checked += 1
     return VerificationRecord(
-        p.p, "cauchy", PASS, str(checked), str(_CAUCHY_BATCH),
+        p.p, PASS, str(checked), str(_CAUCHY_BATCH),
         {"sample_det": str(sample)},
     )
 
@@ -182,9 +175,7 @@ def verify_decomposition(p: OddPrime, tolerance: float = 1e-6) -> VerificationRe
     aux = {}
     if status == FAIL:
         aux["alt_diag_residual"] = f"{decomposition_residual(p, alt_diag=True):.3e}"
-    return VerificationRecord(
-        p.p, "decomposition", status, f"{residual:.3e}", f"< {tolerance:g}", aux
-    )
+    return VerificationRecord(p.p, status, f"{residual:.3e}", f"< {tolerance:g}", aux)
 
 
 def verify_mtilde(p: OddPrime) -> VerificationRecord:
@@ -194,7 +185,7 @@ def verify_mtilde(p: OddPrime) -> VerificationRecord:
     mtilde_structure_check(parts)
     if p.p == 3:
         return VerificationRecord(
-            p.p, "mtilde", SKIPPED, "", "",
+            p.p, SKIPPED, "", "",
             {
                 "reason": "closed form requires p >= 5",
                 "structure": "ok",
@@ -203,7 +194,7 @@ def verify_mtilde(p: OddPrime) -> VerificationRecord:
         )
     chk = mtilde_det_check(parts)
     aux = {"structure": "ok", "exact": "equal"}
-    return VerificationRecord(p.p, "mtilde", PASS, str(chk), str(chk), aux)
+    return VerificationRecord(p.p, PASS, str(chk), str(chk), aux)
 
 
 @dataclass(frozen=True)
@@ -220,14 +211,15 @@ class Target:
 
 # Every cap bounds the time of one prime, not a domain: each is about the
 # largest p whose verifier takes no longer than lemma32 or mtilde took at
-# p = 199 on the exact products.  decomposition's residual stays near 1e-13
-# at its cap, so precision does not bound it.
+# p = 199 on the exact products; lemma32's own is the largest p no slower
+# than carlitz at its cap.  decomposition's residual stays near 1e-13 at its
+# cap, so precision does not bound it.
 _TARGET_TABLE = {
     "sun": Target(verify_sun),
     "chapman": Target(verify_chapman),
     "carlitz": Target(verify_carlitz, 131, "characteristic polynomial"),
     "unit": Target(verify_unit),
-    "lemma32": Target(verify_lemma32, 449, "exact products"),
+    "lemma32": Target(verify_lemma32, 1787, "exact products"),
     "gauss": Target(verify_gauss, 3001, "exact square"),
     "cauchy": Target(verify_cauchy),
     "decomposition": Target(
@@ -242,7 +234,7 @@ def _run_one(target: str, p_int: int, tolerance: float) -> VerificationRecord:
     row = _TARGET_TABLE[target]
     if row.cap is not None and p_int > row.cap:
         return VerificationRecord(
-            p_int, target, SKIPPED, "", "",
+            p_int, SKIPPED, "", "",
             {"reason": f"{row.cap_reason} capped at p <= {row.cap}"},
         )
     p = OddPrime(p_int)
@@ -254,7 +246,7 @@ def _run_one(target: str, p_int: int, tolerance: float) -> VerificationRecord:
         aux = {"error": str(exc)}
     except Exception as exc:  # one bad prime becomes a FAIL, never a lost sweep
         aux = {"error": str(exc), "exception": type(exc).__name__}
-    return VerificationRecord(p_int, target, FAIL, "", "", aux)
+    return VerificationRecord(p_int, FAIL, "", "", aux)
 
 
 @dataclass
@@ -361,6 +353,9 @@ def run_sweep(
     if jobs == 1 or len(primes) <= 1:
         records = [_run_one(target, q.p, tolerance) for q in primes]
     else:
+        # multiprocessing pulls in socket and logging: import it only here
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_one, repeat(target), [q.p for q in primes],
                                     repeat(tolerance)))

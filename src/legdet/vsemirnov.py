@@ -25,7 +25,6 @@ def _roots(p: int) -> list[complex]:
 class Decomposition:
     """Factor matrices and scalar of the numeric factorization."""
 
-    prime: OddPrime
     u: np.ndarray
     v: np.ndarray
     d: np.ndarray
@@ -74,7 +73,7 @@ def build_uvd(p: OddPrime, alt_diag: bool = False) -> Decomposition:
 
     t2 = sum(sym[k] * z[(2 * k) % pp] for k in range(1, pp))
     lam = sym[pp - 1] * t2 * z[((pp * pp - 1) // 4) % pp]
-    return Decomposition(p, u, v, d, lam)
+    return Decomposition(u, v, d, lam)
 
 
 def decomposition_residual(p: OddPrime, alt_diag: bool = False) -> float:

@@ -14,12 +14,12 @@ from legdet.exactlinalg import (
     det,
     poly_mul,
     poly_pow,
-    rank_one_update_det,
 )
 from legdet.matrices import build_cp, build_ep, build_mp
 from legdet.quadfield import class_number_imag, class_number_real, fundamental_unit
 from legdet.verify import PASS, SKIPPED, run_sweep, verify_decomposition, verify_sun
 from faddeev_leverrier import charpoly
+from rank_one import rank_one_update_det
 
 
 def _report(num, description, ok):

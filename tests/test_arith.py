@@ -88,6 +88,24 @@ def euler_symbol(a, p):
     return -1 if r == p - 1 else r
 
 
+def jacobi(a, n):
+    """Independent Legendre oracle: the binary Jacobi algorithm by quadratic
+    reciprocity, for 0 <= a < n, n odd; for prime n it is (a/n)."""
+    if a == 0:
+        return 0
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 def test_is_prime_matches_sieve():
     flags = sieve(5000)
     for n in range(5000):
@@ -130,6 +148,18 @@ def test_legendre_against_euler_criterion():
     for q in primes_in_range(3, 200):
         for a in range(q.p):
             assert legendre(a, q) == euler_symbol(a, q.p), (a, q.p)
+
+
+def test_legendre_against_jacobi():
+    # Euler's criterion against reciprocity: every residue below 2000, and a
+    # seeded sample at the two largest primes below 2^32
+    for q in primes_in_range(3, 1999):
+        assert [legendre(a, q) for a in range(q.p)] == [jacobi(a, q.p) for a in range(q.p)]
+    rng = random.Random(31)
+    for p in (4294967291, 4294967279):
+        q = OddPrime(p)
+        for a in [rng.randrange(p) for _ in range(2000)] + [0, 1, 2, p - 1]:
+            assert legendre(a, q) == jacobi(a, p), (a, p)
 
 
 def test_legendre_multiplicative():

@@ -406,7 +406,7 @@ def test_mtilde_det_check_rejects_a_moved_determinant(monkeypatch, p):
     q = OddPrime(p)
     parts = build_mtilde(q)
     c, d = mtilde_det(parts)
-    assert mtilde_det_check(parts) == MtildeCheck(p, c, d)
+    assert mtilde_det_check(parts) == MtildeCheck(c, d)
     for wrong in ((c + 1, d), (c, d - 1)):
         monkeypatch.setattr(cyclotomic, "mtilde_det", lambda parts, wrong=wrong: wrong)
         with pytest.raises(DiscrepancyError, match="exact determinant mismatch"):

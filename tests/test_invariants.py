@@ -26,6 +26,9 @@ No module of the package defines or names `adjugate`, `_minor`, `_pell_unit`,
 comes from one continued fraction.
 Nor does any name the tests' `all_embeddings`: the split-prime identities lie
 in Q(sqrt(p*)), and two embeddings decide them, not p - 1.
+Nor does any name `rank_one_update_det` or `_jacobi`: no verdict reads the
+rank-one update, and `legendre` is Euler's criterion; the tests keep both as
+references.
 `verify.py` imports no private (underscore) name from the cyclotomic module.
 No module of the package reads the environment (`os.environ`, `getenv`):
 routes and caps are fixed in code, never switched by a knob.
@@ -226,13 +229,15 @@ def test_package_names_no_cycelem():
 
 
 _SECOND_ROUTES = {"adjugate", "_minor", "_pell_unit", "_icbrt", "charpoly",
-                  "_numeric_product_one", "all_embeddings"}
+                  "_numeric_product_one", "all_embeddings", "rank_one_update_det",
+                  "_jacobi"}
 
 
 def test_package_names_no_second_route():
     # Faddeev-LeVerrier lives in tests/faddeev_leverrier.py, the Pell unit
     # in tests/pell_unit.py, the numeric P1 and the all-embedding
-    # evaluation in tests/exact_products.py;
+    # evaluation in tests/exact_products.py, the rank-one update in
+    # tests/rank_one.py and the Jacobi loop in tests/test_arith.py;
     # toeplitz_charpoly, charpoly_cp and the CLI's "charpoly" command are
     # other names (strings are not read)
     found = []

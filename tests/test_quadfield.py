@@ -150,7 +150,16 @@ def test_class_number_imag_frozen():
     assert class_number_imag(OddPrime(71)).h == 7
     report = class_number_imag(OddPrime(23))
     assert report.method_values == {"reduced_forms": 3, "character_sum": 3}
-    assert report.field_sign == "imag"
+
+
+def test_class_number_report_carries_the_unit():
+    for q in primes_in_range(5, 1999):
+        if q.p % 4 == 1:
+            unit = class_number_real(q).unit
+            assert unit == fundamental_unit(q), q.p
+            assert unit.norm() == -1, q.p
+    for p in (7, 23, 10007):
+        assert class_number_imag(OddPrime(p)).unit is None
 
 
 def test_class_number_imag_domain():
@@ -280,10 +289,6 @@ def test_cycle_count_rejects_a_wrong_band(monkeypatch):
 def test_a_unit_of_norm_plus_one_raises(monkeypatch):
     # eps^2 has norm +1; with it the cycles would count 2h, and the analytic
     # route h/2, so the norm is checked, not assumed
-    for p in (5, 13, 229):
-        eps = fundamental_unit(OddPrime(p))
-        with pytest.raises(DiscrepancyError, match="norm 1, expected -1"):
-            class_number_real(OddPrime(p), unit=quad_pow(eps, 2))
     real = quadfield.fundamental_unit
     monkeypatch.setattr(quadfield, "fundamental_unit", lambda q: quad_pow(real(q), 2))
     with pytest.raises(DiscrepancyError, match="norm"):

@@ -1,9 +1,14 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import legdet
 from legdet import cyclotomic
 from legdet.arith import OddPrime
 from legdet.matrices import det_mp
@@ -50,7 +55,7 @@ _CAP_BOUNDARY = {
     "carlitz": (137, "characteristic polynomial capped at p <= 131"),
     "gauss": (3011, "exact square capped at p <= 3001"),
     "decomposition": (607, "numeric diagnostic capped at p <= 601"),
-    "lemma32": (457, "exact products capped at p <= 449"),
+    "lemma32": (1789, "exact products capped at p <= 1787"),
     "mtilde": (313, "determinant check capped at p <= 311"),
 }
 
@@ -118,9 +123,9 @@ def test_verify_lemma32_records():
     assert r3.status == SKIPPED
     r67 = verify_lemma32(OddPrime(67))
     assert r67.status == PASS
-    r457 = run_sweep("lemma32", 457, 457).records[0]
-    assert r457.status == SKIPPED
-    assert r457.aux == {"reason": "exact products capped at p <= 449"}
+    r1789 = run_sweep("lemma32", 1789, 1789).records[0]
+    assert r1789.status == SKIPPED
+    assert r1789.aux == {"reason": "exact products capped at p <= 1787"}
     r5 = verify_lemma32(OddPrime(5))
     assert r5.status == PASS
     assert r5.aux["h_real"] == "1"
@@ -290,6 +295,15 @@ def test_carlitz_sweep_reaches_its_cap():
     assert report.records[2].aux["reason"] == "characteristic polynomial capped at p <= 131"
 
 
+def test_lemma32_sweep_reaches_its_cap():
+    # two embeddings per split prime; the p - 1 embeddings stopped at 449
+    report = run_sweep("lemma32", 1777, 1789)
+    assert [(r.p, r.status) for r in report.records] == [
+        (1777, PASS), (1783, PASS), (1787, PASS), (1789, SKIPPED)
+    ]
+    assert report.records[3].aux["reason"] == "exact products capped at p <= 1787"
+
+
 def test_one_bad_prime_never_sinks_a_sweep(monkeypatch):
     row = _TARGET_TABLE["unit"]
 
@@ -334,6 +348,19 @@ def test_run_sweep_parallel_is_deterministic():
     a.pop("elapsed_s")
     b.pop("elapsed_s")
     assert a == b
+
+
+def test_import_leaves_out_the_process_pool():
+    # multiprocessing (with socket and logging) is imported by a parallel
+    # sweep only, not on every start of the package or the CLI
+    src = str(Path(legdet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, legdet, legdet.cli; "
+                               "print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_report_json_schema():
