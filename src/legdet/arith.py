@@ -73,8 +73,9 @@ def legendre_array(p: OddPrime) -> np.ndarray:
 
     Built in one numpy scatter from the squares k^2 mod p, k = 1..n, which
     are exactly the n nonzero residues (k^2 < 2**62 since p < 2**32).
-    Vectorised float sums read this array; `legendre_table` is its list
-    form."""
+    The Gauss sum tau, the square-sum check and the split-prime embeddings
+    of `cyclotomic` read this array, and `legendre_table` is its list form;
+    the class numbers build no table (see `quadfield._half_squares`)."""
     k = np.arange(1, p.n + 1, dtype=np.int64)
     chi = np.full(p.p, -1, dtype=np.int64)
     chi[0] = 0

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .arith import OddPrime, _modular_primes, _take_primes, legendre_array, legendre_table
 from .errors import DiscrepancyError
 from .exactlinalg import IntMatrix, _lane_reduce, det, toeplitz_det_ztau
-from .quadfield import fundamental_unit, quad_pow
+from .quadfield import ClassNumberReport, quad_pow
 
 
 def _constant(vec: np.ndarray) -> int | None:
@@ -393,11 +393,13 @@ def _closed_form(sign: int, base: int, k: int, tau: bool, eps_exp: int = 0) -> s
     return "-" + text if sign < 0 else text
 
 
-def lemma32_check(p: OddPrime, h: int) -> tuple[str, str]:
+def lemma32_check(p: OddPrime, report: ClassNumberReport) -> tuple[str, str]:
     """Check P1 = prod_{k=1..n} (1 - zeta^(k^2)) and
     P2^2 = prod_{j<k} (zeta^(j^2) - zeta^(k^2))^2 against their closed
     forms exactly, by evaluation at primes q = 1 (mod p); return the two
-    closed forms.
+    closed forms.  report is the class-number report of the quadratic
+    field Q(sqrt(p*)), p* = (-1)^((p-1)/2) p: h = report.h and, for
+    p = 1 (mod 4), eps = report.unit.
 
     For p = 3 (mod 4), h is the class number of Q(sqrt(-p)) and
 
@@ -419,6 +421,9 @@ def lemma32_check(p: OddPrime, h: int) -> tuple[str, str]:
     the squares, so it fixes tau, P1 and P2^2 (P2 up to one sign)."""
     if p.p < 5:
         raise ValueError("closed forms require p >= 5")
+    if (report.unit is None) != (p.p % 4 == 3):
+        raise ValueError("the report carries the fundamental unit exactly when p = 1 (mod 4)")
+    h = report.h
     r = math.isqrt(p.p) + 1
     if p.p % 4 == 3:
         sign = (-1) ** ((h + 1) // 2)
@@ -427,7 +432,7 @@ def lemma32_check(p: OddPrime, h: int) -> tuple[str, str]:
         form_one = _closed_form(sign, p.p, 0, True)
         form_two = _closed_form((-1) ** k, p.p, k, False)
     else:
-        power = quad_pow(fundamental_unit(p), h)
+        power = quad_pow(report.unit, h)
         sign = (-1) ** ((p.p - 1) // 4)
         k = (p.p - 5) // 4
         unit = abs(power.a) + abs(power.b) * r

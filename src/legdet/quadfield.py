@@ -13,7 +13,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import OddPrime, legendre, legendre_array
+from .arith import OddPrime, legendre
 from .errors import DiscrepancyError, PrecisionError
 
 
@@ -75,22 +75,34 @@ def fundamental_unit(p: OddPrime) -> QuadElem:
     first one that gives a unit gives the fundamental one.  The expansion
     of (P + sqrt(p))/Q takes a = floor((P + sqrt(p))/Q) and steps
     P <- aQ - P, Q <- (p - P^2)/Q.
-    """
+
+    The k-th convergent h/g satisfies
+    (Q0*h - P0*g)^2 - p*g^2 = (-1)^(k+1) * Q0 * Q(k+1), so
+    h - g*conj(omega) has norm +-Q(k+1)/Q0 (Jacobson & Williams, Solving the
+    Pell Equation, Springer 2009, ch. 3); Q returns to Q0 exactly at the
+    convergents that give units.  Only there is the bigint norm computed,
+    and it must be +-1."""
     n, s = p.p, isqrt(p.p)
     one_mod_4 = n % 4 == 1
     pk, qk = (1, 2) if one_mod_4 else (0, 1)
+    q0 = qk
     h_prev, h = 0, 1
     g_prev, g = 1, 0
     for _ in range(10 * n + 100):
         a = (pk + s) // qk
         h, h_prev = a * h + h_prev, h
         g, g_prev = a * g + g_prev, g
-        # h - g*conj(omega) = (x + y*sqrt(p))/2
-        x, y = (2 * h - g, g) if one_mod_4 else (2 * h, 2 * g)
-        if x * x - n * y * y in (4, -4):
-            return QuadElem(n, x, y)
         pk = a * qk - pk
         qk = (n - pk * pk) // qk
+        if qk != q0:
+            continue
+        # h - g*conj(omega) = (x + y*sqrt(p))/2
+        x, y = (2 * h - g, g) if one_mod_4 else (2 * h, 2 * g)
+        if x * x - n * y * y not in (4, -4):
+            raise DiscrepancyError(
+                f"convergent {h}/{g} of the generator for p={n} is no unit at Q = Q0"
+            )
+        return QuadElem(n, x, y)
     raise ArithmeticError(f"continued fraction of the generator for p={n} did not close")
 
 
@@ -104,21 +116,44 @@ class ClassNumberReport:
     unit: QuadElem | None
 
 
+def _half_squares(p: OddPrime) -> np.ndarray:
+    """k^2 mod p for k = 1..n, as int64.
+
+    These are the n nonzero residues, each once (k and p - k share a
+    square), so each residue a <= n appears exactly once; the class-number
+    routes keep the values <= n.  The remainder is k^2 - (k^2 // p)*p:
+    numpy floor-divides by a scalar in vectorised form but takes % element
+    by element (k^2 < 2**62 since p < 2**32)."""
+    k = np.arange(1, p.n + 1, dtype=np.int64)
+    k *= k
+    k -= k // p.p * p.p
+    return k
+
+
 def _reduced_form_count(p: int) -> int:
-    # reduced positive forms (a, b, c) of discriminant -p:
-    # |b| <= a <= c, with b > 0 whenever |b| = a or a = c.
-    # b^2 + p = 4ac with p odd forces b odd, and b, -b share c, so one numpy
-    # pass over the grid of a and odd |b| finds both; every value is below
-    # 2p, exact in int64.
+    """Number of reduced positive forms (a, b, c) of discriminant -p, for a
+    prime p = 3 (mod 4), p > 3: |b| <= a <= c, with b >= 0 whenever |b| = a
+    or a = c.
+
+    b^2 + p = 4ac with p odd forces b odd, so b != 0 and each triple
+    (a, |b|, c) with |b| < a < c gives two forms.  |b| = a forces a | p,
+    so a = 1: the one form (1, 1, (p + 1)/4).  a = c forces
+    (2a - b)(2a + b) = p, so b = (p - 1)/2 > a: no form.  The count is
+    therefore 2 * #{(a, b) : b > 0 odd, b <= a <= c} - 1, one pass over the
+    grid of a and odd b (3a^2 <= p).  A prime p admits only primitive forms,
+    since a common factor g has g^2 | p.
+
+    The grid is in float64: b^2 + p < 2^33 and 4a < 2^18 are exact, and a
+    quotient that is an integer rounds to itself, while any other lies at
+    least 1/(4a) > 2^-18 from every integer, beyond the 2^-20 that rounding
+    can move a value below 2^33.  So c == floor(c) tests 4a | b^2 + p
+    exactly, and float division is vectorised where int64 % by an array is
+    not."""
     top = isqrt(p // 3)
-    a = np.arange(1, top + 1, dtype=np.int64)[:, None]
-    b = np.arange(1, top + 1, 2, dtype=np.int64)
-    c, rem = np.divmod(b * b + p, 4 * a)
-    i, j = np.nonzero((rem == 0) & (b <= a))
-    a, b, c = i + 1, b[j], c[i, j]
-    form = (c >= a) & (np.gcd(np.gcd(a, b), c) == 1)
-    # +b always counts; -b only when |b| < a < c
-    return int(form.sum() + (form & (b < a) & (c > a)).sum())
+    b = np.arange(1, top + 1, 2, dtype=np.float64)
+    a = np.arange(1, top + 1, dtype=np.float64)[:, None]
+    c = (b * b + p) / (4 * a)
+    return 2 * np.count_nonzero((c == np.floor(c)) & (b <= a) & (a <= c)) - 1
 
 
 def class_number_imag(p: OddPrime) -> ClassNumberReport:
@@ -127,12 +162,14 @@ def class_number_imag(p: OddPrime) -> ClassNumberReport:
 
         h = (sum_{0 < k < p/2} (k/p)) / (2 - (2/p)).
 
-    The two methods must agree."""
+    The two methods must agree.  Each residue a <= n is one of the
+    `_half_squares`, and the rest of 1..n are nonresidues, so the sum is
+    2 * #{squares <= n} - n."""
     if p.p % 4 != 3 or p.p == 3:
         raise ValueError("requires p = 3 (mod 4), p > 3")
     forms = _reduced_form_count(p.p)
-    chi = legendre_array(p)
-    q, r = divmod(int(chi[1:p.n + 1].sum()), 2 - int(chi[2]))
+    residues = np.count_nonzero(_half_squares(p) <= p.n)
+    q, r = divmod(2 * residues - p.n, 2 - legendre(2, p))
     if r != 0 or q < 1:
         raise DiscrepancyError(f"character sum for p={p.p} is not a class number")
     if q != forms:
@@ -169,51 +206,66 @@ def _cycle_count(p: int) -> int:
     largest integer below sqrt(p) that is = -b (mod 2|c|); it permutes the
     reduced forms, and its cycles are the proper equivalence classes
     (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).  A prime p admits
-    only primitive forms, since a common factor g has g^2 | p."""
+    only primitive forms, since a common factor g has g^2 | p.
+
+    The forms with a > 0 are the integral cells of one float grid of
+    -c = (p - b^2)/(4a) over a and odd b, inside the band; rho is then one
+    lookup by grid cell, and the cycles are counted by pointer doubling."""
     s = isqrt(p)
+    w = (s + 1) // 2
     # sqrt(p) is irrational, so b < sqrt(p) is b <= s, and the band on 2a
-    # is s < 2a + b, 2a - b <= s.  One pass over the grid of a and odd b
-    # finds the pairs with 4a | p - b^2, and the band keeps the forms with
-    # a > 0; every value is below p, exact in int64.
-    a = np.arange(1, s + 1, dtype=np.int64)[:, None]
-    b = np.arange(1, s + 1, 2, dtype=np.int64)
-    i, j = np.nonzero((p - b * b) % (4 * a) == 0)
-    a, b = i + 1, b[j]
-    band = (2 * a + b > s) & (2 * a - b <= s)
-    a, b = a[band], b[band]
-    c = (b * b - p) // (4 * a)
-    m = a.size
-    # form k's index at (a, b // 2); row 0 holds no form and marks a miss
-    index = np.full((s + 1, (s + 1) // 2), -1, dtype=np.int64)
-    index[a, b // 2] = np.arange(m)
+    # is s < 2a + b, 2a - b <= s, that is |4a - 2s - 1| < 2b.  One float
+    # pass over the grid of a (rows) and odd b (columns) finds the forms
+    # with a > 0, as the cells in the band where 4a | p - b^2 (exact as in
+    # _reduced_form_count, since p - b^2 < 2^32); form k sits at flat cell
+    # hits[k] = (a - 1) * w + (b - 1)/2
+    b = np.arange(1, s + 1, 2, dtype=np.float64)
+    four_a = np.arange(4, 4 * s + 1, 4, dtype=np.float64)[:, None]
+    neg_c = (p - b * b) / four_a
+    band = np.abs(four_a - (2 * s + 1)) < 2 * b
+    hits = ((neg_c == np.floor(neg_c)) & band).ravel().nonzero()[0]
+    neg_c = neg_c.ravel().take(hits).astype(np.int64)
+    m = hits.size
+    ids = np.arange(m)
+    # form indices by cell; the extra last cell holds no form and marks a miss
+    index = np.full(s * w + 1, -1, dtype=np.int64)
+    index[hits] = ids
     # b' depends on |c| only, so rho commutes with (a, b, c) -> (-a, b, -c):
     # it sends form k (a > 0) to the negative of the form to[k] at (|c|, b'),
-    # and the negative of form k to form to[k].
-    b_next = s - (s + b) % (2 * -c)
-    inside = (-c <= s) & (b_next > 0)
-    to = index[np.where(inside, -c, 0), np.where(inside, b_next // 2, 0)]
-    if (to < 0).any() or (np.bincount(to, minlength=m) != 1).any():
+    # and the negative of form k to form to[k].  b' = s - r with
+    # r = (s + b) mod 2|c|, and (|c|, b') is a cell when |c| <= s and r < s.
+    r = (hits % w * 2 + (s + 1)) % (2 * neg_c)
+    cell = (neg_c - 1) * w + (s - 1 - r) // 2
+    to = index[np.where((neg_c <= s) & (r < s), cell, s * w)]
+    if (np.sort(to) != ids).any():
         raise DiscrepancyError(f"reduction does not permute the reduced forms of {p}")
     # rho alternates the sign of a (ac < 0), so each rho-cycle holds exactly
     # one cycle of rho^2 = to[to] on the forms with a > 0.  Pointer doubling:
     # after k rounds low[i] is the least index among the first 2^k points of
     # i's rho^2 orbit, so at 2^k >= m it is the least index of i's cycle
     perm = to[to]
-    low = np.arange(m)
+    low = ids
     for _ in range((m - 1).bit_length()):
         low = np.minimum(low, low[perm])
         perm = perm[perm]
-    return int(np.count_nonzero(low == np.arange(m)))
+    return int(np.count_nonzero(low == ids))
 
 
 def _log_sin_sum(p: OddPrime) -> float:
     """sum_{a=1..p-1} (a/p) log sin(pi a / p) for p = 1 (mod 4).
 
-    The terms at a and p - a are equal, since (-1/p) = 1 and
-    sin(pi (p - a) / p) = sin(pi a / p), so only a = 1..n are summed."""
-    a = np.arange(1, p.n + 1)
-    half = legendre_array(p)[1:p.n + 1] @ np.log(np.sin(np.pi * a / p.p))
-    return 2 * float(half)
+    prod_{a=1..p-1} 2 sin(pi a / p) = p, so the terms over all a sum to
+    log p - (p - 1) log 2, and the sum is twice the residues' part less
+    that.  Since (-1/p) = 1 and sin(pi (p - a) / p) = sin(pi a / p), the
+    residues' part is twice its part over the residues a <= n:
+
+        4 * sum_{a in R, a <= n} log sin(pi a / p) - log p + (p - 1) log 2,
+
+    which takes n/2 sines."""
+    a = _half_squares(p)
+    a = a.take((a <= p.n).nonzero()[0])
+    below_half = float(np.log(np.sin(a * (np.pi / p.p))).sum())
+    return 4 * below_half - math.log(p.p) + (p.p - 1) * math.log(2)
 
 
 def class_number_real(p: OddPrime) -> ClassNumberReport:

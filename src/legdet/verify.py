@@ -125,7 +125,7 @@ def verify_lemma32(p: OddPrime) -> VerificationRecord:
     else:
         report = class_number_imag(p)
         aux = {"h_imag": str(report.h)}
-    form_one, form_two = lemma32_check(p, report.h)
+    form_one, form_two = lemma32_check(p, report)
     aux["product_two"] = form_two
     aux["closed_two"] = form_two
     return VerificationRecord(p.p, PASS, form_one, form_one, aux)

@@ -19,6 +19,7 @@ from legdet.arith import (
 from legdet.cyclotomic import build_mtilde, lemma32_check, mtilde_det_check
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import _toeplitz_dets_crt
+from legdet.quadfield import ClassNumberReport
 
 
 def sieve(limit):
@@ -76,16 +77,11 @@ def test_take_primes_raises_each_callers_message(monkeypatch):
     # the split primes' message, naming p
     monkeypatch.setattr(cyclotomic, "_modular_primes", lambda s: iter([]))
     q = OddPrime(23)
-    for check in (lambda: lemma32_check(q, 3), lambda: mtilde_det_check(build_mtilde(q))):
+    h23 = ClassNumberReport(3, {}, None)
+    for check in (lambda: lemma32_check(q, h23), lambda: mtilde_det_check(build_mtilde(q))):
         with pytest.raises(DiscrepancyError, match=r"^primes q = 1 \(mod 23\) ran out "
                                                    r"below the embedding bound at p=23$"):
             check()
-
-
-def euler_symbol(a, p):
-    """Independent Legendre oracle: a^((p-1)/2) mod p."""
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
 
 
 def jacobi(a, n):
@@ -144,10 +140,14 @@ def test_legendre_frozen_values():
     assert legendre(10, OddPrime(5)) == 0
 
 
-def test_legendre_against_euler_criterion():
+def test_legendre_against_the_squares():
+    # Euler's criterion against the definition: a is a residue when it is
+    # some k^2 mod p, found by squaring every k; a runs over three periods
     for q in primes_in_range(3, 200):
-        for a in range(q.p):
-            assert legendre(a, q) == euler_symbol(a, q.p), (a, q.p)
+        squares = {k * k % q.p for k in range(1, q.p)}
+        for a in range(-q.p, 2 * q.p):
+            expected = 0 if a % q.p == 0 else 1 if a % q.p in squares else -1
+            assert legendre(a, q) == expected, (a, q.p)
 
 
 def test_legendre_against_jacobi():

@@ -30,7 +30,13 @@ from legdet.cyclotomic import (
 )
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
-from legdet.quadfield import class_number_imag, class_number_real
+from legdet.quadfield import (
+    ClassNumberReport,
+    QuadElem,
+    class_number_imag,
+    class_number_real,
+    fundamental_unit,
+)
 from legdet.verify import FAIL, run_sweep
 
 from exact_products import (
@@ -265,23 +271,40 @@ def test_shift_subtract_products_match_generic_multiplication():
         assert exact_product_two(q) == two, q.p
 
 
+def report(h, unit=None):
+    """A class-number report holding only what lemma32_check reads."""
+    return ClassNumberReport(h, {}, unit)
+
+
 def test_lemma32_check_closed_forms():
-    assert lemma32_check(OddPrime(5), 1) == ("tau*eps^-1", "-tau*eps")
-    assert lemma32_check(OddPrime(7), 1) == ("-tau", "-7")
-    assert lemma32_check(OddPrime(11), 1) == ("-tau", "11^2")
-    assert lemma32_check(OddPrime(13), 1) == ("tau*eps^-1", "-13^2*tau*eps")
+    # eps = (1 + sqrt(5))/2 and (3 + sqrt(13))/2
+    assert lemma32_check(OddPrime(5), report(1, QuadElem(5, 1, 1))) == ("tau*eps^-1", "-tau*eps")
+    assert lemma32_check(OddPrime(7), report(1)) == ("-tau", "-7")
+    assert lemma32_check(OddPrime(11), report(1)) == ("-tau", "11^2")
+    assert lemma32_check(OddPrime(13), report(1, QuadElem(13, 3, 1))) == (
+        "tau*eps^-1", "-13^2*tau*eps")
     # h(-23) = 3 flips the sign of the first product
-    assert lemma32_check(OddPrime(23), 3) == ("tau", "-23^5")
+    assert lemma32_check(OddPrime(23), report(3)) == ("tau", "-23^5")
 
 
 def test_lemma32_check_rejects_wrong_class_number():
     # h enters the first closed form only; a wrong h must be caught exactly.
     # At p = 3 (mod 4), h + 2 flips the sign of tau; h(-23) = 3, h(-199) = 9
     for p, h in ((7, 3), (5, 2), (23, 5), (199, 11), (197, 3)):
+        q = OddPrime(p)
+        unit = fundamental_unit(q) if p % 4 == 1 else None
         with pytest.raises(DiscrepancyError, match="first identity failed"):
-            lemma32_check(OddPrime(p), h)
+            lemma32_check(q, report(h, unit))
+    # so is a wrong unit: eps^2 in place of eps at p = 13
+    with pytest.raises(DiscrepancyError, match="first identity failed"):
+        lemma32_check(OddPrime(13), report(1, QuadElem(13, 11, 3)))
     with pytest.raises(ValueError):
-        lemma32_check(OddPrime(3), 1)
+        lemma32_check(OddPrime(3), report(1))
+    # the report carries the unit exactly when p = 1 (mod 4)
+    with pytest.raises(ValueError, match="fundamental unit"):
+        lemma32_check(OddPrime(13), report(1))
+    with pytest.raises(ValueError, match="fundamental unit"):
+        lemma32_check(OddPrime(7), report(1, QuadElem(7, 16, 6)))
 
 
 def horner_images(x, q, omega):
@@ -312,7 +335,8 @@ def spy_embeddings(monkeypatch):
 
 
 def class_number(q):
-    return (class_number_real(q) if q.p % 4 == 1 else class_number_imag(q)).h
+    """The class-number report that lemma32_check takes."""
+    return class_number_real(q) if q.p % 4 == 1 else class_number_imag(q)
 
 
 def test_evaluation_route_matches_the_exact_products(monkeypatch):
@@ -381,13 +405,13 @@ def move_one_unit(monkeypatch):
 @pytest.mark.parametrize("p", [13, 29, 31, 61, 449])
 def test_lemma32_check_rejects_a_tampered_evaluation(monkeypatch, p):
     q = OddPrime(p)
-    h = class_number(q)
-    assert lemma32_check(q, h)
+    right = class_number(q)
+    assert lemma32_check(q, right)
     with pytest.raises(DiscrepancyError, match="first identity failed"):
-        lemma32_check(q, h + 2)
+        lemma32_check(q, dataclasses.replace(right, h=right.h + 2))
     move_one_unit(monkeypatch)
     with pytest.raises(DiscrepancyError, match="second identity failed"):
-        lemma32_check(q, h)
+        lemma32_check(q, right)
     monkeypatch.undo()
     real = cyclotomic._embeddings
 
@@ -398,7 +422,7 @@ def test_lemma32_check_rejects_a_tampered_evaluation(monkeypatch, p):
 
     monkeypatch.setattr(cyclotomic, "_embeddings", negated)
     with pytest.raises(DiscrepancyError, match="first identity failed"):
-        lemma32_check(q, h)
+        lemma32_check(q, right)
 
 
 @pytest.mark.parametrize("p", [13, 23, 61])
@@ -425,7 +449,7 @@ def test_checks_reject_split_primes_below_the_bound(monkeypatch):
     assert 2 ** 11 + 5 < one[0] <= 11 ** 11 + 23 ** 5
     parts = build_mtilde(q)
     monkeypatch.setattr(cyclotomic, "_modular_primes", lambda s: iter(one))
-    for check in (lambda: lemma32_check(q, 3), lambda: mtilde_det_check(parts)):
+    for check in (lambda: lemma32_check(q, report(3)), lambda: mtilde_det_check(parts)):
         with pytest.raises(DiscrepancyError, match="ran out below the embedding bound"):
             check()
 

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from legdet import quadfield
@@ -13,6 +14,7 @@ from legdet.errors import DiscrepancyError
 from legdet.quadfield import (
     QuadElem,
     _cycle_count,
+    _half_squares,
     _log_sin_sum,
     _log_value,
     _reduced_form_count,
@@ -84,6 +86,27 @@ def test_fundamental_unit_frozen():
     assert (fundamental_unit(OddPrime(7)).a, fundamental_unit(OddPrime(7)).b) == (16, 6)
     assert (fundamental_unit(OddPrime(3)).a, fundamental_unit(OddPrime(3)).b) == (4, 2)
     assert str(fundamental_unit(OddPrime(17))) == "(8 + 2*sqrt(17))/2"
+
+
+def test_convergent_norms_follow_the_denominators():
+    # the identity fundamental_unit rests on: the k-th convergent h/g of
+    # omega = (P0 + sqrt(p))/Q0 has N(h - g*conj(omega)) = (-1)^(k+1) Q(k+1)/Q0,
+    # so the first unit comes exactly where Q first returns to Q0
+    for q in primes_in_range(3, 1999):
+        p, s = q.p, math.isqrt(q.p)
+        p0, q0 = (1, 2) if p % 4 == 1 else (0, 1)
+        pk, qk, h_prev, h, g_prev, g = p0, q0, 0, 1, 1, 0
+        for k in range(10 * p):
+            a = (pk + s) // qk
+            h, h_prev = a * h + h_prev, h
+            g, g_prev = a * g + g_prev, g
+            pk = a * qk - pk
+            qk = (p - pk * pk) // qk
+            assert (q0 * h - p0 * g) ** 2 - p * g * g == (-1) ** (k + 1) * q0 * qk, (p, k)
+            if qk == q0:
+                break
+        unit = fundamental_unit(q)
+        assert (unit.a, unit.b) == ((2 * h - g, g) if p % 4 == 1 else (2 * h, 2 * g)), p
 
 
 def test_unit_norm_sign_pattern():
@@ -189,15 +212,38 @@ def test_class_number_methods_agree_over_ranges():
         if q.p % 4 == 3:
             class_number_imag(q)
     # class_number_real raises unless the cycle count and the analytic
-    # route agree, at every p = 1 (mod 4) below 20000
+    # route agree, at every p = 1 (mod 4) below 20000; the analytic estimate
+    # itself stays far closer to h than the 0.3 that rounding allows
+    worst = 0.0
     for q in primes_in_range(5, 19999):
         if q.p % 4 == 1:
-            class_number_real(q)
+            report = class_number_real(q)
+            estimate = -_log_sin_sum(q) / (2 * _log_value(report.unit))
+            worst = max(worst, abs(estimate - report.h))
+    assert worst <= 1e-9
+
+
+def test_half_squares_are_the_residues():
+    for q in primes_in_range(3, 400):
+        squares = _half_squares(q)
+        assert squares.dtype == np.int64
+        assert sorted(squares.tolist()) == sorted({k * k % q.p for k in range(1, q.p)}), q.p
+
+
+def test_residue_count_gives_the_half_range_sum():
+    # class_number_imag's character sum, 2 * #{squares <= n} - n, is the
+    # half-range sum of the table exactly, at every p = 3 (mod 4) below 20000
+    for q in primes_in_range(3, 19999):
+        if q.p % 4 == 3:
+            count = np.count_nonzero(_half_squares(q) <= q.n)
+            assert 2 * count - q.n == sum(legendre_table(q)[1:q.n + 1]), q.p
 
 
 def test_log_sin_sum_parity_fold_matches_full_sum():
-    # the folded sum over a = 1..n against the full Jacobi-driven sum
-    for q in primes_in_range(5, 2000):
+    # the sum over the residues a <= n against the full sum over a = 1..p-1,
+    # symbol by symbol
+    primes = primes_in_range(5, 2000) + [OddPrime(p) for p in (10009, 15017, 19997)]
+    for q in primes:
         if q.p % 4 != 1:
             continue
         full = sum(
