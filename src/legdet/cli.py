@@ -12,7 +12,16 @@ from pathlib import Path
 
 from .arith import OddPrime, legendre
 from .errors import LegdetError
-from .matrices import build_cp, build_ep, build_mp, charpoly_cp, det_cp, det_ep, det_mp
+from .matrices import (
+    build_cp,
+    build_ep,
+    build_mp,
+    charpoly_cp,
+    charpoly_cp_text,
+    det_cp,
+    det_ep,
+    det_mp,
+)
 from .quadfield import (
     _chapman_power,
     class_number_imag,
@@ -96,7 +105,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    print(charpoly_cp(OddPrime(args.p)))
+    p = OddPrime(args.p)
+    print(charpoly_cp_text(p, *charpoly_cp(p)))
     return 0
 
 

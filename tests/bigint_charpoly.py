@@ -1,5 +1,6 @@
 """The bigint evaluation route to det(xI - T) for a Toeplitz T, kept as the
-tests' reference for the lane route of `toeplitz_charpoly`.
+tests' reference for `charpoly_cp` and for the lane route of
+`lane_charpoly.toeplitz_charpoly`.
 
 Each value at x = 0..m is one bigint `toeplitz_det`.  The k-th forward
 difference at 0 is k! times the integer coefficient of x(x-1)...(x-k+1)
@@ -8,7 +9,8 @@ Horner loop expands that form into monomials.
 """
 import math
 
-from legdet.exactlinalg import IntPolynomial, _exact_div, toeplitz_det
+from legdet.exactlinalg import _exact_div, toeplitz_det
+from int_polynomial import IntPolynomial
 
 
 def bigint_charpoly(t, m: int) -> IntPolynomial:

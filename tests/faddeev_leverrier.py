@@ -1,8 +1,10 @@
 """The Faddeev-LeVerrier characteristic polynomial of a dense integer matrix,
-kept as the tests' reference for `toeplitz_charpoly` and criterion 4, with
+kept as the tests' reference for `charpoly_cp`, `lane_charpoly` and
+criterion 4, with
 the dense matrix products it runs on."""
 from legdet.errors import DiscrepancyError
-from legdet.exactlinalg import IntMatrix, IntPolynomial
+from legdet.exactlinalg import IntMatrix
+from int_polynomial import IntPolynomial
 
 
 def identity(dim: int) -> IntMatrix:

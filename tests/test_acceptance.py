@@ -8,17 +8,12 @@ from fractions import Fraction
 
 from legdet.arith import OddPrime, primes_in_range
 from legdet.cyclotomic import build_mtilde, cauchy_det, mtilde_det_check
-from legdet.exactlinalg import (
-    IntMatrix,
-    IntPolynomial,
-    det,
-    poly_mul,
-    poly_pow,
-)
+from legdet.exactlinalg import IntMatrix, det
 from legdet.matrices import build_cp, build_ep, build_mp
 from legdet.quadfield import class_number_imag, class_number_real, fundamental_unit
 from legdet.verify import PASS, SKIPPED, run_sweep, verify_decomposition, verify_sun
 from faddeev_leverrier import charpoly
+from int_polynomial import IntPolynomial, expand_factored, poly_mul, poly_pow
 from rank_one import rank_one_update_det
 
 
@@ -71,6 +66,8 @@ def test_criterion_04_charpoly_closed_form():
         poly_pow(IntPolynomial((-s5 * 5, 0, 1)), 1), IntPolynomial((-s5, 0, 1))
     )
     ok = ok and charpoly(build_cp(OddPrime(5))) == expanded
+    five = next(r for r in report.records if r.p == 5)
+    ok = ok and expand_factored(five.computed) == expanded
     _report(4, "characteristic polynomial closed form, odd p <= 31, exact", ok)
 
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -13,16 +12,12 @@ from legdet.arith import OddPrime, is_prime, legendre_table, primes_in_range
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import (
     IntMatrix,
-    IntPolynomial,
     _bareiss,
     _exact_div,
     _lane_primes,
     _prem_window,
     _toeplitz_dets_crt,
     det,
-    poly_mul,
-    poly_pow,
-    toeplitz_charpoly,
     toeplitz_det,
     toeplitz_det_mod,
     toeplitz_det_ztau,
@@ -32,6 +27,7 @@ from legdet.matrices import (
     build_ep,
     build_mp,
     charpoly_cp,
+    charpoly_cp_text,
     det_cp,
     det_ep,
     det_mp,
@@ -39,6 +35,9 @@ from legdet.matrices import (
 from legdet.verify import FAIL, PASS, run_sweep
 from bigint_charpoly import bigint_charpoly
 from faddeev_leverrier import charpoly, identity, matmul
+from int_polynomial import IntPolynomial, expand_factored, poly_mul, poly_pow
+import lane_charpoly
+from lane_charpoly import toeplitz_charpoly
 import rank_one
 from rank_one import rank_one_update_det
 from ring_bareiss import bareiss
@@ -635,9 +634,9 @@ def test_lane_reductions_are_sign_free(monkeypatch):
         return lane_reduce(w, q3, ql)
 
     monkeypatch.setattr(exactlinalg, "_lane_reduce", checked)
-    # det_ep, det_mp, charpoly_cp and mtilde_det, each on the lanes
+    # det_ep, det_mp and mtilde_det, each on the lanes
     for target, p in (("chapman", 151), ("chapman", 389), ("unit", 151), ("unit", 389),
-                      ("carlitz", 31), ("mtilde", 31)):
+                      ("mtilde", 31)):
         calls.clear()
         assert run_sweep(target, p, p).records[0].status == PASS, (target, p)
         assert calls, (target, p)
@@ -769,46 +768,135 @@ def test_even_charpoly_needs_an_even_dimension():
         toeplitz_charpoly(lambda k: 0, 3, even=True)
 
 
+def _cp_text(q):
+    return charpoly_cp_text(q, *charpoly_cp(q))
+
+
+def _cp_reference(q):
+    """det(xI - C_p) on the lanes, interpolated in x^2 (tests/lane_charpoly.py)."""
+    chi = legendre_table(q)
+    return toeplitz_charpoly(lambda k: chi[-k], q.p - 1, even=True)
+
+
+def _carlitz_error(monkeypatch, name, tampered):
+    """Patch matrices.<name> with tampered, then return the error that
+    charpoly_cp raises at p = 13 and check that the sweep's record is a
+    FAIL carrying it."""
+    monkeypatch.setattr(matrices, name, tampered)
+    with pytest.raises(DiscrepancyError) as caught:
+        charpoly_cp(OddPrime(13))
+    record = run_sweep("carlitz", 13, 13).records[0]
+    assert (record.status, record.aux) == (FAIL, {"error": str(caught.value)})
+    return str(caught.value)
+
+
 def test_charpoly_cp_checks_that_c_p_is_similar_to_minus_c_p(monkeypatch):
     # the table with the squares 4 and 9 = -4 made nonresidues: C_13 stays
-    # symmetric, but chi(2 * 2) = -chi(2) fails at the least nonresidue 2,
-    # so the even interpolation is refused before any lane runs
-    table = matrices.legendre_table
+    # symmetric, but chi(2 * 2) = -chi(2) fails at the least nonresidue 2
+    table = matrices.legendre_array
 
     def two_squares_flipped(p):
         chi = table(p)
         chi[4], chi[9] = -chi[4], -chi[9]
         return chi
 
-    message = ("chi(g k) = -chi(k) fails for the least nonresidue g = 2: "
-               "C_13 is not shown similar to -C_13")
-    monkeypatch.setattr(matrices, "legendre_table", two_squares_flipped)
-    batches = _recording_batches(monkeypatch)
-    with pytest.raises(DiscrepancyError, match=re.escape(message)):
-        charpoly_cp(OddPrime(13))
+    assert _carlitz_error(monkeypatch, "legendre_array", two_squares_flipped) == (
+        "step 1: chi(g k) = -chi(k) fails for the least nonresidue g = 2: "
+        "C_13 is not shown similar to -C_13"
+    )
+
+
+def test_charpoly_cp_rejects_one_flipped_symbol(monkeypatch):
+    # k and g k differ mod p, so one flip always breaks chi(g k) = -chi(k)
+    table = matrices.legendre_array
+    for k in range(1, 13):
+        def one_flipped(p):
+            chi = table(p)
+            chi[k] = -chi[k]
+            return chi
+
+        message = _carlitz_error(monkeypatch, "legendre_array", one_flipped)
+        assert message.startswith("step 1: chi(g k) = -chi(k) fails"), (k, message)
+
+
+def test_charpoly_cp_rejects_a_chi_of_minus_one_against_s(monkeypatch):
+    # 4 has order 6 mod 13, and its cosets are <4> and 2<4>; the table
+    # chi(c 4^i) = (-1)^i, c = 1, 2, has its least -1 at g = 4 and passes
+    # step 1, but chi(-1) = chi(4^3) = -1 while s = +1 at p = 13
+    fake = np.zeros(13, dtype=np.int64)
+    for c in (1, 2):
+        for i in range(6):
+            fake[c * 4**i % 13] = (-1) ** i
+    assert fake[12] == -1
+    message = _carlitz_error(monkeypatch, "legendre_array", lambda p: fake.copy())
+    assert message == "step 3: chi(-k) = s chi(k) fails at k = 1 for s = 1: C_13^T is not s C_13"
+
+
+def test_charpoly_cp_rejects_a_wrong_row_of_c_p_squared(monkeypatch):
+    autocorrelation = matrices._cyclic_autocorrelation
+
+    def lag_off_by_one(lag):
+        def tampered(chi):
+            r = autocorrelation(chi)
+            r[lag] += 1
+            return r
+        return tampered
+
+    message = _carlitz_error(monkeypatch, "_cyclic_autocorrelation", lag_off_by_one(3))
+    assert message == ("step 3: row 1 of C_13^2 leaves the closed form "
+                       "a I - s (J + chi chi^T) at column 4")
+    # lag 0 is the diagonal, from which a is read: the closed form still
+    # holds, and the record shows the measured a = 14, b = a - 12
+    monkeypatch.setattr(matrices, "_cyclic_autocorrelation", lag_off_by_one(0))
     record = run_sweep("carlitz", 13, 13).records[0]
-    assert (record.status, record.aux) == (FAIL, {"error": message})
-    assert batches == []
+    assert (record.status, record.computed, record.predicted) == (
+        FAIL, "(t^2 - 14)^5*(t^2 - 2)", "(t^2 - 13)^5*(t^2 - 1)"
+    )
+
+
+def test_charpoly_cp_rejects_a_sum_of_chi_off_zero(monkeypatch):
+    # no table that passes step 1 has sum chi != 0 (the signs alternate
+    # along each orbit k -> g k), so the tamper goes into X^T X itself
+    gram = matrices._gram
+    message = _carlitz_error(monkeypatch, "_gram", lambda x: gram(x) + [[0, 1], [1, 0]])
+    assert message == ("step 4: X^T X = [[12, 1], [1, 12]] for X = [1 | chi] is not "
+                       "12 I_2: det(uI - C_13^2) is no square")
+
+
+def test_c_p_squared_matches_the_closed_form():
+    # C_p^2 = s p I - s (J + chi chi^T), by the dense product, for every p < 200
+    for q in primes_in_range(3, 199):
+        c = np.array(build_cp(q).rows, dtype=np.int64)
+        chi = np.array(legendre_table(q)[1:], dtype=np.int64)
+        s = (-1) ** q.n
+        closed = s * q.p * np.eye(q.p - 1, dtype=np.int64) - s * (1 + np.outer(chi, chi))
+        assert np.array_equal(c @ c, closed), q.p
 
 
 def test_charpoly_cp_matches_faddeev_leverrier():
     for q in primes_in_range(3, 31):
-        assert charpoly_cp(q) == charpoly(build_cp(q)), q.p
+        assert expand_factored(_cp_text(q)) == charpoly(build_cp(q)), q.p
 
 
 def test_charpoly_cp_matches_the_bigint_route():
     # every carlitz prime up to 109, against the evaluation route on the
-    # bigint toeplitz_det, the slowest reference of the suite; the primes
-    # up to the cap pass in test_verify.py's carlitz sweep
+    # bigint toeplitz_det, the slowest reference of the suite
     for q in primes_in_range(3, 109):
         chi = legendre_table(q)
-        assert charpoly_cp(q) == bigint_charpoly(lambda k: chi[-k], q.p - 1), q.p
+        assert expand_factored(_cp_text(q)) == bigint_charpoly(lambda k: chi[-k], q.p - 1), q.p
+
+
+def test_charpoly_cp_matches_the_lane_route():
+    # every carlitz prime up to 131, the cap of the interpolation route
+    # that tests/lane_charpoly.py keeps
+    for q in primes_in_range(3, 131):
+        assert expand_factored(_cp_text(q)) == _cp_reference(q), q.p
 
 
 def _recording_batches(monkeypatch, alter=None):
     """Record the size of every batch toeplitz_charpoly sends, and let
     alter(values) change the values of the first batch, whose row r is the
-    point x = r, the node x^2 of charpoly_cp's even interpolation."""
+    point x = r, the node x^2 of the even interpolation."""
     exact = exactlinalg._toeplitz_dets_crt
     batches = []
 
@@ -830,9 +918,9 @@ def test_points_past_the_spares_are_evaluated(monkeypatch):
     q = OddPrime(89)
     chi = legendre_table(q)
     reference = bigint_charpoly(lambda k: chi[-k], q.p - 1)
-    monkeypatch.setattr(exactlinalg, "_SPARE_POINTS", 0)
+    monkeypatch.setattr(lane_charpoly, "_SPARE_POINTS", 0)
     batches = _recording_batches(monkeypatch)
-    assert charpoly_cp(q) == reference
+    assert _cp_reference(q) == reference
     assert batches[0] == 46 and len(batches) > 1
 
 
@@ -845,13 +933,7 @@ def test_one_wrong_determinant_value_cannot_pass(monkeypatch):
 
     batches = _recording_batches(monkeypatch, off_by_one_at_x3)
     with pytest.raises(DiscrepancyError, match="exact division left a remainder"):
-        charpoly_cp(OddPrime(13))
-    assert len(batches) == 1
-    batches.clear()
-    record = run_sweep("carlitz", 13, 13).records[0]
-    assert (record.status, record.aux) == (
-        FAIL, {"error": "exact division left a remainder"}
-    )
+        _cp_reference(OddPrime(13))
     assert len(batches) == 1
 
 
@@ -867,8 +949,5 @@ def test_a_wrong_value_every_division_passes_is_caught_by_the_spares(monkeypatch
     message = "a divided difference of order above the degree is nonzero"
     batches = _recording_batches(monkeypatch, polynomial_error_at_x3)
     with pytest.raises(DiscrepancyError, match=message):
-        charpoly_cp(OddPrime(13))
+        _cp_reference(OddPrime(13))
     assert len(batches) == 1
-    batches.clear()
-    record = run_sweep("carlitz", 13, 13).records[0]
-    assert (record.status, record.aux) == (FAIL, {"error": message})

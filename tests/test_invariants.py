@@ -9,13 +9,11 @@ Sweeps over residues read `legendre_table`: no Jacobi call in a loop.
 The O(p) float routes of the class numbers are numpy calls: no scalar
 log, sin or exp in a loop of the quadratic-field module.
 Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`
-or the dense Faddeev-LeVerrier `charpoly` (carlitz interpolates Toeplitz
-determinants), and the cyclotomic module, whose shifted matrix is Toeplitz
-below row 0, never names `_bareiss`.
-`toeplitz_charpoly` takes its values from the batched multimodular lanes:
-it never names the bigint `toeplitz_det`.  Nor does the cyclotomic module,
-whose Z[tau] determinant runs on the integer lanes: it never names
-`toeplitz_det` or the ring class `QuadElem`.
+or the dense Faddeev-LeVerrier `charpoly` (carlitz reads the structure of
+C_p^2 off the symbol table), and the cyclotomic module, whose shifted matrix
+is Toeplitz below row 0, never names `_bareiss`.
+The cyclotomic module's Z[tau] determinant runs on the integer lanes: it
+never names the bigint `toeplitz_det` or the ring class `QuadElem`.
 No module of the package names the shift-subtract products
 `exact_product_one/two`: Lemma 3.2 and the mtilde closed form are decided by
 evaluation at primes q = 1 (mod p).
@@ -35,9 +33,11 @@ routes and caps are fixed in code, never switched by a knob.
 Only `arith.py` names `is_prime` or writes the prime limit `1 << 30` (the
 package's `__init__` re-exports `is_prime`): one module chooses the modular
 primes of every route, by one limit, one stream and one rule.
-Only `charpoly_cp` passes `toeplitz_charpoly` its `even` flag: the flag is
-the precondition that T is similar to -T, and `charpoly_cp` checks it for
-C_p first.
+No interpolation is left in the package: no module defines or names
+`toeplitz_charpoly`, `_SPARE_POINTS`, `IntPolynomial`, `poly_mul` or
+`poly_pow`, and no call passes an `even` flag; the evaluation route lives
+on in `tests/lane_charpoly.py`.  `charpoly_cp` decides from the symbol
+table alone: it and its helpers never build C_p or take a determinant.
 """
 import ast
 from pathlib import Path
@@ -166,20 +166,6 @@ def test_verify_makes_no_dense_det_call():
 
 def test_verify_makes_no_dense_charpoly_call():
     assert _verify_calls_to("charpoly") == []
-
-
-def test_toeplitz_charpoly_makes_no_bigint_det_call():
-    path = next(p for p in SOURCES if p.name == "exactlinalg.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    [function] = [node for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == "toeplitz_charpoly"]
-    found = [
-        f"exactlinalg.py:{node.lineno}"
-        for node in ast.walk(function)
-        if getattr(node, "id", None) == "toeplitz_det"
-        or getattr(node, "attr", None) == "toeplitz_det"
-    ]
-    assert found == []
 
 
 def test_cyclotomic_takes_no_bigint_or_ring_toeplitz_route():
@@ -315,17 +301,43 @@ def test_only_arith_chooses_modular_primes():
     assert found == []
 
 
-def test_only_charpoly_cp_claims_an_even_charpoly():
-    # any call with an `even` keyword (or a ** that could carry one), named
-    # by its innermost enclosing function; the flag is keyword-only
+_INTERPOLATION = {"toeplitz_charpoly", "_SPARE_POINTS", "IntPolynomial", "poly_mul",
+                  "poly_pow"}
+
+
+def test_package_has_no_interpolation_route():
+    # any definition, name, attribute or import of the evaluation route and
+    # its polynomial type, and any call with an `even` keyword (or a ** that
+    # could carry one)
     found = []
     for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in _INTERPOLATION]
             if isinstance(node, ast.Call) and any(kw.arg in ("even", None)
                                                   for kw in node.keywords):
-                owners = [f.name for f in functions
-                          if f.lineno <= node.lineno <= f.end_lineno]
-                found.append(f"{path.name}:{owners[-1] if owners else '<module>'}")
-    assert found == ["matrices.py:charpoly_cp"]
+                found.append(f"{path.name}:{node.lineno} even")
+    assert found == []
+
+
+_MATRIX_ROUTES = {"build_cp", "IntMatrix", "det", "det_cp", "toeplitz_det",
+                  "toeplitz_det_mod", "_toeplitz", "_toeplitz_dets_crt", "_lane_run"}
+
+
+def test_charpoly_cp_builds_no_matrix():
+    path = next(p for p in SOURCES if p.name == "matrices.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    found = [
+        f"{name}:{node.lineno} {getattr(node, 'id', None) or node.attr}"
+        for name in ("charpoly_cp", "_cyclic_autocorrelation", "_gram")
+        for node in ast.walk(functions[name])
+        if getattr(node, "id", None) in _MATRIX_ROUTES
+        or getattr(node, "attr", None) in _MATRIX_ROUTES
+    ]
+    assert found == []

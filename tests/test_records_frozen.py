@@ -14,7 +14,7 @@ _DIGESTS = {
     ("sun", 5, 199): "7509ac97b69a30e41d94ad30c994d22d2b0f89ceb25ab5bdfe1db13d52ca7977",
     ("unit", 3, 199): "fe451b770a29adfbf756444210e15ff544bc06a9fbf5c623fb31db6ce5c718c9",
     ("chapman", 3, 199): "d67288b536803a4481fba52c6a77b9011435d93787159bfeafbd8e4feeedbb59",
-    ("carlitz", 3, 31): "005842ac6f8a9d8b8b90a510e0992230462e9177051cc82f2cc8961f18923c49",
+    ("carlitz", 3, 31): "4807113544b8478fbcab572a80a05143fb51eb8a02621544d07cb8a6cf3627f3",
     ("lemma32", 5, 61): "d6e35579e0330da3fb34aaf7989d7e040946bcf8f1a96647cd4c9210bff57ec2",
     ("gauss", 3, 61): "67154d9137c2a03446a8ae29a8012f6b78e13918339e38f62de10826a1169de7",
     ("cauchy", 3, 61): "51f817a3948db36234fe373067a1a3a073ec9e56964745d600f2ebf6f6c7e812",

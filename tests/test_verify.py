@@ -52,7 +52,7 @@ def test_only_the_tolerance_reader_takes_a_tolerance():
 
 # first prime above each cap, and the SKIP reason it gets there
 _CAP_BOUNDARY = {
-    "carlitz": (137, "characteristic polynomial capped at p <= 131"),
+    "carlitz": (56659, "characteristic polynomial capped at p <= 56633"),
     "gauss": (3011, "exact square capped at p <= 3001"),
     "decomposition": (607, "numeric diagnostic capped at p <= 601"),
     "lemma32": (1789, "exact products capped at p <= 1787"),
@@ -102,12 +102,17 @@ def test_verify_chapman_records():
 
 
 def test_verify_carlitz_records():
+    r3 = verify_carlitz(OddPrime(3))
+    assert (r3.status, r3.computed, r3.predicted) == (PASS, "(t^2 + 1)", "(t^2 + 1)")
     r5 = verify_carlitz(OddPrime(5))
-    assert r5.status == PASS
-    assert r5.computed == "t^4 - 6*t^2 + 5"
-    r137 = run_sweep("carlitz", 137, 137).records[0]
-    assert r137.status == SKIPPED
-    assert "reason" in r137.aux
+    assert (r5.status, r5.computed, r5.predicted) == (
+        PASS, "(t^2 - 5)*(t^2 - 1)", "(t^2 - 5)*(t^2 - 1)"
+    )
+    r131 = verify_carlitz(OddPrime(131))
+    assert (r131.status, r131.computed) == (PASS, "(t^2 + 131)^64*(t^2 + 1)")
+    above = run_sweep("carlitz", 56659, 56659).records[0]
+    assert above.status == SKIPPED
+    assert "reason" in above.aux
 
 
 def test_verify_unit_records():
@@ -286,13 +291,13 @@ def test_mtilde_sweep_reaches_the_exact_product_cap():
 
 
 def test_carlitz_sweep_reaches_its_cap():
-    # evaluation on the batched multimodular lanes; Faddeev-LeVerrier
-    # stopped at p = 31, the bigint evaluation route at 79
-    report = run_sweep("carlitz", 127, 137)
+    # the structure of C_p^2 on the symbol table; Faddeev-LeVerrier stopped
+    # at p = 31, the bigint evaluation route at 79, the lanes at 131
+    report = run_sweep("carlitz", 56629, 56659)
     assert [(r.p, r.status) for r in report.records] == [
-        (127, PASS), (131, PASS), (137, SKIPPED)
+        (56629, PASS), (56633, PASS), (56659, SKIPPED)
     ]
-    assert report.records[2].aux["reason"] == "characteristic polynomial capped at p <= 131"
+    assert report.records[2].aux["reason"] == "characteristic polynomial capped at p <= 56633"
 
 
 def test_lemma32_sweep_reaches_its_cap():
