@@ -208,28 +208,29 @@ def _lane_pow(x, e: int, q):
         x = x * x % q
 
 
-# From this many lanes per prime on, _lane_reduce divides prime by prime.
-# Timed on 6 and 25 primes (shared 2-core Xeon, numpy 2.4), one % over
-# the whole array is faster below 500-1000 lanes per prime and up to 4x
-# slower above 3000.
+# From this many entries per prime on, _lane_reduce divides prime by
+# prime.  Timed on 6 and 25 primes (shared 2-core Xeon, numpy 2.4), one %
+# over the whole array is faster below 500-1000 entries per prime and up to
+# 4x slower above 3000.
 _REDUCE_BY_PRIME_FROM = 1024
 
 
-def _lane_reduce(w, q3, ql: list):
-    """w mod q in place, for a nonnegative (K, R, width) lane array w, q3
-    the (K, 1, 1) moduli and ql the same as Python ints; returns w.
+def _lane_reduce(w, qb, ql: list):
+    """w mod q in place, for a nonnegative lane array w whose axis 0 runs
+    over the moduli, qb the moduli shaped to broadcast against w and ql the
+    same as Python ints; returns w.
 
     Callers keep w nonnegative: numpy's % and // take about twice as long
-    on mixed signs, 99 against 52 us on a (26, 1, 400) array, though the
-    same on small ones (11 us on (6, 20, 15)).
+    on mixed signs, 99 against 52 us on a (26, 400) array, though the same
+    on small ones (11 us on (6, 300)).
 
-    On large windows it reduces one prime at a time, as w[k] -
+    On large windows it reduces one modulus at a time, as w[k] -
     (w[k] // ql[k]) * ql[k]: numpy divides by a scalar with a multiply
     and shifts, not a hardware division, so this is several times faster
-    than w % q3 per element, at the cost of 3 calls per prime.
+    than w % qb per element, at the cost of 3 calls per modulus.
     """
     if w[0].size < _REDUCE_BY_PRIME_FROM:
-        w %= q3
+        w %= qb
         return w
     for wk, qk in zip(w, ql):
         t = wk // qk
@@ -239,44 +240,37 @@ def _lane_reduce(w, q3, ql: list):
 
 
 def _lane_lead(w):
-    """The first nonzero column over Z of each row's lane windows w, a
-    (K, R, width) int64 array; the mask of the rows whose column is the
-    most common one (None when all are); and the mask of the unlucky
-    primes, of shape (K,) (None when there are none).
+    """The first nonzero column over Z of the lane windows w, an (L, width)
+    int64 array, and the (L,) mask of the unlucky lanes (None when there
+    are none).
 
-    Column k of a row is zero over Z exactly when it is zero in every lane
-    of the row, and nonzero over Z when it is nonzero in some lane; the
-    primes of the lanes whose own first nonzero column lies further right
-    are then unlucky.  An all-zero window gives its width.  Only when no
-    prime is unlucky are the columns exact and the rows compared.
+    Column k is zero over Z exactly when it is zero in every lane, and
+    nonzero over Z when it is nonzero in some lane; the lanes whose own
+    first nonzero column lies further right are then unlucky.  An all-zero
+    window gives its width.
     """
-    if np.count_nonzero(w[:, :, 0]) == w.shape[0] * w.shape[1]:
-        return 0, None, None
+    if np.count_nonzero(w[:, 0]) == len(w):
+        return 0, None
     nz = w != 0
-    first = np.where(nz.any(axis=2), nz.argmax(axis=2), w.shape[2])
-    lead = first.min(axis=0)
-    unlucky = (first > lead).any(axis=1)
-    if unlucky.any():
-        return None, None, unlucky
-    common = np.bincount(lead).argmax()
-    keep = lead == common
-    return int(common), (None if keep.all() else keep), None
+    first = np.where(nz.any(axis=1), nz.argmax(axis=1), w.shape[1])
+    lead = first.min()
+    unlucky = first > lead
+    return int(lead), (unlucky if unlucky.any() else None)
 
 
 def _lane_dets(f1, q, m: int):
-    """The m x m Toeplitz determinants of a batch of R rows mod each of K
-    lane primes, by the windowed Brown-Collins PRS of toeplitz_det run over
-    F_q in every lane at once.
+    """The m x m Toeplitz determinants of L lanes, lane l mod q[l], by the
+    windowed Brown-Collins PRS of toeplitz_det run over F_q in every lane
+    at once.
 
-    f1 is a (K, R, 2m - 1) int64 array: f1[k, r] holds the residues mod
-    q[k], in [0, q[k]), of the coefficients of row r's F1 (toeplitz_det's
-    F1, leading first).  The lanes are the (prime, row) pairs, and every
-    lane takes the same steps on its own residues, so one array of shape
-    (K, R, width) holds each polynomial window; each prime's lanes are one
-    contiguous block, which _lane_reduce reduces by a scalar modulus.  Each
-    step negates its scalars, as q - x, so that every window it reduces is
-    a sum of at most three products of numbers in [0, q], nonnegative and
-    below 3 * 2^60.
+    f1 is an (L, 2m - 1) int64 array: f1[l] holds the residues mod q[l], in
+    [0, q[l]), of the coefficients of lane l's F1 (toeplitz_det's F1,
+    leading first), and q is the (L,) int64 array of moduli.  Every lane
+    takes the same steps on its own residues, so one (L, width) array holds
+    each polynomial window, one lane per row, which _lane_reduce reduces by
+    a scalar modulus.  Each step negates its scalars, as q - x, so that
+    every window it reduces is a sum of at most three products of numbers
+    in [0, q], nonnegative and below 3 * 2^60.
 
     The stored windows are plain pseudo-remainders, W_(i+1) = prem(W_(i-1),
     W_i) = L_i^(delta_i + 1) * rem(W_(i-1), W_i), with no division; W_0 =
@@ -293,144 +287,127 @@ def _lane_dets(f1, q, m: int):
     sign * P_(k-1) * extra * L_k^gap_(k-1) / prod_t P_t^gap_t, with the
     prefix P_t = prod_(i <= t) L_i^(delta_i + 1) and extra = prod_i
     L_i^(gap_i - 1).  The sign is a Python int shared by every lane; each
-    lane keeps P, the denominator and extra, three (K, R) arrays, and
+    lane keeps P, the denominator and extra, three (L,) arrays, and
     inverts the denominator once, at the end.
 
-    A row whose leading column over Z differs from the most common one has
-    its own degree sequence: it leaves the batch there and is reported
-    dropped, never carried on in lockstep.  Returns (alive, residues, None),
-    alive the indices of the rows kept and residues their determinants mod
-    q, one list of K ints per row kept; or (None, None, unlucky) when some
-    column of some row reads zero in some lanes of the row only, unlucky
-    being the (K,) bool mask of those lanes' primes.
+    All lanes follow one degree sequence.  Returns (residues, None), the
+    determinant mod q[l] for each lane l as a list of L ints; or (None,
+    unlucky) when some column reads zero in some lanes only, unlucky being
+    the (L,) bool mask of those lanes.
     """
     j = m - 1
-    ql, qr, q3 = q.tolist(), q[:, None], q[:, None, None]
-    alive = np.arange(f1.shape[1])
-    lead, keep, unlucky = _lane_lead(f1)
+    ql, q2 = q.tolist(), q[:, None]
+    lead, unlucky = _lane_lead(f1)
     if unlucky is not None:
-        return None, None, unlucky
-    if keep is not None:
-        alive, f1 = alive[keep], f1[:, keep]
-    f1 = f1[:, :, lead:]
+        return None, unlucky
+    f1 = f1[:, lead:]
     n0, n1 = 2 * m - 1, 2 * m - 2 - lead
     if n1 < j:
-        return alive, [[0] * len(ql) for _ in alive], None
+        return [0] * len(ql), None
     if n1 == j:
-        return alive, _lane_pow(f1[:, :, 0], n0 - n1, qr).T.tolist(), None
+        return _lane_pow(f1[:, 0], n0 - n1, q).tolist(), None
     f0 = np.zeros_like(f1)
-    f0[:, :, 0] = 1
-    prefix = den = extra = np.ones(f1.shape[:2], dtype=np.int64)
+    f0[:, 0] = 1
+    prefix = den = extra = np.ones(len(ql), dtype=np.int64)
     sign = 1
     while True:
-        lc = f1[:, :, 0]
+        lc = f1[:, 0]
         delta = n0 - n1
-        a = f0[:, :, : f1.shape[2]]
+        a = f0[:, : f1.shape[1]]
         if delta == 1:
             # the two elimination steps as one expression, one reduction,
             # on the negated scalars -(l a_0) and -r1, r1 being the first
             # step's leading coefficient
-            lcd = lc * lc % qr
-            lcc, a0 = lc[:, :, None], a[:, :, :1]
-            nr1 = (a0 * f1[:, :, 1:2] - lcc * a[:, :, 1:2]) % q3
-            window = lcd[:, :, None] * a[:, :, 2:]
-            window += (q3 - lcc * a0 % q3) * f1[:, :, 2:]
-            window += nr1 * f1[:, :, 1:-1]
-            _lane_reduce(window, q3, ql)
+            lcd = lc * lc % q
+            lcc, a0 = lc[:, None], a[:, :1]
+            nr1 = (a0 * f1[:, 1:2] - lcc * a[:, 1:2]) % q2
+            window = lcd[:, None] * a[:, 2:]
+            window += (q2 - lcc * a0 % q2) * f1[:, 2:]
+            window += nr1 * f1[:, 1:-1]
+            _lane_reduce(window, q2, ql)
         else:
-            lcd = _lane_pow(lc, delta + 1, qr)
+            lcd = _lane_pow(lc, delta + 1, q)
             window = a
             for _ in range(delta + 1):
                 w = window
-                window = lc[:, :, None] * w[:, :, 1:]
-                window += (q3 - w[:, :, :1]) * f1[:, :, 1:w.shape[2]]
-                _lane_reduce(window, q3, ql)
-        prefix = prefix * lcd % qr
-        lead, keep, unlucky = _lane_lead(window)
+                window = lc[:, None] * w[:, 1:]
+                window += (q2 - w[:, :1]) * f1[:, 1:w.shape[1]]
+                _lane_reduce(window, q2, ql)
+        prefix = prefix * lcd % q
+        lead, unlucky = _lane_lead(window)
         if unlucky is not None:
-            return None, None, unlucky
-        if keep is not None:
-            alive, window, f1, lc = alive[keep], window[:, keep], f1[:, keep], lc[:, keep]
-            prefix, den, extra = prefix[:, keep], den[:, keep], extra[:, keep]
+            return None, unlucky
         gap = lead + 1
         n2 = n1 - gap
         if n2 < j:
-            return alive, [[0] * len(ql) for _ in alive], None
+            return [0] * len(ql), None
         # sigma_j(A, B) against sigma_j(B, rem(A, B)): (-1)^((n0 - j)(n1 - j))
         if (n0 - j) * (n1 - j) % 2:
             sign = -sign
-        den = den * _lane_pow(prefix, gap, qr) % qr
+        den = den * _lane_pow(prefix, gap, q) % q
         if gap > 1:
-            extra = extra * _lane_pow(lc, gap - 1, qr) % qr
-        f2 = window[:, :, lead:]
+            extra = extra * _lane_pow(lc, gap - 1, q) % q
+        f2 = window[:, lead:]
         if n2 == j:
-            num = prefix * extra % qr * _lane_pow(f2[:, :, 0], gap, qr) % qr
-            return alive, [
-                [sign * x * pow(y, -1, qk) % qk for x, y, qk in zip(nr, dr, ql)]
-                for nr, dr in zip(num.T.tolist(), den.T.tolist())
-            ], None
+            num = prefix * extra % q * _lane_pow(f2[:, 0], gap, q) % q
+            return [sign * x * pow(y, -1, qk) % qk
+                    for x, y, qk in zip(num.tolist(), den.tolist(), ql)], None
         f0, f1, n0, n1 = f1, f2, n1, n2
 
 
-def _hadamard_bounds(rows, m: int) -> list:
-    """toeplitz_det_mod's bound H for each row of the (R, 2m - 1) array rows."""
-    top = np.sort(np.abs(rows), axis=1)[:, -m:].astype(object)
-    return [math.isqrt(s ** m) + 1 for s in (top * top).sum(axis=1)]
+def _hadamard_bound(row, m: int) -> int:
+    """toeplitz_det_mod's bound H for the 2m - 1 values |t(k)| <= row."""
+    top = np.sort(np.abs(row))[-m:].astype(object)
+    return math.isqrt(int((top * top).sum()) ** m) + 1
 
 
 def _lane_run(lanes, m: int, primes, limit: int):
-    """(chosen, alive, residues) of _lane_dets on lanes(q), a batch mod the
-    (K,) array q of the primes taken in order from primes until their
-    product exceeds limit; unlucky ones are dropped, the survivors refilled
-    by _take_primes and the run repeated."""
+    """(run, residues) of _lane_dets on lanes(q), an (L, 2m - 1) array
+    whose lane l is read mod q[l % K], for q the (K,) array of run: the
+    primes taken in order from primes until their product exceeds limit,
+    then one spare prime more.  The spare only checks the CRT value (see
+    _crt); it is no stopping rule, as the count of primes is set by limit
+    alone.  The primes of unlucky lanes are dropped, and the next run takes
+    the surviving chosen primes, then the stream again from the spare if
+    it survived, by the same rule."""
+    message = "lane primes ran out below the CRT bound"
     primes, chosen = iter(primes), []
     while True:
-        chosen = _take_primes(primes, limit, "lane primes ran out below the CRT bound", chosen)
-        q = np.array(chosen, dtype=np.int64)
-        alive, residues, unlucky = _lane_dets(lanes(q), q, m)
+        chosen = _take_primes(primes, limit, message, chosen)
+        spare = next(primes, None)
+        if spare is None:
+            raise DiscrepancyError(message)
+        run = chosen + [spare]
+        q = np.array(run, dtype=np.int64)
+        f1 = lanes(q)
+        residues, unlucky = _lane_dets(f1, np.tile(q, len(f1) // len(q)), m)
         if unlucky is None:
-            return chosen, alive, residues
-        chosen = [qk for qk, bad in zip(chosen, unlucky.tolist()) if not bad]
+            return run, residues
+        bad = unlucky.reshape(-1, len(q)).any(axis=0).tolist()
+        chosen = [qk for qk, b in zip(chosen, bad) if not b]
+        if not bad[-1]:
+            primes = itertools.chain([spare], primes)
 
 
-def _crt(residues, chosen: list, bounds) -> list:
-    """By Garner's method, the symmetric residue mod prod(chosen) of each
-    list in residues, whose entries are residues mod the primes chosen; one
-    of absolute value above its entry in bounds raises DiscrepancyError."""
-    # value = sum of moduli[k] * digit_k, each digit in [0, q_k)
-    moduli, inverses, modulus = [], [], 1
-    for qk in chosen:
-        moduli.append(modulus)
-        inverses.append(pow(modulus % qk, -1, qk))
+def _crt(residues, run: list, bound: int) -> int:
+    """The symmetric residue mod the product of the chosen primes run[:-1]
+    of the value with these residues, by Garner's method.  A value of
+    absolute value above bound raises DiscrepancyError, and so does one
+    whose residue mod the spare prime run[-1] is not residues[-1].  The
+    spare checks the lanes' arithmetic: a wrong residue passes it only if
+    the rebuilt value's error is a multiple of the spare prime."""
+    # value = sum over k of q_0 ... q_(k-1) * digit_k, each digit in [0, q_k)
+    value, modulus = 0, 1
+    for r, qk in zip(residues, run[:-1]):
+        value += modulus * ((r - value % qk) * pow(modulus % qk, -1, qk) % qk)
         modulus *= qk
-    values = []
-    for res, bound in zip(residues, bounds):
-        value = 0
-        for r, qk, mk, ik in zip(res, chosen, moduli, inverses):
-            value += mk * ((r - value % qk) * ik % qk)
-        values.append(value - modulus if 2 * value > modulus else value)
-        if abs(values[-1]) > bound:
-            raise DiscrepancyError("multimodular determinant exceeds its Hadamard bound")
-    return values
-
-
-def _toeplitz_dets_crt(rows, m: int, primes, bound=None) -> list:
-    """The m x m Toeplitz determinants of the F1s rows, an (R, 2m - 1) int64
-    array, on lanes whose primes multiply past 2 max H_row (see
-    toeplitz_det_mod), None for each row _lane_dets dropped.  A CRT value
-    above its row's own H_row raises DiscrepancyError.
-
-    bound, when given, bounds |det| of every row and replaces each H_row,
-    both as the CRT limit and as the check on each CRT value.  The zero
-    tests are then no longer exact, but every kept lane still yields its
-    row's determinant mod q (see toeplitz_det_mod)."""
-    bounds = _hadamard_bounds(rows, m) if bound is None else [bound] * len(rows)
-    chosen, alive, residues = _lane_run(lambda q: rows % q[:, None, None], m,
-                                        primes, 2 * max(bounds))
-    alive, values = alive.tolist(), [None] * len(rows)
-    for i, value in zip(alive, _crt(residues, chosen, [bounds[i] for i in alive])):
-        values[i] = value
-    return values
+    if 2 * value > modulus:
+        value -= modulus
+    if abs(value) > bound:
+        raise DiscrepancyError("multimodular determinant exceeds its Hadamard bound")
+    if value % run[-1] != residues[-1]:
+        raise DiscrepancyError("multimodular determinant disagrees with the spare prime")
+    return value
 
 
 def toeplitz_det_mod(t, m: int, bound=None) -> int:
@@ -449,7 +426,7 @@ def toeplitz_det_mod(t, m: int, bound=None) -> int:
     inequality gives |c| <= S^(m/2) < H.  Primes are taken until their
     product Q exceeds 2H; then a coefficient is zero over Z exactly when it
     is zero mod every q, and the symmetric residue of the CRT value mod Q
-    is the determinant.
+    is the determinant.  One spare prime more checks it (see _crt).
 
     Against H, zero tests are exact.  A column that is zero in some lanes
     but not in all is nonzero over Z, and the primes of those lanes are
@@ -465,20 +442,20 @@ def toeplitz_det_mod(t, m: int, bound=None) -> int:
     the check on the CRT value.  The zero tests are then no longer exact:
     a coefficient nonzero over Z may vanish mod every prime taken, and then
     all lanes follow another degree sequence than Z takes.  But every lane
-    kept agrees with the other lanes of its row on each leading column, so
-    it follows its own residues' degree sequence with leading coefficients
-    that are units mod q: it runs the subresultant PRS over the field F_q,
-    and so yields det mod q whatever sequence Z takes.  With |det| <= bound
-    and a prime product above 2 bound, the symmetric residue is again the
+    kept agrees with every other lane on each leading column, so it follows
+    its own residues' degree sequence with leading coefficients that are
+    units mod q: it runs the subresultant PRS over the field F_q, and so
+    yields det mod q whatever sequence Z takes.  With |det| <= bound and a
+    prime product above 2 bound, the symmetric residue is again the
     determinant.
-
-    This is the batch of one of _toeplitz_dets_crt, whose single row is
-    always the most common and so is never dropped.
     """
     if m < 1:
         raise ValueError("Toeplitz dimension must be at least 1")
-    rows = np.array([[t(m - 1 - k) for k in range(2 * m - 1)]], dtype=np.int64)
-    return _toeplitz_dets_crt(rows, m, _lane_primes(), bound)[0]
+    f1 = np.array([t(m - 1 - k) for k in range(2 * m - 1)], dtype=np.int64)
+    if bound is None:
+        bound = _hadamard_bound(f1, m)
+    run, residues = _lane_run(lambda q: f1 % q[:, None], m, _lane_primes(), 2 * bound)
+    return _crt(residues, run, bound)
 
 
 def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
@@ -486,19 +463,22 @@ def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
     0 <= i, j < m, tau^2 = pstar, for int64-valued a and b, |pstar| no square.
 
     At primes q = 3 (mod 4) with pstar a nonzero square, s = pstar^((q+1)/4)
-    is a root of it, and tau -> +-s map the matrix to the rows a +- s*b of
-    one _lane_run batch, whose determinants D+- = c +- d*s give c and d mod
-    q.  toeplitz_det_mod's bound, in each complex embedding on |a| + r|b|,
-    r = isqrt(|pstar|) + 1, bounds every coefficient kappa the PRS reads by
-    h, so |N(kappa)| <= h^2, and tau -> s kills kappa only if q | N(kappa):
-    primes multiply past 2h^2, zero tests are exact, and the conjugate rows
-    share one degree sequence.  A row leaving the batch, or c or d above h,
-    raises DiscrepancyError.
+    is a root of it, and tau -> +-s map the matrix to a +- s*b, two lanes
+    mod q of one _lane_run, whose determinants D+- = c +- d*s give c and d
+    mod q.  toeplitz_det_mod's bound, in each complex embedding on |a| +
+    r|b|, r = isqrt(|pstar|) + 1, bounds every coefficient kappa the PRS
+    reads by h, so 0 < |N(kappa)| <= h^2 for kappa != 0, and N(kappa) =
+    kappa(s) kappa(-s) mod q: primes multiply past 2h^2, so kappa is
+    nonzero in both lanes of some prime, and the lanes' common leading
+    column is Z[tau]'s.  A prime whose +- lanes disagree on a leading
+    column is unlucky, as in toeplitz_det_mod.  c and d are each rebuilt
+    from the chosen primes and checked mod the spare prime (see _crt); one
+    above h raises DiscrepancyError.
     """
     if m < 1 or math.isqrt(abs(pstar)) ** 2 == abs(pstar):
         raise ValueError("need m >= 1 and |pstar| not a square")
     av, bv = (np.array([f(k) for k in range(m - 1, -m, -1)], np.int64) for f in (a, b))
-    [h] = _hadamard_bounds([np.abs(av) + (math.isqrt(abs(pstar)) + 1) * np.abs(bv)], m)
+    h = _hadamard_bound(np.abs(av) + (math.isqrt(abs(pstar)) + 1) * np.abs(bv), m)
 
     roots = {}  # q -> s, for every prime q that primes() has yielded
 
@@ -513,13 +493,12 @@ def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
                     yield q
 
     def lanes(q):
-        s = np.array([roots[qk] for qk in q.tolist()])[:, None]
-        sb = s * (bv % q[:, None]) % q[:, None]
-        return np.stack([av + sb, av - sb], axis=1) % q[:, None, None]
+        q2 = q[:, None]
+        sb = np.array([roots[qk] for qk in q.tolist()])[:, None] * (bv % q2) % q2
+        return np.concatenate([(av + sb) % q2, (av - sb) % q2])
 
-    chosen, alive, residues = _lane_run(lanes, m, primes(), 2 * h * h)
-    if len(alive) < 2:
-        raise DiscrepancyError("the conjugate rows left each other's degree sequence")
-    cs = [(x + y) * ((qk + 1) // 2) % qk for x, y, qk in zip(*residues, chosen)]
-    ds = [(x - y) * pow(2 * roots[qk], -1, qk) % qk for x, y, qk in zip(*residues, chosen)]
-    return tuple(_crt([cs, ds], chosen, [h, h]))
+    run, residues = _lane_run(lanes, m, primes(), 2 * h * h)
+    pairs = list(zip(residues[:len(run)], residues[len(run):], run))
+    cs = [(x + y) * ((qk + 1) // 2) % qk for x, y, qk in pairs]
+    ds = [(x - y) * pow(2 * roots[qk], -1, qk) % qk for x, y, qk in pairs]
+    return _crt(cs, run, h), _crt(ds, run, h)

@@ -2,10 +2,9 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
-from legdet import arith, cyclotomic
+from legdet import arith, cyclotomic, exactlinalg
 from legdet.arith import (
     OddPrime,
     _modular_primes,
@@ -18,7 +17,7 @@ from legdet.arith import (
 )
 from legdet.cyclotomic import build_mtilde, lemma32_check, mtilde_det_check
 from legdet.errors import DiscrepancyError
-from legdet.exactlinalg import _toeplitz_dets_crt
+from legdet.exactlinalg import toeplitz_det_mod
 from legdet.quadfield import ClassNumberReport
 
 
@@ -71,9 +70,13 @@ def test_take_primes_refills_after_the_survivors():
 def test_take_primes_raises_each_callers_message(monkeypatch):
     with pytest.raises(DiscrepancyError, match="^too few$"):
         _take_primes(iter([3, 5]), 15, "too few")
-    # the lanes' message: [[0, 1], [1, 0]] has H = 3, and 5 is not past 6
-    with pytest.raises(DiscrepancyError, match="^lane primes ran out below the CRT bound$"):
-        _toeplitz_dets_crt(np.array([[1, 0, 1]]), 2, [5])
+    # the lanes' message: [[0, 1], [1, 0]] has H = 3, and 5 is not past 6;
+    # 7 is, but leaves no spare prime
+    for primes in ([5], [7]):
+        monkeypatch.setattr(exactlinalg, "_lane_primes", lambda: iter(primes))
+        with pytest.raises(DiscrepancyError, match="^lane primes ran out below the CRT bound$"):
+            toeplitz_det_mod(lambda k: 1 if k else 0, 2)
+    monkeypatch.undo()
     # the split primes' message, naming p
     monkeypatch.setattr(cyclotomic, "_modular_primes", lambda s: iter([]))
     q = OddPrime(23)

@@ -16,7 +16,6 @@ from legdet.exactlinalg import (
     _exact_div,
     _lane_primes,
     _prem_window,
-    _toeplitz_dets_crt,
     det,
     toeplitz_det,
     toeplitz_det_mod,
@@ -36,7 +35,6 @@ from legdet.verify import FAIL, PASS, run_sweep
 from bigint_charpoly import bigint_charpoly
 from faddeev_leverrier import charpoly, identity, matmul
 from int_polynomial import IntPolynomial, expand_factored, poly_mul, poly_pow
-import lane_charpoly
 from lane_charpoly import toeplitz_charpoly
 import rank_one
 from rank_one import rank_one_update_det
@@ -418,6 +416,11 @@ def test_toeplitz_det_mod_matches_toeplitz_det():
 _SMALL_PRIMES = [q.p for q in primes_in_range(3, 2000)]
 
 
+def _patch_lane_primes(monkeypatch, primes):
+    """Let the lanes take their primes from the list primes."""
+    monkeypatch.setattr(exactlinalg, "_lane_primes", lambda: iter(primes))
+
+
 def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
     # with primes 3, 5, 7, ... many columns vanish mod some lane primes
     # only; those lanes are dropped and the run repeats with later primes
@@ -425,18 +428,19 @@ def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
     lane_dets = exactlinalg._lane_dets
 
     def recording(f1, q, m):
-        alive, residues, unlucky = lane_dets(f1, q, m)
+        residues, unlucky = lane_dets(f1, q, m)
         runs.append(unlucky is not None)
-        return alive, residues, unlucky
+        return residues, unlucky
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    _patch_lane_primes(monkeypatch, _SMALL_PRIMES)
     rng = random.Random(13)
     reruns = 0
     for _ in range(400):
         values, m = _random_toeplitz(rng)
         runs.clear()
-        got = _toeplitz_dets_crt(np.array([_f1(values)]), m, _SMALL_PRIMES)
-        assert got == [toeplitz_det(lambda k: values[k + m - 1], m)], (values, m)
+        got = toeplitz_det_mod(lambda k: values[k + m - 1], m)
+        assert got == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
         assert runs[-1] is False
         reruns += sum(runs)
     assert reruns > 50
@@ -444,103 +448,83 @@ def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
 
 def test_a_refill_keeps_the_survivors_first_and_in_order(monkeypatch):
     # after unlucky primes are dropped, the next run's primes are the
-    # survivors in their order, then the stream's next primes, until the
-    # product passes 2H and no earlier
+    # surviving chosen primes in their order, then the stream's next primes,
+    # the old spare first if it survived; so every run is the stream's
+    # first primes less those dropped so far.  The chosen primes multiply
+    # past 2H and no earlier, and one spare prime follows them.
     runs = []
     lane_dets = exactlinalg._lane_dets
 
     def recording(f1, q, m):
-        alive, residues, unlucky = lane_dets(f1, q, m)
+        residues, unlucky = lane_dets(f1, q, m)
         runs.append((q.tolist(), None if unlucky is None else unlucky.tolist()))
-        return alive, residues, unlucky
+        return residues, unlucky
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    _patch_lane_primes(monkeypatch, _SMALL_PRIMES)
     rng = random.Random(23)
     refills = 0
     for _ in range(200):
         values, m = _random_toeplitz(rng)
-        rows = np.array([_f1(values)])
-        [h] = exactlinalg._hadamard_bounds(rows, m)
+        h = exactlinalg._hadamard_bound(np.array(values), m)
         runs.clear()
-        _toeplitz_dets_crt(rows, m, _SMALL_PRIMES)
-        for (before, unlucky), (after, _) in zip(runs, runs[1:]):
-            survivors = [q for q, bad in zip(before, unlucky) if not bad]
-            start = _SMALL_PRIMES.index(before[-1]) + 1
-            assert after[:len(survivors)] == survivors
-            assert after[len(survivors):] == _SMALL_PRIMES[start:start + len(after) - len(survivors)]
-            refills += 1
-        for primes, _ in runs:
-            assert math.prod(primes[:-1]) <= 2 * h < math.prod(primes)
+        toeplitz_det_mod(lambda k: values[k + m - 1], m)
+        dropped = set()
+        for primes, unlucky in runs:
+            left = [q for q in _SMALL_PRIMES if q not in dropped]
+            assert primes == left[:len(primes)]
+            chosen = primes[:-1]
+            assert math.prod(chosen[:-1]) <= 2 * h < math.prod(chosen)
+            if unlucky is not None:
+                dropped |= {q for q, bad in zip(primes, unlucky) if bad}
+                refills += 1
     assert refills > 50
 
 
-def test_batched_lanes_match_toeplitz_det_or_drop():
-    # every row of a batch is either its own toeplitz_det or reported
-    # dropped; with primes 3, 5, 7, ... unlucky primes and reruns occur too
-    rng = random.Random(14)
-    kept = dropped = zero = 0
-    for trial in range(300):
-        m = rng.randint(1, 12)
-        batch = [_random_values(rng, m) for _ in range(rng.randint(1, 12))]
-        primes = _SMALL_PRIMES if trial % 2 else _lane_primes()
-        got = _toeplitz_dets_crt(np.array([_f1(v) for v in batch]), m, primes)
-        assert len(got) == len(batch)
-        for values, value in zip(batch, got):
-            if value is None:
-                dropped += 1
-            else:
-                kept += 1
-                zero += value == 0
-                assert value == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
-    assert kept > 500 and dropped > 500 and zero > 40
-
-
-def test_a_batch_of_one_never_drops_its_row():
+def test_a_batch_of_one_never_drops_its_row(monkeypatch):
+    # every run of one matrix ends in its determinant, on primes 3, 5,
+    # 7, ... (unlucky primes and reruns) or on the lane primes
     rng = random.Random(15)
     for trial in range(500):
         values, m = _random_toeplitz(rng, 12)
-        primes = _SMALL_PRIMES if trial % 2 else _lane_primes()
-        assert _toeplitz_dets_crt(np.array([_f1(values)]), m, primes) == [
-            toeplitz_det(lambda k: values[k + m - 1], m)
-        ], (values, m)
+        primes = _SMALL_PRIMES if trial % 2 else list(itertools.islice(_lane_primes(), 60))
+        _patch_lane_primes(monkeypatch, primes)
+        assert toeplitz_det_mod(lambda k: values[k + m - 1], m) == toeplitz_det(
+            lambda k: values[k + m - 1], m), (values, m)
+
+
+def _tamper_lane(monkeypatch, position):
+    """Add 1 mod its prime to the residue of lane position of every run."""
+    lane_dets = exactlinalg._lane_dets
+
+    def tampered(f1, q, m):
+        residues, unlucky = lane_dets(f1, q, m)
+        if residues is not None:
+            residues[position] = (residues[position] + 1) % int(q[position])
+        return residues, unlucky
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
 
 
 def test_lanes_reject_too_few_primes_and_a_tampered_lane(monkeypatch):
     values, m = [1, 0, -1, 0, 0, -1, 0, 1, -1], 5
+    t = lambda k: values[k + m - 1]
     # S = 5 (the five largest squares), H = isqrt(5^5) + 1 = 56: primes must
-    # multiply past 112, and 3 * 5 * 7 = 105 does not
-    with pytest.raises(DiscrepancyError):
-        _toeplitz_dets_crt(np.array([_f1(values)]), m, [3, 5, 7])
-    assert _toeplitz_dets_crt(np.array([_f1(values)]), m, [3, 5, 11]) == [-1]
-    lane_dets = exactlinalg._lane_dets
-
-    def tampered(f1, q, m):
-        alive, residues, unlucky = lane_dets(f1, q, m)
-        residues[0][0] = (residues[0][0] + 1) % int(q[0])
-        return alive, residues, unlucky
-
-    monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
-    # det E_101 = -a_101 takes 5 lanes; one residue off by 1 moves the
-    # CRT value far outside H
+    # multiply past 112, and 3 * 5 * 7 = 105 does not; 3 * 5 * 11 does, but
+    # leaves no spare prime
+    for primes in ([3, 5, 7, 11], [3, 5, 11]):
+        _patch_lane_primes(monkeypatch, primes)
+        with pytest.raises(DiscrepancyError, match="lane primes ran out"):
+            toeplitz_det_mod(t, m)
+    _patch_lane_primes(monkeypatch, [3, 5, 11, 13])
+    assert toeplitz_det_mod(t, m) == -1
+    monkeypatch.undo()
+    _tamper_lane(monkeypatch, 0)
+    # det E_101 = -a_101 takes 5 lanes and a spare; one residue off by 1
+    # moves the CRT value far outside H
     chi = legendre_table(OddPrime(101))
     with pytest.raises(DiscrepancyError):
         toeplitz_det_mod(lambda k: chi[-k], 51)
-
-
-def test_each_row_is_checked_against_its_own_bound(monkeypatch):
-    # row 0 is [[0, 1], [1, 0]], H = isqrt(2^2) + 1 = 3; row 1 is
-    # [[4, 5], [5, 4]], H = isqrt(50^2) + 1 = 51.  A CRT value of 10 for
-    # row 0 lies inside row 1's bound but not its own.
-    batch = np.array([[1, 0, 1], [5, 4, 5]])
-    assert _toeplitz_dets_crt(batch, 2, _lane_primes()) == [-1, -9]
-
-    def ten_for_row_0(f1, q, m):
-        return np.arange(2), [[10 % qk for qk in q.tolist()],
-                              [-9 % qk for qk in q.tolist()]], None
-
-    monkeypatch.setattr(exactlinalg, "_lane_dets", ten_for_row_0)
-    with pytest.raises(DiscrepancyError):
-        _toeplitz_dets_crt(batch, 2, _lane_primes())
 
 
 def _row_hadamard_bound(values, m):
@@ -551,49 +535,48 @@ def _row_hadamard_bound(values, m):
 
 
 def test_value_bound_on_small_primes(monkeypatch):
-    # with primes 3, 5, 7, ... a product past twice the matrix's own
-    # row-Hadamard bound often stays below 2H, the zero-test bound; the
-    # lanes kept still give det mod q, so every value is right
+    # with primes 3, 5, 7, ... a product of the chosen primes past twice
+    # the matrix's own row-Hadamard bound often stays below 2H, the
+    # zero-test bound; the lanes kept still give det mod q, so every value
+    # is right
     products = []
     lane_dets = exactlinalg._lane_dets
 
     def recording(f1, q, m):
-        products.append(math.prod(q.tolist()))
+        products.append(math.prod(q.tolist()[:-1]))
         return lane_dets(f1, q, m)
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    _patch_lane_primes(monkeypatch, _SMALL_PRIMES)
     rng = random.Random(21)
     below = 0
     for _ in range(3000):
         values, m = _random_toeplitz(rng)
-        rows = np.array([_f1(values)])
-        got = _toeplitz_dets_crt(rows, m, _SMALL_PRIMES, _row_hadamard_bound(values, m))
-        assert got == [toeplitz_det(lambda k: values[k + m - 1], m)], (values, m)
-        [h] = exactlinalg._hadamard_bounds(rows, m)
-        below += products[-1] < 2 * h
+        got = toeplitz_det_mod(lambda k: values[k + m - 1], m, _row_hadamard_bound(values, m))
+        assert got == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
+        below += products[-1] < 2 * exactlinalg._hadamard_bound(np.array(values), m)
     assert below >= 1000
 
 
 def test_value_bound_rejects_too_few_primes_and_a_tampered_lane(monkeypatch):
     values, m = [1, 0, -1, 0, 0, -1, 0, 1, -1], 5
+    t = lambda k: values[k + m - 1]
     # the rows' squared norms are 2, 2, 2, 2, 3: the bound is
     # isqrt(48) + 1 = 7, so primes must multiply past 14; 7 does not, and
-    # 3 * 5 = 15 does, where H = 56 needs a product past 112
+    # 3 * 5 = 15 does (with 7 as the spare), where H = 56 needs a product
+    # past 112
     bound = _row_hadamard_bound(values, m)
     assert bound == 7
-    with pytest.raises(DiscrepancyError, match="lane primes ran out"):
-        _toeplitz_dets_crt(np.array([_f1(values)]), m, [7], bound)
-    assert _toeplitz_dets_crt(np.array([_f1(values)]), m, [3, 5], bound) == [-1]
-    lane_dets = exactlinalg._lane_dets
-
-    def tampered(f1, q, m):
-        alive, residues, unlucky = lane_dets(f1, q, m)
-        residues[0][0] = (residues[0][0] + 1) % int(q[0])
-        return alive, residues, unlucky
-
-    monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
-    # det_mp at 151 runs on its value bound, 8 lanes; one residue off by 1
-    # moves the CRT value outside that bound
+    for primes in ([7, 11], [3, 5]):
+        _patch_lane_primes(monkeypatch, primes)
+        with pytest.raises(DiscrepancyError, match="lane primes ran out"):
+            toeplitz_det_mod(t, m, bound)
+    _patch_lane_primes(monkeypatch, [3, 5, 7])
+    assert toeplitz_det_mod(t, m, bound) == -1
+    monkeypatch.undo()
+    _tamper_lane(monkeypatch, 0)
+    # det_mp at 151 runs on its value bound, 8 lanes and a spare; one
+    # residue off by 1 moves the CRT value outside that bound
     with pytest.raises(DiscrepancyError, match="exceeds its Hadamard bound"):
         det_mp(OddPrime(151))
 
@@ -605,20 +588,50 @@ def test_det_mp_on_its_value_bound():
     assert all(abs(det_mp(q)) == 1 for q in primes_in_range(131, 601))
 
 
+def test_a_wrong_residue_on_any_lane_is_caught(monkeypatch):
+    # the CRT of det_mp (on its value bound) and det_ep (on H) at every p
+    # in 131..601, fed a +1 on each single lane, chosen or spare: the bound
+    # alone let it through at det_mp 167, 227, 311, 379, 547 and det_ep
+    # 167, 197, 311; the spare prime catches every one
+    crt = exactlinalg._crt
+    calls = []
+
+    def recording(residues, run, bound):
+        calls.append((residues, run, bound))
+        return crt(residues, run, bound)
+
+    monkeypatch.setattr(exactlinalg, "_crt", recording)
+    for q in primes_in_range(131, 601):
+        for target in (det_mp, det_ep):
+            calls.clear()
+            target(q)
+            [(residues, run, bound)] = calls
+            for i, qk in enumerate(run):
+                wrong = residues[:i] + [(residues[i] + 1) % qk] + residues[i + 1:]
+                with pytest.raises(DiscrepancyError):
+                    crt(wrong, run, bound)
+
+
+def test_a_wrong_last_lane_passes_the_bound_but_not_the_spare(monkeypatch):
+    # at p = 167 a +1 on the last chosen lane of det_mp rebuilds to a value
+    # inside the value bound
+    _tamper_lane(monkeypatch, -2)
+    with pytest.raises(DiscrepancyError, match="disagrees with the spare prime"):
+        det_mp(OddPrime(167))
+
+
 def test_lane_reduce_matches_python_mod():
-    # both paths, at one lane per prime below and at _REDUCE_BY_PRIME_FROM,
+    # both paths, at one entry per prime below and at _REDUCE_BY_PRIME_FROM,
     # on entries up to 3 q (q - 1), the largest sum a PRS step reduces
     q = np.array(list(itertools.islice(_lane_primes(), 3)), dtype=np.int64)
-    ql, q3 = q.tolist(), q[:, None, None]
+    ql, q2 = q.tolist(), q[:, None]
     rng = np.random.default_rng(22)
     n = exactlinalg._REDUCE_BY_PRIME_FROM
-    for shape in ((3, 3, (n - 1) // 3), (3, 2, n // 2)):
-        assert shape[1] * shape[2] in (n - 1, n)
-        w = np.stack([rng.integers(0, 3 * qk * (qk - 1), shape[1:], endpoint=True)
-                      for qk in ql])
-        w[:, 0, :2] = [[0, 3 * qk * (qk - 1)] for qk in ql]
-        expected = [[[x % qk for x in row] for row in wk] for wk, qk in zip(w.tolist(), ql)]
-        assert exactlinalg._lane_reduce(w, q3, ql) is w
+    for width in (n - 1, n):
+        w = np.stack([rng.integers(0, 3 * qk * (qk - 1), width, endpoint=True) for qk in ql])
+        w[:, :2] = [[0, 3 * qk * (qk - 1)] for qk in ql]
+        expected = [[x % qk for x in row] for row, qk in zip(w.tolist(), ql)]
+        assert exactlinalg._lane_reduce(w, q2, ql) is w
         assert w.tolist() == expected
 
 
@@ -659,12 +672,12 @@ def test_toeplitz_det_ztau_rejects_a_product_below_twice_h_squared(monkeypatch):
     a, b, m, pstar = _mtilde_toeplitz(23)
     assert toeplitz_det_ztau(a, b, m, pstar) == (0, -13181630464)
     ks = range(m - 1, -m, -1)
-    [h] = exactlinalg._hadamard_bounds(
-        [[abs(a(k)) + (math.isqrt(abs(pstar)) + 1) * abs(b(k)) for k in ks]], m)
+    h = exactlinalg._hadamard_bound(
+        np.array([abs(a(k)) + (math.isqrt(abs(pstar)) + 1) * abs(b(k)) for k in ks]), m)
     # three primes multiply past 2h, the integer kernel's limit, but not 2h^2
     three = list(itertools.islice(_ztau_primes(pstar), 3))
     assert 2 * h < math.prod(three) <= 2 * h * h
-    monkeypatch.setattr(exactlinalg, "_lane_primes", lambda: iter(three))
+    _patch_lane_primes(monkeypatch, three)
     with pytest.raises(DiscrepancyError, match="lane primes ran out below the CRT bound"):
         toeplitz_det_ztau(a, b, m, pstar)
 
@@ -674,30 +687,57 @@ def test_toeplitz_det_ztau_rejects_a_tampered_plus_residue(monkeypatch):
     lanes = []
 
     def tampered(f1, q, m):
-        alive, residues, unlucky = lane_dets(f1, q, m)
-        residues[0][0] = (residues[0][0] + 1) % int(q[0])
+        residues, unlucky = lane_dets(f1, q, m)
+        residues[0] = (residues[0] + 1) % int(q[0])
         lanes.append(len(q))
-        return alive, residues, unlucky
+        return residues, unlucky
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
-    # d != 0 at p = 23, and its 2h^2 takes at least 3 primes
+    # d != 0 at p = 23, and its 2h^2 takes at least 3 primes, each with a
+    # + and a - lane, and a spare prime
     with pytest.raises(DiscrepancyError, match="exceeds its Hadamard bound"):
         toeplitz_det_ztau(*_mtilde_toeplitz(23))
-    assert lanes[-1] >= 3
+    assert lanes[-1] >= 2 * (3 + 1)
+
+
+def test_toeplitz_det_ztau_catches_a_wrong_residue_on_any_lane(monkeypatch):
+    # a +1 on each single lane, + or -, chosen or spare, of mtilde's run
+    for p in (23, 43):
+        args = _mtilde_toeplitz(p)
+        expected = toeplitz_det_ztau(*args)
+        lanes = []
+        lane_dets = exactlinalg._lane_dets
+
+        def recording(f1, q, m):
+            lanes.append(len(q))
+            return lane_dets(f1, q, m)
+
+        monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+        assert toeplitz_det_ztau(*args) == expected
+        for position in range(lanes[-1]):
+            monkeypatch.undo()
+            _tamper_lane(monkeypatch, position)
+            with pytest.raises(DiscrepancyError):
+                toeplitz_det_ztau(*args)
+        monkeypatch.undo()
 
 
 def test_toeplitz_det_ztau_rejects_rows_off_each_others_degrees(monkeypatch):
+    # zeroing the - lanes' leading column at every prime makes every prime
+    # unlucky, so the run drops them all until the primes run out
     lane_dets = exactlinalg._lane_dets
 
-    def minus_row_leading_zero(f1, q, m):
-        f1[:, 1, 0] = 0  # tau -> -s no longer mirrors tau -> s
+    def minus_lane_leading_zero(f1, q, m):
+        f1[len(f1) // 2:, 0] = 0  # tau -> -s no longer mirrors tau -> s
         return lane_dets(f1, q, m)
 
     av, bv = [3, -1, 2, 5, 0, 1, -2], [1, 0, -1, 2, 1, 0, 1]
     a, b = (lambda k: av[k + 3]), (lambda k: bv[k + 3])
     assert toeplitz_det_ztau(a, b, 4, -7) == (-1940, -232)
-    monkeypatch.setattr(exactlinalg, "_lane_dets", minus_row_leading_zero)
-    with pytest.raises(DiscrepancyError, match="conjugate rows"):
+    _patch_lane_primes(monkeypatch, list(itertools.islice(_lane_primes(), 200)))
+    assert toeplitz_det_ztau(a, b, 4, -7) == (-1940, -232)
+    monkeypatch.setattr(exactlinalg, "_lane_dets", minus_lane_leading_zero)
+    with pytest.raises(DiscrepancyError, match="lane primes ran out below the CRT bound"):
         toeplitz_det_ztau(a, b, 4, -7)
 
 
@@ -893,61 +933,39 @@ def test_charpoly_cp_matches_the_lane_route():
         assert expand_factored(_cp_text(q)) == _cp_reference(q), q.p
 
 
-def _recording_batches(monkeypatch, alter=None):
-    """Record the size of every batch toeplitz_charpoly sends, and let
-    alter(values) change the values of the first batch, whose row r is the
-    point x = r, the node x^2 of the even interpolation."""
-    exact = exactlinalg._toeplitz_dets_crt
-    batches = []
+def _altering_points(monkeypatch, alter):
+    """Count the points toeplitz_charpoly evaluates, and let alter(x, value)
+    change the value at the point x, the node x^2 of the even
+    interpolation; the points are x = 0, 1, 2, ... in call order."""
+    exact = exactlinalg.toeplitz_det_mod
+    points = []
 
-    def recording(rows, m, primes):
-        values = exact(rows, m, primes)
-        batches.append(len(rows))
-        if alter is not None and len(batches) == 1:
-            alter(values)
-        return values
+    def altering(t, m, bound=None):
+        points.append(len(points))
+        return alter(points[-1], exact(t, m, bound))
 
-    monkeypatch.setattr(exactlinalg, "_toeplitz_dets_crt", recording)
-    return batches
-
-
-def test_points_past_the_spares_are_evaluated(monkeypatch):
-    # at p = 89, 5 of the points x = 0..45 leave the batch (x = 0, 1, 2, 3
-    # and 5); with no spare points, further batches make up the m/2 + 2
-    # values of the even interpolation
-    q = OddPrime(89)
-    chi = legendre_table(q)
-    reference = bigint_charpoly(lambda k: chi[-k], q.p - 1)
-    monkeypatch.setattr(lane_charpoly, "_SPARE_POINTS", 0)
-    batches = _recording_batches(monkeypatch)
-    assert _cp_reference(q) == reference
-    assert batches[0] == 46 and len(batches) > 1
+    monkeypatch.setattr(exactlinalg, "toeplitz_det_mod", altering)
+    return points
 
 
 def test_one_wrong_determinant_value_cannot_pass(monkeypatch):
-    # the lane value at x = 3 of det(xI - C_13) is off by one; x = 1, 2 leave
-    # the batch, and x = 3 is the node 9 of the interpolation in x^2, so the
-    # divided difference over the nodes (0, 9) moves by 1/9 off an integer
-    def off_by_one_at_x3(values):
-        values[3] += 1
-
-    batches = _recording_batches(monkeypatch, off_by_one_at_x3)
+    # the lane value at x = 3 of det(xI - C_13) is off by one; x = 3 is the
+    # node 9 of the interpolation in x^2, so the divided difference over the
+    # nodes (4, 9) moves by 1/5 off an integer
+    points = _altering_points(monkeypatch, lambda x, value: value + (x == 3))
     with pytest.raises(DiscrepancyError, match="exact division left a remainder"):
         _cp_reference(OddPrime(13))
-    assert len(batches) == 1
+    assert len(points) == 8
 
 
 def test_a_wrong_value_every_division_passes_is_caught_by_the_spares(monkeypatch):
     # adding prod_{j != r} (y_r - y_j) at the node y_r = 3^2 adds the values
-    # of an integer polynomial of degree N - 1 at the N known nodes y = x^2,
-    # so every divided difference stays an integer; only the orders above
-    # m/2 show the error
-    def polynomial_error_at_x3(values):
-        points = [x for x, value in enumerate(values) if value is not None]
-        values[3] += math.prod(9 - x * x for x in points if x != 3)
-
+    # of an integer polynomial of degree N - 1 at the N = m/2 + 2 nodes
+    # y = x^2, so every divided difference stays an integer; only the
+    # order m/2 + 1, the one above the degree, shows the error
+    error = math.prod(9 - x * x for x in range(8) if x != 3)
+    points = _altering_points(monkeypatch, lambda x, value: value + error * (x == 3))
     message = "a divided difference of order above the degree is nonzero"
-    batches = _recording_batches(monkeypatch, polynomial_error_at_x3)
     with pytest.raises(DiscrepancyError, match=message):
         _cp_reference(OddPrime(13))
-    assert len(batches) == 1
+    assert len(points) == 8

@@ -38,6 +38,9 @@ No interpolation is left in the package: no module defines or names
 `poly_pow`, and no call passes an `even` flag; the evaluation route lives
 on in `tests/lane_charpoly.py`.  `charpoly_cp` decides from the symbol
 table alone: it and its helpers never build C_p or take a determinant.
+The multimodular lanes have one axis and no vote: the exact linear algebra
+module names no `alive`, `keep` or `bincount`, so every lane run follows
+one degree sequence and a disagreeing lane is unlucky, never outvoted.
 """
 import ast
 from pathlib import Path
@@ -138,6 +141,19 @@ def _loops_calling(path: Path, calls) -> list:
         if any(calls(part) for part in repeated):
             found.append(f"{path.name}:{node.lineno}")
     return found
+
+
+def test_lanes_take_no_vote():
+    # any name, attribute, argument or definition, so that a row axis with
+    # a majority vote over it cannot come back
+    path = next(p for p in SOURCES if p.name == "exactlinalg.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = [getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None), getattr(node, "arg", None)]
+        found += [f"exactlinalg.py:{node.lineno} {name}" for name in names
+                  if name in ("alive", "keep", "bincount")]
+    assert found == []
 
 
 def test_no_legendre_call_in_a_loop():
@@ -325,7 +341,7 @@ def test_package_has_no_interpolation_route():
 
 
 _MATRIX_ROUTES = {"build_cp", "IntMatrix", "det", "det_cp", "toeplitz_det",
-                  "toeplitz_det_mod", "_toeplitz", "_toeplitz_dets_crt", "_lane_run"}
+                  "toeplitz_det_mod", "_toeplitz", "_lane_run"}
 
 
 def test_charpoly_cp_builds_no_matrix():
