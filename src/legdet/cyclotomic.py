@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import OddPrime, _modular_primes, _take_primes, legendre_array, legendre_table
 from .errors import DiscrepancyError
-from .exactlinalg import IntMatrix, _lane_reduce, det, toeplitz_det_ztau
+from .exactlinalg import IntMatrix, det, toeplitz_det_ztau
 from .quadfield import ClassNumberReport, quad_pow
 
 
@@ -250,6 +250,30 @@ def _powers(x, count: int, q):
         x = x * x % q
         done += size
     return out
+
+
+# From this many entries per prime on, _lane_reduce divides prime by
+# prime.  Timed only on (primes, entries) Toeplitz lane windows of 6 and 25
+# primes, a layout now gone (shared 2-core Xeon, numpy 2.4): one % was
+# faster below 500-1000 entries per prime and up to 4x slower above 3000.
+_REDUCE_BY_PRIME_FROM = 1024
+
+
+def _lane_reduce(w, qb, ql: list):
+    """w mod q in place, for a nonnegative array w whose axis 0 runs over
+    the moduli, qb the moduli shaped to broadcast against w and ql the same
+    as Python ints; returns w.  On large arrays it reduces one modulus at a
+    time, as w[k] - (w[k] // ql[k]) * ql[k]: numpy divides by a scalar with
+    a multiply and shifts, not a hardware division, so this is several
+    times faster than w % qb, at the cost of 3 calls per modulus."""
+    if w[0].size < _REDUCE_BY_PRIME_FROM:
+        w %= qb
+        return w
+    for wk, qk in zip(w, ql):
+        t = wk // qk
+        t *= qk
+        wk -= t
+    return w
 
 
 def _product(x, q3, ql: list):

@@ -208,51 +208,26 @@ def _lane_pow(x, e: int, q):
         x = x * x % q
 
 
-# From this many entries per prime on, _lane_reduce divides prime by
-# prime.  Timed on 6 and 25 primes (shared 2-core Xeon, numpy 2.4), one %
-# over the whole array is faster below 500-1000 entries per prime and up to
-# 4x slower above 3000.
-_REDUCE_BY_PRIME_FROM = 1024
-
-
-def _lane_reduce(w, qb, ql: list):
-    """w mod q in place, for a nonnegative lane array w whose axis 0 runs
-    over the moduli, qb the moduli shaped to broadcast against w and ql the
-    same as Python ints; returns w.
-
-    Callers keep w nonnegative: numpy's % and // take about twice as long
-    on mixed signs, 99 against 52 us on a (26, 400) array, though the same
-    on small ones (11 us on (6, 300)).
-
-    On large windows it reduces one modulus at a time, as w[k] -
-    (w[k] // ql[k]) * ql[k]: numpy divides by a scalar with a multiply
-    and shifts, not a hardware division, so this is several times faster
-    than w % qb per element, at the cost of 3 calls per modulus.
-    """
-    if w[0].size < _REDUCE_BY_PRIME_FROM:
-        w %= qb
-        return w
-    for wk, qk in zip(w, ql):
-        t = wk // qk
-        t *= qk
-        wk -= t
-    return w
+def _lane_mod(w, q):
+    """w %= q for a (width, L) lane window w, kept nonnegative (numpy's %
+    takes about twice as long on mixed signs), and the (L,) moduli q."""
+    w %= q
 
 
 def _lane_lead(w):
-    """The first nonzero column over Z of the lane windows w, an (L, width)
+    """The first nonzero row over Z of the lane windows w, a (width, L)
     int64 array, and the (L,) mask of the unlucky lanes (None when there
     are none).
 
-    Column k is zero over Z exactly when it is zero in every lane, and
-    nonzero over Z when it is nonzero in some lane; the lanes whose own
-    first nonzero column lies further right are then unlucky.  An all-zero
-    window gives its width.
+    Row k is zero over Z exactly when it is zero in every lane, and nonzero
+    over Z when it is nonzero in some lane; the lanes whose own first
+    nonzero row lies further down are then unlucky.  An all-zero window
+    gives its width.
     """
-    if np.count_nonzero(w[:, 0]) == len(w):
+    if np.count_nonzero(w[0]) == w.shape[1]:
         return 0, None
     nz = w != 0
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), w.shape[1])
+    first = np.where(nz.any(axis=0), nz.argmax(axis=0), len(w))
     lead = first.min()
     unlucky = first > lead
     return int(lead), (unlucky if unlucky.any() else None)
@@ -263,14 +238,15 @@ def _lane_dets(f1, q, m: int):
     windowed Brown-Collins PRS of toeplitz_det run over F_q in every lane
     at once.
 
-    f1 is an (L, 2m - 1) int64 array: f1[l] holds the residues mod q[l], in
-    [0, q[l]), of the coefficients of lane l's F1 (toeplitz_det's F1,
-    leading first), and q is the (L,) int64 array of moduli.  Every lane
-    takes the same steps on its own residues, so one (L, width) array holds
-    each polynomial window, one lane per row, which _lane_reduce reduces by
-    a scalar modulus.  Each step negates its scalars, as q - x, so that
-    every window it reduces is a sum of at most three products of numbers
-    in [0, q], nonnegative and below 3 * 2^60.
+    f1 is a (2m - 1, L) int64 array: column l holds the residues mod q[l],
+    in [0, q[l]), of the coefficients of lane l's F1 (toeplitz_det's F1,
+    leading first, down axis 0), and q is the (L,) int64 array of moduli.
+    Every lane takes the same steps on its own residues, so one (width, L)
+    array holds each window, with the lanes on the contiguous last axis,
+    along which each step's (L,) per-lane scalars broadcast.  Each step
+    negates its scalars, as q - x, so that every window _lane_mod reduces
+    is a sum of at most three products of numbers in [0, q], nonnegative
+    and below 3 * 2^60.
 
     The stored windows are plain pseudo-remainders, W_(i+1) = prem(W_(i-1),
     W_i) = L_i^(delta_i + 1) * rem(W_(i-1), W_i), with no division; W_0 =
@@ -292,47 +268,45 @@ def _lane_dets(f1, q, m: int):
 
     All lanes follow one degree sequence.  Returns (residues, None), the
     determinant mod q[l] for each lane l as a list of L ints; or (None,
-    unlucky) when some column reads zero in some lanes only, unlucky being
+    unlucky) when some row reads zero in some lanes only, unlucky being
     the (L,) bool mask of those lanes.
     """
     j = m - 1
-    ql, q2 = q.tolist(), q[:, None]
     lead, unlucky = _lane_lead(f1)
     if unlucky is not None:
         return None, unlucky
-    f1 = f1[:, lead:]
+    f1 = f1[lead:]
     n0, n1 = 2 * m - 1, 2 * m - 2 - lead
     if n1 < j:
-        return [0] * len(ql), None
+        return [0] * len(q), None
     if n1 == j:
-        return _lane_pow(f1[:, 0], n0 - n1, q).tolist(), None
+        return _lane_pow(f1[0], n0 - n1, q).tolist(), None
     f0 = np.zeros_like(f1)
-    f0[:, 0] = 1
-    prefix = den = extra = np.ones(len(ql), dtype=np.int64)
+    f0[0] = 1
+    prefix = den = extra = np.ones_like(q)
     sign = 1
     while True:
-        lc = f1[:, 0]
+        lc = f1[0]
         delta = n0 - n1
-        a = f0[:, : f1.shape[1]]
+        a = f0[:len(f1)]
         if delta == 1:
             # the two elimination steps as one expression, one reduction,
             # on the negated scalars -(l a_0) and -r1, r1 being the first
             # step's leading coefficient
             lcd = lc * lc % q
-            lcc, a0 = lc[:, None], a[:, :1]
-            nr1 = (a0 * f1[:, 1:2] - lcc * a[:, 1:2]) % q2
-            window = lcd[:, None] * a[:, 2:]
-            window += (q2 - lcc * a0 % q2) * f1[:, 2:]
-            window += nr1 * f1[:, 1:-1]
-            _lane_reduce(window, q2, ql)
+            nr1 = (a[0] * f1[1] - lc * a[1]) % q
+            window = lcd * a[2:]
+            window += (q - lc * a[0] % q) * f1[2:]
+            window += nr1 * f1[1:-1]
+            _lane_mod(window, q)
         else:
             lcd = _lane_pow(lc, delta + 1, q)
             window = a
             for _ in range(delta + 1):
                 w = window
-                window = lc[:, None] * w[:, 1:]
-                window += (q2 - w[:, :1]) * f1[:, 1:w.shape[1]]
-                _lane_reduce(window, q2, ql)
+                window = lc * w[1:]
+                window += (q - w[0]) * f1[1:len(w)]
+                _lane_mod(window, q)
         prefix = prefix * lcd % q
         lead, unlucky = _lane_lead(window)
         if unlucky is not None:
@@ -340,36 +314,36 @@ def _lane_dets(f1, q, m: int):
         gap = lead + 1
         n2 = n1 - gap
         if n2 < j:
-            return [0] * len(ql), None
+            return [0] * len(q), None
         # sigma_j(A, B) against sigma_j(B, rem(A, B)): (-1)^((n0 - j)(n1 - j))
         if (n0 - j) * (n1 - j) % 2:
             sign = -sign
         den = den * _lane_pow(prefix, gap, q) % q
         if gap > 1:
             extra = extra * _lane_pow(lc, gap - 1, q) % q
-        f2 = window[:, lead:]
+        f2 = window[lead:]
         if n2 == j:
-            num = prefix * extra % q * _lane_pow(f2[:, 0], gap, q) % q
+            num = prefix * extra % q * _lane_pow(f2[0], gap, q) % q
             return [sign * x * pow(y, -1, qk) % qk
-                    for x, y, qk in zip(num.tolist(), den.tolist(), ql)], None
+                    for x, y, qk in zip(num.tolist(), den.tolist(), q.tolist())], None
         f0, f1, n0, n1 = f1, f2, n1, n2
 
 
 def _hadamard_bound(row, m: int) -> int:
     """toeplitz_det_mod's bound H for the 2m - 1 values |t(k)| <= row."""
-    top = np.sort(np.abs(row))[-m:].astype(object)
+    top = np.sort(np.abs(row), axis=None)[-m:].astype(object)
     return math.isqrt(int((top * top).sum()) ** m) + 1
 
 
 def _lane_run(lanes, m: int, primes, limit: int):
-    """(run, residues) of _lane_dets on lanes(q), an (L, 2m - 1) array
-    whose lane l is read mod q[l % K], for q the (K,) array of run: the
-    primes taken in order from primes until their product exceeds limit,
-    then one spare prime more.  The spare only checks the CRT value (see
-    _crt); it is no stopping rule, as the count of primes is set by limit
-    alone.  The primes of unlucky lanes are dropped, and the next run takes
-    the surviving chosen primes, then the stream again from the spare if
-    it survived, by the same rule."""
+    """(run, residues) of _lane_dets on lanes(q), a (2m - 1, L) array
+    whose lane l, its column l on the last axis, is read mod q[l % K], for
+    q the (K,) array of run: the primes taken in order from primes until
+    their product exceeds limit, then one spare prime more.  The spare
+    only checks the CRT value (see _crt); it is no stopping rule, as the
+    count of primes is set by limit alone.  The primes of unlucky lanes
+    are dropped, and the next run takes the surviving chosen primes, then
+    the stream again from the spare if it survived, by the same rule."""
     message = "lane primes ran out below the CRT bound"
     primes, chosen = iter(primes), []
     while True:
@@ -380,7 +354,7 @@ def _lane_run(lanes, m: int, primes, limit: int):
         run = chosen + [spare]
         q = np.array(run, dtype=np.int64)
         f1 = lanes(q)
-        residues, unlucky = _lane_dets(f1, np.tile(q, len(f1) // len(q)), m)
+        residues, unlucky = _lane_dets(f1, np.tile(q, f1.shape[1] // len(q)), m)
         if unlucky is None:
             return run, residues
         bad = unlucky.reshape(-1, len(q)).any(axis=0).tolist()
@@ -426,11 +400,12 @@ def toeplitz_det_mod(t, m: int, bound=None) -> int:
     inequality gives |c| <= S^(m/2) < H.  Primes are taken until their
     product Q exceeds 2H; then a coefficient is zero over Z exactly when it
     is zero mod every q, and the symmetric residue of the CRT value mod Q
-    is the determinant.  One spare prime more checks it (see _crt).
+    is the determinant.  One spare prime more checks it (see _crt).  The
+    lanes are the columns of one (2m - 1, L) array, lane l mod q[l].
 
-    Against H, zero tests are exact.  A column that is zero in some lanes
-    but not in all is nonzero over Z, and the primes of those lanes are
-    unlucky: they are dropped and the whole run repeats with the next
+    Against H, zero tests are exact.  A coefficient that is zero in some
+    lanes but not in all is nonzero over Z, and the primes of those lanes
+    are unlucky: they are dropped and the whole run repeats with the next
     primes, so the verdict is deterministic.  In agreeing lanes every
     leading coefficient is a unit mod q, and each lane computes the
     determinant mod q.  A CRT value of absolute value above H raises
@@ -442,19 +417,19 @@ def toeplitz_det_mod(t, m: int, bound=None) -> int:
     the check on the CRT value.  The zero tests are then no longer exact:
     a coefficient nonzero over Z may vanish mod every prime taken, and then
     all lanes follow another degree sequence than Z takes.  But every lane
-    kept agrees with every other lane on each leading column, so it follows
-    its own residues' degree sequence with leading coefficients that are
-    units mod q: it runs the subresultant PRS over the field F_q, and so
-    yields det mod q whatever sequence Z takes.  With |det| <= bound and a
-    prime product above 2 bound, the symmetric residue is again the
+    kept agrees with every other lane on each leading coefficient, so it
+    follows its own residues' degree sequence with leading coefficients
+    that are units mod q: it runs the subresultant PRS over the field F_q,
+    and so yields det mod q whatever sequence Z takes.  With |det| <= bound
+    and a prime product above 2 bound, the symmetric residue is again the
     determinant.
     """
     if m < 1:
         raise ValueError("Toeplitz dimension must be at least 1")
-    f1 = np.array([t(m - 1 - k) for k in range(2 * m - 1)], dtype=np.int64)
+    f1 = np.array([[t(m - 1 - k)] for k in range(2 * m - 1)], dtype=np.int64)
     if bound is None:
         bound = _hadamard_bound(f1, m)
-    run, residues = _lane_run(lambda q: f1 % q[:, None], m, _lane_primes(), 2 * bound)
+    run, residues = _lane_run(lambda q: f1 % q, m, _lane_primes(), 2 * bound)
     return _crt(residues, run, bound)
 
 
@@ -465,19 +440,21 @@ def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
     At primes q = 3 (mod 4) with pstar a nonzero square, s = pstar^((q+1)/4)
     is a root of it, and tau -> +-s map the matrix to a +- s*b, two lanes
     mod q of one _lane_run, whose determinants D+- = c +- d*s give c and d
-    mod q.  toeplitz_det_mod's bound, in each complex embedding on |a| +
-    r|b|, r = isqrt(|pstar|) + 1, bounds every coefficient kappa the PRS
-    reads by h, so 0 < |N(kappa)| <= h^2 for kappa != 0, and N(kappa) =
-    kappa(s) kappa(-s) mod q: primes multiply past 2h^2, so kappa is
-    nonzero in both lanes of some prime, and the lanes' common leading
-    column is Z[tau]'s.  A prime whose +- lanes disagree on a leading
-    column is unlucky, as in toeplitz_det_mod.  c and d are each rebuilt
-    from the chosen primes and checked mod the spare prime (see _crt); one
-    above h raises DiscrepancyError.
+    mod q.  On the last axis of the (2m - 1, 2K) lanes, the + lanes of the
+    K primes precede the - lanes, so lane l is read mod q[l % K].
+    toeplitz_det_mod's bound, in each complex embedding on |a| + r|b|, r =
+    isqrt(|pstar|) + 1, bounds every coefficient kappa the PRS reads by h,
+    so 0 < |N(kappa)| <= h^2 for kappa != 0, and N(kappa) = kappa(s)
+    kappa(-s) mod q: primes multiply past 2h^2, so kappa is nonzero in
+    both lanes of some prime, and the lanes' common leading coefficient is
+    Z[tau]'s.  A prime whose +- lanes disagree on a leading coefficient is
+    unlucky, as in toeplitz_det_mod.  c and d are each rebuilt from the
+    chosen primes and checked mod the spare prime (see _crt); one above h
+    raises DiscrepancyError.
     """
     if m < 1 or math.isqrt(abs(pstar)) ** 2 == abs(pstar):
         raise ValueError("need m >= 1 and |pstar| not a square")
-    av, bv = (np.array([f(k) for k in range(m - 1, -m, -1)], np.int64) for f in (a, b))
+    av, bv = (np.array([[f(k)] for k in range(m - 1, -m, -1)], np.int64) for f in (a, b))
     h = _hadamard_bound(np.abs(av) + (math.isqrt(abs(pstar)) + 1) * np.abs(bv), m)
 
     roots = {}  # q -> s, for every prime q that primes() has yielded
@@ -493,9 +470,8 @@ def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
                     yield q
 
     def lanes(q):
-        q2 = q[:, None]
-        sb = np.array([roots[qk] for qk in q.tolist()])[:, None] * (bv % q2) % q2
-        return np.concatenate([(av + sb) % q2, (av - sb) % q2])
+        sb = np.array([roots[qk] for qk in q.tolist()]) * (bv % q) % q
+        return np.concatenate([(av + sb) % q, (av - sb) % q], axis=1)
 
     run, residues = _lane_run(lanes, m, primes(), 2 * h * h)
     pairs = list(zip(residues[:len(run)], residues[len(run):], run))

@@ -15,10 +15,10 @@ from .exactlinalg import IntMatrix, toeplitz_det, toeplitz_det_mod
 # (toeplitz_det_mod) instead of the bigint PRS (toeplitz_det).  Timed on
 # det_ep and det_mp (det_mp on its value bound), best of 9 with the two
 # routes interleaved, three rounds on a shared 2-core Xeon (Python 3.11,
-# numpy 2.4): they break even at m = 63-64, near 2.2-3.7 ms each; the lanes
-# take 0.73-0.97x the bigint time at m = 65-70, 0.74-0.82x at m = 75,
-# 0.63-0.73x at m = 100 and 0.3x at m = 199.
-_LANES_FROM = 65
+# numpy 2.4): they break even at m = 41-45 (48-51 in one busier round),
+# near 0.75 ms each; the lanes take 1.1-1.2x the bigint time at m = 36-40,
+# 0.8-0.9x at m = 49-52, 0.63-0.68x at m = 63-66 and 0.22-0.24x at 199.
+_LANES_FROM = 46
 
 
 def _toeplitz(t, m: int, bound=None) -> int:

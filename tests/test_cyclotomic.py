@@ -29,7 +29,7 @@ from legdet.cyclotomic import (
     ztau_text,
 )
 from legdet.errors import DiscrepancyError
-from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
+from legdet.exactlinalg import IntMatrix, _exact_div, _lane_primes, det, toeplitz_det_ztau
 from legdet.quadfield import (
     ClassNumberReport,
     QuadElem,
@@ -469,6 +469,22 @@ def cauchy_perm_det(u, v):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def test_lane_reduce_matches_python_mod():
+    # both paths, at one entry per prime below and at _REDUCE_BY_PRIME_FROM,
+    # on entries up to 3 q (q - 1), past the (q - 1)^2 of one product of
+    # residues that _embeddings and _product reduce
+    q = np.array(list(itertools.islice(_lane_primes(), 3)), dtype=np.int64)
+    ql, q2 = q.tolist(), q[:, None]
+    rng = np.random.default_rng(22)
+    n = cyclotomic._REDUCE_BY_PRIME_FROM
+    for width in (n - 1, n):
+        w = np.stack([rng.integers(0, 3 * qk * (qk - 1), width, endpoint=True) for qk in ql])
+        w[:, :2] = [[0, 3 * qk * (qk - 1)] for qk in ql]
+        expected = [[x % qk for x in row] for row, qk in zip(w.tolist(), ql)]
+        assert cyclotomic._lane_reduce(w, q2, ql) is w
+        assert w.tolist() == expected
 
 
 def test_cauchy_det_frozen():

@@ -582,15 +582,15 @@ def test_value_bound_rejects_too_few_primes_and_a_tampered_lane(monkeypatch):
 
 
 def test_det_mp_on_its_value_bound():
-    # det_mp takes the lanes from p = 131 on
-    for q in primes_in_range(131, 199):
+    # det_mp takes the lanes from p = 97 on
+    for q in primes_in_range(97, 199):
         assert det_mp(q) == det(build_mp(q)), q.p
-    assert all(abs(det_mp(q)) == 1 for q in primes_in_range(131, 601))
+    assert all(abs(det_mp(q)) == 1 for q in primes_in_range(97, 601))
 
 
 def test_a_wrong_residue_on_any_lane_is_caught(monkeypatch):
     # the CRT of det_mp (on its value bound) and det_ep (on H) at every p
-    # in 131..601, fed a +1 on each single lane, chosen or spare: the bound
+    # in 97..601, fed a +1 on each single lane, chosen or spare: the bound
     # alone let it through at det_mp 167, 227, 311, 379, 547 and det_ep
     # 167, 197, 311; the spare prime catches every one
     crt = exactlinalg._crt
@@ -601,7 +601,7 @@ def test_a_wrong_residue_on_any_lane_is_caught(monkeypatch):
         return crt(residues, run, bound)
 
     monkeypatch.setattr(exactlinalg, "_crt", recording)
-    for q in primes_in_range(131, 601):
+    for q in primes_in_range(97, 601):
         for target in (det_mp, det_ep):
             calls.clear()
             target(q)
@@ -620,33 +620,18 @@ def test_a_wrong_last_lane_passes_the_bound_but_not_the_spare(monkeypatch):
         det_mp(OddPrime(167))
 
 
-def test_lane_reduce_matches_python_mod():
-    # both paths, at one entry per prime below and at _REDUCE_BY_PRIME_FROM,
-    # on entries up to 3 q (q - 1), the largest sum a PRS step reduces
-    q = np.array(list(itertools.islice(_lane_primes(), 3)), dtype=np.int64)
-    ql, q2 = q.tolist(), q[:, None]
-    rng = np.random.default_rng(22)
-    n = exactlinalg._REDUCE_BY_PRIME_FROM
-    for width in (n - 1, n):
-        w = np.stack([rng.integers(0, 3 * qk * (qk - 1), width, endpoint=True) for qk in ql])
-        w[:, :2] = [[0, 3 * qk * (qk - 1)] for qk in ql]
-        expected = [[x % qk for x in row] for row, qk in zip(w.tolist(), ql)]
-        assert exactlinalg._lane_reduce(w, q2, ql) is w
-        assert w.tolist() == expected
-
-
 def test_lane_reductions_are_sign_free(monkeypatch):
     # every window the lanes reduce is nonnegative and fits int64 with room;
     # a mixed-sign window would still reduce right, only twice as slowly
-    lane_reduce = exactlinalg._lane_reduce
+    lane_mod = exactlinalg._lane_mod
     calls = []
 
-    def checked(w, q3, ql):
+    def checked(w, q):
         calls.append(w.size)
         assert w.min() >= 0 and w.max() < 2**62
-        return lane_reduce(w, q3, ql)
+        return lane_mod(w, q)
 
-    monkeypatch.setattr(exactlinalg, "_lane_reduce", checked)
+    monkeypatch.setattr(exactlinalg, "_lane_mod", checked)
     # det_ep, det_mp and mtilde_det, each on the lanes
     for target, p in (("chapman", 151), ("chapman", 389), ("unit", 151), ("unit", 389),
                       ("mtilde", 31)):
@@ -728,7 +713,7 @@ def test_toeplitz_det_ztau_rejects_rows_off_each_others_degrees(monkeypatch):
     lane_dets = exactlinalg._lane_dets
 
     def minus_lane_leading_zero(f1, q, m):
-        f1[len(f1) // 2:, 0] = 0  # tau -> -s no longer mirrors tau -> s
+        f1[0, f1.shape[1] // 2:] = 0  # tau -> -s no longer mirrors tau -> s
         return lane_dets(f1, q, m)
 
     av, bv = [3, -1, 2, 5, 0, 1, -2], [1, 0, -1, 2, 1, 0, 1]

@@ -156,6 +156,22 @@ def test_lanes_take_no_vote():
     assert found == []
 
 
+def test_lanes_reduce_with_no_per_prime_path():
+    # any name, attribute, argument, definition or import, so that the
+    # prime-by-prime reduction of cyclotomic's arrays stays out of the
+    # Toeplitz lanes, whose moduli lie on the last axis
+    path = next(p for p in SOURCES if p.name == "exactlinalg.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = [getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None), getattr(node, "arg", None)]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name for alias in node.names]
+        found += [f"exactlinalg.py:{node.lineno} {name}" for name in names
+                  if name in ("_lane_reduce", "_REDUCE_BY_PRIME_FROM")]
+    assert found == []
+
+
 def test_no_legendre_call_in_a_loop():
     assert [loc for path in SOURCES for loc in _loops_calling(path, _calls_legendre)] == []
 
