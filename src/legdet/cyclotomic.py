@@ -252,40 +252,17 @@ def _powers(x, count: int, q):
     return out
 
 
-# From this many entries per prime on, _lane_reduce divides prime by
-# prime.  Timed only on (primes, entries) Toeplitz lane windows of 6 and 25
-# primes, a layout now gone (shared 2-core Xeon, numpy 2.4): one % was
-# faster below 500-1000 entries per prime and up to 4x slower above 3000.
-_REDUCE_BY_PRIME_FROM = 1024
-
-
-def _lane_reduce(w, qb, ql: list):
-    """w mod q in place, for a nonnegative array w whose axis 0 runs over
-    the moduli, qb the moduli shaped to broadcast against w and ql the same
-    as Python ints; returns w.  On large arrays it reduces one modulus at a
-    time, as w[k] - (w[k] // ql[k]) * ql[k]: numpy divides by a scalar with
-    a multiply and shifts, not a hardware division, so this is several
-    times faster than w % qb, at the cost of 3 calls per modulus."""
-    if w[0].size < _REDUCE_BY_PRIME_FROM:
-        w %= qb
-        return w
-    for wk, qk in zip(w, ql):
-        t = wk // qk
-        t *= qk
-        wk -= t
-    return w
-
-
-def _product(x, q3, ql: list):
+def _product(x, q3):
     """The product mod q along axis 1 of the (K, length, columns) array x,
-    for q3 the (K, 1, 1) moduli and ql the same as Python ints; x is
-    overwritten.  Each step folds the top half of axis 1 onto the bottom
-    half, so an odd length leaves its middle entry for later."""
+    for q3 the (K, 1, 1) moduli; x is overwritten.  Each step folds the top
+    half of axis 1 onto the bottom half, so an odd length leaves its middle
+    entry for later, and reduces the (K, half, columns) result by one %
+    against the column of primes."""
     while x.shape[1] > 1:
         length, half = x.shape[1], x.shape[1] // 2
         low = x[:, :half]
         low *= x[:, length - half:]
-        _lane_reduce(low, q3, ql)
+        low %= q3
         x = x[:, :length - half]
     return x[:, 0]
 
@@ -305,7 +282,8 @@ def _embeddings(p: OddPrime, bound: int, products):
     a nonzero D there has |N(D)| >= Q^2, so an embedding above Q > bound.
     The primes below 2^30 run out from p near 15000 on (DiscrepancyError).
     The factors 1 - omega^(j d) are raised to x[d] by binary
-    exponentiation and folded by _product."""
+    exponentiation and folded by _product; each (K, S, 2) array, S the
+    support of x, is reduced by one % against the column of primes."""
     message = f"primes q = 1 (mod {p.p}) ran out below the embedding bound at p={p.p}"
     ql = _take_primes(_modular_primes(p.p), bound, message)
     q = np.array(ql, np.int64)[:, None]
@@ -322,9 +300,11 @@ def _embeddings(p: OddPrime, bound: int, products):
         base = (1 - table[:, support[:, None] * js % p.p]) % q3
         power = np.where(x & 1, base, 1)
         for bit in range(1, int(x.max()).bit_length()):
-            base = _lane_reduce(base * base, q3, ql)
-            power = _lane_reduce(power * np.where(x >> bit & 1, base, 1), q3, ql)
-        values.append(_product(power, q3, ql) * table[:, shift * js % p.p] % q)
+            base *= base
+            base %= q3
+            power *= np.where(x >> bit & 1, base, 1)
+            power %= q3
+        values.append(_product(power, q3) * table[:, shift * js % p.p] % q)
     return q, tau, values
 
 

@@ -191,6 +191,6 @@ def all_embeddings(p: OddPrime, bound: int, products):
         index = exponents[support, None] * p.p + support[:, None] * js % p.p
         if shift:
             index = np.vstack([shift * js % p.p, index])
-        values.append(_product(np.take(factors, index, axis=1), q[:, :, None], ql))
+        values.append(_product(np.take(factors, index, axis=1), q[:, :, None]))
     tau = (table * chi).sum(axis=1, keepdims=True) * chi[1:] % q
     return q, tau, values

@@ -29,7 +29,7 @@ from legdet.cyclotomic import (
     ztau_text,
 )
 from legdet.errors import DiscrepancyError
-from legdet.exactlinalg import IntMatrix, _exact_div, _lane_primes, det, toeplitz_det_ztau
+from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
 from legdet.quadfield import (
     ClassNumberReport,
     QuadElem,
@@ -366,23 +366,30 @@ def test_each_side_lies_in_the_quadratic_subfield(monkeypatch):
     # conj(P1) P2 conj(P2) each take one value at the residues j and one
     # at the nonresidues, as elements of Q(sqrt(p*)) do; this is what lets
     # _embeddings evaluate only j = 1 and g, and its two columns are the
-    # reference's
+    # reference's.  At 521, whose P2 factors fill 1040 entries per split
+    # prime, only lemma32 is compared: mtilde's reference there would hold
+    # hundreds of MB
     seen = spy_embeddings(monkeypatch)
-    for q in primes_in_range(5, 61):
+    for q in [*primes_in_range(5, 61), OddPrime(521)]:
         lemma32_check(q, class_number(q))
-        mtilde_det_check(build_mtilde(q))
-        (bound, products, lemma), (mtilde_bound, mtilde_products, mtilde) = seen
+        if q.p <= 61:
+            mtilde_det_check(build_mtilde(q))
+        (bound, products, (got_mod, got_tau, got)), *mtilde = seen
         seen.clear()
         mod, tau, (one, two) = all_embeddings(q, bound, products)
-        _, _, (closed,) = all_embeddings(q, mtilde_bound, mtilde_products)
+        pairs = [(got_tau, tau), (got[0], one), (got[1], two)]
+        in_k = [tau, one, two * two % mod]
+        for mtilde_bound, mtilde_products, (_, _, (got_closed,)) in mtilde:
+            _, _, (closed,) = all_embeddings(q, mtilde_bound, mtilde_products)
+            pairs.append((got_closed, closed))
+            in_k.append(closed)
         chi = np.array(legendre_table(q)[1:])
-        for side in (tau, one, two * two % mod, closed):
+        for side in in_k:
             for coset in (side[:, chi == 1], side[:, chi == -1]):
                 assert (coset == coset[:, :1]).all(), q.p
         columns = [0, legendre_table(q).index(-1) - 1]
-        assert (lemma[0] == mod).all(), q.p
-        got = [lemma[1], *lemma[2], *mtilde[2]]
-        for value, reference in zip(got, (tau, one, two, closed)):
+        assert (got_mod == mod).all(), q.p
+        for value, reference in pairs:
             assert (value == reference[:, columns]).all(), q.p
 
 
@@ -402,7 +409,7 @@ def move_one_unit(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_embeddings", moved)
 
 
-@pytest.mark.parametrize("p", [13, 29, 31, 61, 449])
+@pytest.mark.parametrize("p", [13, 29, 31, 61, 449, 521])
 def test_lemma32_check_rejects_a_tampered_evaluation(monkeypatch, p):
     q = OddPrime(p)
     right = class_number(q)
@@ -469,22 +476,6 @@ def cauchy_perm_det(u, v):
             term *= rows[i][perm[i]]
         total += term
     return total
-
-
-def test_lane_reduce_matches_python_mod():
-    # both paths, at one entry per prime below and at _REDUCE_BY_PRIME_FROM,
-    # on entries up to 3 q (q - 1), past the (q - 1)^2 of one product of
-    # residues that _embeddings and _product reduce
-    q = np.array(list(itertools.islice(_lane_primes(), 3)), dtype=np.int64)
-    ql, q2 = q.tolist(), q[:, None]
-    rng = np.random.default_rng(22)
-    n = cyclotomic._REDUCE_BY_PRIME_FROM
-    for width in (n - 1, n):
-        w = np.stack([rng.integers(0, 3 * qk * (qk - 1), width, endpoint=True) for qk in ql])
-        w[:, :2] = [[0, 3 * qk * (qk - 1)] for qk in ql]
-        expected = [[x % qk for x in row] for row, qk in zip(w.tolist(), ql)]
-        assert cyclotomic._lane_reduce(w, q2, ql) is w
-        assert w.tolist() == expected
 
 
 def test_cauchy_det_frozen():
