@@ -335,15 +335,16 @@ def _hadamard_bound(row, m: int) -> int:
     return math.isqrt(int((top * top).sum()) ** m) + 1
 
 
-def _lane_run(lanes, m: int, primes, limit: int):
-    """(run, residues) of _lane_dets on lanes(q), a (2m - 1, L) array
-    whose lane l, its column l on the last axis, is read mod q[l % K], for
-    q the (K,) array of run: the primes taken in order from primes until
-    their product exceeds limit, then one spare prime more.  The spare
-    only checks the CRT value (see _crt); it is no stopping rule, as the
-    count of primes is set by limit alone.  The primes of unlucky lanes
-    are dropped, and the next run takes the surviving chosen primes, then
-    the stream again from the spare if it survived, by the same rule."""
+def _lane_run(dets, primes, limit: int):
+    """(run, residues) of dets(q), q the (K,) int64 array of run: the
+    primes taken in order from primes until their product exceeds limit,
+    then one spare prime more.  dets(q) returns what _lane_dets returns for
+    lanes read mod q[l % K]: (residues, None), or (None, unlucky), unlucky
+    the mask of the lanes of some run that dets made on q.  The spare only
+    checks the CRT value (see _crt); it is no stopping rule, as the count of
+    primes is set by limit alone.  The primes of unlucky lanes are dropped,
+    and the next run takes the surviving chosen primes, then the stream
+    again from the spare if it survived, by the same rule."""
     message = "lane primes ran out below the CRT bound"
     primes, chosen = iter(primes), []
     while True:
@@ -352,12 +353,10 @@ def _lane_run(lanes, m: int, primes, limit: int):
         if spare is None:
             raise DiscrepancyError(message)
         run = chosen + [spare]
-        q = np.array(run, dtype=np.int64)
-        f1 = lanes(q)
-        residues, unlucky = _lane_dets(f1, np.tile(q, f1.shape[1] // len(q)), m)
+        residues, unlucky = dets(np.array(run, dtype=np.int64))
         if unlucky is None:
             return run, residues
-        bad = unlucky.reshape(-1, len(q)).any(axis=0).tolist()
+        bad = unlucky.reshape(-1, len(run)).any(axis=0).tolist()
         chosen = [qk for qk, b in zip(chosen, bad) if not b]
         if not bad[-1]:
             primes = itertools.chain([spare], primes)
@@ -384,8 +383,66 @@ def _crt(residues, run: list, bound: int) -> int:
     return value
 
 
+def _lane_moments(u, q, symmetric: bool):
+    """The moments of a symmetric or a skew symbol on the lanes, in place.
+
+    u is an (r, L) int64 array of residues in [0, q[l]) down axis 0, lane l
+    mod q[l]: t(0), ..., t(m - 1) for a symmetric symbol, or t(1), ...,
+    t(m - 1) for a skew one.  With tau_n(e) = sum_r C(n, r) t(n + e - 2r),
+    on return row n of u holds c_n = tau_n(0) (symmetric) or d_n = tau_n(1)
+    (skew) mod q.
+
+    tau_0 = t and tau_(n+1)(e) = tau_n(e - 1) + tau_n(e + 1).  At layer n,
+    row i holds tau_n(i - n) (symmetric) or tau_n(i - n + 1) (skew), so the
+    step to layer n + 1 adds row i - 2 to row i for every i >= n + 2, and
+    row n is then final.  Row n + 1 becomes tau_(n+1)(0) = 2 tau_n(1) when
+    t(-e) = t(e), and tau_(n+1)(1) = tau_n(2), as it stands, when t(-e) =
+    -t(e) (tau_n(0) = 0).  The layers alternate between u and a second
+    buffer, so no add reads what it writes, and row r is final in the
+    buffer of layer r.  A step at most doubles the largest entry, so
+    residues below 2^30 are reduced every 32 steps, below 2^62.
+    """
+    layers = (u, np.empty_like(u))
+    for n in range(len(u) - 1):
+        a, b = layers[n % 2], layers[1 - n % 2]
+        np.add(a[n + 2:], a[n:-2], out=b[n + 2:])
+        if symmetric:
+            np.add(a[n + 1], a[n + 1], out=b[n + 1])
+        else:
+            b[n + 1] = a[n + 1]
+        if n % 32 == 31:
+            b[n + 1:] %= q
+    u[1::2] = layers[1][1::2]
+    u %= q
+    return u
+
+
+def _symmetric_dets(half, m: int, q):
+    """What _lane_dets returns, for toeplitz_det_mod's split of a symmetric
+    symbol with t(0), ..., t(m - 1) the column half: det T mod q[l] in lane
+    l, T = [t(i - j)] of dimension m, as the two Hankel determinants, each
+    on _lane_dets, times 4^(-k) mod q.  A lane unlucky in either run drops
+    its prime for both."""
+    c = _lane_moments(half % q, q, True)
+    if m % 2:
+        runs = (c, (4 * c[:-2] + q - c[2:]) % q)
+    else:
+        runs = ((c[1:] + 2 * c[:-1]) % q, (2 * c[:-1] + q - c[1:]) % q)
+    moduli = q.tolist()
+    value = [pow(4, -(m // 2), qk) for qk in moduli]
+    for h in runs:
+        size = (len(h) + 1) // 2
+        if size:  # H_0 = 1
+            residues, unlucky = _lane_dets(h, q, size)
+            if unlucky is not None:
+                return None, unlucky
+            sign = (-1) ** (size * (size - 1) // 2)
+            value = [sign * x * y % qk for x, y, qk in zip(value, residues, moduli)]
+    return value, None
+
+
 def toeplitz_det_mod(t, m: int, bound=None) -> int:
-    """Exact determinant of the m x m integer Toeplitz matrix [t(i - j)],
+    """Exact determinant of the m x m integer Toeplitz matrix T = [t(i - j)],
     0 <= i, j < m, by toeplitz_det's windowed PRS over F_q for many primes
     q < 2^30 at once, rebuilt by the Chinese remainder theorem.
 
@@ -423,13 +480,69 @@ def toeplitz_det_mod(t, m: int, bound=None) -> int:
     and so yields det mod q whatever sequence Z takes.  With |det| <= bound
     and a prime product above 2 bound, the symmetric residue is again the
     determinant.
+
+    Symmetric and skew symbols.  When t(-k) = t(k) for every |k| < m, or
+    t(-k) = -t(k), det T comes from Hankel determinants of about half the
+    size (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Let H_K[h] =
+    det[h_(i+j)], 0 <= i, j < K, c_n = sum_r C(n, r) t(n - 2r) and d_n =
+    sum_r C(n, r) t(n + 1 - 2r).  Then, with k = floor(m/2):
+
+    - symmetric, m = 2k + 1: det T = H_(k+1)[c] H_k[nu] / 4^k, with
+      nu_n = 4 c_n - c_(n+2);
+    - symmetric, m = 2k: det T = H_k[c_(n+1) + 2 c_n] H_k[2 c_n - c_(n+1)]
+      / 4^k;
+    - skew, m = 2k: det T = H_k[d]^2;
+    - skew, m odd: det T = 0, as T^T = -T.
+
+    Proof.  Index T by the exponents e = i - (m - 1)/2, half-integers for
+    even m, and let L(z^e) = t(e), so that u^T T v = L(P(z) Q(1/z)) for
+    the Laurent polynomials P and Q with coefficients u and v.  The
+    polynomials z^e + z^-e and z^e - z^-e, e > 0, with 1 when m is odd, are
+    a basis of determinant (-2)^k against the z^e.  A symmetric polynomial
+    (P(1/z) = P(z)) and an antisymmetric one pair to L of an antisymmetric
+    polynomial, which is 0 for a symmetric symbol; two of one kind pair to
+    L of a symmetric one, 0 for a skew symbol.  So in this basis T is block
+    diagonal (symmetric symbol) or block antidiagonal (skew).  With x = z
+    + 1/z, the monic bases x^i (m odd) or (z^(1/2) + z^(-1/2)) x^i (m even)
+    of the symmetric polynomials, and (z - 1/z) x^i (m odd) or (z^(1/2) -
+    z^(-1/2)) x^i (m even) of the antisymmetric ones, are unimodular and
+    triangular against it, and their Gram matrices are Hankel: L(x^n) = c_n; L((4 - x^2) x^n) = nu_n, as -(z - 1/z)^2 = 4 -
+    x^2; L((2 +- x) x^n), as (z^(1/2) + z^(-1/2))^2 = 2 + x and -(z^(1/2) -
+    z^(-1/2))^2 = 2 - x; and, across the two blocks of a skew symbol, -+
+    L((z - 1/z) x^n) = -+2 d_n.  Dividing by the basis's squared
+    determinant 4^k gives the identities.
+
+    On the lanes the moments come from the recurrence of _lane_moments,
+    and each Hankel determinant is _lane_dets on its moments, leading
+    first, times (-1)^(K(K-1)/2), as reversing the rows of a Toeplitz
+    matrix gives a Hankel one.  A symmetric symbol's lanes multiply the two
+    Hankel residues by 4^(-k) mod q (q is odd), and the CRT rebuilds det T
+    on the same bound as above, H or bound.  A skew symbol's CRT rebuilds
+    +-D, D = H_k[d], alone (the square drops the sign), with |D| = |det
+    T|^(1/2) <= isqrt(B) + 1 for B = H or bound, so its primes multiply
+    past 2 (isqrt(B) + 1), about half as many; det T = D^2.  Each Hankel run takes its zero tests on that value
+    bound, so the field argument above gives its determinant mod q in every
+    lane kept, whatever the moments' own subresultants are.
     """
     if m < 1:
         raise ValueError("Toeplitz dimension must be at least 1")
     f1 = np.array([[t(m - 1 - k)] for k in range(2 * m - 1)], dtype=np.int64)
     if bound is None:
         bound = _hadamard_bound(f1, m)
-    run, residues = _lane_run(lambda q: f1 % q, m, _lane_primes(), 2 * bound)
+    half = f1[m - 1::-1]  # t(0), ..., t(m - 1)
+    if np.array_equal(f1, f1[::-1]):
+        run, residues = _lane_run(lambda q: _symmetric_dets(half, m, q), _lane_primes(),
+                                  2 * bound)
+    elif np.array_equal(f1, -f1[::-1]):
+        if m % 2:
+            return 0
+        root = math.isqrt(bound) + 1  # bounds |H_(m/2)[d]| = |det T|^(1/2)
+        run, residues = _lane_run(
+            lambda q: _lane_dets(_lane_moments(half[1:] % q, q, False), q, m // 2),
+            _lane_primes(), 2 * root)
+        return _crt(residues, run, root) ** 2
+    else:
+        run, residues = _lane_run(lambda q: _lane_dets(f1 % q, q, m), _lane_primes(), 2 * bound)
     return _crt(residues, run, bound)
 
 
@@ -473,7 +586,8 @@ def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
         sb = np.array([roots[qk] for qk in q.tolist()]) * (bv % q) % q
         return np.concatenate([(av + sb) % q, (av - sb) % q], axis=1)
 
-    run, residues = _lane_run(lanes, m, primes(), 2 * h * h)
+    run, residues = _lane_run(lambda q: _lane_dets(lanes(q), np.tile(q, 2), m), primes(),
+                              2 * h * h)
     pairs = list(zip(residues[:len(run)], residues[len(run):], run))
     cs = [(x + y) * ((qk + 1) // 2) % qk for x, y, qk in pairs]
     ds = [(x - y) * pow(2 * roots[qk], -1, qk) % qk for x, y, qk in pairs]

@@ -18,6 +18,12 @@ from .exactlinalg import IntMatrix, toeplitz_det, toeplitz_det_mod
 # numpy 2.4): they break even at m = 41-45 (48-51 in one busier round),
 # near 0.75 ms each; the lanes take 1.1-1.2x the bigint time at m = 36-40,
 # 0.8-0.9x at m = 49-52, 0.63-0.68x at m = 63-66 and 0.22-0.24x at 199.
+# det_ep's symbol is symmetric or skew, so toeplitz_det_mod splits it into
+# half-size Hankel determinants; re-timed on that split (best of 9,
+# interleaved), it breaks even with the bigint PRS near m = 30 for p = 3
+# (mod 4) (0.6-0.75x at m = 34-42) and near m = 49-51 for p = 1 (mod 4)
+# (1.1-1.3x at m = 37-45).  One threshold serves all three, so it stays
+# at det_mp's break-even, between det_ep's two.
 _LANES_FROM = 46
 
 

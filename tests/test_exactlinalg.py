@@ -413,6 +413,76 @@ def test_toeplitz_det_mod_matches_toeplitz_det():
         toeplitz_det_mod(lambda k: 1, 0)
 
 
+def _centrosymmetric_values(rng, m, skew):
+    """_random_values for m folded into a symmetric symbol, t(-k) = t(k),
+    or a skew one, t(-k) = -t(k) and t(0) = 0: t(k) and t(-k) take the
+    draw's t(-k), so an all-zero draw stays all zero, and a draw with a
+    zero diagonal keeps t(0) = 0."""
+    half = _random_values(rng, m)[m - 1::-1]  # the draw's t(0), ..., t(-(m-1))
+    if skew:
+        half[0] = 0
+    return [-x if skew else x for x in half[:0:-1]] + half
+
+
+def test_symmetric_and_skew_symbols_match_toeplitz_det():
+    # the split into half-size Hankel determinants, in all four parity
+    # cases, against the bigint PRS
+    rng = random.Random(31)
+    cases, zero_symbols, zero_diagonals = {}, 0, 0
+    for _ in range(1000):
+        m, skew = rng.randint(1, 40), rng.random() < 0.5
+        values = _centrosymmetric_values(rng, m, skew)
+        exact = toeplitz_det(lambda k: values[k + m - 1], m)
+        assert toeplitz_det_mod(lambda k: values[k + m - 1], m) == exact, (values, m)
+        kind = ("skew" if skew else "symmetric", m % 2, exact == 0)
+        cases[kind] = cases.get(kind, 0) + 1
+        zero_symbols += not any(values)
+        zero_diagonals += not skew and values[m - 1] == 0 and any(values)
+    for symmetry in ("symmetric", "skew"):
+        for odd in (0, 1):
+            assert cases.get((symmetry, odd, True), 0) > 20, (symmetry, odd)
+            regular = cases.get((symmetry, odd, False), 0)
+            # a skew symbol of odd dimension is always singular
+            assert regular == 0 if symmetry == "skew" and odd else regular > 50, (symmetry, odd)
+    assert zero_symbols > 50 and zero_diagonals > 50
+
+
+def test_a_skew_symbol_rebuilds_its_square_root_on_half_the_bits(monkeypatch):
+    # det_ep at p = 3 (mod 4) is H_k[d]^2: the primes multiply past
+    # 2 (isqrt(H) + 1), not 2H, and one spare follows them; at p = 1 (mod 4)
+    # both Hankel runs take the primes of 2H
+    lane_dets = exactlinalg._lane_dets
+    runs = []
+
+    def recording(f1, q, m):
+        runs.append(q.tolist())
+        return lane_dets(f1, q, m)
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    for p in (199, 397, 599):
+        q = OddPrime(p)
+        chi = legendre_table(q)
+        h = exactlinalg._hadamard_bound(np.array([chi[k] for k in range(-q.n, q.n + 1)]), q.n + 1)
+        limit = 2 * h if p % 4 == 1 else 2 * (math.isqrt(h) + 1)
+        runs.clear()
+        det_ep(q)
+        assert len(runs) == (2 if p % 4 == 1 else 1)
+        for primes in runs:
+            assert primes == runs[0]
+            chosen = primes[:-1]
+            assert math.prod(chosen[:-1]) <= limit < math.prod(chosen), p
+
+
+def test_an_odd_skew_symbol_takes_no_prime(monkeypatch):
+    _patch_lane_primes(monkeypatch, [])
+    values = [-2, 1, 0, -1, 2]  # t(-2), ..., t(2)
+    assert toeplitz_det(lambda k: values[k + 2], 3) == 0
+    assert toeplitz_det_mod(lambda k: values[k + 2], 3) == 0
+    # an even one needs primes
+    with pytest.raises(DiscrepancyError, match="lane primes ran out"):
+        toeplitz_det_mod(lambda k: values[k + 2], 2)
+
+
 _SMALL_PRIMES = [q.p for q in primes_in_range(3, 2000)]
 
 
@@ -493,13 +563,15 @@ def test_a_batch_of_one_never_drops_its_row(monkeypatch):
             lambda k: values[k + m - 1], m), (values, m)
 
 
-def _tamper_lane(monkeypatch, position):
-    """Add 1 mod its prime to the residue of lane position of every run."""
+def _tamper_lane(monkeypatch, position, run=None):
+    """Add 1 mod its prime to the residue of lane position of every run,
+    or, when run is given, of the run-th call of _lane_dets from now on."""
     lane_dets = exactlinalg._lane_dets
+    calls = itertools.count()
 
     def tampered(f1, q, m):
         residues, unlucky = lane_dets(f1, q, m)
-        if residues is not None:
+        if residues is not None and (run is None or next(calls) == run):
             residues[position] = (residues[position] + 1) % int(q[position])
         return residues, unlucky
 
@@ -618,6 +690,32 @@ def test_a_wrong_last_lane_passes_the_bound_but_not_the_spare(monkeypatch):
     _tamper_lane(monkeypatch, -2)
     with pytest.raises(DiscrepancyError, match="disagrees with the spare prime"):
         det_mp(OddPrime(167))
+
+
+def test_a_wrong_residue_on_any_lane_of_each_hankel_run_is_caught(monkeypatch):
+    # det_ep at 101 and 397 (p = 1 mod 4) runs two Hankel determinants on
+    # one prime set, and at 103 (p = 3 mod 4) the one run of D; a +1 on any
+    # single lane, chosen or spare, of any of those runs raises
+    lane_dets = exactlinalg._lane_dets
+    for p in (101, 103, 397):
+        q = OddPrime(p)
+        lanes = []
+
+        def recording(f1, qs, m):
+            lanes.append(len(qs))
+            return lane_dets(f1, qs, m)
+
+        monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+        expected = det_ep(q)
+        assert len(lanes) == (2 if p % 4 == 1 else 1), p
+        monkeypatch.undo()
+        for run, width in enumerate(lanes):
+            for position in range(width):
+                _tamper_lane(monkeypatch, position, run)
+                with pytest.raises(DiscrepancyError):
+                    det_ep(q)
+                monkeypatch.undo()
+        assert det_ep(q) == expected
 
 
 def test_lane_reductions_are_sign_free(monkeypatch):
