@@ -3,7 +3,7 @@
 from .arith import OddPrime, is_prime, legendre, primes_in_range
 from .cyclotomic import cauchy_det, frakp_residue, gauss_sum
 from .errors import DiscrepancyError, LegdetError, PrecisionError
-from .exactlinalg import IntMatrix, det, toeplitz_det, toeplitz_det_mod
+from .exactlinalg import IntMatrix, det, toeplitz_det_mod
 from .matrices import build_cp, build_ep, build_mp, charpoly_cp, det_cp, det_ep, det_mp
 from .quadfield import (
     ClassNumberReport,
@@ -51,6 +51,5 @@ __all__ = [
     "primes_in_range",
     "quad_pow",
     "run_sweep",
-    "toeplitz_det",
     "toeplitz_det_mod",
 ]

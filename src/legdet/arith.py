@@ -73,9 +73,11 @@ def legendre_array(p: OddPrime) -> np.ndarray:
 
     Built in one numpy scatter from the squares k^2 mod p, k = 1..n, which
     are exactly the n nonzero residues (k^2 < 2**62 since p < 2**32).
-    The Gauss sum tau, the square-sum check and the split-prime embeddings
-    of `cyclotomic` read this array, and `legendre_table` is its list form;
-    the class numbers build no table (see `quadfield._half_squares`)."""
+    The Toeplitz symbols of `det_cp`, `det_ep`, `det_mp` and `mtilde_det`
+    are read off this array, as are the Gauss sum tau, the square-sum
+    check and the split-prime embeddings of `cyclotomic`; `legendre_table`
+    is its list form.  The class numbers build no table (see
+    `quadfield._half_squares`)."""
     k = np.arange(1, p.n + 1, dtype=np.int64)
     chi = np.full(p.p, -1, dtype=np.int64)
     chi[0] = 0
@@ -87,11 +89,12 @@ def legendre_table(p: OddPrime) -> list[int]:
     """The quadratic character as a list chi with chi[a] = (a/p), 0 <= a < p.
 
     This is `legendre_array(p).tolist()`: the numpy scatter over the squares
-    k^2 mod p, converted so that every entry is a Python int.  The bigint
-    kernels multiply these entries, and a numpy int64 would overflow
-    silently.  Python's negative indexing wraps mod p, so chi[-k] = (-k/p)
-    for 0 < k < p.  Sweeps over a residue range read this table; `legendre`
-    serves single symbols.
+    k^2 mod p, converted so that every entry is a Python int.  Its readers
+    are the `IntMatrix` builders of `matrices`, whose entries Bareiss
+    elimination multiplies (a numpy int64 would overflow silently),
+    `cyclotomic.ztau_text`, which scales them by an unbounded d, and the
+    `vsemirnov` diagnostic.  Python's negative indexing wraps mod p, so
+    chi[-k] = (-k/p) for 0 < k < p.  `legendre` serves single symbols.
     """
     return legendre_array(p).tolist()
 

@@ -316,14 +316,16 @@ def mtilde_det(parts: MtildeParts) -> tuple[int, int]:
     entry equal to f(d): f(0) = p, f(d) = (d/p)*tau.  Subtracting column
     j+1 from column j, j < n, turns row 0 into -e_n, leaving (-1)^(n+1)
     times the n x n Toeplitz determinant of t(k) = f(k+1) - f(k) over Z[tau],
-    whose parts a(k), from f(0), and b(k) = chi(k+1) - chi(k) are integers."""
+    whose parts a(k), from f(0), and b(k) = chi(k+1) - chi(k) are integers:
+    as |k| < n, a(-1) = p, a(0) = -p and a(k) = 0 otherwise."""
     p = parts.prime
     if _constant(parts.top) != -1:
         raise DiscrepancyError(f"row 0 is not -1 at p={p.p}")
     check_square_sums(p, parts.classes)
-    chi = legendre_table(p)
-    c, d = toeplitz_det_ztau(lambda k: p.p * (((k + 1) % p.p == 0) - (k % p.p == 0)),
-                             lambda k: chi[k + 1] - chi[k], p.n, (-1) ** p.n * p.p)
+    chi = legendre_array(p)
+    k = np.arange(p.n - 1, -p.n, -1)
+    c, d = toeplitz_det_ztau(p.p * (k == -1) - p.p * (k == 0),
+                             chi[(k + 1) % p.p] - chi[k % p.p], (-1) ** p.n * p.p)
     return (c, d) if p.n % 2 else (-c, -d)
 
 

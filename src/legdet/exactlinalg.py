@@ -1,5 +1,5 @@
 """Exact linear algebra over the integers: dense elimination, and the
-Toeplitz determinant on bigints and on numpy lanes mod many primes."""
+Toeplitz determinant on numpy lanes mod many primes."""
 from __future__ import annotations
 
 import itertools
@@ -74,115 +74,6 @@ def det(m: IntMatrix) -> int:
     return _bareiss([list(r) for r in m.rows])
 
 
-def _exact_div(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise DiscrepancyError("exact division left a remainder")
-    return q
-
-
-def _lstrip0(c: list) -> list:
-    k = 0
-    while k < len(c) and not c[k]:
-        k += 1
-    return c[k:]
-
-
-def _prem_window(a: list, b: list, steps: int, beta) -> list:
-    """The top coefficients of the pseudo-remainder lc(b)^steps * a mod b,
-    divided exactly by beta.
-
-    a and b are coefficient windows of equal length, leading coefficient
-    first: a starts at degree deg b + steps - 1, b at its leading
-    coefficient.  Each step eliminates a's current leading term, so the
-    result is the window steps shorter that starts at degree deg b - 1.
-    Its coefficient of degree e reads a at degree e and up and b at degree
-    e - steps + 1 and up, all inside the windows, so it equals the full
-    pseudo-remainder's.  Every coefficient computed is divided by beta, and
-    a nonzero remainder raises DiscrepancyError.
-
-    Two steps, the normal case, are one expression per coefficient: with
-    l = lc(b) and r1 = l a_1 - a_0 b_1 the first step's leading coefficient,
-    coefficient k is l^2 a_(k+2) - (l a_0) b_(k+2) - r1 b_(k+1).
-
-    One check covers every division: floor division leaves remainders that
-    all share beta's sign, so they all vanish exactly when their sum does,
-    and that sum is the numerators' sum minus beta times the quotients'.
-    In the two-step case the numerators' sum is l^2 sum a_(k+2) - (l a_0)
-    sum b_(k+2) - r1 sum b_(k+1), three sums of the inputs.
-    """
-    lb, tail_b = b[0], b[1:]
-    if steps == 2:
-        l2, la0, r1 = lb * lb, lb * a[0], lb * a[1] - a[0] * b[1]
-        q = [(l2 * x - la0 * y - r1 * z) // beta for x, y, z in zip(a[2:], b[2:], tail_b)]
-        total = l2 * sum(a[2:]) - la0 * sum(b[2:]) - r1 * sum(b[1:-1])
-    else:
-        r = a
-        for _ in range(steps):
-            c = r[0]
-            if c:
-                r = [lb * x - c * y for x, y in zip(r[1:], tail_b)]
-            else:
-                r = [lb * x for x in r[1:]]
-        q = [x // beta for x in r]
-        total = sum(r)
-    if total != beta * sum(q):
-        raise DiscrepancyError("subresultant step did not divide exactly")
-    return q
-
-
-def toeplitz_det(t, m: int) -> int:
-    """Exact determinant of the integer m x m Toeplitz matrix [t(i - j)], 0 <= i, j < m.
-
-    Reversing the rows gives a Hankel matrix, whose determinant is the
-    principal subresultant coefficient of index m - 1 of F0 = X^(2m-1) and
-    F1 = sum_k t(m-1-k) X^(2m-2-k); the two sign changes cancel.  The
-    Brown-Collins subresultant PRS reaches it (Brown & Traub 1971) as the
-    scaled leading coefficient of the remainder of degree m - 1.
-
-    Each step keeps only the window of coefficients that this answer reads.
-    In prem(A, B), the coefficient of degree e reads A at degree e and at
-    degrees >= deg B, and B at degrees >= e - (deg A - deg B).  Working back
-    from degree m - 1, the step whose divisor has degree d needs its
-    remainder only at degrees >= 2m - 1 - d.  So the dividend is cut to
-    that floor, and the divisor's own window (its floor was set one step
-    earlier, by the dividend's degree) is exactly what the step reads: the
-    two windows have equal length, and each step's is 2 shorter than the
-    last when the degrees fall by 1.  Coefficients below a window are never
-    computed.  The divisor has degree >= m, so every floor is <= m - 1: the
-    remainder's true degree is known whenever it is >= m - 1, and an
-    all-zero window means degree < m - 1, hence determinant 0.
-
-    Every division is exact in theory, so a nonzero remainder of any
-    computed coefficient raises DiscrepancyError.
-    """
-    if m < 1:
-        raise ValueError("Toeplitz dimension must be at least 1")
-    f1 = _lstrip0([t(m - 1 - k) for k in range(2 * m - 1)])
-    d = len(f1) - 1
-    delta = 2 * m - 1 - d
-    if d < m - 1:
-        return 0
-    if d == m - 1:
-        return f1[0] ** delta
-    # X^(2m-1) down to the first floor, 2m - 1 - d
-    f0 = [1] + [0] * d
-    beta, psi = (-1) ** (delta + 1), -1
-    while True:
-        lc = f1[0]
-        window = _prem_window(f0[: len(f1)], f1, delta + 1, beta)
-        psi = _exact_div((-lc) ** delta, psi ** (delta - 1))
-        r = _lstrip0(window)
-        # deg f1 - deg r; an all-zero window gives d - gap = floor - 1
-        gap = len(window) - len(r) + 1
-        if d - gap < m - 1:
-            return 0
-        if d - gap == m - 1:
-            return _exact_div((-1) ** (gap - 1) * r[0] ** gap, psi ** (gap - 1))
-        beta = -lc * psi**gap
-        f0, f1, d, delta = f1, r, d - gap, gap
-
-
 _LANE_PRIMES: list = []  # the odd primes descending from 2^30, filled on first use
 _LANE_STREAM = _modular_primes(1)
 
@@ -235,12 +126,30 @@ def _lane_lead(w):
 
 def _lane_dets(f1, q, m: int):
     """The m x m Toeplitz determinants of L lanes, lane l mod q[l], by the
-    windowed Brown-Collins PRS of toeplitz_det run over F_q in every lane
-    at once.
+    windowed Brown-Collins subresultant PRS over F_q, run in every lane at
+    once.
+
+    Reversing the rows of T = [t(i - j)], 0 <= i, j < m, gives a Hankel
+    matrix, whose determinant is the principal subresultant coefficient of
+    index m - 1 of F0 = X^(2m-1) and F1 = sum_k t(m-1-k) X^(2m-2-k); the
+    two sign changes cancel (Brown & Traub 1971).
+
+    Windows.  Each step keeps only the coefficients that this answer reads.
+    In prem(A, B), the coefficient of degree e reads A at degree e and at
+    degrees >= deg B, and B at degrees >= e - (deg A - deg B).  Working back
+    from degree m - 1, the step whose divisor has degree d needs its
+    remainder only at degrees >= 2m - 1 - d.  So the dividend is cut to
+    that floor, and the divisor's own window (its floor was set one step
+    earlier, by the dividend's degree) is exactly what the step reads: the
+    two windows have equal length, and each step's is 2 shorter than the
+    last when the degrees fall by 1.  Coefficients below a window are never
+    computed.  The divisor has degree >= m, so every floor is <= m - 1: the
+    remainder's true degree is known whenever it is >= m - 1, and an
+    all-zero window means degree < m - 1, hence determinant 0.
 
     f1 is a (2m - 1, L) int64 array: column l holds the residues mod q[l],
-    in [0, q[l]), of the coefficients of lane l's F1 (toeplitz_det's F1,
-    leading first, down axis 0), and q is the (L,) int64 array of moduli.
+    in [0, q[l]), of the coefficients of lane l's F1, leading first, down
+    axis 0, and q is the (L,) int64 array of moduli.
     Every lane takes the same steps on its own residues, so one (width, L)
     array holds each window, with the lanes on the contiguous last axis,
     along which each step's (L,) per-lane scalars broadcast.  Each step
@@ -441,10 +350,31 @@ def _symmetric_dets(half, m: int, q):
     return value, None
 
 
-def toeplitz_det_mod(t, m: int, bound=None) -> int:
+def _symbol_column(symbol):
+    """symbol, t(m - 1), ..., t(1 - m), as a (2m - 1, 1) int64 column, and
+    m; an empty, even-length, not 1-D or not integer symbol raises
+    ValueError."""
+    f1 = np.asarray(symbol)
+    if f1.ndim != 1 or len(f1) % 2 == 0 or f1.dtype.kind not in "iu":
+        raise ValueError("a Toeplitz symbol is a 1-D integer array of odd length 2m - 1")
+    return f1.astype(np.int64, copy=False)[:, None], (len(f1) + 1) // 2
+
+
+def toeplitz_det_mod(symbol, bound=None) -> int:
     """Exact determinant of the m x m integer Toeplitz matrix T = [t(i - j)],
-    0 <= i, j < m, by toeplitz_det's windowed PRS over F_q for many primes
-    q < 2^30 at once, rebuilt by the Chinese remainder theorem.
+    0 <= i, j < m, by the windowed subresultant PRS of _lane_dets over F_q
+    for many primes q < 2^30 at once, rebuilt by the Chinese remainder
+    theorem.
+
+    symbol is the 1-D int64 array t(m - 1), ..., t(1 - m), F1's
+    coefficients leading first, and m is read off its length 2m - 1.
+
+    Windows.  The step whose divisor has degree d computes its remainder
+    only at degrees >= 2m - 1 - d: prem(A, B) at degree e reads A at e and
+    at degrees >= deg B and B at degrees >= e - (deg A - deg B), so nothing
+    lower reaches the coefficient of degree m - 1 (see _lane_dets).  Every
+    divisor has degree >= m, so that floor is <= m - 1, and an all-zero
+    window means a remainder of degree < m - 1: det T = 0.
 
     Bound.  Let S be the sum of the m largest of the squares t(k)^2,
     |k| < m, and H = isqrt(S^m) + 1.  Every coefficient the PRS reads, the
@@ -506,11 +436,12 @@ def toeplitz_det_mod(t, m: int, bound=None) -> int:
     + 1/z, the monic bases x^i (m odd) or (z^(1/2) + z^(-1/2)) x^i (m even)
     of the symmetric polynomials, and (z - 1/z) x^i (m odd) or (z^(1/2) -
     z^(-1/2)) x^i (m even) of the antisymmetric ones, are unimodular and
-    triangular against it, and their Gram matrices are Hankel: L(x^n) = c_n; L((4 - x^2) x^n) = nu_n, as -(z - 1/z)^2 = 4 -
-    x^2; L((2 +- x) x^n), as (z^(1/2) + z^(-1/2))^2 = 2 + x and -(z^(1/2) -
-    z^(-1/2))^2 = 2 - x; and, across the two blocks of a skew symbol, -+
-    L((z - 1/z) x^n) = -+2 d_n.  Dividing by the basis's squared
-    determinant 4^k gives the identities.
+    triangular against it, and their Gram matrices are Hankel: L(x^n) =
+    c_n; L((4 - x^2) x^n) = nu_n, as -(z - 1/z)^2 = 4 - x^2; L((2 +- x)
+    x^n), as (z^(1/2) + z^(-1/2))^2 = 2 + x and -(z^(1/2) - z^(-1/2))^2 =
+    2 - x; and, across the two blocks of a skew symbol, -+ L((z - 1/z)
+    x^n) = -+2 d_n.  Dividing by the basis's squared determinant 4^k gives
+    the identities.
 
     On the lanes the moments come from the recurrence of _lane_moments,
     and each Hankel determinant is _lane_dets on its moments, leading
@@ -520,13 +451,12 @@ def toeplitz_det_mod(t, m: int, bound=None) -> int:
     on the same bound as above, H or bound.  A skew symbol's CRT rebuilds
     +-D, D = H_k[d], alone (the square drops the sign), with |D| = |det
     T|^(1/2) <= isqrt(B) + 1 for B = H or bound, so its primes multiply
-    past 2 (isqrt(B) + 1), about half as many; det T = D^2.  Each Hankel run takes its zero tests on that value
-    bound, so the field argument above gives its determinant mod q in every
-    lane kept, whatever the moments' own subresultants are.
+    past 2 (isqrt(B) + 1), about half as many; det T = D^2.  Each Hankel
+    run takes its zero tests on that value bound, so the field argument
+    above gives its determinant mod q in every lane kept, whatever the
+    moments' own subresultants are.
     """
-    if m < 1:
-        raise ValueError("Toeplitz dimension must be at least 1")
-    f1 = np.array([[t(m - 1 - k)] for k in range(2 * m - 1)], dtype=np.int64)
+    f1, m = _symbol_column(symbol)
     if bound is None:
         bound = _hadamard_bound(f1, m)
     half = f1[m - 1::-1]  # t(0), ..., t(m - 1)
@@ -546,9 +476,11 @@ def toeplitz_det_mod(t, m: int, bound=None) -> int:
     return _crt(residues, run, bound)
 
 
-def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
+def toeplitz_det_ztau(a, b, pstar: int) -> tuple[int, int]:
     """Exact (c, d), meaning c + d*tau, of det [a(i - j) + b(i - j)*tau],
-    0 <= i, j < m, tau^2 = pstar, for int64-valued a and b, |pstar| no square.
+    0 <= i, j < m, tau^2 = pstar, |pstar| no square.  a and b are symbols
+    as toeplitz_det_mod takes them, 1-D int64 arrays a(m - 1), ..., a(1 - m)
+    and b(m - 1), ..., b(1 - m) of one odd length 2m - 1.
 
     At primes q = 3 (mod 4) with pstar a nonzero square, s = pstar^((q+1)/4)
     is a root of it, and tau -> +-s map the matrix to a +- s*b, two lanes
@@ -565,9 +497,9 @@ def toeplitz_det_ztau(a, b, m: int, pstar: int) -> tuple[int, int]:
     chosen primes and checked mod the spare prime (see _crt); one above h
     raises DiscrepancyError.
     """
-    if m < 1 or math.isqrt(abs(pstar)) ** 2 == abs(pstar):
-        raise ValueError("need m >= 1 and |pstar| not a square")
-    av, bv = (np.array([[f(k)] for k in range(m - 1, -m, -1)], np.int64) for f in (a, b))
+    (av, m), (bv, _) = _symbol_column(a), _symbol_column(b)
+    if av.shape != bv.shape or math.isqrt(abs(pstar)) ** 2 == abs(pstar):
+        raise ValueError("need symbols a and b of one length and |pstar| not a square")
     h = _hadamard_bound(np.abs(av) + (math.isqrt(abs(pstar)) + 1) * np.abs(bv), m)
 
     roots = {}  # q -> s, for every prime q that primes() has yielded

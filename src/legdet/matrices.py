@@ -9,28 +9,7 @@ import numpy as np
 
 from .arith import OddPrime, legendre_array, legendre_table
 from .errors import DiscrepancyError
-from .exactlinalg import IntMatrix, toeplitz_det, toeplitz_det_mod
-
-# Dimension from which det_cp/det_ep/det_mp take the multimodular lanes
-# (toeplitz_det_mod) instead of the bigint PRS (toeplitz_det).  Timed on
-# det_ep and det_mp (det_mp on its value bound), best of 9 with the two
-# routes interleaved, three rounds on a shared 2-core Xeon (Python 3.11,
-# numpy 2.4): they break even at m = 41-45 (48-51 in one busier round),
-# near 0.75 ms each; the lanes take 1.1-1.2x the bigint time at m = 36-40,
-# 0.8-0.9x at m = 49-52, 0.63-0.68x at m = 63-66 and 0.22-0.24x at 199.
-# det_ep's symbol is symmetric or skew, so toeplitz_det_mod splits it into
-# half-size Hankel determinants; re-timed on that split (best of 9,
-# interleaved), it breaks even with the bigint PRS near m = 30 for p = 3
-# (mod 4) (0.6-0.75x at m = 34-42) and near m = 49-51 for p = 1 (mod 4)
-# (1.1-1.3x at m = 37-45).  One threshold serves all three, so it stays
-# at det_mp's break-even, between det_ep's two.
-_LANES_FROM = 46
-
-
-def _toeplitz(t, m: int, bound=None) -> int:
-    """toeplitz_det_mod (with bound, a bound on |det|, when given) from
-    dimension _LANES_FROM on, else toeplitz_det."""
-    return toeplitz_det_mod(t, m, bound) if m >= _LANES_FROM else toeplitz_det(t, m)
+from .exactlinalg import IntMatrix, toeplitz_det_mod
 
 
 def build_cp(p: OddPrime) -> IntMatrix:
@@ -57,9 +36,10 @@ def build_mp(p: OddPrime) -> IntMatrix:
 
 
 def det_cp(p: OddPrime) -> int:
-    """det of build_cp(p): Toeplitz with t(k) = (-k/p), dimension p-1."""
-    chi = legendre_table(p)
-    return _toeplitz(lambda k: chi[-k], p.p - 1)
+    """det of build_cp(p): Toeplitz with t(k) = (-k/p), dimension p-1, whose
+    symbol t(p-2), ..., t(2-p) reads chi at 2-p, ..., p-2 mod p."""
+    chi = legendre_array(p)
+    return toeplitz_det_mod(chi[np.arange(2 - p.p, p.p - 1) % p.p])
 
 
 def charpoly_cp(p: OddPrime) -> tuple[int, int]:
@@ -163,9 +143,10 @@ def _gram(x):
 
 
 def det_ep(p: OddPrime) -> int:
-    """det of build_ep(p): Toeplitz with t(k) = (-k/p), dimension n+1."""
-    chi = legendre_table(p)
-    return _toeplitz(lambda k: chi[-k], p.n + 1)
+    """det of build_ep(p): Toeplitz with t(k) = (-k/p), dimension n+1, whose
+    symbol t(n), ..., t(-n) reads chi at -n, ..., n mod p."""
+    chi = legendre_array(p)
+    return toeplitz_det_mod(chi[np.arange(-p.n, p.n + 1) % p.p])
 
 
 def det_mp(p: OddPrime) -> int:
@@ -173,13 +154,13 @@ def det_mp(p: OddPrime) -> int:
     turns row 0 into e_n; expanding along it leaves (-1)^n times the n x n
     Toeplitz determinant with t(k) = ((k+1)/p) - (k/p).
 
-    On the lanes, the CRT limit is Hadamard's bound on the rows of
-    build_mp(p) itself, isqrt((n+1) n^n) + 1: row 0 is all ones and each
-    other row has one zero, on the diagonal.  That bounds the value alone,
-    and is smaller than the Toeplitz matrix's own bound H, whose entries
-    lie in -2..2 (at p = 397, 760 bits and 26 primes against 954 bits and
-    32 primes)."""
-    chi = legendre_table(p)
+    The CRT limit is Hadamard's bound on the rows of build_mp(p) itself,
+    isqrt((n+1) n^n) + 1: row 0 is all ones and each other row has one
+    zero, on the diagonal.  That bounds the value alone, and is smaller
+    than the Toeplitz matrix's own bound H, whose entries lie in -2..2 (at
+    p = 397, 760 bits and 26 primes against 954 bits and 32 primes)."""
+    chi = legendre_array(p)
     n = p.n
+    k = np.arange(n - 1, -n, -1)
     bound = math.isqrt((n + 1) * n**n) + 1
-    return (-1) ** n * _toeplitz(lambda k: chi[k + 1] - chi[k], n, bound)
+    return (-1) ** n * toeplitz_det_mod(chi[(k + 1) % p.p] - chi[k % p.p], bound)

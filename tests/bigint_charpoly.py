@@ -9,7 +9,7 @@ Horner loop expands that form into monomials.
 """
 import math
 
-from legdet.exactlinalg import _exact_div, toeplitz_det
+from bigint_toeplitz import _exact_div, toeplitz_det
 from int_polynomial import IntPolynomial
 
 

@@ -3,8 +3,11 @@ the multimodular lanes, kept as the tests' reference for the
 characteristic polynomial of C_p from 3 to 131 (and for any Toeplitz T).
 It reaches the lanes through the `legdet.exactlinalg` module, so that a
 test can patch `toeplitz_det_mod` under it."""
+import numpy as np
+
 from legdet import exactlinalg
 from legdet.errors import DiscrepancyError
+from bigint_toeplitz import _exact_div
 from int_polynomial import IntPolynomial
 
 
@@ -38,13 +41,14 @@ def toeplitz_charpoly(t, m: int, *, even: bool = False) -> IntPolynomial:
         raise ValueError("an even characteristic polynomial needs an even dimension")
     degree = m // 2 if even else m
     nodes = [x * x if even else x for x in range(degree + 2)]
-    values = [exactlinalg.toeplitz_det_mod(lambda k, x=x: (x if k == 0 else 0) - t(k), m)
-              for x in range(degree + 2)]
+    symbol = np.array([-t(k) for k in range(m - 1, -m, -1)], dtype=np.int64)
+    centre = np.arange(2 * m - 1) == m - 1
+    values = [exactlinalg.toeplitz_det_mod(symbol + x * centre) for x in range(degree + 2)]
     # in place: newton[i] becomes the divided difference over nodes[0..i]
     newton = values
     for k in range(1, len(nodes)):
         for i in range(len(nodes) - 1, k - 1, -1):
-            newton[i] = exactlinalg._exact_div(newton[i] - newton[i - 1], nodes[i] - nodes[i - k])
+            newton[i] = _exact_div(newton[i] - newton[i - 1], nodes[i] - nodes[i - k])
     if any(newton[degree + 1:]):
         raise DiscrepancyError("a divided difference of order above the degree is nonzero")
     coeffs = [newton[degree]]

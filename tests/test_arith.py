@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from legdet import arith, cyclotomic, exactlinalg
@@ -75,7 +76,7 @@ def test_take_primes_raises_each_callers_message(monkeypatch):
     for primes in ([5], [7]):
         monkeypatch.setattr(exactlinalg, "_lane_primes", lambda: iter(primes))
         with pytest.raises(DiscrepancyError, match="^lane primes ran out below the CRT bound$"):
-            toeplitz_det_mod(lambda k: 1 if k else 0, 2)
+            toeplitz_det_mod(np.array([1, 0, 1]))
     monkeypatch.undo()
     # the split primes' message, naming p
     monkeypatch.setattr(cyclotomic, "_modular_primes", lambda s: iter([]))
@@ -197,7 +198,8 @@ def test_legendre_table_matches_jacobi():
 
 
 def test_legendre_table_entries_are_python_ints():
-    # the bigint kernels multiply table entries; an int64 would wrap silently
+    # Bareiss on the IntMatrix builders and ztau_text multiply table
+    # entries; an int64 would wrap silently
     for q in primes_in_range(3, 400) + [OddPrime(10007)]:
         chi = legendre_table(q)
         assert type(chi) is list

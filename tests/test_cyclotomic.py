@@ -29,7 +29,7 @@ from legdet.cyclotomic import (
     ztau_text,
 )
 from legdet.errors import DiscrepancyError
-from legdet.exactlinalg import IntMatrix, _exact_div, det, toeplitz_det_ztau
+from legdet.exactlinalg import IntMatrix, det, toeplitz_det_ztau
 from legdet.quadfield import (
     ClassNumberReport,
     QuadElem,
@@ -47,6 +47,7 @@ from exact_products import (
     exact_product_two,
     numeric_product_one,
 )
+from bigint_toeplitz import _exact_div
 
 
 def random_elem(rng, q, lo=-4, hi=4):
@@ -640,8 +641,8 @@ def ztau_toeplitz(q, coords, m):
     where coords lists t(-(m-1)), ..., t(m-1) as (c, d) pairs; for m <= 4
     the reference must also equal the cofactor expansion in Q(zeta_q)."""
     pstar = (-1) ** q.n * q.p
-    got = toeplitz_det_ztau(lambda k: coords[k + m - 1][0],
-                            lambda k: coords[k + m - 1][1], m, pstar)
+    a, b = np.array(coords[::-1]).T  # t(m-1), ..., t(-(m-1))
+    got = toeplitz_det_ztau(a, b, pstar)
     ref = ztau_reference(coords, m, pstar)
     if m <= 4:
         dense = [[coords[i - j + m - 1] for j in range(m)] for i in range(m)]

@@ -13,11 +13,8 @@ from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import (
     IntMatrix,
     _bareiss,
-    _exact_div,
     _lane_primes,
-    _prem_window,
     det,
-    toeplitz_det,
     toeplitz_det_mod,
     toeplitz_det_ztau,
 )
@@ -33,6 +30,7 @@ from legdet.matrices import (
 )
 from legdet.verify import FAIL, PASS, run_sweep
 from bigint_charpoly import bigint_charpoly
+from bigint_toeplitz import _exact_div, _prem_window, toeplitz_det
 from faddeev_leverrier import charpoly, identity, matmul
 from int_polynomial import IntPolynomial, expand_factored, poly_mul, poly_pow
 from lane_charpoly import toeplitz_charpoly
@@ -388,8 +386,9 @@ def _random_toeplitz(rng, max_m=14):
 
 
 def _f1(values):
-    """F1's coefficients t(m-1), ..., t(-(m-1)), as toeplitz_det reads them."""
-    return values[::-1]
+    """The symbol t(m-1), ..., t(-(m-1)) of values, F1's coefficients, as
+    toeplitz_det_mod takes it."""
+    return np.array(values[::-1], dtype=np.int64)
 
 
 def test_toeplitz_det_mod_matches_toeplitz_det():
@@ -398,19 +397,22 @@ def test_toeplitz_det_mod_matches_toeplitz_det():
     for _ in range(2500):
         values, m = _random_toeplitz(rng)
         exact = toeplitz_det(lambda k: values[k + m - 1], m)
-        assert toeplitz_det_mod(lambda k: values[k + m - 1], m) == exact, (values, m)
+        assert toeplitz_det_mod(_f1(values)) == exact, (values, m)
         zero += exact == 0
     assert zero > 500  # singular matrices are well represented
     # the fixed cases of the bigint kernel's tests
-    assert toeplitz_det_mod(lambda k: [1, 0, -1, 0, 0, -1, 0, 1, -1][k + 4], 5) == -1
-    assert toeplitz_det_mod(lambda k: [1, 2, 1, 2, 1][k + 2], 3) == 0
-    assert toeplitz_det_mod(lambda k: [0, 1, 0, 2, 0][k + 2], 3) == 0
-    assert toeplitz_det_mod(lambda k: -1, 4) == 0
-    assert toeplitz_det_mod(lambda k: 0, 4) == 0
-    assert toeplitz_det_mod(lambda k: 0 if k > 0 else k - 3, 4) == 81
-    assert toeplitz_det_mod(lambda k: 7, 1) == 7
-    with pytest.raises(ValueError):
-        toeplitz_det_mod(lambda k: 1, 0)
+    assert toeplitz_det_mod(_f1([1, 0, -1, 0, 0, -1, 0, 1, -1])) == -1
+    assert toeplitz_det_mod(_f1([1, 2, 1, 2, 1])) == 0
+    assert toeplitz_det_mod(_f1([0, 1, 0, 2, 0])) == 0
+    assert toeplitz_det_mod(_f1([-1] * 7)) == 0
+    assert toeplitz_det_mod(_f1([0] * 7)) == 0
+    assert toeplitz_det_mod(_f1([-6, -5, -4, -3, 0, 0, 0])) == 81
+    assert toeplitz_det_mod(_f1([7])) == 7
+    # a symbol is a 1-D integer array of odd length 2m - 1, m >= 1
+    malformed = [np.array(x, dtype=np.int64) for x in ([], [1, 2], [[1], [2], [3]], 5)]
+    for symbol in malformed + [np.array([0.5, 1.0, 2.0])]:
+        with pytest.raises(ValueError, match="odd length"):
+            toeplitz_det_mod(symbol)
 
 
 def _centrosymmetric_values(rng, m, skew):
@@ -433,7 +435,7 @@ def test_symmetric_and_skew_symbols_match_toeplitz_det():
         m, skew = rng.randint(1, 40), rng.random() < 0.5
         values = _centrosymmetric_values(rng, m, skew)
         exact = toeplitz_det(lambda k: values[k + m - 1], m)
-        assert toeplitz_det_mod(lambda k: values[k + m - 1], m) == exact, (values, m)
+        assert toeplitz_det_mod(_f1(values)) == exact, (values, m)
         kind = ("skew" if skew else "symmetric", m % 2, exact == 0)
         cases[kind] = cases.get(kind, 0) + 1
         zero_symbols += not any(values)
@@ -477,10 +479,10 @@ def test_an_odd_skew_symbol_takes_no_prime(monkeypatch):
     _patch_lane_primes(monkeypatch, [])
     values = [-2, 1, 0, -1, 2]  # t(-2), ..., t(2)
     assert toeplitz_det(lambda k: values[k + 2], 3) == 0
-    assert toeplitz_det_mod(lambda k: values[k + 2], 3) == 0
+    assert toeplitz_det_mod(_f1(values)) == 0
     # an even one needs primes
     with pytest.raises(DiscrepancyError, match="lane primes ran out"):
-        toeplitz_det_mod(lambda k: values[k + 2], 2)
+        toeplitz_det_mod(_f1(values[1:-1]))
 
 
 _SMALL_PRIMES = [q.p for q in primes_in_range(3, 2000)]
@@ -509,7 +511,7 @@ def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
     for _ in range(400):
         values, m = _random_toeplitz(rng)
         runs.clear()
-        got = toeplitz_det_mod(lambda k: values[k + m - 1], m)
+        got = toeplitz_det_mod(_f1(values))
         assert got == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
         assert runs[-1] is False
         reruns += sum(runs)
@@ -538,7 +540,7 @@ def test_a_refill_keeps_the_survivors_first_and_in_order(monkeypatch):
         values, m = _random_toeplitz(rng)
         h = exactlinalg._hadamard_bound(np.array(values), m)
         runs.clear()
-        toeplitz_det_mod(lambda k: values[k + m - 1], m)
+        toeplitz_det_mod(_f1(values))
         dropped = set()
         for primes, unlucky in runs:
             left = [q for q in _SMALL_PRIMES if q not in dropped]
@@ -559,7 +561,7 @@ def test_a_batch_of_one_never_drops_its_row(monkeypatch):
         values, m = _random_toeplitz(rng, 12)
         primes = _SMALL_PRIMES if trial % 2 else list(itertools.islice(_lane_primes(), 60))
         _patch_lane_primes(monkeypatch, primes)
-        assert toeplitz_det_mod(lambda k: values[k + m - 1], m) == toeplitz_det(
+        assert toeplitz_det_mod(_f1(values)) == toeplitz_det(
             lambda k: values[k + m - 1], m), (values, m)
 
 
@@ -579,24 +581,22 @@ def _tamper_lane(monkeypatch, position, run=None):
 
 
 def test_lanes_reject_too_few_primes_and_a_tampered_lane(monkeypatch):
-    values, m = [1, 0, -1, 0, 0, -1, 0, 1, -1], 5
-    t = lambda k: values[k + m - 1]
+    symbol = _f1([1, 0, -1, 0, 0, -1, 0, 1, -1])
     # S = 5 (the five largest squares), H = isqrt(5^5) + 1 = 56: primes must
     # multiply past 112, and 3 * 5 * 7 = 105 does not; 3 * 5 * 11 does, but
     # leaves no spare prime
     for primes in ([3, 5, 7, 11], [3, 5, 11]):
         _patch_lane_primes(monkeypatch, primes)
         with pytest.raises(DiscrepancyError, match="lane primes ran out"):
-            toeplitz_det_mod(t, m)
+            toeplitz_det_mod(symbol)
     _patch_lane_primes(monkeypatch, [3, 5, 11, 13])
-    assert toeplitz_det_mod(t, m) == -1
+    assert toeplitz_det_mod(symbol) == -1
     monkeypatch.undo()
     _tamper_lane(monkeypatch, 0)
     # det E_101 = -a_101 takes 5 lanes and a spare; one residue off by 1
     # moves the CRT value far outside H
-    chi = legendre_table(OddPrime(101))
     with pytest.raises(DiscrepancyError):
-        toeplitz_det_mod(lambda k: chi[-k], 51)
+        det_ep(OddPrime(101))
 
 
 def _row_hadamard_bound(values, m):
@@ -624,7 +624,7 @@ def test_value_bound_on_small_primes(monkeypatch):
     below = 0
     for _ in range(3000):
         values, m = _random_toeplitz(rng)
-        got = toeplitz_det_mod(lambda k: values[k + m - 1], m, _row_hadamard_bound(values, m))
+        got = toeplitz_det_mod(_f1(values), _row_hadamard_bound(values, m))
         assert got == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
         below += products[-1] < 2 * exactlinalg._hadamard_bound(np.array(values), m)
     assert below >= 1000
@@ -632,7 +632,6 @@ def test_value_bound_on_small_primes(monkeypatch):
 
 def test_value_bound_rejects_too_few_primes_and_a_tampered_lane(monkeypatch):
     values, m = [1, 0, -1, 0, 0, -1, 0, 1, -1], 5
-    t = lambda k: values[k + m - 1]
     # the rows' squared norms are 2, 2, 2, 2, 3: the bound is
     # isqrt(48) + 1 = 7, so primes must multiply past 14; 7 does not, and
     # 3 * 5 = 15 does (with 7 as the spare), where H = 56 needs a product
@@ -642,9 +641,9 @@ def test_value_bound_rejects_too_few_primes_and_a_tampered_lane(monkeypatch):
     for primes in ([7, 11], [3, 5]):
         _patch_lane_primes(monkeypatch, primes)
         with pytest.raises(DiscrepancyError, match="lane primes ran out"):
-            toeplitz_det_mod(t, m, bound)
+            toeplitz_det_mod(_f1(values), bound)
     _patch_lane_primes(monkeypatch, [3, 5, 7])
-    assert toeplitz_det_mod(t, m, bound) == -1
+    assert toeplitz_det_mod(_f1(values), bound) == -1
     monkeypatch.undo()
     _tamper_lane(monkeypatch, 0)
     # det_mp at 151 runs on its value bound, 8 lanes and a spare; one
@@ -654,7 +653,7 @@ def test_value_bound_rejects_too_few_primes_and_a_tampered_lane(monkeypatch):
 
 
 def test_det_mp_on_its_value_bound():
-    # det_mp takes the lanes from p = 97 on
+    # det_mp on the lanes, on its value bound
     for q in primes_in_range(97, 199):
         assert det_mp(q) == det(build_mp(q)), q.p
     assert all(abs(det_mp(q)) == 1 for q in primes_in_range(97, 601))
@@ -662,9 +661,10 @@ def test_det_mp_on_its_value_bound():
 
 def test_a_wrong_residue_on_any_lane_is_caught(monkeypatch):
     # the CRT of det_mp (on its value bound) and det_ep (on H) at every p
-    # in 97..601, fed a +1 on each single lane, chosen or spare: the bound
+    # in 5..601, fed a +1 on each single lane, chosen or spare: the bound
     # alone let it through at det_mp 167, 227, 311, 379, 547 and det_ep
-    # 167, 197, 311; the spare prime catches every one
+    # 167, 197, 311; the spare prime catches every one.  Every dimension
+    # runs on the lanes, the small ones included
     crt = exactlinalg._crt
     calls = []
 
@@ -673,7 +673,7 @@ def test_a_wrong_residue_on_any_lane_is_caught(monkeypatch):
         return crt(residues, run, bound)
 
     monkeypatch.setattr(exactlinalg, "_crt", recording)
-    for q in primes_in_range(97, 601):
+    for q in primes_in_range(5, 601):
         for target in (det_mp, det_ep):
             calls.clear()
             target(q)
@@ -743,8 +743,9 @@ def _mtilde_toeplitz(p):
     arguments: a from f(0) = p, b(k) = chi(k+1) - chi(k)."""
     q = OddPrime(p)
     chi = legendre_table(q)
-    return (lambda k: p * (((k + 1) % p == 0) - (k % p == 0)),
-            lambda k: chi[k + 1] - chi[k], q.n, (-1) ** q.n * p)
+    ks = range(q.n - 1, -q.n, -1)
+    return (np.array([p * (((k + 1) % p == 0) - (k % p == 0)) for k in ks]),
+            np.array([chi[k + 1] - chi[k] for k in ks]), (-1) ** q.n * p)
 
 
 def _ztau_primes(pstar):
@@ -752,17 +753,16 @@ def _ztau_primes(pstar):
 
 
 def test_toeplitz_det_ztau_rejects_a_product_below_twice_h_squared(monkeypatch):
-    a, b, m, pstar = _mtilde_toeplitz(23)
-    assert toeplitz_det_ztau(a, b, m, pstar) == (0, -13181630464)
-    ks = range(m - 1, -m, -1)
-    h = exactlinalg._hadamard_bound(
-        np.array([abs(a(k)) + (math.isqrt(abs(pstar)) + 1) * abs(b(k)) for k in ks]), m)
+    a, b, pstar = _mtilde_toeplitz(23)
+    assert toeplitz_det_ztau(a, b, pstar) == (0, -13181630464)
+    m = (len(a) + 1) // 2
+    h = exactlinalg._hadamard_bound(np.abs(a) + (math.isqrt(abs(pstar)) + 1) * np.abs(b), m)
     # three primes multiply past 2h, the integer kernel's limit, but not 2h^2
     three = list(itertools.islice(_ztau_primes(pstar), 3))
     assert 2 * h < math.prod(three) <= 2 * h * h
     _patch_lane_primes(monkeypatch, three)
     with pytest.raises(DiscrepancyError, match="lane primes ran out below the CRT bound"):
-        toeplitz_det_ztau(a, b, m, pstar)
+        toeplitz_det_ztau(a, b, pstar)
 
 
 def test_toeplitz_det_ztau_rejects_a_tampered_plus_residue(monkeypatch):
@@ -814,20 +814,24 @@ def test_toeplitz_det_ztau_rejects_rows_off_each_others_degrees(monkeypatch):
         f1[0, f1.shape[1] // 2:] = 0  # tau -> -s no longer mirrors tau -> s
         return lane_dets(f1, q, m)
 
-    av, bv = [3, -1, 2, 5, 0, 1, -2], [1, 0, -1, 2, 1, 0, 1]
-    a, b = (lambda k: av[k + 3]), (lambda k: bv[k + 3])
-    assert toeplitz_det_ztau(a, b, 4, -7) == (-1940, -232)
+    a, b = _f1([3, -1, 2, 5, 0, 1, -2]), _f1([1, 0, -1, 2, 1, 0, 1])
+    assert toeplitz_det_ztau(a, b, -7) == (-1940, -232)
     _patch_lane_primes(monkeypatch, list(itertools.islice(_lane_primes(), 200)))
-    assert toeplitz_det_ztau(a, b, 4, -7) == (-1940, -232)
+    assert toeplitz_det_ztau(a, b, -7) == (-1940, -232)
     monkeypatch.setattr(exactlinalg, "_lane_dets", minus_lane_leading_zero)
     with pytest.raises(DiscrepancyError, match="lane primes ran out below the CRT bound"):
-        toeplitz_det_ztau(a, b, 4, -7)
+        toeplitz_det_ztau(a, b, -7)
 
 
 def test_toeplitz_det_ztau_domain():
-    for m, pstar in ((0, -7), (3, 4), (3, -9), (3, 0), (3, -1)):
+    a, b = _f1([1] * 5), _f1([-2, -1, 0, 1, 2])
+    for pstar in (4, -9, 0, -1):
+        with pytest.raises(ValueError, match="not a square"):
+            toeplitz_det_ztau(a, b, pstar)
+    # malformed symbols: empty, of even length, not 1-D, or of two lengths
+    for a, b in ((a[:0], b[:0]), (a[:4], b[:4]), (a[:, None], b[:, None]), (a, b[1:-1])):
         with pytest.raises(ValueError):
-            toeplitz_det_ztau(lambda k: 1, lambda k: k, m, pstar)
+            toeplitz_det_ztau(a, b, -7)
 
 
 def test_lane_primes_are_distinct_primes_below_2_30():
@@ -843,8 +847,9 @@ def test_lane_primes_are_distinct_primes_below_2_30():
 
 
 def test_symbol_matrix_dets_match_the_bigint_route():
-    # toeplitz_det_mod on every kind below and above the crossover, and
-    # det_cp/det_ep/det_mp, whichever route they take
+    # each of the three symbols on toeplitz_det_mod, and det_cp, det_ep and
+    # det_mp (det_mp on its value bound), against the bigint PRS of
+    # tests/bigint_toeplitz.py, at small dimensions and in the det band
     for q in primes_in_range(3, 199) + primes_in_range(389, 401):
         chi = legendre_table(q)
         for det_x, t, m in (
@@ -853,7 +858,8 @@ def test_symbol_matrix_dets_match_the_bigint_route():
             (det_mp, lambda k: chi[k + 1] - chi[k], q.n),
         ):
             exact = toeplitz_det(t, m)
-            assert toeplitz_det_mod(t, m) == exact, (q.p, det_x.__name__)
+            symbol = np.array([t(k) for k in range(m - 1, -m, -1)])
+            assert toeplitz_det_mod(symbol) == exact, (q.p, det_x.__name__)
             sign = (-1) ** q.n if det_x is det_mp else 1
             assert det_x(q) == sign * exact, (q.p, det_x.__name__)
 
@@ -1023,9 +1029,9 @@ def _altering_points(monkeypatch, alter):
     exact = exactlinalg.toeplitz_det_mod
     points = []
 
-    def altering(t, m, bound=None):
+    def altering(symbol, bound=None):
         points.append(len(points))
-        return alter(points[-1], exact(t, m, bound))
+        return alter(points[-1], exact(symbol, bound))
 
     monkeypatch.setattr(exactlinalg, "toeplitz_det_mod", altering)
     return points

@@ -12,8 +12,12 @@ Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`
 or the dense Faddeev-LeVerrier `charpoly` (carlitz reads the structure of
 C_p^2 off the symbol table), and the cyclotomic module, whose shifted matrix
 is Toeplitz below row 0, never names `_bareiss`.
-The cyclotomic module's Z[tau] determinant runs on the integer lanes: it
-never names the bigint `toeplitz_det` or the ring class `QuadElem`.
+Every Toeplitz determinant runs on the integer lanes: no module of the
+package defines or names the bigint PRS (`toeplitz_det`, `_prem_window`,
+`_lstrip0`, `_exact_div`) or a dimension threshold in front of it
+(`_toeplitz`, `_LANES_FROM`); the PRS lives on in `tests/bigint_toeplitz.py`
+as the reference.  The cyclotomic module's Z[tau] determinant never names
+the ring class `QuadElem`.
 No module of the package names the shift-subtract products
 `exact_product_one/two`: Lemma 3.2 and the mtilde closed form are decided by
 evaluation at primes q = 1 (mod p).
@@ -202,16 +206,26 @@ def test_verify_makes_no_dense_charpoly_call():
     assert _verify_calls_to("charpoly") == []
 
 
+_BIGINT_TOEPLITZ = {"toeplitz_det", "_prem_window", "_lstrip0", "_exact_div", "_toeplitz",
+                    "_LANES_FROM"}
+
+
 def test_cyclotomic_takes_no_bigint_or_ring_toeplitz_route():
-    path = next(p for p in SOURCES if p.name == "cyclotomic.py")
+    # any definition, name, attribute, argument, import or exported string
+    # of the bigint PRS or of a threshold in front of it, in every module;
+    # and QuadElem in the cyclotomic module
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names]
-        else:
-            names = [getattr(node, "id", None), getattr(node, "attr", None)]
-        found += [f"cyclotomic.py:{node.lineno} {name}" for name in names
-                  if name in ("toeplitz_det", "QuadElem")]
+    for path in SOURCES:
+        forbidden = _BIGINT_TOEPLITZ | ({"QuadElem"} if path.name == "cyclotomic.py" else set())
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None), getattr(node, "arg", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.append(node.value)
+            found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}" for name in names
+                      if name in forbidden]
     assert found == []
 
 
