@@ -67,36 +67,39 @@ def legendre(a: int, p: OddPrime) -> int:
     return -1 if r == p.p - 1 else r
 
 
+def _half_squares(p: OddPrime) -> np.ndarray:
+    """k^2 mod p for k = 1..n, as int64.
+
+    These are the n nonzero residues, each once (k and p - k share a
+    square), so each residue a <= n appears exactly once.  It is the one
+    routine for k^2 mod p: `legendre_array` scatters on it, the class
+    numbers keep its values <= n, and the square sums and the split-prime
+    products of `lemma32_check` and `mtilde_det_check` read it.  The remainder
+    is k^2 - (k^2 // p)*p: numpy floor-divides by a scalar in vectorised
+    form but takes % element by element (k^2 < 2**62 since p < 2**32)."""
+    k = np.arange(1, p.n + 1, dtype=np.int64)
+    k *= k
+    k -= k // p.p * p.p
+    return k
+
+
 def legendre_array(p: OddPrime) -> np.ndarray:
     """The quadratic character as an int64 array chi with chi[a] = (a/p),
-    0 <= a < p.
+    0 <= a < p, scattered on the squares `_half_squares(p)`.
 
-    Built in one numpy scatter from the squares k^2 mod p, k = 1..n, which
-    are exactly the n nonzero residues (k^2 < 2**62 since p < 2**32).
-    The Toeplitz symbols of `det_cp`, `det_ep`, `det_mp` and `mtilde_det`
-    are read off this array, as are the Gauss sum tau, the square-sum
-    check and the split-prime embeddings of `cyclotomic`; `legendre_table`
-    is its list form.  The class numbers build no table (see
-    `quadfield._half_squares`)."""
-    k = np.arange(1, p.n + 1, dtype=np.int64)
+    It is the one table of the character.  The `IntMatrix` builders index
+    it and take Python ints through `tolist`; the Toeplitz symbols of
+    `det_cp`, `det_ep`, `det_mp` and `mtilde_det`, the structure of C_p^2
+    in `charpoly_cp`, the Gauss sum tau and its square, `ztau_text`, the
+    square-sum check, the split-prime embeddings of `cyclotomic` and the
+    `vsemirnov` diagnostic read it as it is.  numpy's negative indexing
+    wraps mod p, so chi[-k] = (-k/p) for 0 < k < p.  The class numbers
+    build no table: they keep the squares <= n.  `legendre` serves single
+    symbols."""
     chi = np.full(p.p, -1, dtype=np.int64)
     chi[0] = 0
-    chi[k * k % p.p] = 1
+    chi[_half_squares(p)] = 1
     return chi
-
-
-def legendre_table(p: OddPrime) -> list[int]:
-    """The quadratic character as a list chi with chi[a] = (a/p), 0 <= a < p.
-
-    This is `legendre_array(p).tolist()`: the numpy scatter over the squares
-    k^2 mod p, converted so that every entry is a Python int.  Its readers
-    are the `IntMatrix` builders of `matrices`, whose entries Bareiss
-    elimination multiplies (a numpy int64 would overflow silently),
-    `cyclotomic.ztau_text`, which scales them by an unbounded d, and the
-    `vsemirnov` diagnostic.  Python's negative indexing wraps mod p, so
-    chi[-k] = (-k/p) for 0 < k < p.  `legendre` serves single symbols.
-    """
-    return legendre_array(p).tolist()
 
 
 # Every modular route (integer lanes, Z[tau], split primes) works modulo primes

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import OddPrime, _modular_primes, _take_primes, legendre_array, legendre_table
+from .arith import OddPrime, _half_squares, _modular_primes, _take_primes, legendre_array
 from .errors import DiscrepancyError
 from .exactlinalg import IntMatrix, det, toeplitz_det_ztau
+from .matrices import _cyclic_autocorrelation
 from .quadfield import ClassNumberReport, quad_pow
 
 
@@ -60,25 +60,20 @@ def gauss_sum(p: OddPrime) -> np.ndarray:
     return legendre_array(p)
 
 
-def _cyclic_square(vec: np.ndarray) -> np.ndarray:
-    """vec * vec on int64 exponent vectors, out[s] = sum_k vec[s + k] vec[-k]:
-    the windows of vec twice over against that doubled vector read backwards
-    from slot p, exact while sum_k vec[k]^2 fits."""
-    p = len(vec)
-    twice = np.concatenate((vec, vec))
-    return sliding_window_view(twice[:-1], p) @ twice[p:0:-1]
-
-
 def gauss_square(p: OddPrime) -> tuple[str, int | None]:
-    """tau^2 as power-basis text, and the integer it is (None if not in Z);
-    its vector's entries are at most p in absolute value, so int64 is exact."""
-    square = _cyclic_square(gauss_sum(p))
+    """tau^2 as power-basis text, and the integer it is (None if not in Z).
+
+    Slot s of tau^2 is sum_k chi(s + k) chi(-k) = chi(-1) R(s), with R the
+    cyclic autocorrelation of chi, and chi(-1) = (-1)^n; its entries are at
+    most p in absolute value, so int64 is exact."""
+    square = (-1) ** p.n * _cyclic_autocorrelation(gauss_sum(p))
     return _power_basis_text(square.tolist()), _constant(square)
 
 
 def ztau_text(p: OddPrime, c: int, d: int) -> str:
-    """c + d*tau as power-basis text; slot 0 of tau is (0/p) = 0."""
-    return _power_basis_text([c] + [d * x for x in legendre_table(p)[1:]])
+    """c + d*tau as power-basis text; slot 0 of tau is (0/p) = 0.  The
+    table's entries become Python ints before the unbounded d scales them."""
+    return _power_basis_text([c] + [d * x for x in legendre_array(p)[1:].tolist()])
 
 
 def frakp_residue(vec) -> int:
@@ -94,7 +89,7 @@ def square_sums(p: OddPrime) -> np.ndarray:
     """The exponent vectors of 1 + 2*sum_{k=1..n} zeta^(a k^2), a = 0..p-1,
     as the rows of one (p, p) int64 array, by one bincount."""
     a = np.arange(p.p)
-    slots = np.multiply.outer(a, np.arange(1, p.n + 1) ** 2 % p.p)
+    slots = np.multiply.outer(a, _half_squares(p))
     slots %= p.p
     slots += p.p * a[:, None]
     sums = np.bincount(slots.ravel(), minlength=p.p * p.p).reshape(p.p, p.p)
@@ -367,7 +362,7 @@ def mtilde_det_check(parts: MtildeParts) -> MtildeCheck:
     # zeta^(b^2) - zeta^(a^2) = zeta^(b^2) (1 - zeta^(a^2 - b^2)) and its
     # conjugate the powers of zeta cancel.  The n pairs a = b are counted
     # at 0 and taken off again.
-    squares = np.arange(1, p.n + 1) ** 2 % p.p
+    squares = _half_squares(p)
     exponents = np.bincount(np.append(squares[:, None] - squares, -squares) % p.p,
                             minlength=p.p)
     exponents[0] -= p.n
@@ -449,7 +444,7 @@ def lemma32_check(p: OddPrime, report: ClassNumberReport) -> tuple[str, str]:
     # zeta^(b^2) (1 - zeta^d) with d = a^2 - b^2, m(d) counts the pairs
     # a < b with that d, and E sums their b^2
     i = np.arange(p.n)
-    squares = (i + 1) ** 2 % p.p
+    squares = _half_squares(p)
     m = np.bincount(((squares[:, None] - squares) % p.p)[i[:, None] < i], minlength=p.p)
     products = [(0, np.bincount(squares, minlength=p.p)), (int(i @ squares) % p.p, m)]
     q, tau, (one, two) = _embeddings(p, bound, products)

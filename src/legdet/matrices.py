@@ -7,32 +7,29 @@ import math
 
 import numpy as np
 
-from .arith import OddPrime, legendre_array, legendre_table
+from .arith import OddPrime, legendre_array
 from .errors import DiscrepancyError
 from .exactlinalg import IntMatrix, toeplitz_det_mod
 
 
 def build_cp(p: OddPrime) -> IntMatrix:
     """(p-1) x (p-1) matrix with entry ((j - i)/p), rows/cols indexed 1..p-1."""
-    chi = legendre_table(p)
-    rng = range(1, p.p)
-    return IntMatrix([[chi[j - i] for j in rng] for i in rng])
+    k = np.arange(1, p.p)
+    return IntMatrix(legendre_array(p)[k - k[:, None]].tolist())
 
 
 def build_ep(p: OddPrime) -> IntMatrix:
     """(n+1) x (n+1) matrix with entry ((j - i)/p), indices 0..n."""
-    chi = legendre_table(p)
-    rng = range(p.n + 1)
-    return IntMatrix([[chi[j - i] for j in rng] for i in rng])
+    k = np.arange(p.n + 1)
+    return IntMatrix(legendre_array(p)[k - k[:, None]].tolist())
 
 
 def build_mp(p: OddPrime) -> IntMatrix:
     """(n+1) x (n+1) matrix: entry ((i - j)/p) with row 0 replaced by all ones."""
-    chi = legendre_table(p)
-    rng = range(p.n + 1)
-    rows = [[1] * (p.n + 1)]
-    rows.extend([chi[i - j] for j in rng] for i in range(1, p.n + 1))
-    return IntMatrix(rows)
+    k = np.arange(p.n + 1)
+    rows = legendre_array(p)[k[:, None] - k]
+    rows[0] = 1
+    return IntMatrix(rows.tolist())
 
 
 def det_cp(p: OddPrime) -> int:
@@ -129,7 +126,9 @@ def _cyclic_autocorrelation(chi):
     One float64 np.correlate of chi with chi extended by its first h =
     (p-1)/2 entries gives the lags 0..h, about p^2/2 products, and R(p - d)
     = R(d) the rest.  It is exact: for a table of symbols every product is
-    0 or +-1, and every partial sum is an integer below p < 2^53."""
+    0 or +-1, and every partial sum is an integer below p < 2^53.  Step 3
+    of `charpoly_cp` reads it, and so does `cyclotomic.gauss_square`, since
+    the table is the Gauss sum tau's exponent vector."""
     h = len(chi) // 2
     c = chi.astype(np.float64)
     half = np.correlate(np.concatenate((c, c[:h])), c, "valid").astype(np.int64)

@@ -13,7 +13,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import OddPrime, legendre
+from .arith import OddPrime, _half_squares, legendre
 from .errors import DiscrepancyError, PrecisionError
 
 
@@ -114,20 +114,6 @@ class ClassNumberReport:
     h: int
     method_values: dict
     unit: QuadElem | None
-
-
-def _half_squares(p: OddPrime) -> np.ndarray:
-    """k^2 mod p for k = 1..n, as int64.
-
-    These are the n nonzero residues, each once (k and p - k share a
-    square), so each residue a <= n appears exactly once; the class-number
-    routes keep the values <= n.  The remainder is k^2 - (k^2 // p)*p:
-    numpy floor-divides by a scalar in vectorised form but takes % element
-    by element (k^2 < 2**62 since p < 2**32)."""
-    k = np.arange(1, p.n + 1, dtype=np.int64)
-    k *= k
-    k -= k // p.p * p.p
-    return k
 
 
 def _reduced_form_count(p: int) -> int:

@@ -13,7 +13,6 @@ from legdet.arith import (
     is_prime,
     legendre,
     legendre_array,
-    legendre_table,
     primes_in_range,
 )
 from legdet.cyclotomic import build_mtilde, lemma32_check, mtilde_det_check
@@ -186,27 +185,15 @@ def test_legendre_sums_to_zero():
         assert sum(legendre(a, q) for a in range(q.p)) == 0
 
 
-def test_legendre_table_matches_jacobi():
+def test_legendre_array_matches_jacobi():
     for q in primes_in_range(3, 1999):
-        chi = legendre_table(q)
-        assert len(chi) == q.p
-        assert chi == [legendre(a, q) for a in range(q.p)], q.p
+        chi = legendre_array(q)
+        assert chi.shape == (q.p,) and chi.dtype == np.int64
+        assert chi.tolist() == [legendre(a, q) for a in range(q.p)], q.p
         # the builders index chi[j - i]; negative indices wrap mod p
-        assert [chi[-k] for k in range(1, q.p)] == [
+        assert [int(chi[-k]) for k in range(1, q.p)] == [
             legendre(-k, q) for k in range(1, q.p)
         ], q.p
-
-
-def test_legendre_table_entries_are_python_ints():
-    # Bareiss on the IntMatrix builders and ztau_text multiply table
-    # entries; an int64 would wrap silently
-    for q in primes_in_range(3, 400) + [OddPrime(10007)]:
-        chi = legendre_table(q)
-        assert type(chi) is list
-        assert all(type(x) is int for x in chi), q.p
-        assert chi == legendre_array(q).tolist()
-    big = 1 << 80
-    assert legendre_table(OddPrime(7))[1] * big == big
 
 
 def test_primes_in_range_frozen():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legdet import cyclotomic
-from legdet.arith import OddPrime, legendre, legendre_table, primes_in_range
+from legdet.arith import OddPrime, legendre, legendre_array, primes_in_range
 from legdet.cyclotomic import (
     MtildeCheck,
     build_mtilde,
@@ -48,6 +48,7 @@ from exact_products import (
     numeric_product_one,
 )
 from bigint_toeplitz import _exact_div
+from cyclic_square import _cyclic_square
 
 
 def random_elem(rng, q, lo=-4, hi=4):
@@ -135,6 +136,29 @@ def test_gauss_sum_square_exact():
         want = CycElem.const(q, (-1) ** ((q.p - 1) // 2) * q.p)
         assert tau * tau == want, q.p
         assert gauss_square(q) == (str(tau * tau), want.coeffs[0]), q.p
+
+
+def test_gauss_square_vector_matches_the_cyclic_square(monkeypatch):
+    # the vector gauss_square prints, (-1)^n times the autocorrelation of
+    # chi, against the windowed cyclic square of tau, slot by slot
+    printed = []
+    text = cyclotomic._power_basis_text
+    monkeypatch.setattr(cyclotomic, "_power_basis_text",
+                        lambda vec: printed.append(vec) or text(vec))
+    for q in primes_in_range(3, 601):
+        gauss_square(q)
+        assert printed[-1] == _cyclic_square(legendre_array(q)).tolist(), q.p
+
+
+def test_ztau_text_prints_the_exact_multiple():
+    # d far past int64: the table's entries are scaled as Python ints, so
+    # the text is the reference's, and for p = 5 shows 2d itself
+    big = 1 << 80
+    for q in (OddPrime(5), OddPrime(7), OddPrime(13), OddPrime(101)):
+        for c, d in ((0, big), (3, -big), (-1, big + 12345), (7, 3 ** 60)):
+            vec = [c] + [d * legendre(k, q) for k in range(1, q.p)]
+            assert ztau_text(q, c, d) == str(CycElem.from_exponents(q, vec)), (q.p, d)
+    assert ztau_text(OddPrime(5), 1, big) == f"{1 - big} - {2 * big}*z^2 - {2 * big}*z^3"
 
 
 def test_power_basis_text_matches_the_reference():
@@ -353,7 +377,7 @@ def test_evaluation_route_matches_the_exact_products(monkeypatch):
         seen.clear()
         r = int(mod[0, 0])
         omega = cyclotomic._root_of_order(q.p, r)
-        g = legendre_table(q).index(-1)
+        g = legendre_array(q).tolist().index(-1)
         p1 = horner_images(exact_product_one(q), r, omega)
         p2 = horner_images(exact_product_two(q), r, omega)
         both = [a * b * c % r for a, b, c in zip(p1[::-1], p2, p2[::-1])]
@@ -384,11 +408,11 @@ def test_each_side_lies_in_the_quadratic_subfield(monkeypatch):
             _, _, (closed,) = all_embeddings(q, mtilde_bound, mtilde_products)
             pairs.append((got_closed, closed))
             in_k.append(closed)
-        chi = np.array(legendre_table(q)[1:])
+        chi = legendre_array(q)[1:]
         for side in in_k:
             for coset in (side[:, chi == 1], side[:, chi == -1]):
                 assert (coset == coset[:, :1]).all(), q.p
-        columns = [0, legendre_table(q).index(-1) - 1]
+        columns = [0, legendre_array(q).tolist().index(-1) - 1]
         assert (got_mod == mod).all(), q.p
         for value, reference in pairs:
             assert (value == reference[:, columns]).all(), q.p
@@ -691,7 +715,7 @@ def test_mtilde_det_matches_the_dense_reference():
     # t(k) = f(k+1) - f(k) with f(0) = p, f(d) = (d/p)*tau; det M~ is
     # (-1)^(n+1) times its n x n Toeplitz determinant
     for q in primes_in_range(3, 61):
-        f = [(q.p, 0)] + [(0, c) for c in legendre_table(q)[1:]]
+        f = [(q.p, 0)] + [(0, c) for c in legendre_array(q).tolist()[1:]]
         coords = [(f[k + 1][0] - f[k][0], f[k + 1][1] - f[k][1])
                   for k in range(-(q.n - 1), q.n)]
         c, d = ztau_reference(coords, q.n, (-1) ** q.n * q.p)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legdet import exactlinalg, matrices
-from legdet.arith import OddPrime, is_prime, legendre_table, primes_in_range
+from legdet.arith import OddPrime, is_prime, legendre_array, primes_in_range
 from legdet.errors import DiscrepancyError
 from legdet.exactlinalg import (
     IntMatrix,
@@ -463,7 +463,7 @@ def test_a_skew_symbol_rebuilds_its_square_root_on_half_the_bits(monkeypatch):
     monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
     for p in (199, 397, 599):
         q = OddPrime(p)
-        chi = legendre_table(q)
+        chi = legendre_array(q).tolist()
         h = exactlinalg._hadamard_bound(np.array([chi[k] for k in range(-q.n, q.n + 1)]), q.n + 1)
         limit = 2 * h if p % 4 == 1 else 2 * (math.isqrt(h) + 1)
         runs.clear()
@@ -742,7 +742,7 @@ def _mtilde_toeplitz(p):
     """mtilde's Z[tau] Toeplitz matrix at p as toeplitz_det_ztau's
     arguments: a from f(0) = p, b(k) = chi(k+1) - chi(k)."""
     q = OddPrime(p)
-    chi = legendre_table(q)
+    chi = legendre_array(q).tolist()
     ks = range(q.n - 1, -q.n, -1)
     return (np.array([p * (((k + 1) % p == 0) - (k % p == 0)) for k in ks]),
             np.array([chi[k + 1] - chi[k] for k in ks]), (-1) ** q.n * p)
@@ -851,7 +851,7 @@ def test_symbol_matrix_dets_match_the_bigint_route():
     # det_mp (det_mp on its value bound), against the bigint PRS of
     # tests/bigint_toeplitz.py, at small dimensions and in the det band
     for q in primes_in_range(3, 199) + primes_in_range(389, 401):
-        chi = legendre_table(q)
+        chi = legendre_array(q).tolist()
         for det_x, t, m in (
             (det_cp, lambda k: chi[-k], q.p - 1),
             (det_ep, lambda k: chi[-k], q.n + 1),
@@ -903,7 +903,7 @@ def _cp_text(q):
 
 def _cp_reference(q):
     """det(xI - C_p) on the lanes, interpolated in x^2 (tests/lane_charpoly.py)."""
-    chi = legendre_table(q)
+    chi = legendre_array(q).tolist()
     return toeplitz_charpoly(lambda k: chi[-k], q.p - 1, even=True)
 
 
@@ -996,7 +996,7 @@ def test_c_p_squared_matches_the_closed_form():
     # C_p^2 = s p I - s (J + chi chi^T), by the dense product, for every p < 200
     for q in primes_in_range(3, 199):
         c = np.array(build_cp(q).rows, dtype=np.int64)
-        chi = np.array(legendre_table(q)[1:], dtype=np.int64)
+        chi = legendre_array(q)[1:]
         s = (-1) ** q.n
         closed = s * q.p * np.eye(q.p - 1, dtype=np.int64) - s * (1 + np.outer(chi, chi))
         assert np.array_equal(c @ c, closed), q.p
@@ -1011,7 +1011,7 @@ def test_charpoly_cp_matches_the_bigint_route():
     # every carlitz prime up to 109, against the evaluation route on the
     # bigint toeplitz_det, the slowest reference of the suite
     for q in primes_in_range(3, 109):
-        chi = legendre_table(q)
+        chi = legendre_array(q).tolist()
         assert expand_factored(_cp_text(q)) == bigint_charpoly(lambda k: chi[-k], q.p - 1), q.p
 
 

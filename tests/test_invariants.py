@@ -5,9 +5,13 @@ Q(zeta_p) arithmetic is exact: no floats in the cyclotomic module.
 The integer kernels are exact: the exact linear algebra module makes no float
 call (`float`, `math.log*`, `math.sqrt`, true division, float dtypes), so
 the multimodular Hadamard bound stays integer arithmetic.
-Sweeps over residues read `legendre_table`: no Jacobi call in a loop.
-The O(p) float routes of the class numbers are numpy calls: no scalar
-log, sin or exp in a loop of the quadratic-field module.
+Sweeps over residues read `legendre_array`: no Jacobi call in a loop.
+The O(p) float routes of the class numbers and the decomposition
+diagnostic are numpy calls: no scalar `math` or `cmath` call in a loop of
+the quadratic-field or the `vsemirnov` module.
+Each object is built once: no module defines or names the list form
+`legendre_table`, the second autocorrelation kernel `_cyclic_square` or
+the diagnostic's old root list `_roots`.
 Sweeps take the O(n^2) Toeplitz route: `verify.py` never calls the dense `det`
 or the dense Faddeev-LeVerrier `charpoly` (carlitz reads the structure of
 C_p^2 off the symbol table), and the cyclotomic module, whose shifted matrix
@@ -118,14 +122,11 @@ def _calls_legendre(node) -> bool:
     )
 
 
-_SCALAR_FLOAT = {("math", "log"), ("math", "sin"), ("cmath", "exp")}
-
-
 def _calls_scalar_float(node) -> bool:
     return any(
         isinstance(sub, ast.Call)
         and isinstance(sub.func, ast.Attribute)
-        and (getattr(sub.func.value, "id", None), sub.func.attr) in _SCALAR_FLOAT
+        and getattr(sub.func.value, "id", None) in ("math", "cmath")
         for sub in ast.walk(node)
     )
 
@@ -183,8 +184,27 @@ def test_no_legendre_call_in_a_loop():
 
 
 def test_quadfield_float_routes_are_vectorised():
-    path = next(p for p in SOURCES if p.name == "quadfield.py")
-    assert _loops_calling(path, _calls_scalar_float) == []
+    # and the decomposition diagnostic's: no scalar math or cmath call in a
+    # loop of either module
+    paths = [p for p in SOURCES if p.name in ("quadfield.py", "vsemirnov.py")]
+    assert len(paths) == 2
+    assert [loc for path in paths for loc in _loops_calling(path, _calls_scalar_float)] == []
+
+
+def test_package_names_no_second_table():
+    # any definition, name, attribute, argument or import of the list form
+    # of the character, of the windowed cyclic square (tests/cyclic_square.py
+    # keeps it as the reference for tau^2) or of a per-call table of roots
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None), getattr(node, "arg", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("legendre_table", "_cyclic_square", "_roots")]
+    assert found == []
 
 
 def _verify_calls_to(name: str) -> list:

@@ -66,6 +66,17 @@ def test_entries_definitions():
                 assert m.rows[i][j] == legendre(i - j, q)
 
 
+def test_builder_entries_are_python_ints():
+    # Bareiss multiplies the entries of every IntMatrix; an int64 would
+    # wrap silently
+    big = 1 << 80
+    for q in primes_in_range(3, 200):
+        for build in (build_cp, build_ep, build_mp):
+            rows = build(q).rows
+            assert all(type(x) is int for row in rows for x in row), (build.__name__, q.p)
+            assert {x * big for row in rows for x in row} <= {-big, 0, big}, q.p
+
+
 def test_ep_symmetry_by_residue_class():
     # The (j-i) entry pattern makes E transpose into legendre(-1,p) times E.
     for q in primes_in_range(3, 60):

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from legdet import quadfield
-from legdet.arith import OddPrime, legendre, legendre_table, primes_in_range
+from legdet.arith import OddPrime, _half_squares, legendre, legendre_array, primes_in_range
 from legdet.errors import DiscrepancyError
 from legdet.quadfield import (
     QuadElem,
     _cycle_count,
-    _half_squares,
     _log_sin_sum,
     _log_value,
     _reduced_form_count,
@@ -236,7 +235,7 @@ def test_residue_count_gives_the_half_range_sum():
     for q in primes_in_range(3, 19999):
         if q.p % 4 == 3:
             count = np.count_nonzero(_half_squares(q) <= q.n)
-            assert 2 * count - q.n == sum(legendre_table(q)[1:q.n + 1]), q.p
+            assert 2 * count - q.n == sum(legendre_array(q).tolist()[1:q.n + 1]), q.p
 
 
 def test_log_sin_sum_parity_fold_matches_full_sum():
@@ -255,7 +254,7 @@ def test_log_sin_sum_parity_fold_matches_full_sum():
 
 def loop_log_sin_sum(q):
     """The folded log-sin sum term by term, as a scalar loop."""
-    chi = legendre_table(q)
+    chi = legendre_array(q).tolist()
     return 2 * sum(
         chi[a] * math.log(math.sin(math.pi * a / q.p)) for a in range(1, q.n + 1)
     )

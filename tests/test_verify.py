@@ -201,22 +201,24 @@ def test_verify_gauss_records():
 
 
 def test_wrong_gauss_square_is_a_fail_record(monkeypatch):
-    # tau^2 moved by zeta or by zeta^(p-1): a FAIL record whose computed
-    # text is the reference's text of the moved vector
-    real = cyclotomic._cyclic_square
+    # the autocorrelation R moved by zeta or by zeta^(p-1), so tau^2 =
+    # (-1)^n R by +-zeta or +-zeta^(p-1): a FAIL record whose computed text
+    # is the reference's text of the moved vector times (-1)^n
+    real = cyclotomic._cyclic_autocorrelation
     moved = []
 
-    def wrong(vec):
-        out = real(vec)
+    def wrong(chi):
+        out = real(chi)
         out[slot] += 1
         moved.append(out.tolist())
         return out
 
-    monkeypatch.setattr(cyclotomic, "_cyclic_square", wrong)
+    monkeypatch.setattr(cyclotomic, "_cyclic_autocorrelation", wrong)
     for p, slot in ((5, 1), (7, 1), (13, 1), (5, 4), (13, 12)):
         r = verify_gauss(OddPrime(p))
         assert (r.status, r.predicted) == (FAIL, str((-1) ** (p // 2) * p))
-        assert r.computed == str(CycElem.from_exponents(OddPrime(p), moved[-1]))
+        square = [(-1) ** (p // 2) * x for x in moved[-1]]
+        assert r.computed == str(CycElem.from_exponents(OddPrime(p), square))
         assert r.computed != r.predicted
 
 
