@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -238,10 +239,12 @@ def _lane_dets(f1, q, m: int):
         f0, f1, n0, n1 = f1, f2, n1, n2
 
 
-def _hadamard_bound(row, m: int) -> int:
-    """toeplitz_det_mod's bound H for the 2m - 1 values |t(k)| <= row."""
+def _hadamard_bound(row, m: int, row0=None) -> int:
+    """toeplitz_det_mod's bound H for the 2m - 1 values |t(k)| <= row; with
+    row0, its bound isqrt(m row0^2 S^(m-1)) + 1 on |det M|."""
     top = np.sort(np.abs(row), axis=None)[-m:].astype(object)
-    return math.isqrt(int((top * top).sum()) ** m) + 1
+    s = int((top * top).sum())
+    return math.isqrt(s**m if row0 is None else m * row0 * row0 * s ** (m - 1)) + 1
 
 
 def _lane_run(dets, primes, limit: int):
@@ -326,23 +329,20 @@ def _lane_moments(u, q, symmetric: bool):
     return u
 
 
-def _symmetric_dets(half, m: int, q):
-    """What _lane_dets returns, for toeplitz_det_mod's split of a symmetric
-    symbol with t(0), ..., t(m - 1) the column half: det T mod q[l] in lane
-    l, T = [t(i - j)] of dimension m, as the two Hankel determinants, each
-    on _lane_dets, times 4^(-k) mod q.  A lane unlucky in either run drops
-    its prime for both."""
-    c = _lane_moments(half % q, q, True)
-    if m % 2:
-        runs = (c, (4 * c[:-2] + q - c[2:]) % q)
-    else:
-        runs = ((c[1:] + 2 * c[:-1]) % q, (2 * c[:-1] + q - c[1:]) % q)
+def _hankel_dets(runs, q, scale):
+    """What _lane_dets returns, for scale times the product of the Hankel
+    determinants H_K[h] = det[h_(i+j)], 0 <= i, j < K, of runs, a list of
+    (h, K): lane l holds it mod q[l], scale being a Fraction of odd
+    denominator.  h is an (r, L) array of residues, r >= 2K - 1, and
+    H_K[h] is _lane_dets on its first 2K - 1 rows, leading first, times
+    (-1)^(K(K-1)/2), as reversing the rows of a Toeplitz matrix gives a
+    Hankel one; H_0 = 1.  A lane unlucky in any run drops its prime for
+    all."""
     moduli = q.tolist()
-    value = [pow(4, -(m // 2), qk) for qk in moduli]
-    for h in runs:
-        size = (len(h) + 1) // 2
-        if size:  # H_0 = 1
-            residues, unlucky = _lane_dets(h, q, size)
+    value = [scale.numerator * pow(scale.denominator, -1, qk) % qk for qk in moduli]
+    for h, size in runs:
+        if size:
+            residues, unlucky = _lane_dets(h[:2 * size - 1], q, size)
             if unlucky is not None:
                 return None, unlucky
             sign = (-1) ** (size * (size - 1) // 2)
@@ -360,7 +360,7 @@ def _symbol_column(symbol):
     return f1.astype(np.int64, copy=False)[:, None], (len(f1) + 1) // 2
 
 
-def toeplitz_det_mod(symbol, bound=None) -> int:
+def toeplitz_det_mod(symbol, bound=None, row0=None) -> int:
     """Exact determinant of the m x m integer Toeplitz matrix T = [t(i - j)],
     0 <= i, j < m, by the windowed subresultant PRS of _lane_dets over F_q
     for many primes q < 2^30 at once, rebuilt by the Chinese remainder
@@ -399,15 +399,16 @@ def toeplitz_det_mod(symbol, bound=None) -> int:
     DiscrepancyError, as does running out of primes.  The values t(k) must
     fit in int64.
 
-    A value bound.  bound, when given, is a bound on |det| alone.  It
-    replaces H both as the CRT limit (primes multiply past 2 bound) and as
-    the check on the CRT value.  The zero tests are then no longer exact:
-    a coefficient nonzero over Z may vanish mod every prime taken, and then
-    all lanes follow another degree sequence than Z takes.  But every lane
-    kept agrees with every other lane on each leading coefficient, so it
-    follows its own residues' degree sequence with leading coefficients
-    that are units mod q: it runs the subresultant PRS over the field F_q,
-    and so yields det mod q whatever sequence Z takes.  With |det| <= bound
+    A value bound.  bound, when given, is a bound on |det| alone (on |det
+    M| with row0, below).  It replaces H both as the CRT limit (primes
+    multiply past 2 bound) and as the check on the CRT value.  The zero
+    tests are then no longer exact: a coefficient nonzero over Z may vanish
+    mod every prime taken, and then all lanes follow another degree
+    sequence than Z takes.  But every lane kept agrees with every other
+    lane on each leading coefficient, so it follows its own residues'
+    degree sequence with leading coefficients that are units mod q: it runs
+    the subresultant PRS over the field F_q, and so yields det mod q
+    whatever sequence Z takes.  With |det| <= bound
     and a prime product above 2 bound, the symmetric residue is again the
     determinant.
 
@@ -443,37 +444,97 @@ def toeplitz_det_mod(symbol, bound=None) -> int:
     x^n) = -+2 d_n.  Dividing by the basis's squared determinant 4^k gives
     the identities.
 
+    A constant row 0.  For a symmetric or skew symbol (another raises
+    ValueError), row0 = r asks for det M, M being T with row 0 replaced by
+    r, ..., r.  With h'_n = 2 h_n - h_(n+1) for a sequence h:
+
+    - symmetric, m = 2k + 1: det M = r H_k[nu] H_k[c'] / 4^k;
+    - symmetric, m = 2k: det M = 2 r H_k[c'] H_(k-1)[nu] / 4^k;
+    - skew, m = 2k: det M = -r H_k[d] H_(k-1)[d'];
+    - skew, m = 2k + 1: det M = r H_k[d] H_k[d'].
+
+    Proof.  Expanding along row 0, det M = r 1^T adj(T) e_0.  Let B hold
+    the two bases above as columns, in the z^e, so that G = B^T T B holds
+    the Gram blocks above and adj(T) = B adj(G) B^T / 4^k.  1^T B evaluates
+    each basis polynomial at z = 1, that is x = 2: it is u, u_i = 2^i (m
+    odd) or 2^(i+1) (m even), on the symmetric basis and 0 on the
+    antisymmetric one.  B^T e_0 is the coefficient of z^(-(m-1)/2), which
+    only the top polynomial of each basis has: 1 in the symmetric one, -1
+    in the other.  A symmetric symbol's adj(G) is block diagonal, so 1^T
+    adj(T) reads only the symmetric part (e_0 + e_(m-1))/2 of e_0, and det
+    M = r det G_a u^T adj(G_s) e_top / 4^k.  A skew symbol's G is [[0, X],
+    [Y, 0]], X = -Y^T = -2 [d_(i+j)], and 1^T adj(T) reads only (e_0 -
+    e_(m-1))/2.  For m even, adj(G) = det G G^-1 = (-1)^k det X det Y [[0,
+    Y^-1], [X^-1, 0]] (each identity is polynomial in the t(k), so T may be
+    taken invertible), and det M = -r (-1)^k det X u^T adj(Y) e_top / 4^k.
+    For m odd, removing an antisymmetric row and a symmetric column leaves
+    k symmetric columns nonzero in k - 1 rows, so only adj(G)'s symmetric
+    block is read, and its cofactors give det M = r (-1)^k det X' det [Y;
+    u^T] / 4^k, X' being X less its last row.  u^T adj(Z) e_top is det Z
+    with its last row replaced by u^T.  K rows [h_(i+j)] of K + 1 columns
+    over the row (1, 2, 4, ..., 2^K) have determinant H_K[h'] (Christoffel's
+    formula, Szego, Orthogonal Polynomials, 2.5): subtracting 2 times
+    column j from column j + 1, for j from K - 1 down to 0, leaves the row
+    e_0^T over rows h_(i+j+1) - 2 h_(i+j), and expanding along it gives
+    (-1)^K (-1)^K H_K[h'].  For m even, G_s's moments are g_n =
+    c_(n+1) + 2 c_n, and g'_n = nu_n.  Collecting the powers of 2 and the
+    signs gives the identities.
+
     On the lanes the moments come from the recurrence of _lane_moments,
-    and each Hankel determinant is _lane_dets on its moments, leading
-    first, times (-1)^(K(K-1)/2), as reversing the rows of a Toeplitz
-    matrix gives a Hankel one.  A symmetric symbol's lanes multiply the two
-    Hankel residues by 4^(-k) mod q (q is odd), and the CRT rebuilds det T
-    on the same bound as above, H or bound.  A skew symbol's CRT rebuilds
-    +-D, D = H_k[d], alone (the square drops the sign), with |D| = |det
-    T|^(1/2) <= isqrt(B) + 1 for B = H or bound, so its primes multiply
-    past 2 (isqrt(B) + 1), about half as many; det T = D^2.  Each Hankel
-    run takes its zero tests on that value bound, so the field argument
-    above gives its determinant mod q in every lane kept, whatever the
-    moments' own subresultants are.
+    and each Hankel determinant is _lane_dets on its moments (see
+    _hankel_dets), two runs on one prime set for a symmetric symbol or a
+    constant row 0, one for a skew symbol's det T.  The lanes multiply the
+    Hankel residues by the identity's scale, such as 4^(-k) mod q (q is
+    odd), and the CRT rebuilds the value on the bound above: H, or with
+    row0 Hadamard's bound on M's rows, isqrt(m r^2 S^(m-1)) + 1, or bound.
+    A skew symbol's det T alone is a square: its CRT rebuilds +-D, D =
+    H_k[d] (the square drops the sign), with |D| = |det T|^(1/2) <=
+    isqrt(B) + 1 for B = H or bound, so its primes multiply past 2
+    (isqrt(B) + 1), about half as many; det T = D^2.  Each Hankel run takes
+    its zero tests on that value bound, so the field argument above gives
+    its determinant mod q in every lane kept, whatever the moments' own
+    subresultants are.
     """
     f1, m = _symbol_column(symbol)
     if bound is None:
-        bound = _hadamard_bound(f1, m)
-    half = f1[m - 1::-1]  # t(0), ..., t(m - 1)
-    if np.array_equal(f1, f1[::-1]):
-        run, residues = _lane_run(lambda q: _symmetric_dets(half, m, q), _lane_primes(),
-                                  2 * bound)
-    elif np.array_equal(f1, -f1[::-1]):
-        if m % 2:
-            return 0
-        root = math.isqrt(bound) + 1  # bounds |H_(m/2)[d]| = |det T|^(1/2)
-        run, residues = _lane_run(
-            lambda q: _lane_dets(_lane_moments(half[1:] % q, q, False), q, m // 2),
-            _lane_primes(), 2 * root)
-        return _crt(residues, run, root) ** 2
-    else:
+        bound = _hadamard_bound(f1, m, row0)
+    half, k = f1[m - 1::-1], m // 2  # t(0), ..., t(m - 1)
+    symmetric = np.array_equal(f1, f1[::-1])
+    if not symmetric and not np.array_equal(f1, -f1[::-1]):
+        if row0 is not None:
+            raise ValueError("a constant row 0 needs a symmetric or skew symbol")
         run, residues = _lane_run(lambda q: _lane_dets(f1 % q, q, m), _lane_primes(), 2 * bound)
-    return _crt(residues, run, bound)
+        return _crt(residues, run, bound)
+    if symmetric:
+        scale = Fraction(1 if row0 is None else (2 - m % 2) * row0, 4**k)
+    else:
+        scale = Fraction(1 if row0 is None else (-1) ** (m + 1) * row0)
+
+    def dets(q):
+        if symmetric:
+            c = _lane_moments(half % q, q, True)
+            nu, cprime = (4 * c[:-2] + q - c[2:]) % q, (2 * c[:-1] + q - c[1:]) % q
+            if row0 is not None:
+                runs = [(nu, k), (cprime, k)] if m % 2 else [(cprime, k), (nu, k - 1)]
+            elif m % 2:
+                runs = [(c, k + 1), (nu, k)]
+            else:
+                runs = [((c[1:] + 2 * c[:-1]) % q, k), (cprime, k)]
+        else:
+            d = _lane_moments(half[1:] % q, q, False)
+            runs = [(d, k)]
+            if row0 is not None:
+                runs.append(((2 * d[:-1] + q - d[1:]) % q, k - 1 + m % 2))
+        return _hankel_dets(runs, q, scale)
+
+    if symmetric or row0 is not None:
+        run, residues = _lane_run(dets, _lane_primes(), 2 * bound)
+        return _crt(residues, run, bound)
+    if m % 2:
+        return 0
+    root = math.isqrt(bound) + 1  # bounds |H_(m/2)[d]| = |det T|^(1/2)
+    run, residues = _lane_run(dets, _lane_primes(), 2 * root)
+    return _crt(residues, run, root) ** 2
 
 
 def toeplitz_det_ztau(a, b, pstar: int) -> tuple[int, int]:

@@ -149,17 +149,21 @@ def det_ep(p: OddPrime) -> int:
 
 
 def det_mp(p: OddPrime) -> int:
-    """det of build_mp(p).  Subtracting column j+1 from column j, j < n,
-    turns row 0 into e_n; expanding along it leaves (-1)^n times the n x n
-    Toeplitz determinant with t(k) = ((k+1)/p) - (k/p).
+    """det of build_mp(p): the Toeplitz matrix A with t(k) = (k/p),
+    dimension N = n+1, whose symbol t(n), ..., t(-n) reads chi at n, ..., -n
+    mod p, with row 0 replaced by ones.  A is symmetric for p = 1 (mod 4),
+    N = 2k + 1, and skew for p = 3 (mod 4), N = 2k, so toeplitz_det_mod's
+    row0 = 1 takes two Hankel determinants of about half the size, with the
+    moments c_n and d_n of its docstring:
+
+    - p = 1 (mod 4): det = H_k[4 c_n - c_(n+2)] H_k[2 c_n - c_(n+1)] / 4^k;
+    - p = 3 (mod 4): det = -H_k[d] H_(k-1)[2 d_n - d_(n+1)].
 
     The CRT limit is Hadamard's bound on the rows of build_mp(p) itself,
     isqrt((n+1) n^n) + 1: row 0 is all ones and each other row has one
-    zero, on the diagonal.  That bounds the value alone, and is smaller
-    than the Toeplitz matrix's own bound H, whose entries lie in -2..2 (at
-    p = 397, 760 bits and 26 primes against 954 bits and 32 primes)."""
+    zero, on the diagonal.  It bounds the value alone, and neither value is
+    a square, so both cases take the whole bound."""
     chi = legendre_array(p)
     n = p.n
-    k = np.arange(n - 1, -n, -1)
     bound = math.isqrt((n + 1) * n**n) + 1
-    return (-1) ** n * toeplitz_det_mod(chi[(k + 1) % p.p] - chi[k % p.p], bound)
+    return toeplitz_det_mod(chi[np.arange(n, -n - 1, -1) % p.p], bound, row0=1)

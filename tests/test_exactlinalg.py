@@ -493,6 +493,45 @@ def _patch_lane_primes(monkeypatch, primes):
     monkeypatch.setattr(exactlinalg, "_lane_primes", lambda: iter(primes))
 
 
+def test_a_constant_row_0_matches_bareiss(monkeypatch):
+    # the bordered split: T with row 0 replaced by r, ..., r, in all four
+    # parity cases, against Bareiss on the explicit matrix, on the lane
+    # primes and on primes 3, 5, 7, ..., where unlucky primes drop and rerun
+    lane_dets = exactlinalg._lane_dets
+    reruns = []
+
+    def recording(f1, q, m):
+        residues, unlucky = lane_dets(f1, q, m)
+        reruns.append(unlucky is not None)
+        return residues, unlucky
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    rng = random.Random(37)
+    cases, zero_symbols, zero_diagonals = {}, 0, 0
+    for _ in range(600):
+        m, skew, r = rng.randint(1, 40), rng.random() < 0.5, rng.choice((1, 1, -1, 2, -3))
+        values = _centrosymmetric_values(rng, m, skew)
+        rows = _toeplitz_rows(values, m)
+        rows[0] = [r] * m
+        exact = _bareiss(rows)
+        monkeypatch.setattr(exactlinalg, "_lane_primes", _lane_primes)
+        assert toeplitz_det_mod(_f1(values), row0=r) == exact, (values, m, r)
+        _patch_lane_primes(monkeypatch, _SMALL_PRIMES)
+        assert toeplitz_det_mod(_f1(values), row0=r) == exact, (values, m, r)
+        kind = ("skew" if skew else "symmetric", m % 2, exact == 0)
+        cases[kind] = cases.get(kind, 0) + 1
+        zero_symbols += not any(values)
+        zero_diagonals += not skew and values[m - 1] == 0 and any(values)
+    for symmetry in ("symmetric", "skew"):
+        for odd in (0, 1):
+            assert cases.get((symmetry, odd, True), 0) > 10, (symmetry, odd)
+            assert cases.get((symmetry, odd, False), 0) > 30, (symmetry, odd)
+    assert zero_symbols > 20 and zero_diagonals > 20 and sum(reruns) > 50
+    # a constant row 0 needs a symmetric or skew symbol
+    with pytest.raises(ValueError, match="symmetric or skew"):
+        toeplitz_det_mod(_f1([1, 2, 3]), row0=1)
+
+
 def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
     # with primes 3, 5, 7, ... many columns vanish mod some lane primes
     # only; those lanes are dropped and the run repeats with later primes
@@ -653,8 +692,9 @@ def test_value_bound_rejects_too_few_primes_and_a_tampered_lane(monkeypatch):
 
 
 def test_det_mp_on_its_value_bound():
-    # det_mp on the lanes, on its value bound
-    for q in primes_in_range(97, 199):
+    # det_mp on the lanes, on its value bound, from p = 3 (N = 2, where the
+    # second Hankel factor is H_0 = 1) up
+    for q in primes_in_range(3, 199):
         assert det_mp(q) == det(build_mp(q)), q.p
     assert all(abs(det_mp(q)) == 1 for q in primes_in_range(97, 601))
 
@@ -694,10 +734,12 @@ def test_a_wrong_last_lane_passes_the_bound_but_not_the_spare(monkeypatch):
 
 def test_a_wrong_residue_on_any_lane_of_each_hankel_run_is_caught(monkeypatch):
     # det_ep at 101 and 397 (p = 1 mod 4) runs two Hankel determinants on
-    # one prime set, and at 103 (p = 3 mod 4) the one run of D; a +1 on any
-    # single lane, chosen or spare, of any of those runs raises
+    # one prime set, and at 103 (p = 3 mod 4) the one run of D; det_mp runs
+    # two at every p, the bordered split of its constant row 0.  A +1 on
+    # any single lane, chosen or spare, of any of those runs raises
     lane_dets = exactlinalg._lane_dets
-    for p in (101, 103, 397):
+    for target, p in ((det_ep, 101), (det_ep, 103), (det_ep, 397),
+                      (det_mp, 101), (det_mp, 103), (det_mp, 397), (det_mp, 599)):
         q = OddPrime(p)
         lanes = []
 
@@ -706,16 +748,16 @@ def test_a_wrong_residue_on_any_lane_of_each_hankel_run_is_caught(monkeypatch):
             return lane_dets(f1, qs, m)
 
         monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
-        expected = det_ep(q)
-        assert len(lanes) == (2 if p % 4 == 1 else 1), p
+        expected = target(q)
+        assert len(lanes) == (2 if p % 4 == 1 or target is det_mp else 1), (target, p)
         monkeypatch.undo()
         for run, width in enumerate(lanes):
             for position in range(width):
                 _tamper_lane(monkeypatch, position, run)
                 with pytest.raises(DiscrepancyError):
-                    det_ep(q)
+                    target(q)
                 monkeypatch.undo()
-        assert det_ep(q) == expected
+        assert target(q) == expected
 
 
 def test_lane_reductions_are_sign_free(monkeypatch):
@@ -730,9 +772,10 @@ def test_lane_reductions_are_sign_free(monkeypatch):
         return lane_mod(w, q)
 
     monkeypatch.setattr(exactlinalg, "_lane_mod", checked)
-    # det_ep, det_mp and mtilde_det, each on the lanes
+    # det_ep, det_mp and mtilde_det, each on the lanes; det_mp's runs read
+    # the windows 2 c_n - c_(n+1) (p = 389) and 2 d_n - d_(n+1) (p = 151)
     for target, p in (("chapman", 151), ("chapman", 389), ("unit", 151), ("unit", 389),
-                      ("mtilde", 31)):
+                      ("sun", 151), ("sun", 389), ("mtilde", 31)):
         calls.clear()
         assert run_sweep(target, p, p).records[0].status == PASS, (target, p)
         assert calls, (target, p)
@@ -848,8 +891,12 @@ def test_lane_primes_are_distinct_primes_below_2_30():
 
 def test_symbol_matrix_dets_match_the_bigint_route():
     # each of the three symbols on toeplitz_det_mod, and det_cp, det_ep and
-    # det_mp (det_mp on its value bound), against the bigint PRS of
-    # tests/bigint_toeplitz.py, at small dimensions and in the det band
+    # det_mp, against the bigint PRS of tests/bigint_toeplitz.py, at small
+    # dimensions and in the det band.  det_mp takes the bordered split of
+    # its ones row, so its column-differenced symbol chi(k+1) - chi(k), of
+    # dimension n and determinant (-1)^n det_mp, is a reference only (on
+    # toeplitz_det_mod it takes the single run, being neither symmetric nor
+    # skew)
     for q in primes_in_range(3, 199) + primes_in_range(389, 401):
         chi = legendre_array(q).tolist()
         for det_x, t, m in (

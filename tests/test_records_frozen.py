@@ -1,7 +1,8 @@
 """Records frozen by digest: the sha256 of each sweep's JSON report, keys
 sorted and elapsed_s dropped, over the sweeps of the benchmark's acceptance
-workload.  A change that keeps every verdict and record pins them here; one
-that changes records on purpose updates the digest and says so."""
+workload and the sun and unit sweeps of its det band (389..401).  A change
+that keeps every verdict and record pins them here; one that changes
+records on purpose updates the digest and says so."""
 import hashlib
 import json
 
@@ -19,6 +20,8 @@ _DIGESTS = {
     ("gauss", 3, 61): "67154d9137c2a03446a8ae29a8012f6b78e13918339e38f62de10826a1169de7",
     ("cauchy", 3, 61): "51f817a3948db36234fe373067a1a3a073ec9e56964745d600f2ebf6f6c7e812",
     ("mtilde", 3, 31): "0b62697b51f3469d365b4f7b83951b0718d1d569fd05f7457cd03ad413f2ebe7",
+    ("sun", 389, 401): "929323df22d65cb12a27e2493c14bb0eb37bca28c619e8db429224bbd1c347be",
+    ("unit", 389, 401): "29f18cf4115716a89d33228315eb4b541ca9fac92195cb3b609c4b219ed7ff87",
 }
 
 
