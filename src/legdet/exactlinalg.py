@@ -241,8 +241,9 @@ def _lane_dets(f1, q, m: int):
 
 def _hadamard_bound(row, m: int, row0=None) -> int:
     """toeplitz_det_mod's bound H for the 2m - 1 values |t(k)| <= row; with
-    row0, its bound isqrt(m row0^2 S^(m-1)) + 1 on |det M|."""
-    top = np.sort(np.abs(row), axis=None)[-m:].astype(object)
+    row0, its bound isqrt(m row0^2 S^(m-1)) + 1 on |det M|.  The uint64 cast
+    keeps |-2^63| = 2^63."""
+    top = np.sort(np.abs(row).astype(np.uint64), axis=None)[-m:].astype(object)
     s = int((top * top).sum())
     return math.isqrt(s**m if row0 is None else m * row0 * row0 * s ** (m - 1)) + 1
 
@@ -352,21 +353,24 @@ def _hankel_dets(runs, q, scale):
 
 def _symbol_column(symbol):
     """symbol, t(m - 1), ..., t(1 - m), as a (2m - 1, 1) int64 column, and
-    m; an empty, even-length, not 1-D or not integer symbol raises
-    ValueError."""
+    m; an empty, even-length, not 1-D or not integer symbol, or one with an
+    unsigned value >= 2^63, raises ValueError."""
     f1 = np.asarray(symbol)
     if f1.ndim != 1 or len(f1) % 2 == 0 or f1.dtype.kind not in "iu":
         raise ValueError("a Toeplitz symbol is a 1-D integer array of odd length 2m - 1")
-    return f1.astype(np.int64, copy=False)[:, None], (len(f1) + 1) // 2
+    column = f1.astype(np.int64, copy=False)
+    if f1.dtype.kind == "u" and (column < 0).any():
+        raise ValueError("a Toeplitz symbol's values must fit in int64")
+    return column[:, None], (len(f1) + 1) // 2
 
 
-def toeplitz_det_mod(symbol, bound=None, row0=None) -> int:
+def toeplitz_det_mod(symbol, row0=None) -> int:
     """Exact determinant of the m x m integer Toeplitz matrix T = [t(i - j)],
     0 <= i, j < m, by the windowed subresultant PRS of _lane_dets over F_q
     for many primes q < 2^30 at once, rebuilt by the Chinese remainder
     theorem.
 
-    symbol is the 1-D int64 array t(m - 1), ..., t(1 - m), F1's
+    symbol is the 1-D integer array t(m - 1), ..., t(1 - m), F1's
     coefficients leading first, and m is read off its length 2m - 1.
 
     Windows.  The step whose divisor has degree d computes its remainder
@@ -398,19 +402,6 @@ def toeplitz_det_mod(symbol, bound=None, row0=None) -> int:
     determinant mod q.  A CRT value of absolute value above H raises
     DiscrepancyError, as does running out of primes.  The values t(k) must
     fit in int64.
-
-    A value bound.  bound, when given, is a bound on |det| alone (on |det
-    M| with row0, below).  It replaces H both as the CRT limit (primes
-    multiply past 2 bound) and as the check on the CRT value.  The zero
-    tests are then no longer exact: a coefficient nonzero over Z may vanish
-    mod every prime taken, and then all lanes follow another degree
-    sequence than Z takes.  But every lane kept agrees with every other
-    lane on each leading coefficient, so it follows its own residues'
-    degree sequence with leading coefficients that are units mod q: it runs
-    the subresultant PRS over the field F_q, and so yields det mod q
-    whatever sequence Z takes.  With |det| <= bound
-    and a prime product above 2 bound, the symmetric residue is again the
-    determinant.
 
     Symmetric and skew symbols.  When t(-k) = t(k) for every |k| < m, or
     t(-k) = -t(k), det T comes from Hankel determinants of about half the
@@ -485,26 +476,35 @@ def toeplitz_det_mod(symbol, bound=None, row0=None) -> int:
     _hankel_dets), two runs on one prime set for a symmetric symbol or a
     constant row 0, one for a skew symbol's det T.  The lanes multiply the
     Hankel residues by the identity's scale, such as 4^(-k) mod q (q is
-    odd), and the CRT rebuilds the value on the bound above: H, or with
-    row0 Hadamard's bound on M's rows, isqrt(m r^2 S^(m-1)) + 1, or bound.
-    A skew symbol's det T alone is a square: its CRT rebuilds +-D, D =
-    H_k[d] (the square drops the sign), with |D| = |det T|^(1/2) <=
-    isqrt(B) + 1 for B = H or bound, so its primes multiply past 2
-    (isqrt(B) + 1), about half as many; det T = D^2.  Each Hankel run takes
-    its zero tests on that value bound, so the field argument above gives
-    its determinant mod q in every lane kept, whatever the moments' own
-    subresultants are.
+    odd), and the CRT rebuilds the value on a bound B: H, or with row0
+    Hadamard's bound on M's rows, isqrt(m r^2 S^(m-1)) + 1.  A skew
+    symbol's det T alone is a square: its CRT rebuilds +-D, D = H_k[d] (the
+    square drops the sign), with |D| = |det T|^(1/2) <= isqrt(H) + 1 = B,
+    so its primes multiply past 2B, about half as many; det T = D^2.
+
+    The Hankel runs take their zero tests on B, a bound on the value alone,
+    not on the moments' own subresultants.  So a coefficient nonzero over
+    Z may vanish mod every prime taken, and then all lanes follow another
+    degree sequence than Z takes.  But every lane kept agrees with every
+    other lane on each leading coefficient, so it follows its own residues'
+    degree sequence with leading coefficients that are units mod q: it runs
+    the subresultant PRS over the field F_q, and so yields the Hankel
+    determinant mod q whatever sequence Z takes.  With |value| <= B and a
+    prime product above 2B, the symmetric residue is again the value.
     """
     f1, m = _symbol_column(symbol)
-    if bound is None:
-        bound = _hadamard_bound(f1, m, row0)
+    bound = _hadamard_bound(f1, m, row0)
     half, k = f1[m - 1::-1], m // 2  # t(0), ..., t(m - 1)
     symmetric = np.array_equal(f1, f1[::-1])
-    if not symmetric and not np.array_equal(f1, -f1[::-1]):
-        if row0 is not None:
-            raise ValueError("a constant row 0 needs a symmetric or skew symbol")
-        run, residues = _lane_run(lambda q: _lane_dets(f1 % q, q, m), _lane_primes(), 2 * bound)
-        return _crt(residues, run, bound)
+    # -f1 wraps -2^63 to itself, and no skew int64 symbol holds -2^63
+    skew = not symmetric and np.array_equal(f1, -f1[::-1]) and f1.min() > -2**63
+    if row0 is not None and not (symmetric or skew):
+        raise ValueError("a constant row 0 needs a symmetric or skew symbol")
+    square = skew and row0 is None  # det T = H_k[d]^2
+    if square:
+        if m % 2:
+            return 0
+        bound = math.isqrt(bound) + 1  # bounds |H_k[d]| = |det T|^(1/2)
     if symmetric:
         scale = Fraction(1 if row0 is None else (2 - m % 2) * row0, 4**k)
     else:
@@ -520,21 +520,18 @@ def toeplitz_det_mod(symbol, bound=None, row0=None) -> int:
                 runs = [(c, k + 1), (nu, k)]
             else:
                 runs = [((c[1:] + 2 * c[:-1]) % q, k), (cprime, k)]
-        else:
+        elif skew:
             d = _lane_moments(half[1:] % q, q, False)
             runs = [(d, k)]
             if row0 is not None:
                 runs.append(((2 * d[:-1] + q - d[1:]) % q, k - 1 + m % 2))
+        else:
+            return _lane_dets(f1 % q, q, m)
         return _hankel_dets(runs, q, scale)
 
-    if symmetric or row0 is not None:
-        run, residues = _lane_run(dets, _lane_primes(), 2 * bound)
-        return _crt(residues, run, bound)
-    if m % 2:
-        return 0
-    root = math.isqrt(bound) + 1  # bounds |H_(m/2)[d]| = |det T|^(1/2)
-    run, residues = _lane_run(dets, _lane_primes(), 2 * root)
-    return _crt(residues, run, root) ** 2
+    run, residues = _lane_run(dets, _lane_primes(), 2 * bound)
+    value = _crt(residues, run, bound)
+    return value**2 if square else value
 
 
 def toeplitz_det_ztau(a, b, pstar: int) -> tuple[int, int]:

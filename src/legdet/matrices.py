@@ -3,8 +3,6 @@ determinants by the Toeplitz route, and the characteristic polynomial of
 C_p from the structure of C_p^2."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .arith import OddPrime, legendre_array
@@ -157,13 +155,6 @@ def det_mp(p: OddPrime) -> int:
     moments c_n and d_n of its docstring:
 
     - p = 1 (mod 4): det = H_k[4 c_n - c_(n+2)] H_k[2 c_n - c_(n+1)] / 4^k;
-    - p = 3 (mod 4): det = -H_k[d] H_(k-1)[2 d_n - d_(n+1)].
-
-    The CRT limit is Hadamard's bound on the rows of build_mp(p) itself,
-    isqrt((n+1) n^n) + 1: row 0 is all ones and each other row has one
-    zero, on the diagonal.  It bounds the value alone, and neither value is
-    a square, so both cases take the whole bound."""
+    - p = 3 (mod 4): det = -H_k[d] H_(k-1)[2 d_n - d_(n+1)]."""
     chi = legendre_array(p)
-    n = p.n
-    bound = math.isqrt((n + 1) * n**n) + 1
-    return toeplitz_det_mod(chi[np.arange(n, -n - 1, -1) % p.p], bound, row0=1)
+    return toeplitz_det_mod(chi[np.arange(p.n, -p.n - 1, -1) % p.p], row0=1)

@@ -206,16 +206,18 @@ class Target:
     reads_tolerance: bool = False
 
 
-# Every cap bounds the time of one prime, not a domain.  gauss, decomposition
-# and mtilde are each about the largest p whose verifier takes no longer than
-# lemma32 or mtilde took at p = 199 on the exact products.  lemma32's is the
-# largest p whose verifier takes no longer than 0.30 s (median of 7, shared
-# 2-core Xeon, Python 3.11, numpy 2.4).  carlitz's is the largest p whose
-# verifier is no slower than verify_lemma32 at 1787, both best of 5,
-# interleaved in one process: per prime the ratio of the two scatters by
-# about 10%, so the cap is where a log-log fit of it over 486 primes from
-# 55501 to 62989 crosses 1 (56642).  decomposition's residual stays near
-# 1e-13 at its cap, so precision does not bound it.
+# Every cap bounds the time of one prime, not a domain.  gauss and mtilde are
+# each about the largest p whose verifier takes no longer than lemma32 or
+# mtilde took at p = 199 on the exact products.  decomposition's 601 came from
+# that rule too, but its verifier now takes about 20 ms there, far below it;
+# the cap stays at 601 until the single time budget of ROADMAP item 8 sets
+# every cap.  lemma32's is the largest p whose verifier takes no longer than
+# 0.30 s (median of 7, shared 2-core Xeon, Python 3.11, numpy 2.4).
+# carlitz's is the largest p whose verifier is no slower than verify_lemma32
+# at 1787, both best of 5, interleaved in one process: per prime the ratio of
+# the two scatters by about 10%, so the cap is where a log-log fit of it over
+# 486 primes from 55501 to 62989 crosses 1 (56642).  decomposition's residual
+# stays near 1e-13 at its cap, so precision does not bound it.
 _TARGET_TABLE = {
     "sun": Target(verify_sun),
     "chapman": Target(verify_chapman),

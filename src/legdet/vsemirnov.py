@@ -11,7 +11,8 @@ from .arith import OddPrime, legendre_array
 from .errors import DiscrepancyError
 
 # a time cap, as in verify._TARGET_TABLE: one prime takes about 20 ms at
-# 601, where the residual is 2.0e-13 (5.4e-13 at 479 is the most over 3..601)
+# 601, where the residual is 2.0e-13 (5.4e-13 at 479 is the most over 3..601);
+# it stays at 601 until the single time budget of ROADMAP item 8 sets it
 _CAP = 601
 
 

@@ -391,6 +391,13 @@ def _f1(values):
     return np.array(values[::-1], dtype=np.int64)
 
 
+# symbols t(m - 1), ..., t(1 - m) with an entry -2^63, and their
+# determinants: symmetric, general, and two that would read as skew if
+# -(-2^63) were taken in int64
+_INT64_EDGE = [([0, -2**63, 0], 2**126), ([3, -2**63, 5], 2**126 - 15),
+               ([1, -2**63, -1], 2**126 + 1), ([-2**63, 1, 0, -1, -2**63], -2**64)]
+
+
 def test_toeplitz_det_mod_matches_toeplitz_det():
     rng = random.Random(12)
     zero = 0
@@ -408,6 +415,13 @@ def test_toeplitz_det_mod_matches_toeplitz_det():
     assert toeplitz_det_mod(_f1([0] * 7)) == 0
     assert toeplitz_det_mod(_f1([-6, -5, -4, -3, 0, 0, 0])) == 81
     assert toeplitz_det_mod(_f1([7])) == 7
+    # symbols at the edge of int64: |-2^63| = 2^63 in the bound, and -2^63
+    # makes no symbol skew, as -(-2^63) wraps to itself
+    for symbol, exact in _INT64_EDGE:
+        assert toeplitz_det_mod(np.array(symbol)) == exact, symbol
+    with pytest.raises(ValueError, match="fit in int64"):
+        toeplitz_det_mod(np.array([2**63], dtype=np.uint64))
+    assert toeplitz_det_mod(np.array([2**63 - 1], dtype=np.uint64)) == 2**63 - 1
     # a symbol is a 1-D integer array of odd length 2m - 1, m >= 1
     malformed = [np.array(x, dtype=np.int64) for x in ([], [1, 2], [[1], [2], [3]], 5)]
     for symbol in malformed + [np.array([0.5, 1.0, 2.0])]:
@@ -426,15 +440,22 @@ def _centrosymmetric_values(rng, m, skew):
     return [-x if skew else x for x in half[:0:-1]] + half
 
 
-def test_symmetric_and_skew_symbols_match_toeplitz_det():
+def test_symmetric_and_skew_symbols_match_toeplitz_det(monkeypatch):
     # the split into half-size Hankel determinants, in all four parity
-    # cases, against the bigint PRS
+    # cases, against the bigint PRS, on the lane primes and on primes 3, 5,
+    # 7, ..., where unlucky primes drop and rerun: the Hankel runs take
+    # their zero tests on det T's bound, and every lane kept still gives
+    # the Hankel determinant mod q
+    reruns = _count_reruns(monkeypatch)
     rng = random.Random(31)
     cases, zero_symbols, zero_diagonals = {}, 0, 0
     for _ in range(1000):
         m, skew = rng.randint(1, 40), rng.random() < 0.5
         values = _centrosymmetric_values(rng, m, skew)
         exact = toeplitz_det(lambda k: values[k + m - 1], m)
+        monkeypatch.setattr(exactlinalg, "_lane_primes", _lane_primes)
+        assert toeplitz_det_mod(_f1(values)) == exact, (values, m)
+        _patch_lane_primes(monkeypatch, _SMALL_PRIMES)
         assert toeplitz_det_mod(_f1(values)) == exact, (values, m)
         kind = ("skew" if skew else "symmetric", m % 2, exact == 0)
         cases[kind] = cases.get(kind, 0) + 1
@@ -446,13 +467,15 @@ def test_symmetric_and_skew_symbols_match_toeplitz_det():
             regular = cases.get((symmetry, odd, False), 0)
             # a skew symbol of odd dimension is always singular
             assert regular == 0 if symmetry == "skew" and odd else regular > 50, (symmetry, odd)
-    assert zero_symbols > 50 and zero_diagonals > 50
+    assert zero_symbols > 50 and zero_diagonals > 50 and sum(reruns) > 50
 
 
 def test_a_skew_symbol_rebuilds_its_square_root_on_half_the_bits(monkeypatch):
     # det_ep at p = 3 (mod 4) is H_k[d]^2: the primes multiply past
     # 2 (isqrt(H) + 1), not 2H, and one spare follows them; at p = 1 (mod 4)
-    # both Hankel runs take the primes of 2H
+    # both Hankel runs take the primes of 2H.  det_mp's two runs take the
+    # primes of 2 (isqrt(m^m) + 1), m = n + 1, Hadamard's bound on the rows
+    # of M with S = m and r = 1, at every p
     lane_dets = exactlinalg._lane_dets
     runs = []
 
@@ -464,15 +487,17 @@ def test_a_skew_symbol_rebuilds_its_square_root_on_half_the_bits(monkeypatch):
     for p in (199, 397, 599):
         q = OddPrime(p)
         chi = legendre_array(q).tolist()
-        h = exactlinalg._hadamard_bound(np.array([chi[k] for k in range(-q.n, q.n + 1)]), q.n + 1)
-        limit = 2 * h if p % 4 == 1 else 2 * (math.isqrt(h) + 1)
-        runs.clear()
-        det_ep(q)
-        assert len(runs) == (2 if p % 4 == 1 else 1)
-        for primes in runs:
-            assert primes == runs[0]
-            chosen = primes[:-1]
-            assert math.prod(chosen[:-1]) <= limit < math.prod(chosen), p
+        m = q.n + 1
+        h = exactlinalg._hadamard_bound(np.array([chi[k] for k in range(-q.n, q.n + 1)]), m)
+        ep_limit = 2 * h if p % 4 == 1 else 2 * (math.isqrt(h) + 1)
+        for target, limit in ((det_ep, ep_limit), (det_mp, 2 * (math.isqrt(m**m) + 1))):
+            runs.clear()
+            target(q)
+            assert len(runs) == (2 if p % 4 == 1 or target is det_mp else 1)
+            for primes in runs:
+                assert primes == runs[0]
+                chosen = primes[:-1]
+                assert math.prod(chosen[:-1]) <= limit < math.prod(chosen), (p, target)
 
 
 def test_an_odd_skew_symbol_takes_no_prime(monkeypatch):
@@ -493,10 +518,9 @@ def _patch_lane_primes(monkeypatch, primes):
     monkeypatch.setattr(exactlinalg, "_lane_primes", lambda: iter(primes))
 
 
-def test_a_constant_row_0_matches_bareiss(monkeypatch):
-    # the bordered split: T with row 0 replaced by r, ..., r, in all four
-    # parity cases, against Bareiss on the explicit matrix, on the lane
-    # primes and on primes 3, 5, 7, ..., where unlucky primes drop and rerun
+def _count_reruns(monkeypatch):
+    """Let _lane_dets append to the returned list, on each call, whether
+    some of its lanes were unlucky."""
     lane_dets = exactlinalg._lane_dets
     reruns = []
 
@@ -506,6 +530,14 @@ def test_a_constant_row_0_matches_bareiss(monkeypatch):
         return residues, unlucky
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    return reruns
+
+
+def test_a_constant_row_0_matches_bareiss(monkeypatch):
+    # the bordered split: T with row 0 replaced by r, ..., r, in all four
+    # parity cases, against Bareiss on the explicit matrix, on the lane
+    # primes and on primes 3, 5, 7, ..., where unlucky primes drop and rerun
+    reruns = _count_reruns(monkeypatch)
     rng = random.Random(37)
     cases, zero_symbols, zero_diagonals = {}, 0, 0
     for _ in range(600):
@@ -535,15 +567,7 @@ def test_a_constant_row_0_matches_bareiss(monkeypatch):
 def test_lanes_drop_unlucky_primes_and_rerun(monkeypatch):
     # with primes 3, 5, 7, ... many columns vanish mod some lane primes
     # only; those lanes are dropped and the run repeats with later primes
-    runs = []
-    lane_dets = exactlinalg._lane_dets
-
-    def recording(f1, q, m):
-        residues, unlucky = lane_dets(f1, q, m)
-        runs.append(unlucky is not None)
-        return residues, unlucky
-
-    monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    runs = _count_reruns(monkeypatch)
     _patch_lane_primes(monkeypatch, _SMALL_PRIMES)
     rng = random.Random(13)
     reruns = 0
@@ -636,75 +660,27 @@ def test_lanes_reject_too_few_primes_and_a_tampered_lane(monkeypatch):
     # moves the CRT value far outside H
     with pytest.raises(DiscrepancyError):
         det_ep(OddPrime(101))
-
-
-def _row_hadamard_bound(values, m):
-    """isqrt of the product of the squared row norms of [t(i - j)], plus 1:
-    a bound on |det| alone."""
-    return math.isqrt(math.prod(sum(x * x for x in row)
-                                for row in _toeplitz_rows(values, m))) + 1
-
-
-def test_value_bound_on_small_primes(monkeypatch):
-    # with primes 3, 5, 7, ... a product of the chosen primes past twice
-    # the matrix's own row-Hadamard bound often stays below 2H, the
-    # zero-test bound; the lanes kept still give det mod q, so every value
-    # is right
-    products = []
-    lane_dets = exactlinalg._lane_dets
-
-    def recording(f1, q, m):
-        products.append(math.prod(q.tolist()[:-1]))
-        return lane_dets(f1, q, m)
-
-    monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
-    _patch_lane_primes(monkeypatch, _SMALL_PRIMES)
-    rng = random.Random(21)
-    below = 0
-    for _ in range(3000):
-        values, m = _random_toeplitz(rng)
-        got = toeplitz_det_mod(_f1(values), _row_hadamard_bound(values, m))
-        assert got == toeplitz_det(lambda k: values[k + m - 1], m), (values, m)
-        below += products[-1] < 2 * exactlinalg._hadamard_bound(np.array(values), m)
-    assert below >= 1000
-
-
-def test_value_bound_rejects_too_few_primes_and_a_tampered_lane(monkeypatch):
-    values, m = [1, 0, -1, 0, 0, -1, 0, 1, -1], 5
-    # the rows' squared norms are 2, 2, 2, 2, 3: the bound is
-    # isqrt(48) + 1 = 7, so primes must multiply past 14; 7 does not, and
-    # 3 * 5 = 15 does (with 7 as the spare), where H = 56 needs a product
-    # past 112
-    bound = _row_hadamard_bound(values, m)
-    assert bound == 7
-    for primes in ([7, 11], [3, 5]):
-        _patch_lane_primes(monkeypatch, primes)
-        with pytest.raises(DiscrepancyError, match="lane primes ran out"):
-            toeplitz_det_mod(_f1(values), bound)
-    _patch_lane_primes(monkeypatch, [3, 5, 7])
-    assert toeplitz_det_mod(_f1(values), bound) == -1
-    monkeypatch.undo()
-    _tamper_lane(monkeypatch, 0)
-    # det_mp at 151 runs on its value bound, 8 lanes and a spare; one
-    # residue off by 1 moves the CRT value outside that bound
+    # det_mp at 151 takes 8 lanes and a spare on Hadamard's bound on the
+    # rows of M; one residue off by 1 moves the CRT value outside it
     with pytest.raises(DiscrepancyError, match="exceeds its Hadamard bound"):
         det_mp(OddPrime(151))
 
 
-def test_det_mp_on_its_value_bound():
-    # det_mp on the lanes, on its value bound, from p = 3 (N = 2, where the
-    # second Hankel factor is H_0 = 1) up
+def test_det_mp_matches_the_dense_det():
+    # det_mp on the lanes, on the bordered split, from p = 3 (N = 2, where
+    # the second Hankel factor is H_0 = 1) up
     for q in primes_in_range(3, 199):
         assert det_mp(q) == det(build_mp(q)), q.p
     assert all(abs(det_mp(q)) == 1 for q in primes_in_range(97, 601))
 
 
 def test_a_wrong_residue_on_any_lane_is_caught(monkeypatch):
-    # the CRT of det_mp (on its value bound) and det_ep (on H) at every p
-    # in 5..601, fed a +1 on each single lane, chosen or spare: the bound
-    # alone let it through at det_mp 167, 227, 311, 379, 547 and det_ep
-    # 167, 197, 311; the spare prime catches every one.  Every dimension
-    # runs on the lanes, the small ones included
+    # the CRT of det_mp (on Hadamard's bound on M's rows) and det_ep (on H
+    # or, at p = 3 mod 4, isqrt(H) + 1) at every p in 5..601, fed a +1 on
+    # each single lane, chosen or spare: on a chosen lane the bound alone
+    # let it through at 27 primes of det_mp (5..23, 67, 103, ..., 571) and
+    # 26 of det_ep (5..23, 31, 43, ..., 557); the spare prime catches every
+    # one.  Every dimension runs on the lanes, the small ones included
     crt = exactlinalg._crt
     calls = []
 
@@ -713,6 +689,7 @@ def test_a_wrong_residue_on_any_lane_is_caught(monkeypatch):
         return crt(residues, run, bound)
 
     monkeypatch.setattr(exactlinalg, "_crt", recording)
+    through = {det_mp: set(), det_ep: set()}
     for q in primes_in_range(5, 601):
         for target in (det_mp, det_ep):
             calls.clear()
@@ -720,13 +697,16 @@ def test_a_wrong_residue_on_any_lane_is_caught(monkeypatch):
             [(residues, run, bound)] = calls
             for i, qk in enumerate(run):
                 wrong = residues[:i] + [(residues[i] + 1) % qk] + residues[i + 1:]
-                with pytest.raises(DiscrepancyError):
+                with pytest.raises(DiscrepancyError) as caught:
                     crt(wrong, run, bound)
+                if i < len(run) - 1 and "spare" in str(caught.value):
+                    through[target].add(q.p)
+    assert (len(through[det_mp]), len(through[det_ep])) == (27, 26)
 
 
 def test_a_wrong_last_lane_passes_the_bound_but_not_the_spare(monkeypatch):
     # at p = 167 a +1 on the last chosen lane of det_mp rebuilds to a value
-    # inside the value bound
+    # inside Hadamard's bound on the rows of M
     _tamper_lane(monkeypatch, -2)
     with pytest.raises(DiscrepancyError, match="disagrees with the spare prime"):
         det_mp(OddPrime(167))
@@ -735,12 +715,12 @@ def test_a_wrong_last_lane_passes_the_bound_but_not_the_spare(monkeypatch):
 def test_a_wrong_residue_on_any_lane_of_each_hankel_run_is_caught(monkeypatch):
     # det_ep at 101 and 397 (p = 1 mod 4) runs two Hankel determinants on
     # one prime set, and at 103 (p = 3 mod 4) the one run of D; det_mp runs
-    # two at every p, the bordered split of its constant row 0.  A +1 on
-    # any single lane, chosen or spare, of any of those runs raises
+    # two at every p, the bordered split of its constant row 0; of the int64
+    # edge symbols the symmetric one runs two, the others one general run.
+    # A +1 on any single lane, chosen or spare, of any of those runs raises
     lane_dets = exactlinalg._lane_dets
-    for target, p in ((det_ep, 101), (det_ep, 103), (det_ep, 397),
-                      (det_mp, 101), (det_mp, 103), (det_mp, 397), (det_mp, 599)):
-        q = OddPrime(p)
+
+    def runs_of(compute):
         lanes = []
 
         def recording(f1, qs, m):
@@ -748,16 +728,24 @@ def test_a_wrong_residue_on_any_lane_of_each_hankel_run_is_caught(monkeypatch):
             return lane_dets(f1, qs, m)
 
         monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
-        expected = target(q)
-        assert len(lanes) == (2 if p % 4 == 1 or target is det_mp else 1), (target, p)
+        expected = compute()
         monkeypatch.undo()
         for run, width in enumerate(lanes):
             for position in range(width):
                 _tamper_lane(monkeypatch, position, run)
                 with pytest.raises(DiscrepancyError):
-                    target(q)
+                    compute()
                 monkeypatch.undo()
-        assert target(q) == expected
+        assert compute() == expected
+        return len(lanes)
+
+    for target, p in ((det_ep, 101), (det_ep, 103), (det_ep, 397),
+                      (det_mp, 101), (det_mp, 103), (det_mp, 397), (det_mp, 599)):
+        runs = runs_of(lambda: target(OddPrime(p)))
+        assert runs == (2 if p % 4 == 1 or target is det_mp else 1), (target, p)
+    for symbol, _ in _INT64_EDGE:
+        runs = runs_of(lambda: toeplitz_det_mod(np.array(symbol)))
+        assert runs == (2 if symbol == [0, -2**63, 0] else 1), symbol
 
 
 def test_lane_reductions_are_sign_free(monkeypatch):
@@ -1076,9 +1064,9 @@ def _altering_points(monkeypatch, alter):
     exact = exactlinalg.toeplitz_det_mod
     points = []
 
-    def altering(symbol, bound=None):
+    def altering(symbol):
         points.append(len(points))
-        return alter(points[-1], exact(symbol, bound))
+        return alter(points[-1], exact(symbol))
 
     monkeypatch.setattr(exactlinalg, "toeplitz_det_mod", altering)
     return points

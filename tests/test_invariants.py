@@ -51,6 +51,8 @@ module names no `alive`, `keep` or `bincount`, so every lane run follows
 one degree sequence and a disagreeing lane is unlucky, never outvoted.
 No module of the package defines or names `_lane_reduce` or
 `_REDUCE_BY_PRIME_FROM`: every array of residues is reduced by one `%`.
+`toeplitz_det_mod` sets its own CRT limit: no call of it in the package
+passes more than the symbol and `row0`, so no caller brings a bound.
 """
 import ast
 from pathlib import Path
@@ -176,6 +178,22 @@ def test_lanes_reduce_with_no_per_prime_path():
                 names += [alias.name for alias in node.names]
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in ("_lane_reduce", "_REDUCE_BY_PRIME_FROM")]
+    assert found == []
+
+
+def test_toeplitz_det_mod_calls_pass_only_the_symbol_and_row0():
+    # one positional argument and no keyword but row0, nor a * or ** that
+    # could carry more
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "toeplitz_det_mod" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))
+        and (len(node.args) > 1 or any(isinstance(a, ast.Starred) for a in node.args)
+             or any(kw.arg != "row0" for kw in node.keywords))
+    ]
     assert found == []
 
 
