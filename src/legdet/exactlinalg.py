@@ -107,13 +107,12 @@ def _lane_mod(w, q):
 
 
 def _lane_lead(w):
-    """The first nonzero row over Z of the lane windows w, a (width, L)
-    int64 array, and the (L,) mask of the unlucky lanes (None when there
-    are none).
+    """The first row of the lane windows w, a (width, L) int64 array, that
+    is nonzero in some lane, and the (L,) mask of the unlucky lanes, whose
+    own first nonzero row lies further down (None when there are none).
 
-    Row k is zero over Z exactly when it is zero in every lane, and nonzero
-    over Z when it is nonzero in some lane; the lanes whose own first
-    nonzero row lies further down are then unlucky.  An all-zero window
+    Lanes that are not unlucky agree on that row: in each of them it is
+    the first nonzero row, a unit mod the lane's prime.  An all-zero window
     gives its width.
     """
     if np.count_nonzero(w[0]) == w.shape[1]:
@@ -176,27 +175,41 @@ def _lane_dets(f1, q, m: int):
     lane keeps P, the denominator and extra, three (L,) arrays, and
     inverts the denominator once, at the end.
 
+    The loop's first step has divisor W_0 = F0 and remainder W_1 = F1.  As
+    L_0 = 1, it adds no factor to P, extra or the denominator, and n_(-1) =
+    j gives it sign (-1)^0: it only reads W_1's degree, like every step.
+
     All lanes follow one degree sequence.  Returns (residues, None), the
     determinant mod q[l] for each lane l as a list of L ints; or (None,
     unlucky) when some row reads zero in some lanes only, unlucky being
     the (L,) bool mask of those lanes.
     """
     j = m - 1
-    lead, unlucky = _lane_lead(f1)
-    if unlucky is not None:
-        return None, unlucky
-    f1 = f1[lead:]
-    n0, n1 = 2 * m - 1, 2 * m - 2 - lead
-    if n1 < j:
-        return [0] * len(q), None
-    if n1 == j:
-        return _lane_pow(f1[0], n0 - n1, q).tolist(), None
-    f0 = np.zeros_like(f1)
-    f0[0] = 1
+    window, f1 = f1, np.zeros_like(f1)
+    f1[0] = 1  # F0 = X^(2m-1)
+    n0, n1 = j, 2 * m - 1
     prefix = den = extra = np.ones_like(q)
     sign = 1
     while True:
+        lead, unlucky = _lane_lead(window)
+        if unlucky is not None:
+            return None, unlucky
+        gap = lead + 1
+        n2 = n1 - gap
+        if n2 < j:
+            return [0] * len(q), None
+        # sigma_j(A, B) against sigma_j(B, rem(A, B)): (-1)^((n0 - j)(n1 - j))
+        if (n0 - j) * (n1 - j) % 2:
+            sign = -sign
+        den = den * _lane_pow(prefix, gap, q) % q
+        if gap > 1:
+            extra = extra * _lane_pow(f1[0], gap - 1, q) % q
+        f0, f1, n0, n1 = f1, window[lead:], n1, n2
         lc = f1[0]
+        if n1 == j:
+            num = prefix * extra % q * _lane_pow(lc, gap, q) % q
+            return [sign * x * pow(y, -1, qk) % qk
+                    for x, y, qk in zip(num.tolist(), den.tolist(), q.tolist())], None
         delta = n0 - n1
         a = f0[:len(f1)]
         if delta == 1:
@@ -218,50 +231,34 @@ def _lane_dets(f1, q, m: int):
                 window += (q - w[0]) * f1[1:len(w)]
                 _lane_mod(window, q)
         prefix = prefix * lcd % q
-        lead, unlucky = _lane_lead(window)
-        if unlucky is not None:
-            return None, unlucky
-        gap = lead + 1
-        n2 = n1 - gap
-        if n2 < j:
-            return [0] * len(q), None
-        # sigma_j(A, B) against sigma_j(B, rem(A, B)): (-1)^((n0 - j)(n1 - j))
-        if (n0 - j) * (n1 - j) % 2:
-            sign = -sign
-        den = den * _lane_pow(prefix, gap, q) % q
-        if gap > 1:
-            extra = extra * _lane_pow(lc, gap - 1, q) % q
-        f2 = window[lead:]
-        if n2 == j:
-            num = prefix * extra % q * _lane_pow(f2[0], gap, q) % q
-            return [sign * x * pow(y, -1, qk) % qk
-                    for x, y, qk in zip(num.tolist(), den.tolist(), q.tolist())], None
-        f0, f1, n0, n1 = f1, f2, n1, n2
 
 
 def _hadamard_bound(row, m: int, row0=None) -> int:
-    """toeplitz_det_mod's bound H for the 2m - 1 values |t(k)| <= row; with
-    row0, its bound isqrt(m row0^2 S^(m-1)) + 1 on |det M|.  The uint64 cast
-    keeps |-2^63| = 2^63."""
-    top = np.sort(np.abs(row).astype(np.uint64), axis=None)[-m:].astype(object)
+    """toeplitz_det_mod's bound H for the 2m - 1 values |t(k)| <= row, an
+    int64 or an object array of Python ints; with row0, its bound
+    isqrt(m row0^2 S^(m-1)) + 1 on |det M|.  The uint64 cast of an int64
+    row keeps |-2^63| = 2^63."""
+    top = np.abs(row).astype(object if row.dtype == object else np.uint64)
+    top = np.sort(top, axis=None)[-m:].astype(object)
     s = int((top * top).sum())
     return math.isqrt(s**m if row0 is None else m * row0 * row0 * s ** (m - 1)) + 1
 
 
-def _lane_run(dets, primes, limit: int):
+def _lane_run(dets, primes, bound: int):
     """(run, residues) of dets(q), q the (K,) int64 array of run: the
-    primes taken in order from primes until their product exceeds limit,
+    primes taken in order from primes until their product exceeds 2 bound,
+    so that the symmetric residue of a value at most bound is the value,
     then one spare prime more.  dets(q) returns what _lane_dets returns for
     lanes read mod q[l % K]: (residues, None), or (None, unlucky), unlucky
     the mask of the lanes of some run that dets made on q.  The spare only
     checks the CRT value (see _crt); it is no stopping rule, as the count of
-    primes is set by limit alone.  The primes of unlucky lanes are dropped,
+    primes is set by bound alone.  The primes of unlucky lanes are dropped,
     and the next run takes the surviving chosen primes, then the stream
     again from the spare if it survived, by the same rule."""
     message = "lane primes ran out below the CRT bound"
     primes, chosen = iter(primes), []
     while True:
-        chosen = _take_primes(primes, limit, message, chosen)
+        chosen = _take_primes(primes, 2 * bound, message, chosen)
         spare = next(primes, None)
         if spare is None:
             raise DiscrepancyError(message)
@@ -381,27 +378,25 @@ def toeplitz_det_mod(symbol, row0=None) -> int:
     window means a remainder of degree < m - 1: det T = 0.
 
     Bound.  Let S be the sum of the m largest of the squares t(k)^2,
-    |k| < m, and H = isqrt(S^m) + 1.  Every coefficient the PRS reads, the
-    determinant included, belongs to a subresultant of F0 = X^(2m-1) and
-    F1 of index j >= m - 1 (Brown & Traub 1971), so it is a determinant of
-    Sylvester rows of F0 and F1.  F0's rows are unit vectors; expanding
-    along them leaves +- a minor of 2m - 1 - j <= m rows and as many
-    columns.  Each of its rows holds at most m of F1's coefficients, each
-    at most once, so its squared norm is at most S, and Hadamard's
-    inequality gives |c| <= S^(m/2) < H.  Primes are taken until their
-    product Q exceeds 2H; then a coefficient is zero over Z exactly when it
-    is zero mod every q, and the symmetric residue of the CRT value mod Q
-    is the determinant.  One spare prime more checks it (see _crt).  The
-    lanes are the columns of one (2m - 1, L) array, lane l mod q[l].
+    |k| < m, and H = isqrt(S^m) + 1.  Each row of T holds m of the t(k),
+    each at most once, so its squared norm is at most S, and Hadamard's
+    inequality gives |det T| <= S^(m/2) < H.  H bounds the value only.
+    Primes are taken until their product Q exceeds 2H, and one spare prime
+    more checks the CRT value (see _crt).  The lanes are the columns of one
+    (2m - 1, L) array, lane l mod q[l].
 
-    Against H, zero tests are exact.  A coefficient that is zero in some
-    lanes but not in all is nonzero over Z, and the primes of those lanes
-    are unlucky: they are dropped and the whole run repeats with the next
-    primes, so the verdict is deterministic.  In agreeing lanes every
-    leading coefficient is a unit mod q, and each lane computes the
-    determinant mod q.  A CRT value of absolute value above H raises
-    DiscrepancyError, as does running out of primes.  The values t(k) must
-    fit in int64.
+    The field argument.  A coefficient the PRS reads may be nonzero over Z
+    and vanish mod every prime taken; the lanes then follow another degree
+    sequence than Z takes.  A coefficient that is zero in some lanes but
+    not in all makes the primes of those lanes unlucky: they are dropped
+    and the whole run repeats with the next primes, so the verdict is
+    deterministic.  Every lane kept agrees with the others on each step's
+    leading row, which is its own first nonzero row, a unit mod its q: it
+    runs the subresultant PRS over the field F_q on its own residues, and
+    yields the determinant mod q whatever sequence Z takes.  With |det T| <
+    H and Q > 2H, the symmetric residue of the CRT value mod Q is det T.  A
+    CRT value of absolute value above H raises DiscrepancyError, as does
+    running out of primes.  The values t(k) must fit in int64.
 
     Symmetric and skew symbols.  When t(-k) = t(k) for every |k| < m, or
     t(-k) = -t(k), det T comes from Hankel determinants of about half the
@@ -482,15 +477,9 @@ def toeplitz_det_mod(symbol, row0=None) -> int:
     square drops the sign), with |D| = |det T|^(1/2) <= isqrt(H) + 1 = B,
     so its primes multiply past 2B, about half as many; det T = D^2.
 
-    The Hankel runs take their zero tests on B, a bound on the value alone,
-    not on the moments' own subresultants.  So a coefficient nonzero over
-    Z may vanish mod every prime taken, and then all lanes follow another
-    degree sequence than Z takes.  But every lane kept agrees with every
-    other lane on each leading coefficient, so it follows its own residues'
-    degree sequence with leading coefficients that are units mod q: it runs
-    the subresultant PRS over the field F_q, and so yields the Hankel
-    determinant mod q whatever sequence Z takes.  With |value| <= B and a
-    prime product above 2B, the symmetric residue is again the value.
+    The Hankel runs rest on the field argument: every lane kept yields each
+    Hankel determinant mod q, and with |value| <= B and a prime product
+    above 2B, the symmetric residue is the value.
     """
     f1, m = _symbol_column(symbol)
     bound = _hadamard_bound(f1, m, row0)
@@ -529,7 +518,7 @@ def toeplitz_det_mod(symbol, row0=None) -> int:
             return _lane_dets(f1 % q, q, m)
         return _hankel_dets(runs, q, scale)
 
-    run, residues = _lane_run(dets, _lane_primes(), 2 * bound)
+    run, residues = _lane_run(dets, _lane_primes(), bound)
     value = _crt(residues, run, bound)
     return value**2 if square else value
 
@@ -545,20 +534,26 @@ def toeplitz_det_ztau(a, b, pstar: int) -> tuple[int, int]:
     mod q of one _lane_run, whose determinants D+- = c +- d*s give c and d
     mod q.  On the last axis of the (2m - 1, 2K) lanes, the + lanes of the
     K primes precede the - lanes, so lane l is read mod q[l % K].
-    toeplitz_det_mod's bound, in each complex embedding on |a| + r|b|, r =
-    isqrt(|pstar|) + 1, bounds every coefficient kappa the PRS reads by h,
-    so 0 < |N(kappa)| <= h^2 for kappa != 0, and N(kappa) = kappa(s)
-    kappa(-s) mod q: primes multiply past 2h^2, so kappa is nonzero in
-    both lanes of some prime, and the lanes' common leading coefficient is
-    Z[tau]'s.  A prime whose +- lanes disagree on a leading coefficient is
-    unlucky, as in toeplitz_det_mod.  c and d are each rebuilt from the
-    chosen primes and checked mod the spare prime (see _crt); one above h
-    raises DiscrepancyError.
+
+    Bound.  In each complex embedding, tau -> +-sqrt(pstar), every entry
+    has absolute value at most |a| + r|b|, r = isqrt(|pstar|) + 1, and
+    toeplitz_det_mod's bound h on that row bounds the embedded determinant
+    c +- d*sqrt(pstar).  So |c| <= h and |d| <= h, and primes are taken
+    until their product passes 2h, then one spare.  The row is built from
+    Python ints, so no entry near 2^63 wraps.
+
+    The field argument of toeplitz_det_mod carries over: a prime whose
+    lanes, + or -, disagree with the others on a leading coefficient is
+    unlucky and dropped, and every lane kept runs the subresultant PRS over
+    F_q on its own residues, yielding c +- d*s mod q.  c and d are each
+    rebuilt from the chosen primes and checked mod the spare prime (see
+    _crt); one above h raises DiscrepancyError.
     """
     (av, m), (bv, _) = _symbol_column(a), _symbol_column(b)
     if av.shape != bv.shape or math.isqrt(abs(pstar)) ** 2 == abs(pstar):
         raise ValueError("need symbols a and b of one length and |pstar| not a square")
-    h = _hadamard_bound(np.abs(av) + (math.isqrt(abs(pstar)) + 1) * np.abs(bv), m)
+    r = math.isqrt(abs(pstar)) + 1
+    h = _hadamard_bound(np.abs(av.astype(object)) + r * np.abs(bv.astype(object)), m)
 
     roots = {}  # q -> s, for every prime q that primes() has yielded
 
@@ -574,10 +569,10 @@ def toeplitz_det_ztau(a, b, pstar: int) -> tuple[int, int]:
 
     def lanes(q):
         sb = np.array([roots[qk] for qk in q.tolist()]) * (bv % q) % q
-        return np.concatenate([(av + sb) % q, (av - sb) % q], axis=1)
+        aq = av % q
+        return np.concatenate([(aq + sb) % q, (aq - sb) % q], axis=1)
 
-    run, residues = _lane_run(lambda q: _lane_dets(lanes(q), np.tile(q, 2), m), primes(),
-                              2 * h * h)
+    run, residues = _lane_run(lambda q: _lane_dets(lanes(q), np.tile(q, 2), m), primes(), h)
     pairs = list(zip(residues[:len(run)], residues[len(run):], run))
     cs = [(x + y) * ((qk + 1) // 2) % qk for x, y, qk in pairs]
     ds = [(x - y) * pow(2 * roots[qk], -1, qk) % qk for x, y, qk in pairs]

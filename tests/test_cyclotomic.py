@@ -711,6 +711,15 @@ def test_toeplitz_det_over_ztau_even_final_gap_and_singular():
     assert got == ref == (-20, -4)
 
 
+def test_toeplitz_det_over_ztau_at_the_edge_of_int64():
+    # entries near +-2^63, with pstar = 13 (r = 4): a + s*b and the bound
+    # row |a| + r|b| leave int64, and no step of either may wrap
+    q = OddPrime(13)
+    coords = [(2**63 - 1, 1), (-2**63, 2**63 - 1), (1, -2**63), (2**63 - 1, -1), (0, 2**62)]
+    got, ref = ztau_toeplitz(q, coords, 3)
+    assert got == ref
+
+
 def test_mtilde_det_matches_the_dense_reference():
     # t(k) = f(k+1) - f(k) with f(0) = p, f(d) = (d/p)*tau; det M~ is
     # (-1)^(n+1) times its n x n Toeplitz determinant

@@ -783,17 +783,44 @@ def _ztau_primes(pstar):
     return (q for q in _lane_primes() if q % 4 == 3 and pow(pstar, q // 2, q) == 1)
 
 
-def test_toeplitz_det_ztau_rejects_a_product_below_twice_h_squared(monkeypatch):
+def _ztau_bound(a, b, pstar):
+    m = (len(a) + 1) // 2
+    return exactlinalg._hadamard_bound(np.abs(a) + (math.isqrt(abs(pstar)) + 1) * np.abs(b), m)
+
+
+def test_toeplitz_det_ztau_takes_primes_past_twice_h(monkeypatch):
     a, b, pstar = _mtilde_toeplitz(23)
     assert toeplitz_det_ztau(a, b, pstar) == (0, -13181630464)
-    m = (len(a) + 1) // 2
-    h = exactlinalg._hadamard_bound(np.abs(a) + (math.isqrt(abs(pstar)) + 1) * np.abs(b), m)
-    # three primes multiply past 2h, the integer kernel's limit, but not 2h^2
-    three = list(itertools.islice(_ztau_primes(pstar), 3))
-    assert 2 * h < math.prod(three) <= 2 * h * h
-    _patch_lane_primes(monkeypatch, three)
+    h = _ztau_bound(a, b, pstar)
+    # three primes multiply past 2h, the value bound, but not past 2h^2;
+    # with a spare they give the value, and with none they run out
+    four = list(itertools.islice(_ztau_primes(pstar), 4))
+    assert 2 * h < math.prod(four[:3]) <= 2 * h * h
+    _patch_lane_primes(monkeypatch, four)
+    assert toeplitz_det_ztau(a, b, pstar) == (0, -13181630464)
+    _patch_lane_primes(monkeypatch, four[:3])
     with pytest.raises(DiscrepancyError, match="lane primes ran out below the CRT bound"):
         toeplitz_det_ztau(a, b, pstar)
+    # on the lane primes, mtilde's chosen primes multiply past 2h and no
+    # earlier, and one spare follows them
+    monkeypatch.undo()
+    runs = []
+    lane_dets = exactlinalg._lane_dets
+
+    def recording(f1, q, m):
+        runs.append(q.tolist()[:len(q) // 2])
+        return lane_dets(f1, q, m)
+
+    monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
+    for p, count in ((23, 3), (43, 5), (199, 29), (311, 49)):
+        args = _mtilde_toeplitz(p)
+        h = _ztau_bound(*args)
+        runs.clear()
+        toeplitz_det_ztau(*args)
+        [run] = runs
+        chosen = run[:-1]
+        assert math.prod(chosen[:-1]) <= 2 * h < math.prod(chosen), p
+        assert len(chosen) == count, p
 
 
 def test_toeplitz_det_ztau_rejects_a_tampered_plus_residue(monkeypatch):
@@ -807,17 +834,29 @@ def test_toeplitz_det_ztau_rejects_a_tampered_plus_residue(monkeypatch):
         return residues, unlucky
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
-    # d != 0 at p = 23, and its 2h^2 takes at least 3 primes, each with a
-    # + and a - lane, and a spare prime
+    # d != 0 at p = 23, and its 2h takes 3 primes, each with a + and a -
+    # lane, and a spare prime
     with pytest.raises(DiscrepancyError, match="exceeds its Hadamard bound"):
         toeplitz_det_ztau(*_mtilde_toeplitz(23))
     assert lanes[-1] >= 2 * (3 + 1)
 
 
+# Z[tau] determinants at the edge of int64, where a + s*b and the bound
+# row |a| + r|b| would wrap in int64: (2^63 - 1) + tau and (2^63 - 1) - tau
+_ZTAU_INT64_EDGE = [(([2**63 - 1], [1], 2), (2**63 - 1, 1)),
+                    (([2**63 - 1], [-1], -7), (2**63 - 1, -1))]
+
+
+def test_toeplitz_det_ztau_at_the_edge_of_int64():
+    for (a, b, pstar), expected in _ZTAU_INT64_EDGE:
+        assert toeplitz_det_ztau(np.array(a), np.array(b), pstar) == expected, (a, b, pstar)
+
+
 def test_toeplitz_det_ztau_catches_a_wrong_residue_on_any_lane(monkeypatch):
-    # a +1 on each single lane, + or -, chosen or spare, of mtilde's run
-    for p in (23, 43):
-        args = _mtilde_toeplitz(p)
+    # a +1 on each single lane, + or -, chosen or spare, of mtilde's run and
+    # of the int64 edge cases
+    edge = [tuple(np.array(x) for x in (a, b)) + (pstar,) for (a, b, pstar), _ in _ZTAU_INT64_EDGE]
+    for args in [_mtilde_toeplitz(23), _mtilde_toeplitz(43)] + edge:
         expected = toeplitz_det_ztau(*args)
         lanes = []
         lane_dets = exactlinalg._lane_dets
@@ -834,6 +873,25 @@ def test_toeplitz_det_ztau_catches_a_wrong_residue_on_any_lane(monkeypatch):
             with pytest.raises(DiscrepancyError):
                 toeplitz_det_ztau(*args)
         monkeypatch.undo()
+
+
+def test_toeplitz_det_ztau_on_small_primes_matches_the_lane_primes(monkeypatch):
+    # the inputs of the Z[tau] property test, zero-heavy (c, d) entries, on
+    # primes 3, 5, 7, ..., where many lanes are unlucky and the run repeats:
+    # every lane kept runs the PRS over F_q, and every value equals the one
+    # on the lane primes
+    reruns = _count_reruns(monkeypatch)
+    rng = random.Random(43)
+    for _ in range(600):
+        pstar, m = rng.choice((-3, 5, -7, 13)), rng.randint(1, 8)
+        a, b = (np.array(x) for x in zip(*[(rng.choice((-2, -1, 0, 0, 0, 1, 3)),
+                                            rng.choice((-1, 0, 0, 0, 1, 2)))
+                                           for _ in range(2 * m - 1)]))
+        monkeypatch.setattr(exactlinalg, "_lane_primes", _lane_primes)
+        expected = toeplitz_det_ztau(a, b, pstar)
+        _patch_lane_primes(monkeypatch, _SMALL_PRIMES)
+        assert toeplitz_det_ztau(a, b, pstar) == expected, (a, b, pstar)
+    assert sum(reruns) > 50
 
 
 def test_toeplitz_det_ztau_rejects_rows_off_each_others_degrees(monkeypatch):

@@ -53,6 +53,11 @@ No module of the package defines or names `_lane_reduce` or
 `_REDUCE_BY_PRIME_FROM`: every array of residues is reduced by one `%`.
 `toeplitz_det_mod` sets its own CRT limit: no call of it in the package
 passes more than the symbol and `row0`, so no caller brings a bound.
+The lanes take one path and one limit rule: `_lane_dets` reads every
+remainder's degree, its first included, by one `_lane_lead` call in its
+loop, and no `_lane_run` call passes an arithmetic expression as its
+bound, so each run takes its primes past twice the bound its `_crt`
+checks, a doubling `_lane_run` does itself.
 """
 import ast
 from pathlib import Path
@@ -193,6 +198,32 @@ def test_toeplitz_det_mod_calls_pass_only_the_symbol_and_row0():
                                    getattr(node.func, "attr", None))
         and (len(node.args) > 1 or any(isinstance(a, ast.Starred) for a in node.args)
              or any(kw.arg != "row0" for kw in node.keywords))
+    ]
+    assert found == []
+
+
+def test_lane_dets_reads_every_degree_by_one_lane_lead_call():
+    # one call in all, and it is in the loop: no step before the loop
+    path = next(p for p in SOURCES if p.name == "exactlinalg.py")
+    [lane_dets] = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(node, ast.FunctionDef) and node.name == "_lane_dets"]
+    [loop] = [node for node in lane_dets.body if isinstance(node, ast.While)]
+    calls = [[node for node in ast.walk(scope) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_lane_lead"] for scope in (lane_dets, loop)]
+    assert len(calls[0]) == 1 and calls[0] == calls[1]
+
+
+def test_lane_run_calls_pass_a_plain_bound():
+    # the bound, third argument or keyword, is no arithmetic expression
+    # such as 2 * bound: _lane_run doubles it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "_lane_run" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for bound in node.args[2:] + [kw.value for kw in node.keywords if kw.arg == "bound"]
+        if isinstance(bound, (ast.BinOp, ast.UnaryOp))
     ]
     assert found == []
 
