@@ -124,7 +124,7 @@ def _lane_lead(w):
     return int(lead), (unlucky if unlucky.any() else None)
 
 
-def _lane_dets(f1, q, m: int):
+def _lane_dets(f1, q, m: int, points=()):
     """The m x m Toeplitz determinants of L lanes, lane l mod q[l], by the
     windowed Brown-Collins subresultant PRS over F_q, run in every lane at
     once.
@@ -179,28 +179,63 @@ def _lane_dets(f1, q, m: int):
     L_0 = 1, it adds no factor to P, extra or the denominator, and n_(-1) =
     j gives it sign (-1)^0: it only reads W_1's degree, like every step.
 
-    All lanes follow one degree sequence.  Returns (residues, None), the
-    determinant mod q[l] for each lane l as a list of L ints; or (None,
-    unlucky) when some row reads zero in some lanes only, unlucky being
-    the (L,) bool mask of those lanes.
+    Points.  A run given points, a tuple of (K, x), K = m - 1 or m and x an
+    int or None, is a Hankel run: f1 holds h_0, ..., h_(2m-1), the last one
+    row below F1, so every window runs a row deeper and the last step's
+    quotient is whole, and it returns the (len(points), L) array of S_K(x)
+    mod q, S_K being toeplitz_det_mod's bordered Hankel determinant and
+    x = None reading H_m.  Beside the windows each lane carries V_(i-1) and
+    V_i at each x: V_0 = 0, V_1 = 1 and V_(i+1) = L_i^(delta_i + 1)
+    V_(i-1) + Q_i V_i, Q_i being the step's pseudo-quotient, whose
+    coefficients are the w[0] that its elimination reads (l a_0 X + r1 in
+    the two-step case).  So W_i = (-1)^(i-1) V_i F1 mod F0, W_i = alpha_i
+    R_i and (-1)^(i-1) V_i = alpha_i V'_i, R_i and V'_i being the lemma's,
+    and lc(V_i) = P_(i-1) / L_(i-1) by induction.  Let W_i be the last
+    remainder and s = (-1)^(m(m-1)/2) sign, so that H_m = s num / den.
+    When n_i = m - 1, (b) gives S_(m-1) = (-1)^(i-1) H_m V_i / L_i, and (a)
+    on h_0, ..., h_(2m) gives S_m = H_m V_(i+1) L_i / P_i = s extra
+    V_(i+1) / den.  When n_i < m - 1, H_m = 0, and 0 stands for S_m, as
+    each value that reads S_m vanishes with H_m; by (c), S_(m-1) = 0
+    unless n_(i-1) = m, when it is E = (-1)^(i-1) s extra V_i / den, with
+    den and extra before the last gap enters them.  Proof: E, the degrees
+    up to n_(i-1) and S_(m-1) read only window rows above the floors 2m -
+    1 - d, which reach F1 at degrees >= 1, not h_(2m-2).  With h_(2m-2) + t
+    for h_(2m-2), H_m becomes H_m + t H_(m-1), and H_(m-1) != 0: it is
+    +-sigma_m(F0, F1), m being the degree of a remainder (Brown & Traub
+    1971).  So at all t but one, n_i = m - 1, the last gap is 1, and (b)
+    reads E.
+
+    All lanes follow one degree sequence.  Returns (values, None), the
+    determinant mod q[l] for each lane l as a list of L ints or the array
+    of readings; or (None, unlucky) when some row reads zero in some lanes
+    only, unlucky being the (L,) bool mask of those lanes.
     """
     j = m - 1
     window, f1 = f1, np.zeros_like(f1)
     f1[0] = 1  # F0 = X^(2m-1)
     n0, n1 = j, 2 * m - 1
     prefix = den = extra = np.ones_like(q)
-    sign = 1
+    sign = turn = 1  # turn = (-1)^(i-1) for the remainder W_i in window
+    hankel = (-1) ** (m * (m - 1) // 2)
+    if points:
+        xs = sorted({x for _, x in points if x is not None})
+        x = np.array(xs, dtype=np.int64)[:, None] % q
+        v0, v1 = np.zeros_like(x), np.ones_like(x)
     while True:
         lead, unlucky = _lane_lead(window)
         if unlucky is not None:
             return None, unlucky
         gap = lead + 1
         n2 = n1 - gap
-        if n2 < j:
-            return [0] * len(q), None
         # sigma_j(A, B) against sigma_j(B, rem(A, B)): (-1)^((n0 - j)(n1 - j))
         if (n0 - j) * (n1 - j) % 2:
             sign = -sign
+        if n2 < j:
+            if not points:
+                return [0] * len(q), None
+            # H_m = 0 = S_m, and S_(m-1) by (a) when n_(i-1) = m, else (c)
+            low = hankel * sign * turn * (extra if n1 == m else 0) * v1
+            return _lane_readings(points, xs, m, q, den, 0 * den, low, 0 * v1), None
         den = den * _lane_pow(prefix, gap, q) % q
         if gap > 1:
             extra = extra * _lane_pow(f1[0], gap - 1, q) % q
@@ -208,29 +243,58 @@ def _lane_dets(f1, q, m: int):
         lc = f1[0]
         if n1 == j:
             num = prefix * extra % q * _lane_pow(lc, gap, q) % q
-            return [sign * x * pow(y, -1, qk) % qk
-                    for x, y, qk in zip(num.tolist(), den.tolist(), q.tolist())], None
+            if not points:
+                return [sign * x * pow(y, -1, qk) % qk
+                        for x, y, qk in zip(num.tolist(), den.tolist(), q.tolist())], None
+            low = prefix * extra % q * _lane_pow(lc, gap - 1, q) % q  # (b)
         delta = n0 - n1
         a = f0[:len(f1)]
         if delta == 1:
             # the two elimination steps as one expression, one reduction,
             # on the negated scalars -(l a_0) and -r1, r1 being the first
-            # step's leading coefficient
-            lcd = lc * lc % q
+            # step's leading coefficient; the quotient is l a_0 X + r1
+            lcd, la = lc * lc % q, lc * a[0] % q
             nr1 = (a[0] * f1[1] - lc * a[1]) % q
             window = lcd * a[2:]
-            window += (q - lc * a[0] % q) * f1[2:]
+            window += (q - la) * f1[2:]
             window += nr1 * f1[1:-1]
             _lane_mod(window, q)
+            if points:
+                qx = x * la
+                qx += q - nr1
+                _lane_mod(qx, q)
         else:
             lcd = _lane_pow(lc, delta + 1, q)
-            window = a
+            window, qx = a, 0
+            if points:
+                lx = lc * x % q
             for _ in range(delta + 1):
                 w = window
+                if points:  # Horner on the quotient's coefficients w[0]
+                    qx = qx * lx + w[0]
+                    _lane_mod(qx, q)
                 window = lc * w[1:]
                 window += (q - w[0]) * f1[1:len(w)]
                 _lane_mod(window, q)
+        if points:
+            v0, v1 = v1, lcd * v0 + qx * v1
+            _lane_mod(v1, q)
+            turn = -turn
         prefix = prefix * lcd % q
+        if n1 == j:  # S_(m-1) by (b) on V_i, S_m by (a) on V_(i+1)
+            s = hankel * sign
+            return _lane_readings(points, xs, m, q, den, s * num, -turn * s * low * v0,
+                                  s * extra * v1), None
+
+
+def _lane_readings(points, xs, m: int, q, den, top, low, high):
+    """The (len(points), L) array of _lane_dets's readings mod q: H_m =
+    top / den, and S_(m-1)(x) = low[r] / den and S_m(x) = high[r] / den,
+    row r of low and high being x = xs[r]."""
+    inv = np.array([pow(y, -1, qk) for y, qk in zip(den.tolist(), q.tolist())])
+    rows = [top if x is None else (low if k < m else high)[xs.index(x)]
+            for k, x in points]
+    return np.array(rows) % q * inv % q
 
 
 def _hadamard_bound(row, m: int, row0=None) -> int:
@@ -327,27 +391,6 @@ def _lane_moments(u, q, symmetric: bool):
     return u
 
 
-def _hankel_dets(runs, q, scale):
-    """What _lane_dets returns, for scale times the product of the Hankel
-    determinants H_K[h] = det[h_(i+j)], 0 <= i, j < K, of runs, a list of
-    (h, K): lane l holds it mod q[l], scale being a Fraction of odd
-    denominator.  h is an (r, L) array of residues, r >= 2K - 1, and
-    H_K[h] is _lane_dets on its first 2K - 1 rows, leading first, times
-    (-1)^(K(K-1)/2), as reversing the rows of a Toeplitz matrix gives a
-    Hankel one; H_0 = 1.  A lane unlucky in any run drops its prime for
-    all."""
-    moduli = q.tolist()
-    value = [scale.numerator * pow(scale.denominator, -1, qk) % qk for qk in moduli]
-    for h, size in runs:
-        if size:
-            residues, unlucky = _lane_dets(h[:2 * size - 1], q, size)
-            if unlucky is not None:
-                return None, unlucky
-            sign = (-1) ** (size * (size - 1) // 2)
-            value = [sign * x * y % qk for x, y, qk in zip(value, residues, moduli)]
-    return value, None
-
-
 def _symbol_column(symbol):
     """symbol, t(m - 1), ..., t(1 - m), as a (2m - 1, 1) int64 column, and
     m; an empty, even-length, not 1-D or not integer symbol, or one with an
@@ -368,14 +411,9 @@ def toeplitz_det_mod(symbol, row0=None) -> int:
     theorem.
 
     symbol is the 1-D integer array t(m - 1), ..., t(1 - m), F1's
-    coefficients leading first, and m is read off its length 2m - 1.
-
-    Windows.  The step whose divisor has degree d computes its remainder
-    only at degrees >= 2m - 1 - d: prem(A, B) at degree e reads A at e and
-    at degrees >= deg B and B at degrees >= e - (deg A - deg B), so nothing
-    lower reaches the coefficient of degree m - 1 (see _lane_dets).  Every
-    divisor has degree >= m, so that floor is <= m - 1, and an all-zero
-    window means a remainder of degree < m - 1: det T = 0.
+    coefficients leading first, and m is read off its length 2m - 1.  The
+    run keeps only the windows of coefficients that its answer reads (see
+    _lane_dets).
 
     Bound.  Let S be the sum of the m largest of the squares t(k)^2,
     |k| < m, and H = isqrt(S^m) + 1.  Each row of T holds m of the t(k),
@@ -466,19 +504,61 @@ def toeplitz_det_mod(symbol, row0=None) -> int:
     c_(n+1) + 2 c_n, and g'_n = nu_n.  Collecting the powers of 2 and the
     signs gives the identities.
 
-    On the lanes the moments come from the recurrence of _lane_moments,
-    and each Hankel determinant is _lane_dets on its moments (see
-    _hankel_dets), two runs on one prime set for a symmetric symbol or a
-    constant row 0, one for a skew symbol's det T.  The lanes multiply the
-    Hankel residues by the identity's scale, such as 4^(-k) mod q (q is
-    odd), and the CRT rebuilds the value on a bound B: H, or with row0
-    Hadamard's bound on M's rows, isqrt(m r^2 S^(m-1)) + 1.  A skew
+    In S form.  Let S_K(x) be the determinant of the K rows [h_(i+j)], 0 <=
+    j <= K, over the row (1, x, ..., x^K), so that H_K[h'] = S_K(2) and,
+    likewise, H_K[2 h_n + h_(n+1)] = (-1)^K S_K(-2) (nu_n = 2 c'_n +
+    c'_(n+1)).  With S for c, or S' for c', the identities read:
+
+    - symmetric T: det T = (-1)^(k+1) (S_k(2) S_(k+1)(-2) - S_k(-2)
+      S_(k+1)(2)) / 4^(k+1) (m = 2k + 1), or (-1)^k S_k(2) S_k(-2) / 4^k;
+    - symmetric M: det M = (-1)^k r H_k[c'] S'_k(-2) / 4^k (m = 2k + 1), or
+      2 (-1)^(k-1) r H_k[c'] S'_(k-1)(-2) / 4^k;
+    - skew M: det M = -r H_k[d] S_(k-1)(2) (m = 2k), or r H_k[d] S_k(2).
+
+    For the first, let D be the determinant of the k rows [c_(i+j)], j <=
+    k + 1, over the rows (2^j) and ((-2)^j).  The column steps above, at x
+    = 2, then expanding along the row e_0, give D = -4 (-1)^k H_k[nu].
+    Desnanot-Jacobi on D's matrix and on S_(k+1)(x)'s, rows and columns k
+    and k + 1, give H_k D = S_k(2) A(-2) - S_k(-2) A(2) and H_k S_(k+1)(x)
+    = H_(k+1) A(x) - G S_k(x), A and G being minors without column k, so
+    H_(k+1) D = S_k(2) S_(k+1)(-2) - S_k(-2) S_(k+1)(2).  c_(2k+1) is read
+    only at row k, column k + 1 of S_(k+1), whose cofactor is S_k, and so
+    cancels: any value of it will do.
+
+    The cofactor lemma.  Let h_0, ..., h_(2N-2) lie in a field, L(x^n) =
+    h_n, and run Euclid on R_0 = X^(2N-1), R_1 = sum_n h_n X^(2N-2-n), with
+    V_0 = 0, V_1 = 1 and V_(i+1) = V_(i-1) - Q_i V_i, so R_i = V_i R_1 + U_i
+    R_0.  With n_i = deg R_i and K_i = deg V_i = 2N - 1 - n_(i-1), for K <=
+    N - 1 and the i with K_i <= K < K_(i+1):
+    (a) S_K = H_K V_i / lc(V_i) at K = K_i;
+    (b) S_K = H_(K+1) V_i / lc(R_i) at K = K_(i+1) - 1 = 2N - 2 - n_i;
+    (c) S_K = 0 in between.
+    Proof.  While e + K_i <= 2N - 2, the coefficient of X^(2N-2-e) in V_i
+    R_1 is L(x^e V_i), and in R_i - U_i R_0 it is 0 for n_i < 2N - 2 - e <
+    2N - 1 and lc(R_i) at n_i: L(x^e V_i) = 0 for e < K_(i+1) - 1, and
+    L(x^(K_(i+1)-1) V_i) = lc(R_i).  A polynomial P of degree <= K with
+    L(x^e P) = 0 for e < K is a null vector of the rows of S_K, and so is S_K
+    (each row against it is a determinant with a repeated row); S_K != 0
+    only if those K rows have rank K, and then S_K spans their null space.
+    So in (a) and (b), S_K = lambda V_i: comparing the coefficients of x^K
+    gives (a), and H_(K+1) = L(x^K S_K) (expand its last row) = lambda
+    lc(R_i) gives (b).  In (c), V_i and x V_i are independent null vectors,
+    so S_K = 0.  Every moment read has index <= 2K <= 2N - 2.
+
+    One run.  Each split is one _lane_dets run on the moments, from the
+    recurrence of _lane_moments, that reads its S_K(x) and H_K off the
+    lemma (see _lane_dets): c of size k + 1 (symmetric T), c' (symmetric
+    M) or d (skew M) of size k, padded with zeros that no value depends on
+    (c_(2k+1) cancels, and no reading reads the others); a skew det T is
+    the plain run of d.  The lanes multiply the readings by the identity's
+    scale, such as 4^(-k) mod q (q is odd), and the CRT rebuilds the value
+    on a bound B: H, or with row0 Hadamard's bound on M's rows, isqrt(m
+    r^2 S^(m-1)) + 1.  A skew
     symbol's det T alone is a square: its CRT rebuilds +-D, D = H_k[d] (the
     square drops the sign), with |D| = |det T|^(1/2) <= isqrt(H) + 1 = B,
-    so its primes multiply past 2B, about half as many; det T = D^2.
-
-    The Hankel runs rest on the field argument: every lane kept yields each
-    Hankel determinant mod q, and with |value| <= B and a prime product
+    so its primes multiply past 2B, about half as many; det T = D^2.  The
+    lemma holds over every F_q, so by the field argument every lane kept
+    yields the readings mod q, and with |value| <= B and a prime product
     above 2B, the symmetric residue is the value.
     """
     f1, m = _symbol_column(symbol)
@@ -489,34 +569,44 @@ def toeplitz_det_mod(symbol, row0=None) -> int:
     skew = not symmetric and np.array_equal(f1, -f1[::-1]) and f1.min() > -2**63
     if row0 is not None and not (symmetric or skew):
         raise ValueError("a constant row 0 needs a symmetric or skew symbol")
+    if row0 is not None and m == 1:
+        return row0  # M = [r]
     square = skew and row0 is None  # det T = H_k[d]^2
     if square:
         if m % 2:
             return 0
         bound = math.isqrt(bound) + 1  # bounds |H_k[d]| = |det T|^(1/2)
-    if symmetric:
-        scale = Fraction(1 if row0 is None else (2 - m % 2) * row0, 4**k)
-    else:
-        scale = Fraction(1 if row0 is None else (-1) ** (m + 1) * row0)
+    # one run of size `size`: T itself for a general symbol, or the Hankel
+    # run of the split, reading S_K(x) at the points (K, x), x = None
+    # reading H_size, whose product times scale is the value
+    size, points = (k if square else m), ()
+    if symmetric and row0 is None:
+        size, odd = k + 1, m % 2
+        points = ((k, 2), (k + 1, -2), (k, -2), (k + 1, 2)) if odd else ((k, 2), (k, -2))
+        scale = Fraction((-1) ** (k + odd), 4 ** (k + odd))
+    elif row0 is not None:
+        size, top = k, k - 1 + m % 2
+        points = ((k, None), (top, -2 if symmetric else 2))
+        scale = (Fraction((2 - m % 2) * (-1) ** top * row0, 4**k) if symmetric
+                 else Fraction((-1) ** (m + 1) * row0))
 
     def dets(q):
-        if symmetric:
-            c = _lane_moments(half % q, q, True)
-            nu, cprime = (4 * c[:-2] + q - c[2:]) % q, (2 * c[:-1] + q - c[1:]) % q
-            if row0 is not None:
-                runs = [(nu, k), (cprime, k)] if m % 2 else [(cprime, k), (nu, k - 1)]
-            elif m % 2:
-                runs = [(c, k + 1), (nu, k)]
-            else:
-                runs = [((c[1:] + 2 * c[:-1]) % q, k), (cprime, k)]
-        elif skew:
-            d = _lane_moments(half[1:] % q, q, False)
-            runs = [(d, k)]
-            if row0 is not None:
-                runs.append(((2 * d[:-1] + q - d[1:]) % q, k - 1 + m % 2))
+        if symmetric or skew:
+            h = _lane_moments(half % q if symmetric else half[1:] % q, q, symmetric)
+            if symmetric and row0 is not None:
+                h = (2 * h[:-1] + q - h[1:]) % q  # c'
+            if points:
+                h = np.concatenate([h, np.zeros((2 * size - len(h), len(q)), dtype=np.int64)])
         else:
-            return _lane_dets(f1 % q, q, m)
-        return _hankel_dets(runs, q, scale)
+            h = f1 % q
+        values, unlucky = _lane_dets(h, q, size, points)
+        if unlucky is not None or not points:
+            return values, unlucky  # det T, or +-H_k[d] for a skew T
+        value = values[0] * values[1] % q
+        if len(values) == 4:
+            value = (value + q - values[2] * values[3] % q) % q
+        s = [scale.numerator * pow(scale.denominator, -1, qk) % qk for qk in q.tolist()]
+        return (value * s % q).tolist(), None
 
     run, residues = _lane_run(dets, _lane_primes(), bound)
     value = _crt(residues, run, bound)

@@ -151,10 +151,11 @@ def det_mp(p: OddPrime) -> int:
     dimension N = n+1, whose symbol t(n), ..., t(-n) reads chi at n, ..., -n
     mod p, with row 0 replaced by ones.  A is symmetric for p = 1 (mod 4),
     N = 2k + 1, and skew for p = 3 (mod 4), N = 2k, so toeplitz_det_mod's
-    row0 = 1 takes two Hankel determinants of about half the size, with the
-    moments c_n and d_n of its docstring:
+    row0 = 1 reads det M_p off one Hankel run of about half the size, with
+    the moments c_n, c'_n = 2 c_n - c_(n+1) and d_n and the bordered S_K of
+    its docstring:
 
-    - p = 1 (mod 4): det = H_k[4 c_n - c_(n+2)] H_k[2 c_n - c_(n+1)] / 4^k;
-    - p = 3 (mod 4): det = -H_k[d] H_(k-1)[2 d_n - d_(n+1)]."""
+    - p = 1 (mod 4): det = (-1)^k H_k[c'] S'_k(-2) / 4^k, S' for c';
+    - p = 3 (mod 4): det = -H_k[d] S_(k-1)(2), S for d."""
     chi = legendre_array(p)
     return toeplitz_det_mod(chi[np.arange(p.n, -p.n - 1, -1) % p.p], row0=1)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from legdet.verify import FAIL, PASS, run_sweep
 from bigint_charpoly import bigint_charpoly
 from bigint_toeplitz import _exact_div, _prem_window, toeplitz_det
 from faddeev_leverrier import charpoly, identity, matmul
+from hankel_cofactors import bordered, euclid_cofactors, evaluate, hankel, moments
 from int_polynomial import IntPolynomial, expand_factored, poly_mul, poly_pow
 from lane_charpoly import toeplitz_charpoly
 import rank_one
@@ -443,9 +445,9 @@ def _centrosymmetric_values(rng, m, skew):
 def test_symmetric_and_skew_symbols_match_toeplitz_det(monkeypatch):
     # the split into half-size Hankel determinants, in all four parity
     # cases, against the bigint PRS, on the lane primes and on primes 3, 5,
-    # 7, ..., where unlucky primes drop and rerun: the Hankel runs take
-    # their zero tests on det T's bound, and every lane kept still gives
-    # the Hankel determinant mod q
+    # 7, ..., where unlucky primes drop and rerun: the Hankel run takes
+    # its zero tests on det T's bound, and every lane kept still gives its
+    # readings mod q
     reruns = _count_reruns(monkeypatch)
     rng = random.Random(31)
     cases, zero_symbols, zero_diagonals = {}, 0, 0
@@ -470,18 +472,98 @@ def test_symmetric_and_skew_symbols_match_toeplitz_det(monkeypatch):
     assert zero_symbols > 50 and zero_diagonals > 50 and sum(reruns) > 50
 
 
+def test_the_cofactor_lemma_reads_every_bordered_hankel_determinant():
+    # the lemma _lane_dets reads S_K(x) by, on Fractions against Bareiss:
+    # with K_i = deg V_i, (a) S_K = H_K V_i / lc(V_i) at K = K_i, (b) S_K =
+    # H_(K+1) V_i / lc(R_i) at K = K_i + deg Q_i - 1, and (c) S_K = 0
+    # strictly between, for every K <= N - 1, on zero-heavy sequences, so
+    # that Euclid's degrees fall by more than 1 at many steps
+    rng = random.Random(41)
+    seen = dict.fromkeys(("a", "b", "gap top", "gap interior"), 0)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        h = [rng.choice((-2, -1, 0, 0, 0, 1, 1, 3)) for _ in range(2 * n - 1)]
+        for r, v, quo in euclid_cofactors(h):
+            low = len(v) - 1
+            top = n - 1 if quo is None else low + len(quo) - 2
+            for size in range(low, min(top, n - 1) + 1):
+                got = bordered(h, size)
+                scaled = []
+                if size == low:
+                    scaled.append([hankel(h, size) * c / v[-1] for c in v])
+                    seen["a"] += 1
+                if size == top and quo is not None:
+                    scaled.append([hankel(h, size + 1) * c / r[-1] for c in v])
+                    seen["b"] += 1
+                    seen["gap top"] += size > low
+                if not scaled:
+                    scaled.append([])
+                    seen["gap interior"] += 1
+                for want in scaled:
+                    want = want + [0] * (size + 1 - len(want))
+                    assert got == want, (h, size)
+    assert min(seen.values()) > 400, seen
+
+
+def test_the_split_identities_in_s_form_match_bareiss():
+    # the identities toeplitz_det_mod reads off its one run, S_K being
+    # bordered by (1, x, ..., x^K) on c, c'_n = 2 c_n - c_(n+1) or d, against
+    # Bareiss on T or M, in all parity cases, singular ones included, and
+    # with row 0 replaced by r, ..., r:
+    # symmetric T, m = 2k + 1: (-1)^(k+1) (S_k(2) S_(k+1)(-2) - S_k(-2)
+    #   S_(k+1)(2)) / 4^(k+1), for any c_(2k+1), which cancels;
+    # symmetric T, m = 2k: (-1)^k S_k(2) S_k(-2) / 4^k;
+    # symmetric M, m = 2k + 1: (-1)^k r H_k[c'] S'_k(-2) / 4^k;
+    # symmetric M, m = 2k: (-1)^(k-1) 2 r H_k[c'] S'_(k-1)(-2) / 4^k;
+    # skew M: -r H_k[d] S_(k-1)(2) (m = 2k) or r H_k[d] S_k(2) (m = 2k + 1)
+    rng = random.Random(43)
+    cases = {}
+    for _ in range(800):
+        m, skew, r = rng.randint(1, 10), rng.random() < 0.5, rng.choice((1, -1, 2, -3))
+        values = _centrosymmetric_values(rng, m, skew)
+        rows = _toeplitz_rows(values, m)
+        k = m // 2
+
+        def s(h, size, x):
+            return evaluate(bordered(h, size), x)
+
+        if skew:
+            d = moments(values, m, 1)
+            top = k - 1 + m % 2
+            formula = (-1) ** (m + 1) * r * hankel(d, k) * s(d, top, 2)
+        else:
+            c = moments(values, m, 0)
+            cprime = [2 * x - y for x, y in zip(c, c[1:])]
+            if m % 2:
+                c.append(rng.randint(-9, 9))  # c_(2k+1)
+                exact = (-1) ** (k + 1) * Fraction(
+                    s(c, k, 2) * s(c, k + 1, -2) - s(c, k, -2) * s(c, k + 1, 2), 4 ** (k + 1))
+            else:
+                exact = (-1) ** k * Fraction(s(c, k, 2) * s(c, k, -2), 4**k)
+            assert exact == _bareiss([list(row) for row in rows]), (values, m)
+            top = k - 1 + m % 2
+            formula = (-1) ** top * (2 - m % 2) * r * Fraction(
+                hankel(cprime, k) * s(cprime, top, -2), 4**k)
+        rows[0] = [r] * m
+        exact = _bareiss(rows)
+        assert formula == exact, (values, m, r)
+        kind = (skew, m % 2, exact == 0)
+        cases[kind] = cases.get(kind, 0) + 1
+    assert len(cases) == 8 and min(cases.values()) > 20, cases
+
+
 def test_a_skew_symbol_rebuilds_its_square_root_on_half_the_bits(monkeypatch):
     # det_ep at p = 3 (mod 4) is H_k[d]^2: the primes multiply past
     # 2 (isqrt(H) + 1), not 2H, and one spare follows them; at p = 1 (mod 4)
-    # both Hankel runs take the primes of 2H.  det_mp's two runs take the
+    # its one Hankel run takes the primes of 2H.  det_mp's one run takes the
     # primes of 2 (isqrt(m^m) + 1), m = n + 1, Hadamard's bound on the rows
     # of M with S = m and r = 1, at every p
     lane_dets = exactlinalg._lane_dets
     runs = []
 
-    def recording(f1, q, m):
+    def recording(f1, q, m, points=()):
         runs.append(q.tolist())
-        return lane_dets(f1, q, m)
+        return lane_dets(f1, q, m, points)
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
     for p in (199, 397, 599):
@@ -493,11 +575,9 @@ def test_a_skew_symbol_rebuilds_its_square_root_on_half_the_bits(monkeypatch):
         for target, limit in ((det_ep, ep_limit), (det_mp, 2 * (math.isqrt(m**m) + 1))):
             runs.clear()
             target(q)
-            assert len(runs) == (2 if p % 4 == 1 or target is det_mp else 1)
-            for primes in runs:
-                assert primes == runs[0]
-                chosen = primes[:-1]
-                assert math.prod(chosen[:-1]) <= limit < math.prod(chosen), (p, target)
+            [primes] = runs
+            chosen = primes[:-1]
+            assert math.prod(chosen[:-1]) <= limit < math.prod(chosen), (p, target)
 
 
 def test_an_odd_skew_symbol_takes_no_prime(monkeypatch):
@@ -524,8 +604,8 @@ def _count_reruns(monkeypatch):
     lane_dets = exactlinalg._lane_dets
     reruns = []
 
-    def recording(f1, q, m):
-        residues, unlucky = lane_dets(f1, q, m)
+    def recording(f1, q, m, points=()):
+        residues, unlucky = lane_dets(f1, q, m, points)
         reruns.append(unlucky is not None)
         return residues, unlucky
 
@@ -590,8 +670,8 @@ def test_a_refill_keeps_the_survivors_first_and_in_order(monkeypatch):
     runs = []
     lane_dets = exactlinalg._lane_dets
 
-    def recording(f1, q, m):
-        residues, unlucky = lane_dets(f1, q, m)
+    def recording(f1, q, m, points=()):
+        residues, unlucky = lane_dets(f1, q, m, points)
         runs.append((q.tolist(), None if unlucky is None else unlucky.tolist()))
         return residues, unlucky
 
@@ -628,17 +708,19 @@ def test_a_batch_of_one_never_drops_its_row(monkeypatch):
             lambda k: values[k + m - 1], m), (values, m)
 
 
-def _tamper_lane(monkeypatch, position, run=None):
-    """Add 1 mod its prime to the residue of lane position of every run,
-    or, when run is given, of the run-th call of _lane_dets from now on."""
+def _tamper_lane(monkeypatch, position, run=None, row=0):
+    """Add 1 mod its prime to lane position of every run, or, when run is
+    given, of the run-th call of _lane_dets from now on: to its residue,
+    or, on a run that reads points, to its value at points[row]."""
     lane_dets = exactlinalg._lane_dets
     calls = itertools.count()
 
-    def tampered(f1, q, m):
-        residues, unlucky = lane_dets(f1, q, m)
-        if residues is not None and (run is None or next(calls) == run):
-            residues[position] = (residues[position] + 1) % int(q[position])
-        return residues, unlucky
+    def tampered(f1, q, m, points=()):
+        values, unlucky = lane_dets(f1, q, m, points)
+        if values is not None and (run is None or next(calls) == run):
+            line = values[row] if points else values
+            line[position] = (line[position] + 1) % int(q[position])
+        return values, unlucky
 
     monkeypatch.setattr(exactlinalg, "_lane_dets", tampered)
 
@@ -713,50 +795,56 @@ def test_a_wrong_last_lane_passes_the_bound_but_not_the_spare(monkeypatch):
 
 
 def test_a_wrong_residue_on_any_lane_of_each_hankel_run_is_caught(monkeypatch):
-    # det_ep at 101 and 397 (p = 1 mod 4) runs two Hankel determinants on
-    # one prime set, and at 103 (p = 3 mod 4) the one run of D; det_mp runs
-    # two at every p, the bordered split of its constant row 0; of the int64
-    # edge symbols the symmetric one runs two, the others one general run.
-    # A +1 on any single lane, chosen or spare, of any of those runs raises
+    # every determinant is one _lane_dets run: det_ep at 101 and 397 (p = 1
+    # mod 4) reads S_k and S_(k+1) of c at +-2, and at 103 (p = 3 mod 4)
+    # takes the plain run of D; det_mp reads H_k and one S at every p, the
+    # bordered split of its constant row 0; of the int64 edge symbols the
+    # symmetric one (m = 2) reads S_1 of c at +-2, the others take one
+    # general run.  A +1 on any single lane, chosen or spare, of a plain
+    # run's residues or of any value a run reads at its points raises
     lane_dets = exactlinalg._lane_dets
 
-    def runs_of(compute):
-        lanes = []
+    def readings_of(compute):
+        runs = []
 
-        def recording(f1, qs, m):
-            lanes.append(len(qs))
-            return lane_dets(f1, qs, m)
+        def recording(f1, qs, m, points=()):
+            runs.append((len(qs), len(points)))
+            return lane_dets(f1, qs, m, points)
 
         monkeypatch.setattr(exactlinalg, "_lane_dets", recording)
         expected = compute()
         monkeypatch.undo()
-        for run, width in enumerate(lanes):
+        [(width, readings)] = runs
+        for row in range(max(readings, 1)):
             for position in range(width):
-                _tamper_lane(monkeypatch, position, run)
+                _tamper_lane(monkeypatch, position, 0, row)
                 with pytest.raises(DiscrepancyError):
                     compute()
                 monkeypatch.undo()
         assert compute() == expected
-        return len(lanes)
+        return readings
 
     for target, p in ((det_ep, 101), (det_ep, 103), (det_ep, 397),
                       (det_mp, 101), (det_mp, 103), (det_mp, 397), (det_mp, 599)):
-        runs = runs_of(lambda: target(OddPrime(p)))
-        assert runs == (2 if p % 4 == 1 or target is det_mp else 1), (target, p)
+        readings = readings_of(lambda: target(OddPrime(p)))
+        assert readings == (2 if target is det_mp else 4 if p % 4 == 1 else 0), (target, p)
     for symbol, _ in _INT64_EDGE:
-        runs = runs_of(lambda: toeplitz_det_mod(np.array(symbol)))
-        assert runs == (2 if symbol == [0, -2**63, 0] else 1), symbol
+        readings = readings_of(lambda: toeplitz_det_mod(np.array(symbol)))
+        assert readings == (2 if symbol == [0, -2**63, 0] else 0), symbol
 
 
 def test_lane_reductions_are_sign_free(monkeypatch):
-    # every window the lanes reduce is nonnegative and fits int64 with room;
-    # a mixed-sign window would still reduce right, only twice as slowly
+    # every array the lanes reduce, the windows and the quotient and
+    # cofactor values that a run with points carries beside them, is
+    # nonnegative and fits int64 with room; a mixed-sign array would still
+    # reduce right, only twice as slowly.  The last step of a run with
+    # points leaves an empty window, which has no entry to check
     lane_mod = exactlinalg._lane_mod
     calls = []
 
     def checked(w, q):
         calls.append(w.size)
-        assert w.min() >= 0 and w.max() < 2**62
+        assert w.size == 0 or (w.min() >= 0 and w.max() < 2**62)
         return lane_mod(w, q)
 
     monkeypatch.setattr(exactlinalg, "_lane_mod", checked)
@@ -767,6 +855,18 @@ def test_lane_reductions_are_sign_free(monkeypatch):
         calls.clear()
         assert run_sweep(target, p, p).records[0].status == PASS, (target, p)
         assert calls, (target, p)
+    # the quotient and cofactor values pass through _lane_mod: on moments
+    # with no degree gap, a run with points makes at least three calls a
+    # step, its window's and two more, where the plain run makes one
+    rng = random.Random(5)
+    q = np.array(list(itertools.islice(_lane_primes(), 3)))
+    h = np.array([rng.randint(1, 1000) for _ in range(40)])[:, None] % q
+    counts = []
+    for args in ((h[:-1], q, 20), (h, q, 20, ((19, 2), (20, -2)))):
+        calls.clear()
+        exactlinalg._lane_dets(*args)
+        counts.append(len(calls))
+    assert counts[1] >= 3 * counts[0] > 0
 
 
 def _mtilde_toeplitz(p):

@@ -53,6 +53,11 @@ No module of the package defines or names `_lane_reduce` or
 `_REDUCE_BY_PRIME_FROM`: every array of residues is reduced by one `%`.
 `toeplitz_det_mod` sets its own CRT limit: no call of it in the package
 passes more than the symbol and `row0`, so no caller brings a bound.
+Each split is one lane run: no function of the exact linear algebra module
+calls `_lane_dets` in a loop, `toeplitz_det_mod` calls it once, and no list
+of `runs` is left; `_lane_dets` holds one `while` loop, and the cofactor
+values it reads the bordered Hankel determinants from are updated inside it,
+so the PRS has no second copy.
 The lanes take one path and one limit rule: `_lane_dets` reads every
 remainder's degree, its first included, by one `_lane_lead` call in its
 loop, and no `_lane_run` call passes an arithmetic expression as its
@@ -458,3 +463,45 @@ def test_charpoly_cp_builds_no_matrix():
         or getattr(node, "attr", None) in _MATRIX_ROUTES
     ]
     assert found == []
+
+
+def _exactlinalg_functions() -> dict:
+    path = next(p for p in SOURCES if p.name == "exactlinalg.py")
+    return {node.name: node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _calls_lane_dets(node) -> bool:
+    return any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_lane_dets"
+               for sub in ast.walk(node))
+
+
+def test_each_split_is_one_lane_run():
+    functions = _exactlinalg_functions()
+    path = next(p for p in SOURCES if p.name == "exactlinalg.py")
+    assert _loops_calling(path, _calls_lane_dets) == []
+    [dets] = [node for node in ast.walk(functions["toeplitz_det_mod"])
+              if isinstance(node, ast.FunctionDef) and node.name == "dets"]
+    calls = [node for node in ast.walk(functions["toeplitz_det_mod"])
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lane_dets"]
+    assert len(calls) == 1 and _calls_lane_dets(dets)
+    names = [getattr(node, "id", None) or getattr(node, "name", None)
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))]
+    assert "runs" not in names and "_hankel_dets" not in names
+
+
+def test_lane_dets_updates_its_cofactors_in_its_one_loop():
+    # the cofactor values v0, v1 and the quotient's value qx are set once
+    # before the loop (V_0 and V_1) and updated only inside it
+    lane_dets = _exactlinalg_functions()["_lane_dets"]
+    [loop] = [node for node in ast.walk(lane_dets) if isinstance(node, ast.While)]
+    inside = {id(node) for node in ast.walk(loop)}
+    updates = []
+    for node in ast.walk(lane_dets):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {getattr(t, "id", None) for target in targets for t in ast.walk(target)}
+            if names & {"v0", "v1", "qx"}:
+                updates.append(id(node) in inside)
+    assert updates.count(False) == 1 and updates.count(True) >= 3
+    assert "points" in [arg.arg for arg in lane_dets.args.args]
